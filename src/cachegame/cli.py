@@ -192,14 +192,15 @@ def _store_cache(path: str, cache: dict) -> None:
 
 def _solve_cached(args, n, d, k, variant) -> dict:
     """Solve through the result cache: hits skip recomputation entirely,
-    so interrupted sweeps resume where they stopped."""
+    so interrupted sweeps resume where they stopped.  Only entries written
+    by this version are hits; any other entry is solved again and replaced."""
     symmetry = not args.no_symmetry
     relaxed = args.relaxed_queries
     cache = _load_cache(args.cache) if args.cache else None
     key = _cache_key(n, d, k, variant.value, symmetry, relaxed)
     if cache is not None and key in cache["entries"]:
         entry = cache["entries"][key]
-        if "payload" in entry:
+        if "payload" in entry and entry.get("tool_version") == __version__:
             return entry["payload"]
     result = solver.solve(GameSpec(n, d, k, variant), symmetry=symmetry,
                           relaxed=relaxed, budget=args.budget)

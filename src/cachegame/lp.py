@@ -1,24 +1,26 @@
 """Exact linear programming over rationals.
 
-A two-phase primal simplex on sparse rational rows.  Pivoting follows
-Bland's rule by default (termination guaranteed); a largest-coefficient
-rule with automatic Bland fallback is available for speed on degenerate
-game programs.  Every answer carries an exact certificate:
+A two-phase primal simplex on a sparse fraction-free tableau: each row is
+integer numerators over one positive integer denominator, kept in lowest
+terms, so a pivot is plain integer arithmetic and values become Fractions
+only at the edges (duals, primal point, ray).  Pivoting follows Bland's
+rule by default (termination guaranteed); a largest-coefficient rule with
+automatic Bland fallback is available for speed on degenerate game
+programs.  Every answer carries an exact certificate, checked in Fractions
+against the original rows:
 
 * ``OPTIMAL``  -- primal point plus dual multipliers with matching
   objective values (strong duality, checked before returning).
 * ``INFEASIBLE`` -- Farkas multipliers combining the constraints into an
   impossibility (checked).
 * ``UNBOUNDED`` -- a feasible point plus an improving ray (checked).
-
-Sizes here are desk scale (hundreds of rows); no attempt is made at
-large-scale performance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -98,6 +100,13 @@ class LPSolution:
     holds the Farkas multipliers; for ``UNBOUNDED`` it holds the improving
     ray over the *variables* (the certificate of unboundedness), while
     ``primal`` holds a feasible starting point.
+
+    ``pivots`` is the total of ``phase1_pivots`` (driving artificials out
+    included) and ``phase2_pivots``.  ``degenerate_pivots`` counts pivots
+    with a zero step, ``bland_fallback`` tells whether largest-coefficient
+    pricing stalled and switched to Bland's rule, and
+    ``max_denominator_bits`` is the bit length of the largest row
+    denominator the tableau held.
     """
 
     status: str
@@ -106,6 +115,11 @@ class LPSolution:
     dual: tuple[Fraction, ...] | None
     pivots: int = 0
     bound_dual: dict = field(default_factory=dict, repr=False)
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    degenerate_pivots: int = 0
+    bland_fallback: bool = False
+    max_denominator_bits: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +203,64 @@ class _Standard:
         return tuple(x)
 
 
+class _Row:
+    """One tableau row in fraction-free form.
+
+    Column ``c`` holds ``nums[c] / den`` and the right-hand side is
+    ``rhs / den``: integer numerators over one positive denominator, kept in
+    lowest terms after every update.
+    """
+
+    __slots__ = ("nums", "rhs", "den")
+
+    def __init__(self, values: dict[int, Fraction], rhs: Fraction):
+        # Over the lcm of the denominators the row is already in lowest terms.
+        den = lcm(rhs.denominator, *(v.denominator for v in values.values()))
+        self.nums = {c: v.numerator * (den // v.denominator) for c, v in values.items() if v}
+        self.rhs = rhs.numerator * (den // rhs.denominator)
+        self.den = den
+
+    def make_unit(self, col: int) -> None:
+        """Divide the row by its entry in ``col``, which becomes 1."""
+        p = self.nums[col]
+        g = gcd(self.rhs, *self.nums.values())  # divides p
+        g = g if p > 0 else -g
+        if g != 1:
+            self.nums = {c: v // g for c, v in self.nums.items()}
+            self.rhs //= g
+        self.den = p // g
+
+    def eliminate(self, col: int, prow: _Row) -> None:
+        """Subtract the multiple of ``prow`` (a unit in ``col``) that clears
+        ``col``: ``(row·P − f·prow) / (den·P)`` in plain integers."""
+        f = self.nums[col]
+        g = gcd(f, prow.den)
+        f, p = f // g, prow.den // g
+        nums = {c: v * p for c, v in self.nums.items()} if p != 1 else self.nums
+        for c, v in prow.nums.items():
+            nv = nums.get(c, 0) - f * v
+            if nv:
+                nums[c] = nv
+            else:
+                del nums[c]
+        rhs = self.rhs * p - f * prow.rhs
+        den = self.den * p
+        g = gcd(den, rhs, *nums.values())
+        if g != 1:
+            nums = {c: v // g for c, v in nums.items()}
+            rhs //= g
+            den //= g
+        self.nums, self.rhs, self.den = nums, rhs, den
+
+
 class _Tableau:
-    """Sparse row tableau with explicit slack/artificial bookkeeping."""
+    """Sparse tableau of fraction-free integer rows with explicit
+    slack/artificial bookkeeping."""
 
     def __init__(self, std: _Standard):
         self.std = std
         m = std.num_rows
-        self.rows: list[dict[int, Fraction]] = []
-        self.b: list[Fraction] = []
+        self.rows: list[_Row] = []
         self.flip: list[int] = []
         self.basis: list[int] = [-1] * m
         self.unit_col: list[int] = [-1] * m  # initial +/-1 column of each row
@@ -204,6 +268,9 @@ class _Tableau:
         self.artificial: set[int] = set()
         self.num_cols = std.num_structural
         self.pivots = 0
+        self.phase1_pivots = 0
+        self.degenerate_pivots = 0
+        self.bland_fallback = False
 
         for i in range(m):
             row = dict(std.rows[i])
@@ -235,130 +302,123 @@ class _Tableau:
                 self.artificial.add(art)
                 self.basis[i] = art
                 self.unit_col[i], self.unit_sign[i] = art, 1
-            self.rows.append({c: v for c, v in row.items() if v})
-            self.b.append(rhs)
+            self.rows.append(_Row(row, rhs))
+        self.max_den_bits = max((row.den.bit_length() for row in self.rows), default=0)
 
     def _new_col(self) -> int:
         col = self.num_cols
         self.num_cols += 1
         return col
 
+    def counters(self) -> dict:
+        """The work counters an LPSolution reports."""
+        return {
+            "pivots": self.pivots,
+            "phase1_pivots": self.phase1_pivots,
+            "phase2_pivots": self.pivots - self.phase1_pivots,
+            "degenerate_pivots": self.degenerate_pivots,
+            "bland_fallback": self.bland_fallback,
+            "max_denominator_bits": self.max_den_bits,
+        }
+
     # -- reduced costs -----------------------------------------------------
 
-    def reduced_costs(self, cost: dict[int, Fraction]) -> tuple[dict[int, Fraction], Fraction]:
-        """c_j - y.A_j for all columns, plus the basis objective value."""
+    def reduced_costs(self, cost: dict[int, Fraction]) -> _Row:
+        """c_j - y.A_j for all columns, as a row whose right-hand side is
+        minus the basis objective value (so pivots update it like any row)."""
         red = dict(cost)
         value = _ZERO
         for i, bi in enumerate(self.basis):
             cb = cost.get(bi, _ZERO)
             if not cb:
                 continue
-            value += cb * self.b[i]
-            for c, v in self.rows[i].items():
-                nv = red.get(c, _ZERO) - cb * v
-                if nv:
-                    red[c] = nv
-                else:
-                    red.pop(c, None)
-        return red, value
+            row = self.rows[i]
+            scale = cb / row.den
+            value += scale * row.rhs
+            for c, v in row.nums.items():
+                red[c] = red.get(c, _ZERO) - scale * v
+        return _Row(red, -value)
 
-    def pivot(self, r: int, col: int, red: dict[int, Fraction]) -> None:
+    def pivot(self, r: int, col: int, red: _Row | None) -> None:
         self.pivots += 1
         prow = self.rows[r]
-        piv = prow[col]
-        if piv != 1:
-            prow = {c: v / piv for c, v in prow.items()}
-            self.rows[r] = prow
-            self.b[r] /= piv
-        brow = self.b[r]
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            factor = self.rows[i].get(col)
-            if not factor:
-                continue
-            target = self.rows[i]
-            for c, v in prow.items():
-                nv = target.get(c, _ZERO) - factor * v
-                if nv:
-                    target[c] = nv
-                else:
-                    target.pop(c, None)
-            self.b[i] -= factor * brow
-        factor = red.get(col)
-        if factor:
-            for c, v in prow.items():
-                nv = red.get(c, _ZERO) - factor * v
-                if nv:
-                    red[c] = nv
-                else:
-                    red.pop(c, None)
+        if not prow.rhs:
+            self.degenerate_pivots += 1
+        prow.make_unit(col)
+        bits = prow.den.bit_length()
+        for i, row in enumerate(self.rows):
+            if i != r and col in row.nums:
+                row.eliminate(col, prow)
+                bits = max(bits, row.den.bit_length())
+        self.max_den_bits = max(self.max_den_bits, bits)
+        if red is not None and col in red.nums:
+            red.eliminate(col, prow)
         self.basis[r] = col
 
     def run_simplex(self, cost: dict[int, Fraction], barred: set[int], rule: str):
-        """Maximize, returning (status, reduced costs).  ``status`` is
+        """Maximize, returning (status, reduced-cost row).  ``status`` is
         OPTIMAL or UNBOUNDED (with ``self.unbounded_col`` set)."""
-        red, _ = self.reduced_costs(cost)
+        red = self.reduced_costs(cost)
         bland = rule == "bland"
-        stall = 0
-        last_value = None
+        stall = -1  # the first pivot has no earlier objective value to repeat
         while True:
+            # One positive denominator: pricing compares numerators.
             entering = None
             if not bland:
-                best = _ZERO
-                for c, v in red.items():
+                best = 0
+                for c, v in red.nums.items():
                     if c in barred or v <= 0:
                         continue
-                    if v > best or (v == best and (entering is None or c < entering)):
+                    if v > best or (v == best and c < entering):
                         best = v
                         entering = c
             else:
-                for c, v in red.items():
+                for c, v in red.nums.items():
                     if c in barred or v <= 0:
                         continue
                     if entering is None or c < entering:
                         entering = c
             if entering is None:
                 return OPTIMAL, red
-            ratio = None
+            # Ratio rhs/a per row (the row denominator cancels), compared by
+            # cross-multiplication.
             leave = None
             for i, row in enumerate(self.rows):
-                a = row.get(entering)
-                if a is None or a <= 0:
+                a = row.nums.get(entering, 0)
+                if a <= 0:
                     continue
-                r = self.b[i] / a
-                if ratio is None or r < ratio or (r == ratio and self.basis[i] < self.basis[leave]):
-                    ratio = r
-                    leave = i
+                if leave is None:
+                    leave, lead_rhs, lead_a = i, row.rhs, a
+                    continue
+                lhs, rhs = row.rhs * lead_a, lead_rhs * a
+                if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                    leave, lead_rhs, lead_a = i, row.rhs, a
             if leave is None:
                 self.unbounded_col = entering
                 return UNBOUNDED, red
             self.pivot(leave, entering, red)
             if not bland:
                 # Degeneracy guard: persistent zero-progress pivots switch
-                # to Bland's rule, restoring the termination guarantee.
-                value = sum(cost.get(self.basis[i], _ZERO) * self.b[i] for i in range(len(self.rows)))
-                if value == last_value:
-                    stall += 1
-                    if stall > 2 * (self.num_cols + len(self.rows)):
-                        bland = True
-                else:
-                    stall = 0
-                    last_value = value
+                # to Bland's rule, restoring the termination guarantee.  The
+                # objective moves by red[entering] * ratio with red > 0, so a
+                # pivot makes no progress exactly when its ratio is zero.
+                stall = 0 if lead_rhs else stall + 1
+                if stall > 2 * (self.num_cols + len(self.rows)):
+                    bland = self.bland_fallback = True
 
-    def duals(self, red: dict[int, Fraction], cost: dict[int, Fraction]) -> list[Fraction]:
+    def duals(self, red: _Row, cost: dict[int, Fraction]) -> list[Fraction]:
         """Row prices y (internal orientation) read off the unit columns."""
         out = []
         for i in range(len(self.rows)):
             col, sign = self.unit_col[i], self.unit_sign[i]
-            r = red.get(col, _ZERO)
+            r = Fraction(red.nums.get(col, 0), red.den)
             c = cost.get(col, _ZERO)
             # r = c - y_i * sign  =>  y_i = (c - r) / sign
             out.append((c - r) if sign == 1 else (r - c))
         return out
 
     def primal_cols(self) -> dict[int, Fraction]:
-        return {self.basis[i]: self.b[i] for i in range(len(self.rows)) if self.b[i]}
+        return {self.basis[i]: Fraction(row.rhs, row.den) for i, row in enumerate(self.rows) if row.rhs}
 
 
 def solve_lp(lp: LinearProgram, sense: str = "max", pivot_rule: str = "bland") -> LPSolution:
@@ -376,13 +436,16 @@ def solve_lp(lp: LinearProgram, sense: str = "max", pivot_rule: str = "bland") -
         status, red = tab.run_simplex(cost1, barred=set(), rule=pivot_rule)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise CertificateError("phase 1 reported unbounded")
-        infeas = -sum(tab.b[i] for i in range(len(tab.rows)) if tab.basis[i] in tab.artificial)
+        tab.phase1_pivots = tab.pivots
+        art_rows = [row for i, row in enumerate(tab.rows) if tab.basis[i] in tab.artificial]
+        infeas = -sum(Fraction(row.rhs, row.den) for row in art_rows)
         if infeas < 0:
             y = tab.duals(red, cost1)
             sol = _farkas_solution(lp, std, tab, y)
             _check_farkas(std, tab, y)
             return sol
         _pivot_out_artificials(tab)
+        tab.phase1_pivots = tab.pivots
 
     cost2 = {c: std.cost[c] for c in range(std.num_structural) if std.cost[c]}
     status, red = tab.run_simplex(cost2, barred=tab.artificial, rule=pivot_rule)
@@ -410,8 +473,8 @@ def solve_lp(lp: LinearProgram, sense: str = "max", pivot_rule: str = "bland") -
         objective_value=Fraction(objective),
         primal=tuple(x),
         dual=tuple(dual),
-        pivots=tab.pivots,
         bound_dual=bound_dual,
+        **tab.counters(),
     )
 
 
@@ -426,13 +489,9 @@ def _pivot_out_artificials(tab: _Tableau) -> None:
     for i in range(len(tab.rows)):
         if tab.basis[i] not in tab.artificial:
             continue
-        pivot_col = None
-        for c in sorted(tab.rows[i]):
-            if c not in tab.artificial and tab.rows[i][c]:
-                pivot_col = c
-                break
+        pivot_col = next((c for c in sorted(tab.rows[i].nums) if c not in tab.artificial), None)
         if pivot_col is not None:
-            tab.pivot(i, pivot_col, {})
+            tab.pivot(i, pivot_col, None)
         # Otherwise the row is redundant; the artificial stays basic at 0.
 
 
@@ -450,8 +509,8 @@ def _farkas_solution(lp, std, tab, y_internal) -> LPSolution:
         objective_value=None,
         primal=None,
         dual=tuple(dual),
-        pivots=tab.pivots,
         bound_dual=bound_dual,
+        **tab.counters(),
     )
 
 
@@ -459,9 +518,9 @@ def _unbounded_solution(lp, std, tab, maximize) -> LPSolution:
     col = tab.unbounded_col
     ray_cols = {col: _ONE}
     for i, row in enumerate(tab.rows):
-        a = row.get(col)
+        a = row.nums.get(col)
         if a:
-            ray_cols[tab.basis[i]] = ray_cols.get(tab.basis[i], _ZERO) - a
+            ray_cols[tab.basis[i]] = ray_cols.get(tab.basis[i], _ZERO) - Fraction(a, row.den)
     ray = std.structural_point(ray_cols)
     point = std.structural_point(tab.primal_cols())
     _check_ray(lp, point, ray, maximize)
@@ -470,7 +529,7 @@ def _unbounded_solution(lp, std, tab, maximize) -> LPSolution:
         objective_value=None,
         primal=tuple(point),
         dual=tuple(ray),
-        pivots=tab.pivots,
+        **tab.counters(),
     )
 
 
@@ -479,27 +538,28 @@ def _unbounded_solution(lp, std, tab, maximize) -> LPSolution:
 # ---------------------------------------------------------------------------
 
 
-def _internal_column(std: _Standard, tab: _Tableau, col: int) -> dict[int, Fraction]:
-    out = {}
-    for i in range(std.num_rows):
-        v = std.rows[i].get(col, _ZERO) if col < std.num_structural else _ZERO
-        v *= tab.flip[i]
-        if col == tab.unit_col[i]:
-            v += tab.unit_sign[i]
-        if v:
-            out[i] = v
-    return out
+def _internal_columns(std: _Standard, tab: _Tableau) -> list[dict[int, Fraction]]:
+    """Every column of the unpivoted internal system, in one pass over the
+    rows: structural entries with row flips applied, plus each row's unit
+    column.  Artificials of ``>=`` rows are left out; no check reads them."""
+    columns: list[dict[int, Fraction]] = [{} for _ in range(tab.num_cols)]
+    for i, row in enumerate(std.rows):
+        for col, v in row.items():
+            columns[col][i] = tab.flip[i] * v
+        columns[tab.unit_col[i]][i] = tab.unit_sign[i]
+    return columns
 
 
 def _check_optimal(std, tab, cols, y, cost2) -> None:
     m = std.num_rows
     b = [tab.flip[i] * std.rhs[i] for i in range(m)]
+    columns = _internal_columns(std, tab)
     # Primal feasibility, internal equality form.
     lhs = [_ZERO] * m
     for col, value in cols.items():
         if value < 0:
             raise CertificateError("negative basic value")
-        for i, a in _internal_column(std, tab, col).items():
+        for i, a in columns[col].items():
             lhs[i] += a * value
     if lhs != b:
         raise CertificateError("primal infeasibility at optimum")
@@ -511,9 +571,7 @@ def _check_optimal(std, tab, cols, y, cost2) -> None:
     for col in range(tab.num_cols):
         if col in tab.artificial:
             continue
-        reduced = cost2.get(col, _ZERO) - sum(
-            y[i] * a for i, a in _internal_column(std, tab, col).items()
-        )
+        reduced = cost2.get(col, _ZERO) - sum(y[i] * a for i, a in columns[col].items())
         if reduced > 0:
             raise CertificateError("dual infeasibility at optimum")
 
@@ -523,10 +581,11 @@ def _check_farkas(std, tab, y) -> None:
     b = [tab.flip[i] * std.rhs[i] for i in range(m)]
     if sum(y[i] * b[i] for i in range(m)) >= 0:
         raise CertificateError("Farkas certificate has nonnegative value")
+    columns = _internal_columns(std, tab)
     for col in range(tab.num_cols):
         if col in tab.artificial:
             continue
-        if sum(y[i] * a for i, a in _internal_column(std, tab, col).items()) < 0:
+        if sum(y[i] * a for i, a in columns[col].items()) < 0:
             raise CertificateError("Farkas certificate violates a column")
 
 

@@ -501,6 +501,11 @@ def solve_tree(tree: GameTree) -> SolveResult:
         "lp_rows": len(program.rows),
         "lp_cols": program.num_vars,
         "pivots": sol.pivots,
+        "phase1_pivots": sol.phase1_pivots,
+        "phase2_pivots": sol.phase2_pivots,
+        "degenerate_pivots": sol.degenerate_pivots,
+        "bland_fallback": sol.bland_fallback,
+        "max_denominator_bits": sol.max_denominator_bits,
         "solve_seconds": elapsed,
     }
     result = SolveResult(

@@ -54,6 +54,18 @@ class TestSolveCommand:
         assert total == 1
 
 
+    def test_stats_report_lp_work(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        data = run_json(capsys, "--cache", str(cache), "solve", "--n", "3", "--d", "3", "--k", "2")
+        stats = data["stats"]
+        assert stats["pivots"] == stats["phase1_pivots"] + stats["phase2_pivots"] > 0
+        assert 0 <= stats["degenerate_pivots"] <= stats["pivots"]
+        assert stats["bland_fallback"] is False
+        assert stats["max_denominator_bits"] > 0
+        entry = next(iter(json.loads(cache.read_text())["entries"].values()))
+        assert entry["stats"] == {k: v for k, v in stats.items() if k != "solve_seconds"}
+
+
 class TestVerifyCommand:
     def test_builtin_fig432(self, capsys):
         data = run_json(capsys, "verify", "--family", "fig432")
@@ -197,6 +209,22 @@ class TestCache:
         again = run_json(capsys, "--cache", str(cache), "solve", "--n", "3", "--d", "3", "--k", "2")
         assert again == first
         assert cache.read_text() == before  # untouched on a hit
+
+    def test_entry_from_another_version_is_solved_again(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        argv = ("--cache", str(cache), "solve", "--n", "3", "--d", "3", "--k", "2")
+        run_json(capsys, *argv)
+        data = json.loads(cache.read_text())
+        entry = next(iter(data["entries"].values()))
+        entry["value"] = entry["payload"]["value"] = "1/2"
+        cache.write_text(json.dumps(data))
+        assert run_json(capsys, *argv)["value"] == "1/2"  # same version: a hit
+        entry["tool_version"] = "0.0.0"
+        cache.write_text(json.dumps(data))
+        assert run_json(capsys, *argv)["value"] == "3/5"
+        entry = next(iter(json.loads(cache.read_text())["entries"].values()))
+        assert entry["tool_version"] == cli.__version__
+        assert entry["value"] == entry["payload"]["value"] == "3/5"
 
     def test_sweep_resumes_from_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"

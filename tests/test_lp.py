@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachegame import lp as lpmod
 from helpers import complementary_slackness_holds, random_bounded_lp
@@ -146,6 +148,117 @@ def test_bland_and_dantzig_agree():
         a = lpmod.solve_lp(p, pivot_rule="bland")
         b = lpmod.solve_lp(p, pivot_rule="dantzig")
         assert a.objective_value == b.objective_value
+
+
+def test_beale_cycling_program_falls_back_to_bland():
+    # Beale's example cycles under plain largest-coefficient pricing; the
+    # stall guard must switch to Bland's rule and still reach the optimum.
+    p = lpmod.LinearProgram(4, [Fraction(3, 4), -20, Fraction(1, 2), -6])
+    p.add_constraint({0: Fraction(1, 4), 1: -8, 2: -1, 3: 9}, lpmod.LESS_EQUAL, 0)
+    p.add_constraint({0: Fraction(1, 2), 1: -12, 2: Fraction(-1, 2), 3: 3}, lpmod.LESS_EQUAL, 0)
+    p.add_constraint({2: 1}, lpmod.LESS_EQUAL, 1)
+    for rule, fallback in (("dantzig", True), ("bland", False)):
+        sol = lpmod.solve_lp(p, pivot_rule=rule)
+        assert sol.status == lpmod.OPTIMAL
+        assert sol.objective_value == Fraction(5, 4)
+        assert sol.primal == (1, 0, 1, 0)
+        lpmod.check_certificate(p, "max", sol)
+        assert sol.bland_fallback is fallback
+        assert sol.phase1_pivots == 0 and sol.phase2_pivots == sol.pivots
+        assert 0 < sol.degenerate_pivots < sol.pivots
+
+
+def _farkas_holds(p, sol):
+    """The row and bound multipliers refute the program in its own space:
+    their combination is a valid inequality g.x <= value with g.x >= 0 on
+    every point the bounds allow, yet value < 0."""
+    y = sol.dual
+    for i, sense in enumerate(p.senses):
+        if (sense == lpmod.LESS_EQUAL and y[i] < 0) or (sense == lpmod.GREATER_EQUAL and y[i] > 0):
+            return False
+    g = [Fraction(0)] * p.num_vars
+    value = sum(y[i] * p.rhs[i] for i in range(len(p.rows)))
+    for i, row in enumerate(p.rows):
+        for j, v in row.items():
+            g[j] += y[i] * v
+    for (kind, j), mult in sol.bound_dual.items():
+        if (kind == "lower" and mult > 0) or (kind == "upper" and mult < 0):
+            return False
+        g[j] += mult
+        value += mult * (p.lower[j] if kind == "lower" else p.upper[j])
+    for j in range(p.num_vars):
+        nonneg = p.lower[j] == 0 and p.upper[j] is None
+        if (g[j] < 0) if nonneg else (g[j] != 0):
+            return False
+    return value < 0
+
+
+def _ray_holds(p, sense, sol):
+    """``primal`` is feasible and ``dual`` an improving recession direction."""
+    x, r = sol.primal, sol.dual
+    gain = sum(p.objective[j] * r[j] for j in range(p.num_vars))
+    if (gain <= 0) if sense == "max" else (gain >= 0):
+        return False
+    for i, row in enumerate(p.rows):
+        at = sum(v * x[j] for j, v in row.items()) - p.rhs[i]
+        step = sum(v * r[j] for j, v in row.items())
+        for delta in (at, step):
+            if p.senses[i] == lpmod.LESS_EQUAL and delta > 0:
+                return False
+            if p.senses[i] == lpmod.GREATER_EQUAL and delta < 0:
+                return False
+            if p.senses[i] == lpmod.EQUAL and delta != 0:
+                return False
+    for j in range(p.num_vars):
+        if p.lower[j] is not None and (x[j] < p.lower[j] or r[j] < 0):
+            return False
+        if p.upper[j] is not None and (x[j] > p.upper[j] or r[j] > 0):
+            return False
+    return True
+
+
+_coef = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _small_programs(draw):
+    """Programs with Fraction data, every sense, right-hand sides of either
+    sign, and default, free, one-sided and boxed variables."""
+    num_vars = draw(st.integers(1, 3))
+    p = lpmod.LinearProgram(num_vars, draw(st.lists(_coef, min_size=num_vars, max_size=num_vars)))
+    for j in range(num_vars):
+        kind = draw(st.sampled_from(["default", "free", "lower", "upper", "boxed"]))
+        if kind == "free":
+            p.set_bounds(j, None, None)
+        elif kind == "lower":
+            p.set_bounds(j, draw(_coef), None)
+        elif kind == "upper":
+            p.set_bounds(j, None, draw(_coef))
+        elif kind == "boxed":
+            lo = draw(_coef)
+            p.set_bounds(j, lo, lo + draw(st.fractions(min_value=0, max_value=3, max_denominator=3)))
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.dictionaries(st.integers(0, num_vars - 1), _coef, max_size=num_vars))
+        p.add_constraint(row, draw(st.sampled_from(lpmod._SENSES)), draw(_coef))
+    return p, draw(st.sampled_from(["max", "min"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_programs())
+def test_random_programs_certified_under_both_rules(case):
+    p, sense = case
+    bland = lpmod.solve_lp(p, sense, pivot_rule="bland")
+    dantzig = lpmod.solve_lp(p, sense, pivot_rule="dantzig")
+    assert bland.status == dantzig.status
+    assert bland.objective_value == dantzig.objective_value
+    for sol in (bland, dantzig):
+        assert sol.pivots == sol.phase1_pivots + sol.phase2_pivots
+        if sol.status == lpmod.OPTIMAL:
+            lpmod.check_certificate(p, sense, sol)
+        elif sol.status == lpmod.INFEASIBLE:
+            assert _farkas_holds(p, sol)
+        else:
+            assert _ray_holds(p, sense, sol)
 
 
 class TestCheckFeasible:
