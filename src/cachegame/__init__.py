@@ -4,17 +4,13 @@ Everything numeric is a ``fractions.Fraction``: game values, plan weights,
 bounds, and probabilities are computed and compared exactly.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .core import (
     Allocation,
     GameSpec,
-    GameState,
-    Query,
     Variant,
-    apply_move,
     enumerate_allocations,
-    legal_reveals,
     lower_bound_infinite_d,
     upper_bound_combinatorial,
     upper_bound_first_query,
@@ -52,13 +48,10 @@ __all__ = [
     "BestResponse",
     "BudgetExceededError",
     "GameSpec",
-    "GameState",
-    "Query",
     "Rational",
     "SolveResult",
     "StrategyTree",
     "Variant",
-    "apply_move",
     "best_response_value",
     "build_tree",
     "builtin_family",
@@ -74,7 +67,6 @@ __all__ = [
     "hider_strategy_value",
     "joint_verify_cooperative",
     "least_treasures_rule",
-    "legal_reveals",
     "lower_bound_infinite_d",
     "parse_rational",
     "single_query",

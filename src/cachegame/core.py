@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .rational import ONE, ZERO
+
 
 class Variant(str, Enum):
     ADVERSARY = "adversary"
@@ -75,45 +77,6 @@ class Allocation:
         return cls(tuple(data))
 
 
-@dataclass(frozen=True)
-class Query:
-    """A set of queried boxes, kept as a strictly increasing index tuple."""
-
-    boxes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        boxes = tuple(int(b) for b in self.boxes)
-        object.__setattr__(self, "boxes", boxes)
-        if any(b < 0 for b in boxes):
-            raise ValueError(f"negative box index in {boxes}")
-        if any(a >= b for a, b in zip(boxes, boxes[1:])):
-            raise ValueError(f"query boxes must be strictly increasing, got {boxes}")
-        if not boxes:
-            raise ValueError("empty query")
-
-    def __contains__(self, box: int) -> bool:
-        return box in self.boxes
-
-    def __len__(self) -> int:
-        return len(self.boxes)
-
-    def to_json(self) -> list[int]:
-        return list(self.boxes)
-
-    @classmethod
-    def from_json(cls, data: list[int]) -> "Query":
-        return cls(tuple(data))
-
-
-@dataclass(frozen=True)
-class GameState:
-    """Remaining treasures plus the full query/reveal history so far."""
-
-    remaining: Allocation
-    history: tuple[tuple[Query, int], ...] = ()
-    treasures_found: int = 0
-
-
 def enumerate_allocations(n: int, d: int) -> list[Allocation]:
     """All placements of ``d`` treasures into ``n`` boxes, lexicographic.
 
@@ -138,7 +101,17 @@ def enumerate_allocations(n: int, d: int) -> list[Allocation]:
     return out
 
 
-def legal_reveals(state: GameState, q: Query, variant: Variant) -> list[tuple[int, Fraction]]:
+# ---------------------------------------------------------------------------
+# Rules of play: every tree builder and strategy evaluator applies them
+# through these functions.  A state is a count vector.  Over concrete boxes
+# it holds the treasures left per box.  In first-touch canonical labels the
+# touched labels 0..t0-1 keep their counts in touch order, and the counts of
+# the other boxes wait in a weakly decreasing ``untouched`` pool: a query
+# naming fresh labels draws their counts from the pool.
+# ---------------------------------------------------------------------------
+
+
+def reveals(counts, q, variant: Variant) -> list[tuple[int, Fraction]]:
     """Possible reveals for query ``q``: ``(box, weight)`` pairs.
 
     Under ``RANDOM`` the weights are the exact reveal probabilities,
@@ -147,34 +120,63 @@ def legal_reveals(state: GameState, q: Query, variant: Variant) -> list[tuple[in
     player, so every treasure-holding box is listed with marker weight 1.
     An empty list means the query found nothing: terminal loss.
     """
-    counts = state.remaining.counts
-    positive = [b for b in q.boxes if counts[b] > 0]
-    if not positive:
-        return []
-    if variant == Variant.RANDOM:
+    positive = [b for b in q if counts[b] > 0]
+    if variant == Variant.RANDOM and len(positive) > 1:
         total = sum(counts[b] for b in positive)
         return [(b, Fraction(counts[b], total)) for b in positive]
-    return [(b, Fraction(1)) for b in positive]
+    return [(b, ONE) for b in positive]
 
 
-def apply_move(state: GameState, q: Query, revealed_box: int) -> GameState:
-    """Return the state after ``revealed_box`` surrenders one treasure.
+def reveal_value(variant: Variant, weighted) -> Fraction:
+    """Value of a query from the ``(weight, value)`` pair of each reveal:
+    the expectation under ``RANDOM``, otherwise the minimum (the hider's
+    choice; a cooperative caller passes only the agreed reveal)."""
+    if variant == Variant.RANDOM:
+        return sum((w * v for w, v in weighted), ZERO)
+    return min(v for _, v in weighted)
 
-    Pure: the input state is never modified.  Violating the preconditions
-    (box not in the query, or empty) is a programming error and raises.
+
+def take(counts: tuple[int, ...], label: int, t0: int) -> tuple[tuple[int, ...], int]:
+    """Counts after ``label`` surrenders one treasure, and the label it keeps.
+
+    Labels from ``t0`` on are fresh, and a reveal from one takes the lowest
+    fresh label ``t0``, so the two swap counts first.  Callers over concrete
+    boxes pass ``t0 = len(counts)``.  Taking from an empty box raises.
     """
-    if revealed_box not in q:
-        raise ValueError(f"revealed box {revealed_box} is not in query {q.boxes}")
-    counts = state.remaining.counts
-    if counts[revealed_box] <= 0:
-        raise ValueError(f"revealed box {revealed_box} holds no treasure in {counts}")
-    new_counts = list(counts)
-    new_counts[revealed_box] -= 1
-    return GameState(
-        remaining=Allocation(tuple(new_counts)),
-        history=state.history + ((q, revealed_box),),
-        treasures_found=state.treasures_found + 1,
-    )
+    lst = list(counts)
+    if label >= t0:
+        lst[t0], lst[label] = lst[label], lst[t0]
+        label = t0
+    if lst[label] <= 0:
+        raise ValueError(f"label {label} holds no treasure in {counts}")
+    lst[label] -= 1
+    return tuple(lst), label
+
+
+def fresh_draws(untouched: tuple[int, ...], f: int):
+    """Distinct ordered draws of ``f`` counts from the pool ``untouched``,
+    with exact without-replacement probabilities, as ``(draw, probability,
+    rest)``; ``rest`` is the pool left over, still weakly decreasing.  Lazy:
+    callers may abort after a bounded number of outcomes."""
+    if f == 0:
+        yield (), ONE, untouched
+        return
+    counter = Counter(untouched)
+    values = sorted(counter, reverse=True)
+
+    def rec(prefix, prob, left):
+        if len(prefix) == f:
+            yield prefix, prob, tuple(v for v in values for _ in range(counter[v]))
+            return
+        for v in values:
+            c = counter[v]
+            if c == 0:
+                continue
+            counter[v] -= 1
+            yield from rec(prefix + (v,), prob * Fraction(c, left), left - 1)
+            counter[v] += 1
+
+    yield from rec((), ONE, len(untouched))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +246,13 @@ def partitions(d: int, max_parts: int) -> list[tuple[int, ...]]:
     rec((), d, d)
     return out
 
+
+
+def patterns(d: int, n: int) -> list[tuple[int, ...]]:
+    """The partitions of ``d`` into at most ``n`` parts, zero-padded to
+    length ``n``: one weakly decreasing count vector per orbit of
+    placements under box relabeling."""
+    return [pat + (0,) * (n - len(pat)) for pat in partitions(d, n)]
 
 def pattern_multiplicity(pattern: tuple[int, ...], n: int) -> int:
     """Number of distinct length-``n`` count vectors whose sorted form is

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import partitions, pattern_multiplicity
+from .core import pattern_multiplicity, patterns
 from .rational import ONE
 
 
@@ -64,15 +64,14 @@ def p_lambda(state: YoungState) -> Fraction:
     m = len(lam)
     num = 0
     den = 0
-    for pattern in partitions(state.d, state.n):
-        sorted_counts = pattern + (0,) * (m - len(pattern))
-        if any(sorted_counts[i] != lam[i] for i in range(m - 1)):
+    for pattern in patterns(state.d, state.n):
+        if any(pattern[i] != lam[i] for i in range(m - 1)):
             continue
-        if sorted_counts[m - 1] < lam[m - 1]:
+        if pattern[m - 1] < lam[m - 1]:
             continue
         weight = pattern_multiplicity(pattern, state.n)
         den += weight
-        if sorted_counts[m - 1] > lam[m - 1]:
+        if pattern[m - 1] > lam[m - 1]:
             num += weight
     if den == 0:
         raise ValueError(f"record {lam} is not reachable with n={state.n}, d={state.d}")

@@ -14,10 +14,10 @@ reduced one is exponentially smaller.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from . import lp as lpmod
 from .core import (
@@ -25,7 +25,11 @@ from .core import (
     GameSpec,
     Variant,
     enumerate_allocations,
-    partitions,
+    fresh_draws,
+    patterns,
+    reveal_value,
+    reveals,
+    take,
     upper_bound_combinatorial,
 )
 from .rational import ONE, ZERO, format_rational
@@ -73,13 +77,6 @@ class GameTree:
     relaxed: bool
     root: object
     num_nodes: int
-    infosets: dict
-
-
-def _count(counter: list, budget: int) -> None:
-    counter[0] += 1
-    if counter[0] > budget:
-        raise BudgetExceededError(budget, counter[0])
 
 
 def build_tree(
@@ -98,31 +95,17 @@ def build_tree(
     if budget < 1:
         raise ValueError("node budget must be positive")
     counter = [0]
+
+    def tick() -> None:
+        counter[0] += 1
+        if counter[0] > budget:
+            raise BudgetExceededError(budget, counter[0])
+
     if symmetry_reduction:
-        root = _build_reduced(spec, relaxed_queries, budget, counter)
+        root = _build_reduced(spec, relaxed_queries, tick)
     else:
-        root = _build_full(spec, relaxed_queries, budget, counter)
-    infosets: dict = {}
-    _collect_infosets(root, infosets)
-    return GameTree(spec, symmetry_reduction, relaxed_queries, root, counter[0], infosets)
-
-
-def _collect_infosets(node, infosets) -> None:
-    if isinstance(node, TerminalNode):
-        return
-    if isinstance(node, ChanceNode):
-        for _, child in node.outcomes:
-            _collect_infosets(node=child, infosets=infosets)
-        return
-    key = (node.player, node.infoset)
-    labels = [a for a, _ in node.actions]
-    if key in infosets:
-        if infosets[key] != labels:
-            raise SolverError(f"information set {key} reached with differing action sets")
-    else:
-        infosets[key] = labels
-    for _, child in node.actions:
-        _collect_infosets(child, infosets)
+        root = _build_full(spec, relaxed_queries, budget, tick)
+    return GameTree(spec, symmetry_reduction, relaxed_queries, root, counter[0])
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +117,26 @@ def _query_sizes(k: int, relaxed: bool) -> range:
     return range(1, k + 1) if relaxed else range(k, k + 1)
 
 
-def _build_full(spec: GameSpec, relaxed: bool, budget: int, counter):
-    n, d, k = spec.n, spec.d, spec.k
-    from math import comb
+def _reveal_node(variant, counts, q, child, hider_infoset, tick):
+    """The node after query ``q`` over ``counts``: a loss, the one possible
+    reveal, chance's pick under ``RANDOM``, or else the hider's.
+    ``child(box)`` builds the subtree after ``box`` surrenders a treasure;
+    ``hider_infoset()`` names a hider decision."""
+    outs = reveals(counts, q, variant)
+    if not outs:
+        tick()
+        return TerminalNode(ZERO)
+    if variant == Variant.RANDOM:
+        tick()
+        return ChanceNode([(w, child(b)) for b, w in outs])
+    if len(outs) == 1:
+        return child(outs[0][0])
+    tick()
+    return DecisionNode(HIDER, hider_infoset(), [(b, child(b)) for b, _ in outs])
 
+
+def _build_full(spec: GameSpec, relaxed: bool, budget: int, tick):
+    n, d, k = spec.n, spec.d, spec.k
     placements = comb(n + d - 1, d)
     num_queries = sum(comb(n, size) for size in _query_sizes(k, relaxed))
     if placements > budget or num_queries > budget:
@@ -147,85 +146,29 @@ def _build_full(spec: GameSpec, relaxed: bool, budget: int, counter):
     ]
 
     def searcher_node(alloc, remaining, found, obs):
-        _count(counter, budget)
+        tick()
         if found == d:
             return TerminalNode(ONE)
         actions = [(q, after_query(alloc, remaining, found, obs, q)) for q in queries]
         return DecisionNode(SEARCHER, obs, actions)
 
     def after_query(alloc, remaining, found, obs, q):
-        positive = [b for b in q if remaining[b] > 0]
-        if not positive:
-            _count(counter, budget)
-            return TerminalNode(ZERO)
-        if spec.variant == Variant.RANDOM:
-            total = sum(remaining[b] for b in positive)
-            _count(counter, budget)
-            return ChanceNode(
-                [(Fraction(remaining[b], total), reveal(alloc, remaining, found, obs, q, b)) for b in positive]
-            )
-        if len(positive) == 1:
-            return reveal(alloc, remaining, found, obs, q, positive[0])
-        _count(counter, budget)
-        return DecisionNode(
-            HIDER,
-            (alloc, obs, q),
-            [(b, reveal(alloc, remaining, found, obs, q, b)) for b in positive],
-        )
+        def child(b):
+            return searcher_node(alloc, take(remaining, b, n)[0], found + 1, obs + ((q, b),))
 
-    def reveal(alloc, remaining, found, obs, q, b):
-        nxt = list(remaining)
-        nxt[b] -= 1
-        return searcher_node(alloc, tuple(nxt), found + 1, obs + ((q, b),))
+        return _reveal_node(spec.variant, remaining, q, child, lambda: (alloc, obs, q), tick)
 
-    allocations = enumerate_allocations(n, d)
-    _count(counter, budget)
+    tick()
     return DecisionNode(
         HIDER,
         ("root",),
-        [(a.counts, searcher_node(a.counts, a.counts, 0, ())) for a in allocations],
+        [(a.counts, searcher_node(a.counts, a.counts, 0, ())) for a in enumerate_allocations(n, d)],
     )
 
 
 # ---------------------------------------------------------------------------
 # Reduced (first-touch canonical) tree.
 # ---------------------------------------------------------------------------
-
-
-def ordered_draws(pool: tuple[int, ...], f: int):
-    """Distinct ordered draws of ``f`` values from the multiset ``pool``,
-    with exact without-replacement probabilities.  Lazy: callers may abort
-    after a bounded number of outcomes."""
-    if f == 0:
-        yield (), ONE
-        return
-    counter = Counter(pool)
-    total = len(pool)
-
-    def rec(prefix, prob, remaining):
-        if len(prefix) == f:
-            yield prefix, prob
-            return
-        for v in sorted(counter, reverse=True):
-            c = counter[v]
-            if c == 0:
-                continue
-            counter[v] -= 1
-            yield from rec(prefix + (v,), prob * Fraction(c, remaining), remaining - 1)
-            counter[v] += 1
-
-    yield from rec((), ONE, total)
-
-
-def _remove_from_sorted(pool: tuple[int, ...], drawn: tuple[int, ...]) -> tuple[int, ...]:
-    taken = Counter(drawn)
-    out = []
-    for v in pool:
-        if taken.get(v, 0) > 0:
-            taken[v] -= 1
-        else:
-            out.append(v)
-    return tuple(out)
 
 
 def _canonical_actions(touched: int, untouched: int, k: int, relaxed: bool):
@@ -241,7 +184,7 @@ def _canonical_actions(touched: int, untouched: int, k: int, relaxed: bool):
                 yield (known, f)
 
 
-def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, counter):
+def _build_reduced(spec: GameSpec, relaxed: bool, tick):
     n, d, k = spec.n, spec.d, spec.k
     # Reveal decisions are singleton information sets: the hider knows his
     # placement and sees every query, so each decision point on a path is
@@ -251,67 +194,41 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, counter):
     # break perfect recall.)
     serial = [0]
 
+    def hider_infoset():
+        serial[0] += 1
+        return ("reveal", serial[0])
+
     def searcher_node(touched, untouched, found, obs):
-        _count(counter, budget)
+        tick()
         if found == d:
             return TerminalNode(ONE)
-        actions = []
-        for action in _canonical_actions(len(touched), len(untouched), k, relaxed):
-            actions.append((action, play(touched, untouched, found, obs, action)))
+        actions = [
+            (action, play(touched, untouched, found, obs, action))
+            for action in _canonical_actions(len(touched), len(untouched), k, relaxed)
+        ]
         return DecisionNode(SEARCHER, obs, actions)
 
     def play(touched, untouched, found, obs, action):
         known, f = action
         t0 = len(touched)
+        q = known + tuple(range(t0, t0 + f))
+
+        def resolve(counts, rest):
+            def child(l):
+                after, l = take(counts, l, t0)
+                return searcher_node(after, rest, found + 1, obs + ((action, l),))
+
+            return _reveal_node(spec.variant, counts, q, child, hider_infoset, tick)
+
         if f == 0:
-            return resolve(touched, untouched, found, obs, action, known, t0)
-        outcomes = []
-        for draw, prob in ordered_draws(untouched, f):
-            touched2 = touched + draw
-            untouched2 = _remove_from_sorted(untouched, draw)
-            q = known + tuple(range(t0, t0 + f))
-            outcomes.append((prob, resolve(touched2, untouched2, found, obs, action, q, t0)))
-        _count(counter, budget)
+            return resolve(touched, untouched)
+        outcomes = [(prob, resolve(touched + draw, rest)) for draw, prob, rest in fresh_draws(untouched, f)]
+        tick()
         return ChanceNode(outcomes)
 
-    def resolve(touched, untouched, found, obs, action, q, t0):
-        positive = [l for l in q if touched[l] > 0]
-        if not positive:
-            _count(counter, budget)
-            return TerminalNode(ZERO)
-        if spec.variant == Variant.RANDOM:
-            total = sum(touched[l] for l in positive)
-            _count(counter, budget)
-            return ChanceNode(
-                [
-                    (Fraction(touched[l], total), reveal(touched, untouched, found, obs, action, l, t0))
-                    for l in positive
-                ]
-            )
-        if len(positive) == 1:
-            return reveal(touched, untouched, found, obs, action, positive[0], t0)
-        _count(counter, budget)
-        serial[0] += 1
-        return DecisionNode(
-            HIDER,
-            ("reveal", serial[0]),
-            [(l, reveal(touched, untouched, found, obs, action, l, t0)) for l in positive],
-        )
-
-    def reveal(touched, untouched, found, obs, action, l, t0):
-        lst = list(touched)
-        if l >= t0:  # fresh reveal takes the lowest fresh label
-            lst[t0], lst[l] = lst[l], lst[t0]
-            l = t0
-        lst[l] -= 1
-        return searcher_node(tuple(lst), untouched, found + 1, obs + ((action, l),))
-
-    pats = partitions(d, n)
-    _count(counter, budget)
+    tick()
     return DecisionNode(
-        HIDER,
-        ("root",),
-        [(pat, searcher_node((), pat + (0,) * (n - len(pat)), 0, ())) for pat in pats],
+        HIDER, ("root",), [(pat, searcher_node((), pat, 0, ())) for pat in patterns(d, n)]
     )
 
 
@@ -354,11 +271,14 @@ class _SequenceForm:
         info = self.infosets.get(key)
         first_visit = info is None
         if first_visit:
-            info = {"id": len(self.infoset_list), "parent": parent, "actions": []}
+            labels = [label for label, _ in node.actions]
+            info = {"id": len(self.infoset_list), "parent": parent, "actions": [], "labels": labels}
             self.infosets[key] = info
             self.infoset_list.append(info)
         elif info["parent"] != parent:
             raise SolverError(f"perfect recall violated at information set {key}")
+        elif [label for label, _ in node.actions] != info["labels"]:
+            raise SolverError(f"information set {key} reached with differing action sets")
         for label, child in node.actions:
             seq_key = self.seq_list[player][parent] + ((info["id"], label),)
             sid = self._seq(player, seq_key)
@@ -489,7 +409,7 @@ def solve_tree(tree: GameTree) -> SolveResult:
         weight = sol.dual[row_idx]
         if weight:
             hider_plan[sf.seq_list[HIDER][h_seq]] = weight
-    _check_realization_plan(hider_plan, hider_infosets, hider_ids, sf)
+    _check_realization_plan(hider_plan, hider_infosets, sf)
 
     elapsed = time.perf_counter() - start
     stats = {
@@ -517,12 +437,12 @@ def solve_tree(tree: GameTree) -> SolveResult:
         hider_plan=hider_plan,
         stats=stats,
     )
-    result.searcher_behavior = _behavior(sf, SEARCHER, {k: v for k, v in searcher_plan.items()})
+    result.searcher_behavior = _behavior(sf, SEARCHER, searcher_plan)
     result.hider_behavior = _behavior(sf, HIDER, hider_plan)
     return result
 
 
-def _check_realization_plan(plan: dict, infosets, ids, sf) -> None:
+def _check_realization_plan(plan: dict, infosets, sf) -> None:
     """Dual weights must form an exact hider realization plan."""
     get = lambda seq: plan.get(seq, ZERO)
     if get(()) != ONE:
@@ -614,122 +534,13 @@ def best_response_value(spec: GameSpec, strategy) -> BestResponse:
     additionally picks reveals knowing the full state.  A missing branch
     means the searcher resigns on that line (contributes 0, never an error).
     """
-    from .strategies import StrategyTree  # local import avoids a cycle
-
-    if not isinstance(strategy, StrategyTree):
-        raise StrategyError("expected a StrategyTree")
-    if (strategy.n, strategy.d, strategy.k) != (spec.n, spec.d, spec.k):
-        raise StrategyError(
-            f"strategy is for (n,d,k)=({strategy.n},{strategy.d},{strategy.k}), "
-            f"spec is ({spec.n},{spec.d},{spec.k})"
-        )
-    _validate_strategy_node(strategy.root, spec, depth=0, path=())
-
-    cooperative = spec.variant == Variant.COOPERATIVE
-    if cooperative:
+    _check_strategy(spec, strategy)
+    if spec.variant == Variant.COOPERATIVE:
         raise ValueError("use joint_verify_cooperative for cooperative play")
-
-    memo: dict = {}
-    values = {}
-    for pat in partitions(spec.d, spec.n):
-        untouched = pat + (0,) * (spec.n - len(pat))
-        values[pat] = _eval_strategy(
-            strategy.root, (), untouched, 0, spec, memo, ()
-        )
-    worst_pat = min(values, key=lambda p: (values[p], p))
-    worst = Allocation(worst_pat + (0,) * (spec.n - len(worst_pat)))
-    alloc_values = {Allocation(p + (0,) * (spec.n - len(p))): v for p, v in values.items()}
-    return BestResponse(value=values[worst_pat], worst_allocation=worst, allocation_values=alloc_values)
-
-
-def _validate_strategy_node(node, spec, depth, path) -> None:
-    if node is None:
-        return
-    if depth >= spec.d:
-        raise StrategyError(f"strategy deeper than d={spec.d} moves", path)
-    total = ZERO
-    for idx, entry in enumerate(node.mix):
-        total += entry.prob
-        if entry.prob < 0:
-            raise StrategyError("negative mix probability", path + (idx,))
-        if len(entry.query) > spec.k:
-            raise StrategyError(f"query {entry.query} larger than k={spec.k}", path + (idx,))
-        if any(b < 0 or b >= spec.n for b in entry.query):
-            raise StrategyError(f"query {entry.query} outside 0..n-1", path + (idx,))
-        for box, child in entry.branches:
-            if box not in entry.query:
-                raise StrategyError(f"branch key {box} outside query {entry.query}", path + (idx,))
-            _validate_strategy_node(child, spec, depth + 1, path + (idx, box))
-    if total != ONE:
-        raise StrategyError(f"mix probabilities sum to {total}, not 1", path)
-
-
-def _eval_strategy(node, touched, untouched, found, spec, memo, path):
-    """Worst-case win mass of the subtree, hider minimizing."""
-    d = spec.d
-    key = (id(node), touched, untouched, found)
-    if key in memo:
-        return memo[key]
-    if node is None:
-        result = ONE if found == d else ZERO
-        memo[key] = result
-        return result
-    t0 = len(touched)
-    total = ZERO
-    for idx, entry in enumerate(node.mix):
-        if not entry.prob:
-            continue
-        known = tuple(l for l in entry.query if l < t0)
-        fresh = tuple(l for l in entry.query if l >= t0)
-        f = len(fresh)
-        if fresh != tuple(range(t0, t0 + f)):
-            raise StrategyError(
-                f"query {entry.query} does not use consecutive fresh labels from {t0}",
-                path + (idx,),
-            )
-        if f > len(untouched):
-            raise StrategyError(
-                f"query {entry.query} opens {f} new boxes but only {len(untouched)} remain",
-                path + (idx,),
-            )
-        branch_map = dict(entry.branches)
-        entry_value = ZERO
-        for draw, prob in ordered_draws(untouched, f):
-            touched2 = touched + draw
-            untouched2 = _remove_from_sorted(untouched, draw)
-            q = known + fresh
-            positive = [l for l in q if touched2[l] > 0]
-            if not positive:
-                continue
-            if spec.variant == Variant.RANDOM:
-                weight_total = sum(touched2[l] for l in positive)
-                val = ZERO
-                for l in positive:
-                    val += Fraction(touched2[l], weight_total) * _branch_value(
-                        branch_map, l, t0, touched2, untouched2, found, spec, memo, path
-                    )
-            else:
-                val = min(
-                    _branch_value(branch_map, l, t0, touched2, untouched2, found, spec, memo, path)
-                    for l in positive
-                )
-            entry_value += prob * val
-        total += entry.prob * entry_value
-    memo[key] = total
-    return total
-
-
-def _branch_value(branch_map, l, t0, touched, untouched, found, spec, memo, path):
-    lst = list(touched)
-    if l >= t0:
-        lst[t0], lst[l] = lst[l], lst[t0]
-        l = t0
-    lst[l] -= 1
-    if found + 1 == spec.d:
-        return ONE
-    # A missing branch and an explicit end both mean the searcher stops here.
-    child = branch_map.get(l)
-    return _eval_strategy(child, tuple(lst), untouched, found + 1, spec, memo, path + (l,))
+    values = _pattern_values(spec, strategy.root)
+    worst = min(values, key=lambda p: (values[p], p))
+    alloc_values = {Allocation(p): v for p, v in values.items()}
+    return BestResponse(value=values[worst], worst_allocation=Allocation(worst), allocation_values=alloc_values)
 
 
 def joint_cooperative_value(spec: GameSpec, strategy, reveal_rule) -> Fraction:
@@ -739,66 +550,115 @@ def joint_cooperative_value(spec: GameSpec, strategy, reveal_rule) -> Fraction:
     treasure-holding queried box; ``counts_in_query`` maps canonical labels
     to remaining counts and ``history`` is the canonical observation list.
     """
-    from .strategies import StrategyTree
+    _check_strategy(spec, strategy)
+    return min(_pattern_values(spec, strategy.root, reveal_rule).values())
+
+
+def _check_strategy(spec: GameSpec, strategy) -> None:
+    """Reject a strategy tree that is not a canonical plan for ``spec``.
+
+    Each distinct (node, depth, touched-label count) is checked once: the
+    count after a query is the count before it plus the query's fresh
+    labels, whatever chance draws, so it is fixed along each path.
+    """
+    from .strategies import StrategyTree  # local import avoids a cycle
 
     if not isinstance(strategy, StrategyTree):
         raise StrategyError("expected a StrategyTree")
     if (strategy.n, strategy.d, strategy.k) != (spec.n, spec.d, spec.k):
-        raise StrategyError("strategy parameters do not match the game")
-    _validate_strategy_node(strategy.root, spec, depth=0, path=())
+        raise StrategyError(
+            f"strategy is for (n,d,k)=({strategy.n},{strategy.d},{strategy.k}), "
+            f"spec is ({spec.n},{spec.d},{spec.k})"
+        )
+    seen = set()
 
-    def evaluate(node, touched, untouched, found, history):
-        if found == spec.d:
+    def check(node, depth, t0, path):
+        if node is None or (id(node), depth, t0) in seen:
+            return
+        seen.add((id(node), depth, t0))
+        if depth >= spec.d:
+            raise StrategyError(f"strategy deeper than d={spec.d} moves", path)
+        total = ZERO
+        for idx, entry in enumerate(node.mix):
+            here = path + (idx,)
+            q = entry.query
+            total += entry.prob
+            if entry.prob < 0:
+                raise StrategyError("negative mix probability", here)
+            if len(q) > spec.k:
+                raise StrategyError(f"query {q} larger than k={spec.k}", here)
+            if any(b < 0 or b >= spec.n for b in q):
+                raise StrategyError(f"query {q} outside 0..n-1", here)
+            if len(set(q)) < len(q):
+                raise StrategyError(f"query {q} repeats a box", here)
+            fresh = tuple(l for l in q if l >= t0)
+            f = len(fresh)
+            if fresh != tuple(range(t0, t0 + f)):
+                raise StrategyError(f"query {q} does not use consecutive fresh labels from {t0}", here)
+            if f > spec.n - t0:
+                raise StrategyError(f"query {q} opens {f} new boxes but only {spec.n - t0} remain", here)
+            for box, child in entry.branches:
+                if box not in q:
+                    raise StrategyError(f"branch key {box} outside query {q}", here)
+                check(child, depth + 1, t0 + f, here + (box,))
+        if total != ONE:
+            raise StrategyError(f"mix probabilities sum to {total}, not 1", path)
+
+    check(strategy.root, 0, 0, ())
+
+
+def _pattern_values(spec: GameSpec, root, reveal_rule=None) -> dict:
+    """Win probability of a checked strategy tree against each count
+    pattern, played through a uniform relabeling of the boxes.
+
+    Without ``reveal_rule`` the reveal is chance's under ``RANDOM`` and the
+    hider's (worst case) otherwise; with it, the rule picks the reveal.
+    """
+    memo: dict = {}
+    d, variant = spec.d, spec.variant
+
+    def value(node, touched, untouched, found, history):
+        if found == d:
             return ONE
         if node is None:
             return ZERO
+        key = (id(node), touched, untouched, history)
+        if key in memo:
+            return memo[key]
         t0 = len(touched)
         total = ZERO
         for entry in node.mix:
             if not entry.prob:
                 continue
-            known = tuple(l for l in entry.query if l < t0)
-            fresh = tuple(l for l in entry.query if l >= t0)
-            f = len(fresh)
-            if fresh != tuple(range(t0, t0 + f)) or f > len(untouched):
-                raise StrategyError(f"query {entry.query} is not canonical here")
-            branch_map = dict(entry.branches)
+            q = entry.query
+            branches = dict(entry.branches)
             entry_value = ZERO
-            for draw, prob in ordered_draws(untouched, f):
-                touched2 = touched + draw
-                untouched2 = _remove_from_sorted(untouched, draw)
-                q = known + fresh
-                counts_in_q = {l: touched2[l] for l in q}
-                if not any(counts_in_q.values()):
+            for draw, prob, rest in fresh_draws(untouched, sum(1 for l in q if l >= t0)):
+                counts = touched + draw
+                outs = reveals(counts, q, variant)
+                if not outs:
                     continue
-                choice = reveal_rule(dict(counts_in_q), list(history))
-                if choice not in counts_in_q or touched2[choice] <= 0:
-                    raise ValueError(
-                        f"reveal rule returned {choice!r}, not a treasure-holding queried box"
-                    )
-                lst = list(touched2)
-                l = choice
-                if l >= t0:
-                    lst[t0], lst[l] = lst[l], lst[t0]
-                    l = t0
-                lst[l] -= 1
-                if found + 1 == spec.d:
-                    entry_value += prob * ONE
-                    continue
-                child = branch_map.get(l)
-                entry_value += prob * evaluate(
-                    child, tuple(lst), untouched2, found + 1, history + ((entry.query, l),)
-                )
+                if reveal_rule is not None:
+                    outs = [(_rule_choice(reveal_rule, counts, q, outs, history), ONE)]
+                weighted = []
+                for b, w in outs:
+                    after, l = take(counts, b, t0)
+                    observed = history if reveal_rule is None else history + ((q, l),)
+                    # A missing branch and an explicit end both mean the searcher stops here.
+                    weighted.append((w, value(branches.get(l), after, rest, found + 1, observed)))
+                entry_value += prob * reveal_value(variant, weighted)
             total += entry.prob * entry_value
+        memo[key] = total
         return total
 
-    best = None
-    for pat in partitions(spec.d, spec.n):
-        untouched = pat + (0,) * (spec.n - len(pat))
-        v = evaluate(strategy.root, (), untouched, 0, ())
-        if best is None or v < best:
-            best = v
-    return best
+    return {pat: value(root, (), pat, 0, ()) for pat in patterns(d, spec.n)}
+
+
+def _rule_choice(reveal_rule, counts, q, outs, history) -> int:
+    choice = reveal_rule({l: counts[l] for l in q}, list(history))
+    if choice not in {b for b, _ in outs}:
+        raise ValueError(f"reveal rule returned {choice!r}, not a treasure-holding queried box")
+    return choice
 
 
 # ---------------------------------------------------------------------------
@@ -838,36 +698,33 @@ def hider_strategy_value(
     if spec.variant == Variant.ADVERSARY and reveal_policy is None:
         reveal_policy = _forced_only_policy
 
-    queries = [q for q in combinations(range(spec.n), spec.k)]
+    queries = list(combinations(range(spec.n), spec.k))
 
     def reveal_dist(counts, history, q):
-        positive = [b for b in q if counts[b] > 0]
-        if not positive:
-            return []
-        if spec.variant == Variant.RANDOM:
-            total = sum(counts[b] for b in positive)
-            return [(b, Fraction(counts[b], total)) for b in positive]
-        if len(positive) == 1:
-            return [(positive[0], ONE)]
+        outs = reveals(counts, q, spec.variant)
+        if spec.variant == Variant.RANDOM or len(outs) < 2:
+            return outs
         dist = [(b, Fraction(p)) for b, p in reveal_policy(counts, history, q)]
         if sum(p for _, p in dist) != ONE or any(p < 0 for _, p in dist):
             raise ValueError(f"reveal policy returned an invalid distribution {dist}")
-        if any(b not in positive for b, p in dist if p):
+        holders = {b for b, _ in outs}
+        if any(b not in holders for b, p in dist if p):
             raise ValueError("reveal policy placed weight on an empty or unqueried box")
         return dist
 
     def value(mass: dict, found: int, history) -> tuple[Fraction, dict]:
+        """``mass`` maps each placement still in play to its remaining
+        counts and its probability mass."""
         if found == spec.d:
-            return sum(mass.values()), {}
+            return sum(w for _, w in mass.values()), {}
         best = None
         best_plan = None
         for q in queries:
             branch_mass: dict[int, dict] = {}
-            for alloc, w in mass.items():
-                counts = _remaining(alloc, history)
+            for alloc, (counts, w) in mass.items():
                 for b, p in reveal_dist(counts, history, q):
                     if w * p:
-                        branch_mass.setdefault(b, {})[alloc] = w * p
+                        branch_mass.setdefault(b, {})[alloc] = (take(counts, b, spec.n)[0], w * p)
             total = ZERO
             plans = {}
             for b, sub in sorted(branch_mass.items()):
@@ -879,15 +736,7 @@ def hider_strategy_value(
                 best_plan = {"query": list(q), "branches": plans}
         return best, best_plan
 
-    val, plan = value(weights, 0, ())
-    return val, plan
-
-
-def _remaining(alloc: tuple, history) -> tuple:
-    counts = list(alloc)
-    for _, b in history:
-        counts[b] -= 1
-    return tuple(counts)
+    return value({alloc: (alloc, w) for alloc, w in weights.items()}, 0, ())
 
 
 def _forced_only_policy(counts, history, q):
@@ -985,34 +834,18 @@ def searcher_plan_value(spec: GameSpec, behavior: dict) -> Fraction:
     if spec.variant == Variant.COOPERATIVE:
         raise ValueError("cooperative play has no adversarial best response")
 
-    def evaluate(alloc, remaining, found, obs):
+    def evaluate(remaining, found, obs):
         if found == spec.d:
             return ONE
-        dist = behavior.get((SEARCHER, obs), behavior.get(obs))
-        if not dist:
-            return ZERO
         total = ZERO
-        for q, p in dist:
-            if not p:
-                continue
-            positive = [b for b in q if remaining[b] > 0]
-            if not positive:
-                continue
-            if spec.variant == Variant.RANDOM:
-                weight_total = sum(remaining[b] for b in positive)
-                val = ZERO
-                for b in positive:
-                    val += Fraction(remaining[b], weight_total) * _after(alloc, remaining, found, obs, q, b)
-            else:
-                val = min(_after(alloc, remaining, found, obs, q, b) for b in positive)
-            total += p * val
+        for q, p in behavior.get(obs) or ():
+            outs = reveals(remaining, q, spec.variant)
+            if p and outs:
+                weighted = [
+                    (w, evaluate(take(remaining, b, spec.n)[0], found + 1, obs + ((q, b),)))
+                    for b, w in outs
+                ]
+                total += p * reveal_value(spec.variant, weighted)
         return total
 
-    def _after(alloc, remaining, found, obs, q, b):
-        nxt = list(remaining)
-        nxt[b] -= 1
-        return evaluate(alloc, tuple(nxt), found + 1, obs + ((q, b),))
-
-    return min(
-        evaluate(a.counts, a.counts, 0, ()) for a in enumerate_allocations(spec.n, spec.d)
-    )
+    return min(evaluate(a.counts, 0, ()) for a in enumerate_allocations(spec.n, spec.d))

@@ -6,21 +6,21 @@ import pytest
 from cachegame import (
     Allocation,
     GameSpec,
-    GameState,
-    Query,
     Variant,
-    apply_move,
     enumerate_allocations,
-    legal_reveals,
     lower_bound_infinite_d,
     upper_bound_combinatorial,
     upper_bound_first_query,
 )
-from cachegame.core import partitions, pattern_multiplicity
-
-
-def state(counts, found=0):
-    return GameState(remaining=Allocation(tuple(counts)), treasures_found=found)
+from cachegame.core import (
+    fresh_draws,
+    partitions,
+    pattern_multiplicity,
+    patterns,
+    reveal_value,
+    reveals,
+    take,
+)
 
 
 class TestEnumerateAllocations:
@@ -50,72 +50,95 @@ class TestEnumerateAllocations:
 
 
 class TestLegalReveals:
+    """``reveals``: the boxes a query may take a treasure from."""
+
     def test_random_two_one(self):
-        got = legal_reveals(state((2, 1, 0)), Query((0, 1)), Variant.RANDOM)
+        got = reveals((2, 1, 0), (0, 1), Variant.RANDOM)
         assert got == [(0, Fraction(2, 3)), (1, Fraction(1, 3))]
 
     def test_random_even(self):
-        got = legal_reveals(state((1, 0, 1)), Query((0, 2)), Variant.RANDOM)
+        got = reveals((1, 0, 1), (0, 2), Variant.RANDOM)
         assert got == [(0, Fraction(1, 2)), (2, Fraction(1, 2))]
 
     def test_empty_query_loses(self):
         for variant in Variant:
-            assert legal_reveals(state((0, 0, 3)), Query((0, 1)), variant) == []
+            assert reveals((0, 0, 3), (0, 1), variant) == []
 
     def test_adversary_markers(self):
-        got = legal_reveals(state((2, 1, 0)), Query((0, 1)), Variant.ADVERSARY)
+        got = reveals((2, 1, 0), (0, 1), Variant.ADVERSARY)
         assert got == [(0, Fraction(1)), (1, Fraction(1))]
 
     @pytest.mark.parametrize("counts", [(2, 1, 0), (1, 1, 1), (3, 0, 0), (0, 2, 2)])
     def test_random_weights_sum_to_one(self, counts):
         for q in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-            got = legal_reveals(state(counts), Query(q), Variant.RANDOM)
+            got = reveals(counts, q, Variant.RANDOM)
             if got:
                 assert sum(w for _, w in got) == 1
 
+    def test_reveal_value_combines_by_variant(self):
+        weighted = [(Fraction(2, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 4))]
+        assert reveal_value(Variant.RANDOM, weighted) == Fraction(5, 12)
+        assert reveal_value(Variant.ADVERSARY, weighted) == Fraction(1, 4)
+
 
 class TestApplyMove:
+    """``take``: one treasure leaves the revealed box."""
+
     def test_decrement(self):
-        s = apply_move(state((2, 0, 1)), Query((0, 2)), 0)
-        assert s.remaining == Allocation((1, 0, 1))
-        assert s.treasures_found == 1
+        assert take((2, 0, 1), 0, 3) == ((1, 0, 1), 0)
 
     def test_terminal_win(self):
-        s = apply_move(state((1, 0, 0), found=2), Query((0, 1)), 0)
-        assert s.remaining == Allocation((0, 0, 0))
-        assert s.treasures_found == 3
+        assert take((1, 0, 0), 0, 3) == ((0, 0, 0), 0)
 
     def test_third_box(self):
-        s = apply_move(state((0, 1, 1)), Query((1, 2)), 2)
-        assert s.remaining == Allocation((0, 1, 0))
+        assert take((0, 1, 1), 2, 3) == ((0, 1, 0), 2)
 
     def test_pure(self):
-        s0 = state((2, 0, 1))
-        a = apply_move(s0, Query((0, 2)), 0)
-        b = apply_move(s0, Query((0, 2)), 0)
-        assert a == b
-        assert s0.remaining == Allocation((2, 0, 1))
-        assert s0.treasures_found == 0
-
-    def test_rejects_box_outside_query(self):
-        with pytest.raises(ValueError):
-            apply_move(state((1, 1, 1)), Query((0, 1)), 2)
+        counts = (2, 0, 1)
+        assert take(counts, 0, 3) == take(counts, 0, 3)
+        assert counts == (2, 0, 1)
 
     def test_rejects_empty_box(self):
         with pytest.raises(ValueError):
-            apply_move(state((0, 1, 1)), Query((0, 1)), 0)
+            take((0, 1, 1), 0, 3)
 
-    def test_history_extended(self):
-        q = Query((0, 2))
-        s = apply_move(state((2, 0, 1)), q, 0)
-        assert s.history == ((q, 0),)
+    def test_known_label_keeps_its_place(self):
+        # Labels below t0 were touched before: no relabeling.
+        assert take((2, 1, 3, 1), 1, 2) == ((2, 0, 3, 1), 1)
+
+    def test_fresh_reveal_takes_the_lowest_fresh_label(self):
+        # Label 3 is fresh (t0 = 2): it swaps with label 2, then pays.
+        assert take((2, 0, 1, 3), 3, 2) == ((2, 0, 2, 1), 2)
+        assert take((2, 0, 1, 3), 2, 2) == ((2, 0, 0, 3), 2)
 
     def test_conservation(self):
-        s = state((2, 1, 0))
-        d = s.remaining.total
-        for box in (0, 0, 1):
-            s = apply_move(s, Query((0, 1)), box)
-            assert s.treasures_found + s.remaining.total == d
+        counts, d = (1, 0, 2), 3
+        for found, (label, t0) in enumerate([(2, 1), (1, 2), (0, 3)], start=1):
+            before = sorted(counts)
+            counts, _ = take(counts, label, t0)
+            assert sum(counts) + found == d
+            changed = [a - b for a, b in zip(before, sorted(counts)) if a != b]
+            assert changed == [1]  # as a multiset, exactly one count fell by one
+
+
+class TestFreshDraws:
+    def test_single_draw(self):
+        got = list(fresh_draws((2, 1, 0), 1))
+        third = Fraction(1, 3)
+        assert got == [((2,), third, (1, 0)), ((1,), third, (2, 0)), ((0,), third, (2, 1))]
+
+    def test_no_draw_keeps_the_pool(self):
+        assert list(fresh_draws((1, 1, 0), 0)) == [((), 1, (1, 1, 0))]
+
+    @pytest.mark.parametrize("pool", [(3, 1, 1, 0), (2, 2, 0, 0), (1, 1, 1, 1), (4, 0, 0, 0)])
+    @pytest.mark.parametrize("f", [1, 2, 3, 4])
+    def test_draws_partition_the_pool(self, pool, f):
+        draws = list(fresh_draws(pool, f))
+        assert sum(p for _, p, _ in draws) == 1
+        assert len({draw for draw, _, _ in draws}) == len(draws)
+        for draw, _, rest in draws:
+            assert sorted(draw + rest) == sorted(pool)
+            assert list(rest) == sorted(rest, reverse=True)
 
 
 class TestBounds:
@@ -165,14 +188,6 @@ class TestTypes:
     def test_gamespec_variant_coercion(self):
         assert GameSpec(3, 3, 2, "random").variant is Variant.RANDOM
 
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            Query((1, 1))
-        with pytest.raises(ValueError):
-            Query((2, 1))
-        with pytest.raises(ValueError):
-            Query(())
-
     def test_allocation_validation(self):
         with pytest.raises(ValueError):
             Allocation((1, -1))
@@ -180,8 +195,6 @@ class TestTypes:
     def test_json_forms(self):
         assert Allocation((1, 0, 2)).to_json() == [1, 0, 2]
         assert Allocation.from_json([1, 0, 2]) == Allocation((1, 0, 2))
-        assert Query((0, 2)).to_json() == [0, 2]
-        assert Query.from_json([0, 2]) == Query((0, 2))
 
 
 class TestPatterns:
@@ -194,3 +207,7 @@ class TestPatterns:
     def test_partitions_shape(self):
         pats = partitions(4, 2)
         assert pats == [(4,), (3, 1), (2, 2)]
+
+    def test_patterns_are_padded_partitions(self):
+        assert patterns(4, 3) == [(4, 0, 0), (3, 1, 0), (2, 2, 0), (2, 1, 1)]
+        assert patterns(2, 1) == [(2,)]

@@ -22,6 +22,9 @@ from cachegame.solver import (
     DecisionNode,
     HIDER,
     SEARCHER,
+    SolverError,
+    TerminalNode,
+    _SequenceForm,
     optimal_hider_332,
     searcher_plan_value,
 )
@@ -49,8 +52,18 @@ class TestBuildTree:
     def test_first_infoset_reduction(self, variant):
         full = build_tree(GameSpec(4, 3, 2, variant), symmetry_reduction=False)
         reduced = build_tree(GameSpec(4, 3, 2, variant), symmetry_reduction=True)
-        assert len(full.infosets[(SEARCHER, ())]) == 6
-        assert len(reduced.infosets[(SEARCHER, ())]) == 1
+        for tree, first_moves in ((full, 6), (reduced, 1)):
+            for _, first in tree.root.actions:
+                assert (first.player, first.infoset) == (SEARCHER, ())
+                assert len(first.actions) == first_moves
+
+    def test_infoset_with_differing_action_sets_rejected(self):
+        def searcher(*labels):
+            return DecisionNode(SEARCHER, "same", [(a, TerminalNode(Fraction(1))) for a in labels])
+
+        root = DecisionNode(HIDER, ("root",), [("a", searcher("p", "q")), ("b", searcher("p"))])
+        with pytest.raises(SolverError, match="differing action sets"):
+            _SequenceForm(root)
 
     def test_cooperative_rejected(self):
         with pytest.raises(ValueError):
@@ -60,6 +73,41 @@ class TestBuildTree:
         with pytest.raises(BudgetExceededError) as err:
             build_tree(GameSpec(6, 4, 3, ADV), budget=50)
         assert err.value.estimate > 50
+
+
+# Sizes of the solved trees and programs: (nodes, lp_rows, lp_cols, pivots,
+# searcher_sequences, hider_sequences, searcher_infosets, hider_infosets).
+# They change only if a builder changes the shape of a tree.
+STATS_KEYS = (
+    "nodes",
+    "lp_rows",
+    "lp_cols",
+    "pivots",
+    "searcher_sequences",
+    "hider_sequences",
+    "searcher_infosets",
+    "hider_infosets",
+)
+SOLVE_STATS = [
+    # n, d, k, variant, symmetry, relaxed
+    ((3, 3, 2, ADV, True, False), (227, 31, 34, 29, 23, 22, 8, 10)),
+    ((3, 3, 2, ADV, False, False), (527, 109, 159, 225, 130, 65, 43, 28)),
+    ((3, 3, 2, RAN, True, False), (329, 13, 25, 16, 23, 4, 8, 1)),
+    ((3, 3, 2, RAN, False, False), (833, 55, 132, 99, 130, 11, 43, 1)),
+    ((4, 3, 2, ADV, True, False), (638, 36, 57, 25, 44, 26, 9, 12)),
+    ((4, 3, 2, RAN, True, False), (866, 14, 46, 19, 44, 4, 9, 1)),
+    ((3, 2, 2, ADV, True, True), (90, 9, 16, 11, 13, 5, 3, 2)),
+    ((3, 2, 2, ADV, False, True), (211, 24, 66, 45, 61, 13, 10, 4)),
+    ((3, 2, 2, RAN, True, True), (120, 7, 15, 10, 13, 3, 3, 1)),
+    ((3, 2, 2, RAN, False, True), (313, 18, 63, 62, 61, 7, 10, 1)),
+]
+
+
+class TestSolveStats:
+    @pytest.mark.parametrize("case,expected", SOLVE_STATS)
+    def test_tree_and_program_sizes(self, case, expected):
+        stats = solve_cached(*case).stats
+        assert tuple(stats[key] for key in STATS_KEYS) == expected
 
 
 class TestSolveKnownValues:
@@ -253,6 +301,20 @@ class TestHiderStrategyValue:
             hider_strategy_value(GameSpec(3, 3, 2, RAN), {(3, 0, 0): Fraction(1, 2)})
         with pytest.raises(ValueError):
             hider_strategy_value(GameSpec(3, 3, 2, RAN), {(2, 0, 0): Fraction(1)})
+
+    @pytest.mark.parametrize(
+        "n,k,placement,dist,message",
+        [
+            (3, 2, (1, 1, 1), [(0, Fraction(1, 2)), (1, Fraction(1, 4))], "invalid distribution"),
+            (3, 2, (1, 1, 1), [(0, Fraction(3, 2)), (1, Fraction(-1, 2))], "invalid distribution"),
+            (3, 2, (1, 1, 1), [(0, Fraction(1, 2)), (2, Fraction(1, 2))], "empty or unqueried"),
+            (3, 3, (1, 1, 0), [(0, Fraction(1, 2)), (2, Fraction(1, 2))], "empty or unqueried"),
+        ],
+    )
+    def test_rejects_bad_reveal_policy(self, n, k, placement, dist, message):
+        spec = GameSpec(n, sum(placement), k, ADV)
+        with pytest.raises(ValueError, match=message):
+            hider_strategy_value(spec, {placement: Fraction(1)}, lambda counts, history, q: dist)
 
     def test_adversary_needs_policy_only_when_choices_arise(self):
         # All treasures in one box never offer a choice.

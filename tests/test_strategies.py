@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from cachegame import (
+    Allocation,
     GameSpec,
     Variant,
     best_response_value,
@@ -231,6 +232,30 @@ class TestValidation:
         bad = st.StrategyTree(4, 2, 2, st.ask((0, 3), {0: st.ask((0, 1))}))
         with pytest.raises(StrategyError, match="fresh"):
             verify(GameSpec(4, 2, 2, ADV), bad)
+
+    def test_repeated_box_rejected(self):
+        # Naming box 0 twice would count its reveal weight twice: placement
+        # (2, 1, 0) came out at 13/27 instead of the 4/9 of query [0, 1].
+        def plan(second):
+            return {
+                "n": 3, "d": 3, "k": 3,
+                "root": {"mix": [{"p": "1", "query": [0, 1], "branches": {
+                    "0": {"mix": [{"p": "1", "query": second, "branches": {
+                        "0": {"mix": [{"p": "1", "query": [0, 1, 2]}]},
+                    }}]},
+                }}]},
+            }
+
+        spec = GameSpec(3, 3, 3, RAN)
+        with pytest.raises(StrategyError, match=r"repeats a box \(at 0/0/0\)"):
+            verify(spec, st.from_json_dict(plan([0, 0, 1])))
+        response = best_response_value(spec, st.from_json_dict(plan([0, 1])))
+        assert response.allocation_values[Allocation((2, 1, 0))] == Fraction(4, 9)
+
+    def test_cooperative_query_must_be_canonical(self):
+        bad = st.StrategyTree(4, 2, 2, st.ask((0, 3), {0: st.ask((0, 1))}))
+        with pytest.raises(StrategyError, match="fresh"):
+            joint_verify_cooperative(GameSpec(4, 2, 2, COOP), bad, least_treasures_rule)
 
     def test_oversized_query_rejected(self):
         bad = st.StrategyTree(4, 2, 2, st.ask((0, 1, 2)))
