@@ -153,10 +153,6 @@ def _emit(args, payload: dict, table_rows=None) -> None:
         print(line)
 
 
-def _rat(text: str) -> Fraction:
-    return parse_rational(text)
-
-
 # ---------------------------------------------------------------------------
 # Result cache.
 # ---------------------------------------------------------------------------
@@ -210,7 +206,8 @@ def _solve_cached(args, n, d, k, variant) -> dict:
             "params": {"n": n, "d": d, "k": k, "variant": variant.value,
                        "symmetry": symmetry, "relaxed": relaxed},
             "value": format_rational(result.value),
-            "stats": {k2: v for k2, v in result.stats.items() if k2 != "solve_seconds"},
+            "stats": {k2: v for k2, v in result.stats.items()
+                      if k2 not in ("build_seconds", "solve_seconds")},
             "payload": payload,
             "tool_version": __version__,
             "timestamp": int(time.time()),
@@ -337,11 +334,11 @@ def cmd_sweep_accuracy(args) -> int:
 
 
 def cmd_accumulation(args) -> int:
-    spec = accu.AccumulationSpec(args.n, args.k, _rat(args.d))
+    spec = accu.AccumulationSpec(args.n, args.k, parse_rational(args.d))
     if args.mode == "evaluate":
         if not args.dist:
             raise ValueError("--mode evaluate needs --dist")
-        amounts = tuple(_rat(x) for x in args.dist.split(","))
+        amounts = tuple(parse_rational(x) for x in args.dist.split(","))
         payload = accu.evaluate_distribution(spec, accu.GoldDistribution(amounts))
     elif args.mode == "ruckle":
         r, wins, g = accu.best_ruckle_distribution(spec)
@@ -375,7 +372,7 @@ def cmd_plambda(args) -> int:
 
 def cmd_fractional_check(args) -> int:
     lam = tuple(int(x) for x in args.lam.split(",") if x.strip())
-    spec = frac.FractionalSpec(args.n, args.d, _rat(args.k))
+    spec = frac.FractionalSpec(args.n, args.d, parse_rational(args.k))
     state = frac.YoungState(lam, args.n, args.d)
     dist = frac.fractional_step_distribution(spec, state)
     checks = {}

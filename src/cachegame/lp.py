@@ -459,23 +459,30 @@ def solve_lp(lp: LinearProgram, sense: str = "max", pivot_rule: str = "bland") -
     objective = sum(lp.objective[j] * x[j] for j in range(lp.num_vars)) if lp.num_vars else _ZERO
     _check_optimal(std, tab, cols, y_internal, cost2)
 
+    dual, bound_dual = _original_duals(lp, std, tab, y_internal, 1 if maximize else -1)
+    return LPSolution(
+        status=OPTIMAL,
+        objective_value=Fraction(objective),
+        primal=tuple(x),
+        dual=dual,
+        bound_dual=bound_dual,
+        **tab.counters(),
+    )
+
+
+def _original_duals(lp, std, tab, y_internal, orient: int) -> tuple[tuple, dict]:
+    """Multipliers of the original rows (``dual``) and of the variable
+    bounds (``bound_dual``, keyed by row origin) from internal row
+    multipliers ``y_internal``, each scaled by ``orient``."""
     dual = [_ZERO] * len(lp.rows)
     bound_dual: dict = {}
-    orient = 1 if maximize else -1
     for i, origin in enumerate(std.row_origin):
         value = orient * tab.flip[i] * y_internal[i]
         if origin[0] == "row":
             dual[origin[1]] = value
         else:
             bound_dual[origin] = value
-    return LPSolution(
-        status=OPTIMAL,
-        objective_value=Fraction(objective),
-        primal=tuple(x),
-        dual=tuple(dual),
-        bound_dual=bound_dual,
-        **tab.counters(),
-    )
+    return tuple(dual), bound_dual
 
 
 def _validate(lp: LinearProgram) -> None:
@@ -496,19 +503,12 @@ def _pivot_out_artificials(tab: _Tableau) -> None:
 
 
 def _farkas_solution(lp, std, tab, y_internal) -> LPSolution:
-    dual = [_ZERO] * len(lp.rows)
-    bound_dual: dict = {}
-    for i, origin in enumerate(std.row_origin):
-        value = tab.flip[i] * y_internal[i]
-        if origin[0] == "row":
-            dual[origin[1]] = value
-        else:
-            bound_dual[origin] = value
+    dual, bound_dual = _original_duals(lp, std, tab, y_internal, 1)
     return LPSolution(
         status=INFEASIBLE,
         objective_value=None,
         primal=None,
-        dual=tuple(dual),
+        dual=dual,
         bound_dual=bound_dual,
         **tab.counters(),
     )
@@ -686,10 +686,9 @@ def check_feasible(num_vars: int, constraints, lower=None, upper=None) -> Feasib
     ``{<=, =, >=, <, >}``.  Strict rows are decided without epsilons: a
     margin variable t is pushed into every strict row and maximized; the
     strict system is feasible iff the best margin is positive.  The witness
-    then satisfies every strict row with room to spare.
+    then satisfies every strict row with room to spare.  The margin is
+    capped at 1, so a feasible system with no strict row has margin 1.
     """
-    constraints = list(constraints)
-    strict = [i for i, (_, s, _) in enumerate(constraints) if s in (STRICT_LESS, STRICT_GREATER)]
     t_col = num_vars
     lp = LinearProgram(num_vars + 1)
     for j in range(num_vars):
@@ -708,13 +707,6 @@ def check_feasible(num_vars: int, constraints, lower=None, upper=None) -> Feasib
             lp.add_constraint(row, GREATER_EQUAL, rhs)
         else:
             lp.add_constraint(row, sense, rhs)
-
-    if not strict:
-        # Pure weak system: only existence matters.
-        sol = solve_lp(lp, "max")
-        if sol.status == INFEASIBLE:
-            return FeasibilityResult(False, None, sol.dual, None)
-        return FeasibilityResult(True, sol.primal[:num_vars], None, None)
 
     sol = solve_lp(lp, "max")
     if sol.status == INFEASIBLE:

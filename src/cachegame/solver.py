@@ -1,14 +1,16 @@
-"""Exact game solving: tree construction, realization-plan linear programs,
-and best-response evaluation.
+"""Exact game solving: sequence-form construction, realization-plan linear
+programs, and best-response evaluation.
 
-Two tree builders exist.  The full builder lays the game out over concrete
-box labels.  The reduced builder exploits the box symmetry: the searcher
-plays over first-touch canonical labels (boxes are numbered in the order her
-queries first touch them, and a reveal from a never-touched box takes the
-lowest fresh label), the hider picks a count *pattern* instead of a labeled
-placement, and chance assigns pattern entries to freshly touched labels by
-uniform draws without replacement.  Both trees have the same value; the
-reduced one is exponentially smaller.
+Two builders exist, and each writes the sequence form (Koller, Megiddo and
+von Stengel) straight from one walk of the game, with no node tree.  The
+full builder walks the game over concrete box labels.  The reduced builder
+exploits the box symmetry: the searcher plays over first-touch canonical
+labels (boxes are numbered in the order her queries first touch them, and a
+reveal from a never-touched box takes the lowest fresh label), the hider
+picks a count *pattern* instead of a labeled placement, and chance assigns
+pattern entries to freshly touched labels by uniform draws without
+replacement.  Both games have the same value; the reduced one is
+exponentially smaller.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class SolverError(RuntimeError):
 
 
 class BudgetExceededError(SolverError):
-    """Tree construction aborted: the node count passed the budget."""
+    """Game construction aborted: the node count passed the budget."""
 
     def __init__(self, budget: int, estimate: int):
         super().__init__(f"game tree exceeds node budget {budget} (counted at least {estimate} nodes)")
@@ -54,29 +56,15 @@ class BudgetExceededError(SolverError):
 
 
 @dataclass
-class TerminalNode:
-    payoff: Fraction
-
-
-@dataclass
-class ChanceNode:
-    outcomes: list  # (Fraction probability, node)
-
-
-@dataclass
-class DecisionNode:
-    player: str
-    infoset: object
-    actions: list  # (label, node)
-
-
-@dataclass
 class GameTree:
+    """The sequence form of one game and the number of extensive-form nodes
+    walked to build it."""
+
     spec: GameSpec
     symmetry: bool
     relaxed: bool
-    root: object
     num_nodes: int
+    sf: _SequenceForm
 
 
 def build_tree(
@@ -85,10 +73,11 @@ def build_tree(
     relaxed_queries: bool = False,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> GameTree:
-    """Extensive form of the game for ``spec``.
+    """Sequence form of the game for ``spec``, from one walk of its
+    extensive form.
 
     Cooperative play is a joint searcher/revealer problem, not a zero-sum
-    tree, and is rejected here; use the strategy verifier for it.
+    game, and is rejected here; use the strategy verifier for it.
     """
     if spec.variant == Variant.COOPERATIVE:
         raise ValueError("cooperative games are verified, not solved; build adversary or random trees")
@@ -101,15 +90,93 @@ def build_tree(
         if counter[0] > budget:
             raise BudgetExceededError(budget, counter[0])
 
+    sf = _SequenceForm()
     if symmetry_reduction:
-        root = _build_reduced(spec, relaxed_queries, tick)
+        _build_reduced(spec, relaxed_queries, sf, tick)
     else:
-        root = _build_full(spec, relaxed_queries, budget, tick)
-    return GameTree(spec, symmetry_reduction, relaxed_queries, root, counter[0])
+        _build_full(spec, relaxed_queries, budget, sf, tick)
+    return GameTree(spec, symmetry_reduction, relaxed_queries, counter[0], sf)
 
 
 # ---------------------------------------------------------------------------
-# Full (labeled-box) tree.
+# Sequence form.
+# ---------------------------------------------------------------------------
+
+
+class _SequenceForm:
+    """Realization-plan bookkeeping for both players, filled in by a
+    builder as it walks the game.
+
+    The builders pass ``at = (searcher sequence id, hider sequence id,
+    chance probability)`` down their recursion in place of tree nodes.
+    """
+
+    def __init__(self):
+        self.seq_ids = {SEARCHER: {(): 0}, HIDER: {(): 0}}
+        self.seq_list = {SEARCHER: [()], HIDER: [()]}
+        self.infosets: dict = {}  # (player, key) -> dict(id, parent, actions, labels)
+        self.payoff: dict[tuple[int, int], Fraction] = {}
+
+    def decide(self, player, infoset, parent: int, labels: list):
+        """Yield ``(label, sequence id)`` for each action of ``player`` at
+        ``infoset``, reached by the player's sequence ``parent``.
+
+        Ids are handed out one action at a time, so a builder that walks
+        each action's subgame before taking the next numbers the sequences
+        depth-first; column order drives the simplex's tie-breaks.
+        """
+        key = (player, infoset)
+        info = self.infosets.get(key)
+        first_visit = info is None
+        if first_visit:
+            info = {"id": len(self.infosets), "parent": parent, "actions": [], "labels": labels}
+            self.infosets[key] = info
+        elif info["parent"] != parent:
+            raise SolverError(f"perfect recall violated at information set {key}")
+        elif labels != info["labels"]:
+            raise SolverError(f"information set {key} reached with differing action sets")
+        ids, seqs = self.seq_ids[player], self.seq_list[player]
+        for label in labels:
+            seq_key = seqs[parent] + ((info["id"], label),)
+            sid = ids.setdefault(seq_key, len(seqs))
+            if sid == len(seqs):
+                seqs.append(seq_key)
+            if first_visit:
+                info["actions"].append((info["id"], label, sid))
+            yield label, sid
+
+    def win(self, at) -> None:
+        """Add the searcher's win, reached with probability ``at[2]``, to
+        the payoff of its sequence pair."""
+        s_seq, h_seq, prob = at
+        key = (s_seq, h_seq)
+        self.payoff[key] = self.payoff.get(key, ZERO) + prob
+
+
+def _reveal_node(variant, counts, q, child, hider_infoset, tick, sf, at):
+    """Walk on after query ``q`` over ``counts``: a loss, the one possible
+    reveal, chance's pick under ``RANDOM``, or else the hider's.
+    ``child(box, at)`` walks on after ``box`` surrenders a treasure;
+    ``hider_infoset()`` names a hider decision."""
+    outs = reveals(counts, q, variant)
+    if not outs:
+        tick()
+        return
+    s_seq, h_seq, prob = at
+    if variant == Variant.RANDOM:
+        tick()
+        for b, w in outs:
+            child(b, (s_seq, h_seq, prob * w))
+    elif len(outs) == 1:
+        child(outs[0][0], at)
+    else:
+        tick()
+        for b, h in sf.decide(HIDER, hider_infoset(), h_seq, [b for b, _ in outs]):
+            child(b, (s_seq, h, prob))
+
+
+# ---------------------------------------------------------------------------
+# Full (labeled-box) game.
 # ---------------------------------------------------------------------------
 
 
@@ -117,25 +184,7 @@ def _query_sizes(k: int, relaxed: bool) -> range:
     return range(1, k + 1) if relaxed else range(k, k + 1)
 
 
-def _reveal_node(variant, counts, q, child, hider_infoset, tick):
-    """The node after query ``q`` over ``counts``: a loss, the one possible
-    reveal, chance's pick under ``RANDOM``, or else the hider's.
-    ``child(box)`` builds the subtree after ``box`` surrenders a treasure;
-    ``hider_infoset()`` names a hider decision."""
-    outs = reveals(counts, q, variant)
-    if not outs:
-        tick()
-        return TerminalNode(ZERO)
-    if variant == Variant.RANDOM:
-        tick()
-        return ChanceNode([(w, child(b)) for b, w in outs])
-    if len(outs) == 1:
-        return child(outs[0][0])
-    tick()
-    return DecisionNode(HIDER, hider_infoset(), [(b, child(b)) for b, _ in outs])
-
-
-def _build_full(spec: GameSpec, relaxed: bool, budget: int, tick):
+def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm, tick) -> None:
     n, d, k = spec.n, spec.d, spec.k
     placements = comb(n + d - 1, d)
     num_queries = sum(comb(n, size) for size in _query_sizes(k, relaxed))
@@ -145,29 +194,29 @@ def _build_full(spec: GameSpec, relaxed: bool, budget: int, tick):
         tuple(q) for size in _query_sizes(k, relaxed) for q in combinations(range(n), size)
     ]
 
-    def searcher_node(alloc, remaining, found, obs):
+    def searcher_node(alloc, remaining, found, obs, at):
         tick()
         if found == d:
-            return TerminalNode(ONE)
-        actions = [(q, after_query(alloc, remaining, found, obs, q)) for q in queries]
-        return DecisionNode(SEARCHER, obs, actions)
+            sf.win(at)
+            return
+        s_seq, h_seq, prob = at
+        for q, sid in sf.decide(SEARCHER, obs, s_seq, queries):
+            after_query(alloc, remaining, found, obs, q, (sid, h_seq, prob))
 
-    def after_query(alloc, remaining, found, obs, q):
-        def child(b):
-            return searcher_node(alloc, take(remaining, b, n)[0], found + 1, obs + ((q, b),))
+    def after_query(alloc, remaining, found, obs, q, at):
+        def child(b, at):
+            searcher_node(alloc, take(remaining, b, n)[0], found + 1, obs + ((q, b),), at)
 
-        return _reveal_node(spec.variant, remaining, q, child, lambda: (alloc, obs, q), tick)
+        _reveal_node(spec.variant, remaining, q, child, lambda: (alloc, obs, q), tick, sf, at)
 
     tick()
-    return DecisionNode(
-        HIDER,
-        ("root",),
-        [(a.counts, searcher_node(a.counts, a.counts, 0, ())) for a in enumerate_allocations(n, d)],
-    )
+    allocations = [a.counts for a in enumerate_allocations(n, d)]
+    for counts, h_seq in sf.decide(HIDER, ("root",), 0, allocations):
+        searcher_node(counts, counts, 0, (), (0, h_seq, ONE))
 
 
 # ---------------------------------------------------------------------------
-# Reduced (first-touch canonical) tree.
+# Reduced (first-touch canonical) game.
 # ---------------------------------------------------------------------------
 
 
@@ -184,7 +233,7 @@ def _canonical_actions(touched: int, untouched: int, k: int, relaxed: bool):
                 yield (known, f)
 
 
-def _build_reduced(spec: GameSpec, relaxed: bool, tick):
+def _build_reduced(spec: GameSpec, relaxed: bool, sf: _SequenceForm, tick) -> None:
     n, d, k = spec.n, spec.d, spec.k
     # Reveal decisions are singleton information sets: the hider knows his
     # placement and sees every query, so each decision point on a path is
@@ -198,96 +247,38 @@ def _build_reduced(spec: GameSpec, relaxed: bool, tick):
         serial[0] += 1
         return ("reveal", serial[0])
 
-    def searcher_node(touched, untouched, found, obs):
+    def searcher_node(touched, untouched, found, obs, at):
         tick()
         if found == d:
-            return TerminalNode(ONE)
-        actions = [
-            (action, play(touched, untouched, found, obs, action))
-            for action in _canonical_actions(len(touched), len(untouched), k, relaxed)
-        ]
-        return DecisionNode(SEARCHER, obs, actions)
+            sf.win(at)
+            return
+        actions = list(_canonical_actions(len(touched), len(untouched), k, relaxed))
+        s_seq, h_seq, prob = at
+        for action, sid in sf.decide(SEARCHER, obs, s_seq, actions):
+            play(touched, untouched, found, obs, action, (sid, h_seq, prob))
 
-    def play(touched, untouched, found, obs, action):
+    def play(touched, untouched, found, obs, action, at):
         known, f = action
         t0 = len(touched)
         q = known + tuple(range(t0, t0 + f))
 
-        def resolve(counts, rest):
-            def child(l):
+        def resolve(counts, rest, at):
+            def child(l, at):
                 after, l = take(counts, l, t0)
-                return searcher_node(after, rest, found + 1, obs + ((action, l),))
+                searcher_node(after, rest, found + 1, obs + ((action, l),), at)
 
-            return _reveal_node(spec.variant, counts, q, child, hider_infoset, tick)
+            _reveal_node(spec.variant, counts, q, child, hider_infoset, tick, sf, at)
 
         if f == 0:
-            return resolve(touched, untouched)
-        outcomes = [(prob, resolve(touched + draw, rest)) for draw, prob, rest in fresh_draws(untouched, f)]
+            return resolve(touched, untouched, at)
+        s_seq, h_seq, prob = at
+        for draw, p, rest in fresh_draws(untouched, f):
+            resolve(touched + draw, rest, (s_seq, h_seq, prob * p))
         tick()
-        return ChanceNode(outcomes)
 
     tick()
-    return DecisionNode(
-        HIDER, ("root",), [(pat, searcher_node((), pat, 0, ())) for pat in patterns(d, n)]
-    )
-
-
-# ---------------------------------------------------------------------------
-# Sequence-form linear program.
-# ---------------------------------------------------------------------------
-
-
-class _SequenceForm:
-    """Realization-plan bookkeeping for both players over one tree."""
-
-    def __init__(self, root):
-        self.seq_ids = {SEARCHER: {(): 0}, HIDER: {(): 0}}
-        self.seq_list = {SEARCHER: [()], HIDER: [()]}
-        self.infosets: dict = {}  # (player, key) -> dict(id, parent_seq, actions)
-        self.infoset_list: list = []
-        self.payoff: dict[tuple[int, int], Fraction] = {}
-        self._walk(root, 0, 0, ONE)
-
-    def _seq(self, player, seq_key):
-        ids = self.seq_ids[player]
-        if seq_key not in ids:
-            ids[seq_key] = len(self.seq_list[player])
-            self.seq_list[player].append(seq_key)
-        return ids[seq_key]
-
-    def _walk(self, node, s_seq, h_seq, prob):
-        if isinstance(node, TerminalNode):
-            if node.payoff:
-                key = (s_seq, h_seq)
-                self.payoff[key] = self.payoff.get(key, ZERO) + prob * node.payoff
-            return
-        if isinstance(node, ChanceNode):
-            for p, child in node.outcomes:
-                self._walk(child, s_seq, h_seq, prob * p)
-            return
-        player = node.player
-        key = (player, node.infoset)
-        parent = s_seq if player == SEARCHER else h_seq
-        info = self.infosets.get(key)
-        first_visit = info is None
-        if first_visit:
-            labels = [label for label, _ in node.actions]
-            info = {"id": len(self.infoset_list), "parent": parent, "actions": [], "labels": labels}
-            self.infosets[key] = info
-            self.infoset_list.append(info)
-        elif info["parent"] != parent:
-            raise SolverError(f"perfect recall violated at information set {key}")
-        elif [label for label, _ in node.actions] != info["labels"]:
-            raise SolverError(f"information set {key} reached with differing action sets")
-        for label, child in node.actions:
-            seq_key = self.seq_list[player][parent] + ((info["id"], label),)
-            sid = self._seq(player, seq_key)
-            if first_visit:
-                info["actions"].append((info["id"], label, sid))
-            if player == SEARCHER:
-                self._walk(child, sid, h_seq, prob)
-            else:
-                self._walk(child, s_seq, sid, prob)
+    for pat, h_seq in sf.decide(HIDER, ("root",), 0, patterns(d, n)):
+        searcher_node((), pat, 0, (), (0, h_seq, ONE))
 
 
 @dataclass
@@ -343,7 +334,7 @@ def _label_json(label):
 
 def solve_tree(tree: GameTree) -> SolveResult:
     start = time.perf_counter()
-    sf = _SequenceForm(tree.root)
+    sf = tree.sf
     searcher_infosets = [
         info for (player, _), info in sf.infosets.items() if player == SEARCHER
     ]
@@ -483,9 +474,15 @@ def solve(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SolveResult:
     """Exact value of the game, max over searcher plans of the min over
-    hider plans.  Deterministic for fixed spec and flags."""
+    hider plans.  Deterministic for fixed spec and flags.  ``stats`` gains
+    the wall time of ``build_tree`` as ``build_seconds``; ``solve_seconds``
+    is the time of ``solve_tree``."""
+    start = time.perf_counter()
     tree = build_tree(spec, symmetry_reduction=symmetry, relaxed_queries=relaxed, budget=budget)
-    return solve_tree(tree)
+    build_seconds = time.perf_counter() - start
+    result = solve_tree(tree)
+    result.stats["build_seconds"] = build_seconds
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,6 @@ class MixEntry:
     query: tuple[int, ...]
     branches: tuple  # ((box, StrategyNode | None), ...) sorted by box; None = end
 
-    def branch(self, box: int):
-        for b, child in self.branches:
-            if b == box:
-                return child
-        return None
-
 
 @dataclass(frozen=True)
 class StrategyNode:

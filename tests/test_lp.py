@@ -287,6 +287,7 @@ class TestCheckFeasible:
         )
         assert r.feasible
         assert r.witness == (1,)
+        assert r.margin == 1
 
     def test_weak_infeasible_has_certificate(self):
         r = lpmod.check_feasible(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,9 @@ from cachegame import (
     upper_bound_first_query,
 )
 from cachegame.solver import (
-    ChanceNode,
-    DecisionNode,
     HIDER,
     SEARCHER,
     SolverError,
-    TerminalNode,
     _SequenceForm,
     optimal_hider_332,
     searcher_plan_value,
@@ -34,36 +32,55 @@ from helpers import solve_cached
 ADV, RAN = Variant.ADVERSARY, Variant.RANDOM
 
 
+def _sequence(sf, player, infoset, label):
+    """Id of the sequence that plays ``label`` at ``infoset``."""
+    return next(sid for _, l, sid in sf.infosets[(player, infoset)]["actions"] if l == label)
+
+
 class TestBuildTree:
     def test_full_root_has_all_placements(self):
-        tree = build_tree(GameSpec(3, 3, 2, ADV), symmetry_reduction=False)
-        assert isinstance(tree.root, DecisionNode)
-        assert tree.root.player == HIDER
-        assert len(tree.root.actions) == 10
+        sf = build_tree(GameSpec(3, 3, 2, ADV), symmetry_reduction=False).sf
+        assert len(sf.infosets[(HIDER, ("root",))]["labels"]) == 10
 
     def test_full_random_chance_weights(self):
-        tree = build_tree(GameSpec(3, 3, 2, RAN), symmetry_reduction=False)
-        node = dict(tree.root.actions)[(2, 1, 0)]
-        chance = dict(node.actions)[(0, 1)]
-        assert isinstance(chance, ChanceNode)
-        assert [(p, ) for p, _ in chance.outcomes] == [(Fraction(2, 3),), (Fraction(1, 3),)]
+        # Query (0, 1) on placement (2, 1, 0): box 0 pays with 2/3, box 1
+        # with 1/3.  Every later reveal on the two lines below is forced.
+        sf = build_tree(GameSpec(3, 3, 2, RAN), symmetry_reduction=False).sf
+        hider = _sequence(sf, HIDER, ("root",), (2, 1, 0))
+        first = ((0, 1), 0), ((0, 2), 0)
+        second = ((0, 1), 1), ((0, 2), 0)
+        assert sf.payoff[(_sequence(sf, SEARCHER, first, (1, 2)), hider)] == Fraction(2, 3)
+        assert sf.payoff[(_sequence(sf, SEARCHER, second, (0, 2)), hider)] == Fraction(1, 3)
 
     @pytest.mark.parametrize("variant", [ADV, RAN])
     def test_first_infoset_reduction(self, variant):
-        full = build_tree(GameSpec(4, 3, 2, variant), symmetry_reduction=False)
-        reduced = build_tree(GameSpec(4, 3, 2, variant), symmetry_reduction=True)
-        for tree, first_moves in ((full, 6), (reduced, 1)):
-            for _, first in tree.root.actions:
-                assert (first.player, first.infoset) == (SEARCHER, ())
-                assert len(first.actions) == first_moves
+        for symmetry, first_moves in ((False, 6), (True, 1)):
+            sf = build_tree(GameSpec(4, 3, 2, variant), symmetry_reduction=symmetry).sf
+            assert len(sf.infosets[(SEARCHER, ())]["labels"]) == first_moves
 
     def test_infoset_with_differing_action_sets_rejected(self):
-        def searcher(*labels):
-            return DecisionNode(SEARCHER, "same", [(a, TerminalNode(Fraction(1))) for a in labels])
-
-        root = DecisionNode(HIDER, ("root",), [("a", searcher("p", "q")), ("b", searcher("p"))])
+        sf = _SequenceForm()
+        list(sf.decide(SEARCHER, "same", 0, ["p", "q"]))
         with pytest.raises(SolverError, match="differing action sets"):
-            _SequenceForm(root)
+            list(sf.decide(SEARCHER, "same", 0, ["p"]))
+
+    def test_infoset_reached_from_two_sequences_rejected(self):
+        sf = _SequenceForm()
+        (_, p), (_, q) = sf.decide(SEARCHER, "first", 0, ["p", "q"])
+        list(sf.decide(SEARCHER, "next", p, ["r"]))
+        with pytest.raises(SolverError, match="perfect recall violated"):
+            list(sf.decide(SEARCHER, "next", q, ["r"]))
+
+    def test_built_game_holds_only_the_sequence_form(self):
+        # A node object per extensive-form node would hold several MB here.
+        tracemalloc.start()
+        try:
+            tree = build_tree(GameSpec(6, 3, 3, "random"))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.num_nodes > 10_000
+        assert held < 1_000_000
 
     def test_cooperative_rejected(self):
         with pytest.raises(ValueError):
