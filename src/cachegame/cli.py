@@ -228,10 +228,13 @@ def _recheck_cache(args) -> int:
             symmetry=p["symmetry"], relaxed=p["relaxed"], budget=args.budget,
         )
         fresh = format_rational(result.value)
-        status = "ok" if fresh == entry["value"] else "MISMATCH"
+        # A hit serves the payload, so its copy of the value is checked too.
+        served = entry.get("payload", entry)["value"]
+        status = "ok" if fresh == entry["value"] == served else "MISMATCH"
         if status != "ok":
             bad.append(key)
-        print(f"{key}  {p['n']},{p['d']},{p['k']},{p['variant']}  stored={entry['value']}  fresh={fresh}  {status}")
+        print(f"{key}  {p['n']},{p['d']},{p['k']},{p['variant']}  stored={entry['value']}  "
+              f"payload={served}  fresh={fresh}  {status}")
     if bad:
         print(f"error: {len(bad)} cache entries failed recheck", file=sys.stderr)
         return EXIT_INTERNAL

@@ -6,14 +6,17 @@ terms, so a pivot is plain integer arithmetic and values become Fractions
 only at the edges (duals, primal point, ray).  Pivoting follows Bland's
 rule by default (termination guaranteed); a largest-coefficient rule with
 automatic Bland fallback is available for speed on degenerate game
-programs.  Every answer carries an exact certificate, checked in Fractions
-against the original rows:
+programs.  Before ``solve_lp`` returns, ``check_certificate`` verifies the
+answer in Fractions against the caller's own rows and bounds, so the
+mapping back from the internal standard form is checked too:
 
-* ``OPTIMAL``  -- primal point plus dual multipliers with matching
-  objective values (strong duality, checked before returning).
-* ``INFEASIBLE`` -- Farkas multipliers combining the constraints into an
-  impossibility (checked).
-* ``UNBOUNDED`` -- a feasible point plus an improving ray (checked).
+* ``OPTIMAL``  -- a feasible point, row and bound multipliers of the
+  signs their senses allow, dual-feasible reduced costs, and equal primal
+  objective, dual objective and ``objective_value`` (strong duality).
+* ``INFEASIBLE`` -- Farkas multipliers of the same signs combining the
+  rows and bounds into an impossible inequality.
+* ``UNBOUNDED`` -- a feasible point plus an improving ray in the
+  recession cone.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class LPError(ValueError):
 
 
 class CertificateError(RuntimeError):
-    """An internal exactness invariant failed; indicates a solver bug."""
+    """A certificate failed its check; raised inside ``solve_lp``, a solver bug."""
 
 
 class LinearProgram:
@@ -137,7 +140,6 @@ class _Standard:
 
     def __init__(self, lp: LinearProgram, maximize: bool):
         self.lp = lp
-        self.maximize = maximize
         self.var_cols: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
         self.col_var: list[tuple[int, int]] = []  # col -> (var, sign)
         for j in range(lp.num_vars):
@@ -422,11 +424,16 @@ class _Tableau:
 
 
 def solve_lp(lp: LinearProgram, sense: str = "max", pivot_rule: str = "bland") -> LPSolution:
-    """Solve exactly; every status returns a verified certificate."""
+    """Solve exactly; every returned solution has passed ``check_certificate``."""
     if sense not in ("max", "min"):
         raise LPError(f"sense must be 'max' or 'min', got {sense!r}")
     _validate(lp)
-    maximize = sense == "max"
+    sol = _simplex(lp, sense == "max", pivot_rule)
+    check_certificate(lp, sense, sol)
+    return sol
+
+
+def _simplex(lp: LinearProgram, maximize: bool, pivot_rule: str) -> LPSolution:
     std = _Standard(lp, maximize)
     tab = _Tableau(std)
 
@@ -440,41 +447,36 @@ def solve_lp(lp: LinearProgram, sense: str = "max", pivot_rule: str = "bland") -
         art_rows = [row for i, row in enumerate(tab.rows) if tab.basis[i] in tab.artificial]
         infeas = -sum(Fraction(row.rhs, row.den) for row in art_rows)
         if infeas < 0:
-            y = tab.duals(red, cost1)
-            sol = _farkas_solution(lp, std, tab, y)
-            _check_farkas(std, tab, y)
-            return sol
+            dual, bound_dual = _original_duals(std, tab, tab.duals(red, cost1), 1)
+            return LPSolution(INFEASIBLE, None, None, dual, bound_dual=bound_dual, **tab.counters())
         _pivot_out_artificials(tab)
         tab.phase1_pivots = tab.pivots
 
     cost2 = {c: std.cost[c] for c in range(std.num_structural) if std.cost[c]}
     status, red = tab.run_simplex(cost2, barred=tab.artificial, rule=pivot_rule)
-
     if status == UNBOUNDED:
-        return _unbounded_solution(lp, std, tab, maximize)
+        return _unbounded_solution(std, tab)
 
-    cols = tab.primal_cols()
-    x = std.structural_point(cols)
-    y_internal = tab.duals(red, cost2)
-    objective = sum(lp.objective[j] * x[j] for j in range(lp.num_vars)) if lp.num_vars else _ZERO
-    _check_optimal(std, tab, cols, y_internal, cost2)
-
-    dual, bound_dual = _original_duals(lp, std, tab, y_internal, 1 if maximize else -1)
+    orient = 1 if maximize else -1
+    dual, bound_dual = _original_duals(std, tab, tab.duals(red, cost2), orient)
     return LPSolution(
         status=OPTIMAL,
-        objective_value=Fraction(objective),
-        primal=tuple(x),
+        # The reduced-cost row's right-hand side is minus the internal
+        # objective, orient * c.x; check_certificate compares this value
+        # with c.x at the returned point and with the dual objective.
+        objective_value=Fraction(-orient * red.rhs, red.den),
+        primal=std.structural_point(tab.primal_cols()),
         dual=dual,
         bound_dual=bound_dual,
         **tab.counters(),
     )
 
 
-def _original_duals(lp, std, tab, y_internal, orient: int) -> tuple[tuple, dict]:
+def _original_duals(std, tab, y_internal, orient: int) -> tuple[tuple, dict]:
     """Multipliers of the original rows (``dual``) and of the variable
     bounds (``bound_dual``, keyed by row origin) from internal row
     multipliers ``y_internal``, each scaled by ``orient``."""
-    dual = [_ZERO] * len(lp.rows)
+    dual = [_ZERO] * len(std.lp.rows)
     bound_dual: dict = {}
     for i, origin in enumerate(std.row_origin):
         value = orient * tab.flip[i] * y_internal[i]
@@ -502,165 +504,109 @@ def _pivot_out_artificials(tab: _Tableau) -> None:
         # Otherwise the row is redundant; the artificial stays basic at 0.
 
 
-def _farkas_solution(lp, std, tab, y_internal) -> LPSolution:
-    dual, bound_dual = _original_duals(lp, std, tab, y_internal, 1)
-    return LPSolution(
-        status=INFEASIBLE,
-        objective_value=None,
-        primal=None,
-        dual=dual,
-        bound_dual=bound_dual,
-        **tab.counters(),
-    )
-
-
-def _unbounded_solution(lp, std, tab, maximize) -> LPSolution:
+def _unbounded_solution(std, tab) -> LPSolution:
     col = tab.unbounded_col
     ray_cols = {col: _ONE}
     for i, row in enumerate(tab.rows):
         a = row.nums.get(col)
         if a:
             ray_cols[tab.basis[i]] = ray_cols.get(tab.basis[i], _ZERO) - Fraction(a, row.den)
-    ray = std.structural_point(ray_cols)
-    point = std.structural_point(tab.primal_cols())
-    _check_ray(lp, point, ray, maximize)
     return LPSolution(
         status=UNBOUNDED,
         objective_value=None,
-        primal=tuple(point),
-        dual=tuple(ray),
+        primal=std.structural_point(tab.primal_cols()),
+        dual=std.structural_point(ray_cols),
         **tab.counters(),
     )
 
 
 # ---------------------------------------------------------------------------
-# Certificate checks (always run; failures are solver bugs).
+# The certificate check, in the caller's program.
 # ---------------------------------------------------------------------------
 
 
-def _internal_columns(std: _Standard, tab: _Tableau) -> list[dict[int, Fraction]]:
-    """Every column of the unpivoted internal system, in one pass over the
-    rows: structural entries with row flips applied, plus each row's unit
-    column.  Artificials of ``>=`` rows are left out; no check reads them."""
-    columns: list[dict[int, Fraction]] = [{} for _ in range(tab.num_cols)]
-    for i, row in enumerate(std.rows):
-        for col, v in row.items():
-            columns[col][i] = tab.flip[i] * v
-        columns[tab.unit_col[i]][i] = tab.unit_sign[i]
-    return columns
-
-
-def _check_optimal(std, tab, cols, y, cost2) -> None:
-    m = std.num_rows
-    b = [tab.flip[i] * std.rhs[i] for i in range(m)]
-    columns = _internal_columns(std, tab)
-    # Primal feasibility, internal equality form.
-    lhs = [_ZERO] * m
-    for col, value in cols.items():
-        if value < 0:
-            raise CertificateError("negative basic value")
-        for i, a in columns[col].items():
-            lhs[i] += a * value
-    if lhs != b:
-        raise CertificateError("primal infeasibility at optimum")
-    # Dual feasibility on every non-artificial column, and strong duality.
-    primal_obj = sum(cost2.get(c, _ZERO) * v for c, v in cols.items())
-    dual_obj = sum(y[i] * b[i] for i in range(m))
-    if primal_obj != dual_obj:
-        raise CertificateError("strong duality gap")
-    for col in range(tab.num_cols):
-        if col in tab.artificial:
-            continue
-        reduced = cost2.get(col, _ZERO) - sum(y[i] * a for i, a in columns[col].items())
-        if reduced > 0:
-            raise CertificateError("dual infeasibility at optimum")
-
-
-def _check_farkas(std, tab, y) -> None:
-    m = std.num_rows
-    b = [tab.flip[i] * std.rhs[i] for i in range(m)]
-    if sum(y[i] * b[i] for i in range(m)) >= 0:
-        raise CertificateError("Farkas certificate has nonnegative value")
-    columns = _internal_columns(std, tab)
-    for col in range(tab.num_cols):
-        if col in tab.artificial:
-            continue
-        if sum(y[i] * a for i, a in columns[col].items()) < 0:
-            raise CertificateError("Farkas certificate violates a column")
-
-
-def _check_ray(lp, point, ray, maximize) -> None:
-    gain = sum(lp.objective[j] * ray[j] for j in range(lp.num_vars))
-    if (gain <= 0) if maximize else (gain >= 0):
-        raise CertificateError("ray does not improve the objective")
-    for i, row in enumerate(lp.rows):
-        delta = sum(v * ray[j] for j, v in row.items())
-        sense = lp.senses[i]
-        ok = delta <= 0 if sense == LESS_EQUAL else delta >= 0 if sense == GREATER_EQUAL else delta == 0
-        if not ok:
-            raise CertificateError("ray leaves the feasible cone")
-    for j in range(lp.num_vars):
-        if lp.lower[j] is not None and ray[j] < 0:
-            raise CertificateError("ray violates a lower bound direction")
-        if lp.upper[j] is not None and ray[j] > 0:
-            raise CertificateError("ray violates an upper bound direction")
-
-
 def check_certificate(lp: LinearProgram, sense: str, sol: LPSolution) -> bool:
-    """Re-verify an OPTIMAL solution from scratch in the original space.
+    """Verify ``sol`` from scratch in the original program's space.
 
-    Checks primal feasibility, dual sign conditions, dual feasibility of
-    every column (with bound multipliers folded in), and exact equality of
-    the two objectives.  Raises CertificateError on any violation.
+    Row multipliers (``dual``) and bound multipliers (``bound_dual``) must
+    have the signs their senses allow: under ``max``, and in every Farkas
+    certificate, >= 0 on ``<=`` rows and upper bounds and <= 0 on ``>=``
+    rows and lower bounds; ``min`` flips both.  Together they combine the
+    program into ``g.x <= value`` for every feasible ``x``.
+
+    * OPTIMAL: ``primal`` is feasible; the reduced cost ``g - c`` is >= 0
+      (<= 0 under ``min``) on a default ``[0, inf)`` variable and exactly 0
+      on any other; the primal objective, ``value`` and ``objective_value``
+      are equal.
+    * INFEASIBLE: ``g`` is >= 0 on default variables and 0 on the others,
+      and ``value < 0``, so no point within the bounds satisfies it.
+    * UNBOUNDED: ``primal`` is feasible, and the ray in ``dual`` improves
+      the objective and lies in the recession cone.
+
+    Raises CertificateError on any violation.
     """
-    if sol.status != OPTIMAL:
-        raise LPError("certificate check expects an optimal solution")
-    maximize = sense == "max"
-    x, y = sol.primal, sol.dual
-    for i, row in enumerate(lp.rows):
-        lhs = sum(v * x[j] for j, v in row.items())
-        s = lp.senses[i]
-        if s == LESS_EQUAL and lhs > lp.rhs[i]:
-            raise CertificateError(f"row {i} violated")
-        if s == GREATER_EQUAL and lhs < lp.rhs[i]:
-            raise CertificateError(f"row {i} violated")
-        if s == EQUAL and lhs != lp.rhs[i]:
-            raise CertificateError(f"row {i} violated")
-        expected = 1 if maximize else -1
-        if s == LESS_EQUAL and expected * y[i] < 0:
-            raise CertificateError(f"dual sign on row {i}")
-        if s == GREATER_EQUAL and expected * y[i] > 0:
-            raise CertificateError(f"dual sign on row {i}")
-    for j in range(lp.num_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if lo is not None and x[j] < lo:
-            raise CertificateError(f"lower bound on variable {j}")
-        if hi is not None and x[j] > hi:
-            raise CertificateError(f"upper bound on variable {j}")
-    # Reduced costs: rho_j = sum_i y_i a_ij + bound multipliers - c_j.
-    rho = [-lp.objective[j] for j in range(lp.num_vars)]
+    orient = 1 if sense == "max" else -1
+    if sol.status == UNBOUNDED:
+        _check_point(lp, sol.primal, 1, "point")
+        _check_point(lp, sol.dual, 0, "ray")
+        if orient * sum(c * r for c, r in zip(lp.objective, sol.dual)) <= 0:
+            raise CertificateError("ray does not improve the objective")
+        return True
+    if sol.status == OPTIMAL:
+        _check_point(lp, sol.primal, 1, "point")
+        cost = lp.objective
+    elif sol.status == INFEASIBLE:
+        orient, cost = 1, [_ZERO] * lp.num_vars
+    else:
+        raise LPError(f"unknown status {sol.status!r}")
+    y = sol.dual
+    if len(y) != len(lp.rows):
+        raise CertificateError(f"{len(y)} row multipliers for {len(lp.rows)} rows")
+    g = [_ZERO] * lp.num_vars
+    value = _ZERO
     for i, row in enumerate(lp.rows):
         if not y[i]:
             continue
+        s = lp.senses[i]
+        if (s == LESS_EQUAL and orient * y[i] < 0) or (s == GREATER_EQUAL and orient * y[i] > 0):
+            raise CertificateError(f"dual sign on row {i}")
+        value += y[i] * lp.rhs[i]
         for j, v in row.items():
-            rho[j] += y[i] * v
+            g[j] += y[i] * v
     for (kind, j), mult in sol.bound_dual.items():
-        rho[j] += mult
+        bound = {"lower": lp.lower, "upper": lp.upper}[kind][j]
+        if bound is None:
+            raise CertificateError(f"multiplier on the missing {kind} bound of variable {j}")
+        if (kind == "upper" and orient * mult < 0) or (kind == "lower" and orient * mult > 0):
+            raise CertificateError(f"dual sign on the {kind} bound of variable {j}")
+        value += mult * bound
+        g[j] += mult
     for j in range(lp.num_vars):
-        free = lp.lower[j] is None and lp.upper[j] is None
-        if free:
-            if rho[j] != 0:
-                raise CertificateError(f"free variable {j} has nonzero reduced cost")
-        elif (rho[j] < 0) if maximize else (rho[j] > 0):
+        reduced = g[j] - cost[j]
+        if (orient * reduced < 0) if lp.lower[j] == 0 and lp.upper[j] is None else reduced:
             raise CertificateError(f"dual infeasibility at variable {j}")
-    primal_obj = sum(lp.objective[j] * x[j] for j in range(lp.num_vars))
-    dual_obj = sum(y[i] * lp.rhs[i] for i in range(len(lp.rows)))
-    for (kind, j), mult in sol.bound_dual.items():
-        bound = lp.lower[j] if kind == "lower" else lp.upper[j]
-        dual_obj += mult * bound
-    if primal_obj != dual_obj:
+    if sol.status == INFEASIBLE:
+        if value >= 0:
+            raise CertificateError("Farkas certificate has nonnegative value")
+    elif not sum(c * x for c, x in zip(lp.objective, sol.primal)) == value == sol.objective_value:
         raise CertificateError("objective mismatch in certificate")
     return True
+
+
+def _check_point(lp: LinearProgram, x, scale: int, what: str) -> None:
+    """Raise unless ``x`` meets every row and bound, with right-hand sides
+    and finite bounds multiplied by ``scale``: 1 checks a point, 0 a
+    direction of the recession cone."""
+    if len(x) != lp.num_vars:
+        raise CertificateError(f"{what} has {len(x)} entries for {lp.num_vars} variables")
+    for i, row in enumerate(lp.rows):
+        gap = sum(v * x[j] for j, v in row.items()) - scale * lp.rhs[i]
+        if (gap > 0) if lp.senses[i] == LESS_EQUAL else (gap < 0) if lp.senses[i] == GREATER_EQUAL else gap:
+            raise CertificateError(f"{what} violates row {i}")
+    for j in range(lp.num_vars):
+        lo, hi = lp.lower[j], lp.upper[j]
+        if (lo is not None and x[j] < scale * lo) or (hi is not None and x[j] > scale * hi):
+            raise CertificateError(f"{what} violates the bounds of variable {j}")
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +625,7 @@ class FeasibilityResult:
     margin: Fraction | None
 
 
-def check_feasible(num_vars: int, constraints, lower=None, upper=None) -> FeasibilityResult:
+def check_feasible(num_vars: int, constraints) -> FeasibilityResult:
     """Decide a system of weak and strict linear constraints exactly.
 
     ``constraints`` is an iterable of ``(coeffs, sense, rhs)`` with sense in
@@ -691,10 +637,6 @@ def check_feasible(num_vars: int, constraints, lower=None, upper=None) -> Feasib
     """
     t_col = num_vars
     lp = LinearProgram(num_vars + 1)
-    for j in range(num_vars):
-        lo = _ZERO if lower is None else lower[j]
-        hi = None if upper is None else upper[j]
-        lp.set_bounds(j, lo, hi)
     lp.set_bounds(t_col, None, _ONE)  # cap keeps the margin objective bounded
     lp.set_objective(t_col, _ONE)
     for coeffs, sense, rhs in constraints:

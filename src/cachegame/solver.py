@@ -597,6 +597,8 @@ def _check_strategy(spec: GameSpec, strategy) -> None:
             for box, child in entry.branches:
                 if box not in q:
                     raise StrategyError(f"branch key {box} outside query {q}", here)
+                if box > t0:
+                    raise StrategyError(f"branch key {box} is unreachable: fresh reveals here take label {t0}", here)
                 check(child, depth + 1, t0 + f, here + (box,))
         if total != ONE:
             raise StrategyError(f"mix probabilities sum to {total}, not 1", path)

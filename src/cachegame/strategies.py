@@ -110,7 +110,7 @@ def fig432() -> StrategyTree:
         {
             0: node(
                 entry(Fraction(4, 5), (0, 2), {0: ask((0, 3)), 2: ask((2, 3))}),
-                entry(Fraction(1, 5), (2, 3), {2: ask((0, 2)), 3: ask((0, 3))}),
+                entry(Fraction(1, 5), (2, 3), {2: ask((0, 2))}),
             )
         },
     )

@@ -196,6 +196,22 @@ class TestCache:
         assert code == 4
         assert "MISMATCH" in out
 
+    def test_recheck_detects_corrupted_payload(self, capsys, tmp_path):
+        # A cache hit serves the payload, so its value must be rechecked too.
+        cache = tmp_path / "cache.json"
+        argv = ("--cache", str(cache), "solve", "--n", "3", "--d", "2", "--k", "2")
+        fresh = run_json(capsys, *argv)["value"]
+        data = json.loads(cache.read_text())
+        entry = next(iter(data["entries"].values()))
+        entry["payload"]["value"] = "1/2"
+        cache.write_text(json.dumps(data))
+        assert run_json(capsys, *argv)["value"] == "1/2"  # what a hit would serve
+        code, out, err = run(capsys, "--cache", str(cache), "--recheck",
+                             "solve", "--n", "1", "--d", "1", "--k", "1")
+        assert code == 4
+        assert f"stored={fresh}  payload=1/2  fresh={fresh}  MISMATCH" in out
+        assert "1 cache entries failed recheck" in err
+
     def test_flags_key_separately(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
         run_json(capsys, "--cache", str(cache), "solve", "--n", "3", "--d", "2", "--k", "2")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -168,6 +169,66 @@ def test_beale_cycling_program_falls_back_to_bland():
         assert 0 < sol.degenerate_pivots < sol.pivots
 
 
+class TestCheckCertificateRejectsForgeries:
+    def test_interior_point_of_a_box(self):
+        # max x on [0, 10]: at x = 5, lower and upper multipliers of 1/2
+        # cancel the cost and match both objectives, but a lower bound of a
+        # maximization takes a multiplier <= 0.
+        p = lpmod.LinearProgram(1, [1])
+        p.set_bounds(0, 0, 10)
+        half = Fraction(1, 2)
+        forged = lpmod.LPSolution(lpmod.OPTIMAL, Fraction(5), (Fraction(5),), (),
+                                  bound_dual={("lower", 0): half, ("upper", 0): half})
+        with pytest.raises(lpmod.CertificateError, match="dual sign on the lower bound of variable 0"):
+            lpmod.check_certificate(p, "max", forged)
+        assert lpmod.solve_lp(p).objective_value == 10
+
+    def test_unpriced_point_of_a_shifted_variable(self):
+        # max -x with x >= -5: at x = 0 without multipliers the reduced cost
+        # is 1, which only a default [0, inf) variable may keep.
+        p = lpmod.LinearProgram(1, [-1])
+        p.set_bounds(0, -5, None)
+        forged = lpmod.LPSolution(lpmod.OPTIMAL, Fraction(0), (Fraction(0),), ())
+        with pytest.raises(lpmod.CertificateError, match="dual infeasibility at variable 0"):
+            lpmod.check_certificate(p, "max", forged)
+        assert lpmod.solve_lp(p).objective_value == 5
+
+    def test_altered_objective_value(self):
+        p = lpmod.LinearProgram(2, [5, 4])
+        p.add_constraint({0: 6, 1: 4}, lpmod.LESS_EQUAL, 24)
+        p.add_constraint({0: 1, 1: 2}, lpmod.LESS_EQUAL, 6)
+        sol = lpmod.solve_lp(p)
+        lpmod.check_certificate(p, "max", sol)
+        with pytest.raises(lpmod.CertificateError, match="objective mismatch"):
+            lpmod.check_certificate(p, "max", replace(sol, objective_value=sol.objective_value + 1))
+
+    def test_unbounded_point_violating_a_row(self):
+        p = lpmod.LinearProgram(2, [1, 0])
+        p.add_constraint({1: 1}, lpmod.LESS_EQUAL, 5)
+        sol = lpmod.solve_lp(p)
+        assert sol.status == lpmod.UNBOUNDED
+        lpmod.check_certificate(p, "max", sol)
+        forged = replace(sol, primal=(sol.primal[0], Fraction(6)))
+        with pytest.raises(lpmod.CertificateError, match="point violates row 0"):
+            lpmod.check_certificate(p, "max", forged)
+
+
+def test_solve_lp_checks_the_mapping_back(monkeypatch):
+    # Dropping the row flips from the mapping back to the caller's rows
+    # gives the x >= 2 row of max -x a multiplier of the wrong sign.
+    real = lpmod._original_duals
+
+    def unflipped(std, tab, y_internal, orient):
+        tab.flip = [1] * len(tab.flip)
+        return real(std, tab, y_internal, orient)
+
+    p = lpmod.LinearProgram(1, [-1])
+    p.add_constraint({0: -1}, lpmod.LESS_EQUAL, -2)
+    monkeypatch.setattr(lpmod, "_original_duals", unflipped)
+    with pytest.raises(lpmod.CertificateError, match="dual sign on row 0"):
+        lpmod.solve_lp(p)
+
+
 def _farkas_holds(p, sol):
     """The row and bound multipliers refute the program in its own space:
     their combination is a valid inequality g.x <= value with g.x >= 0 on
@@ -253,12 +314,29 @@ def test_random_programs_certified_under_both_rules(case):
     assert bland.objective_value == dantzig.objective_value
     for sol in (bland, dantzig):
         assert sol.pivots == sol.phase1_pivots + sol.phase2_pivots
-        if sol.status == lpmod.OPTIMAL:
-            lpmod.check_certificate(p, sense, sol)
-        elif sol.status == lpmod.INFEASIBLE:
+        assert lpmod.check_certificate(p, sense, sol)
+        if sol.status == lpmod.INFEASIBLE:
             assert _farkas_holds(p, sol)
-        else:
+        elif sol.status == lpmod.UNBOUNDED:
             assert _ray_holds(p, sense, sol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_programs())
+def test_negated_multiplier_is_rejected(case):
+    p, sense = case
+    sol = lpmod.solve_lp(p, sense)
+    if sol.status != lpmod.OPTIMAL:
+        return
+    for i, y in enumerate(sol.dual):
+        if y and p.senses[i] != lpmod.EQUAL:
+            dual = sol.dual[:i] + (-y,) + sol.dual[i + 1:]
+            with pytest.raises(lpmod.CertificateError):
+                lpmod.check_certificate(p, sense, replace(sol, dual=dual))
+    for key, mult in sol.bound_dual.items():
+        if mult:
+            with pytest.raises(lpmod.CertificateError):
+                lpmod.check_certificate(p, sense, replace(sol, bound_dual={**sol.bound_dual, key: -mult}))
 
 
 class TestCheckFeasible:

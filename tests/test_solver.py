@@ -273,7 +273,7 @@ class TestBestResponse:
         assert set(response.allocation_values.values()) == {Fraction(2, 5)}
 
     def test_stubborn_repeat_is_worthless(self):
-        tree = StrategyTree(4, 3, 2, ask((0, 1), {0: ask((0, 1), {0: ask((0, 1)), 1: ask((0, 1))}), 1: ask((0, 1), {0: ask((0, 1)), 1: ask((0, 1))})}))
+        tree = StrategyTree(4, 3, 2, ask((0, 1), {0: ask((0, 1), {0: ask((0, 1)), 1: ask((0, 1))})}))
         response = best_response_value(GameSpec(4, 3, 2, ADV), tree)
         assert response.value == 0
 

@@ -179,7 +179,7 @@ class TestCooperative:
         assert joint_verify_cooperative(spec, tree, least_treasures_rule) == Fraction(2, 3)
 
     def test_worst_rule_degenerates_to_adversary(self):
-        tree = st.StrategyTree(3, 2, 2, st.ask((0, 1), {0: st.ask((0, 2)), 1: st.ask((1, 2))}))
+        tree = st.StrategyTree(3, 2, 2, st.ask((0, 1), {0: st.ask((0, 2))}))
         adversary = best_response_value(GameSpec(3, 2, 2, ADV), tree).value
         # Deterministic reveal rules on this tree only ever choose between
         # two queried boxes; enumerate them all via a choice bit.
@@ -222,6 +222,15 @@ class TestValidation:
         bad = st.StrategyTree(3, 2, 2, st.ask((0, 1), {2: st.ask((0, 2))}))
         with pytest.raises(StrategyError, match="branch"):
             verify(GameSpec(3, 2, 2, ADV), bad)
+
+    def test_unreachable_branch_key_rejected(self):
+        # A fresh reveal always takes the lowest fresh label, so a line keyed
+        # on label 2 could never be played and was silently lost (value 0).
+        bad = st.StrategyTree(3, 2, 3, st.ask((0, 1, 2), {2: st.ask((0, 1, 2))}))
+        with pytest.raises(StrategyError, match=r"branch key 2 is unreachable: .* take label 0 \(at 0\)"):
+            verify(GameSpec(3, 2, 3, ADV), bad)
+        good = st.StrategyTree(3, 2, 3, st.ask((0, 1, 2), {0: st.ask((0, 1, 2))}))
+        assert verify(GameSpec(3, 2, 3, ADV), good) == 1
 
     def test_depth_capped_by_treasure_count(self):
         bad = st.StrategyTree(3, 1, 2, st.ask((0, 1), {0: st.ask((0, 1))}))
