@@ -206,8 +206,7 @@ def _solve_cached(args, n, d, k, variant) -> dict:
             "params": {"n": n, "d": d, "k": k, "variant": variant.value,
                        "symmetry": symmetry, "relaxed": relaxed},
             "value": format_rational(result.value),
-            "stats": {k2: v for k2, v in result.stats.items()
-                      if k2 not in ("build_seconds", "solve_seconds")},
+            "stats": _without_wall_times(result.stats),
             "payload": payload,
             "tool_version": __version__,
             "timestamp": int(time.time()),
@@ -216,7 +215,20 @@ def _solve_cached(args, n, d, k, variant) -> dict:
     return payload
 
 
+def _without_wall_times(stats: dict) -> dict:
+    return {k: v for k, v in stats.items() if k not in ("build_seconds", "solve_seconds")}
+
+
+def _comparable(payload: dict) -> dict:
+    """``payload`` as JSON gives it back, without the wall times."""
+    payload = json.loads(json.dumps(payload))
+    return {**payload, "stats": _without_wall_times(payload.get("stats", {}))}
+
+
 def _recheck_cache(args) -> int:
+    """Solve every cached entry again.  An entry passes when its stored
+    value and the whole payload a hit serves, wall times aside, equal the
+    fresh solve's."""
     if not args.cache:
         raise ValueError("--recheck needs --cache")
     cache = _load_cache(args.cache)
@@ -227,14 +239,17 @@ def _recheck_cache(args) -> int:
             GameSpec(p["n"], p["d"], p["k"], Variant(p["variant"])),
             symmetry=p["symmetry"], relaxed=p["relaxed"], budget=args.budget,
         )
-        fresh = format_rational(result.value)
-        # A hit serves the payload, so its copy of the value is checked too.
-        served = entry.get("payload", entry)["value"]
-        status = "ok" if fresh == entry["value"] == served else "MISMATCH"
-        if status != "ok":
+        fresh = _comparable(result.to_json_dict())
+        served = _comparable(entry.get("payload", {}))
+        differs = [name for name in sorted(served.keys() | fresh.keys())
+                   if served.get(name) != fresh.get(name)]
+        if entry["value"] != fresh["value"]:
+            differs.insert(0, "stored value")
+        status = f"MISMATCH ({', '.join(differs)})" if differs else "ok"
+        if differs:
             bad.append(key)
         print(f"{key}  {p['n']},{p['d']},{p['k']},{p['variant']}  stored={entry['value']}  "
-              f"payload={served}  fresh={fresh}  {status}")
+              f"payload={served.get('value')}  fresh={fresh['value']}  {status}")
     if bad:
         print(f"error: {len(bad)} cache entries failed recheck", file=sys.stderr)
         return EXIT_INTERNAL

@@ -2,15 +2,21 @@
 programs, and best-response evaluation.
 
 Two builders exist, and each writes the sequence form (Koller, Megiddo and
-von Stengel) straight from one walk of the game, with no node tree.  The
-full builder walks the game over concrete box labels.  The reduced builder
-exploits the box symmetry: the searcher plays over first-touch canonical
-labels (boxes are numbered in the order her queries first touch them, and a
-reveal from a never-touched box takes the lowest fresh label), the hider
-picks a count *pattern* instead of a labeled placement, and chance assigns
-pattern entries to freshly touched labels by uniform draws without
-replacement.  Both games have the same value; the reduced one is
-exponentially smaller.
+von Stengel) of its game with no node tree.  The full builder plays over
+concrete box labels.  The reduced builder exploits the box symmetry: the
+searcher plays over first-touch canonical labels (boxes are numbered in the
+order her queries first touch them, and a reveal from a never-touched box
+takes the lowest fresh label), the hider picks a count *pattern* instead of
+a labeled placement, and chance assigns pattern entries to freshly touched
+labels by uniform draws without replacement.  Both games have the same
+value; the reduced one is exponentially smaller.
+
+Under the adversary revealer a builder walks every path of its game.  Under
+the random revealer the hider moves only at the root, so a subgame's part of
+the sequence form depends on its state alone: a builder makes one table per
+state (``_SubgameTables``) and writes the root tables.  Either way
+``GameTree.num_nodes`` is the extensive form's node count; the tables sum it
+rather than visit the nodes.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, count
+from math import comb, factorial, lcm
 
 from . import lp as lpmod
 from .core import (
@@ -57,8 +63,8 @@ class BudgetExceededError(SolverError):
 
 @dataclass
 class GameTree:
-    """The sequence form of one game and the number of extensive-form nodes
-    walked to build it."""
+    """The sequence form of one game and the number of nodes in its
+    extensive form."""
 
     spec: GameSpec
     symmetry: bool
@@ -73,9 +79,9 @@ def build_tree(
     relaxed_queries: bool = False,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> GameTree:
-    """Sequence form of the game for ``spec``, from one walk of its
-    extensive form.
+    """Sequence form of the game for ``spec``.
 
+    Raises ``BudgetExceededError`` once the nodes counted pass ``budget``.
     Cooperative play is a joint searcher/revealer problem, not a zero-sum
     game, and is rejected here; use the strategy verifier for it.
     """
@@ -85,16 +91,14 @@ def build_tree(
         raise ValueError("node budget must be positive")
     counter = [0]
 
-    def tick() -> None:
-        counter[0] += 1
+    def tick(nodes: int = 1) -> None:
+        counter[0] += nodes
         if counter[0] > budget:
             raise BudgetExceededError(budget, counter[0])
 
     sf = _SequenceForm()
-    if symmetry_reduction:
-        _build_reduced(spec, relaxed_queries, sf, tick)
-    else:
-        _build_full(spec, relaxed_queries, budget, sf, tick)
+    build = _build_reduced if symmetry_reduction else _build_full
+    build(spec, relaxed_queries, budget, sf, tick)
     return GameTree(spec, symmetry_reduction, relaxed_queries, counter[0], sf)
 
 
@@ -105,10 +109,12 @@ def build_tree(
 
 class _SequenceForm:
     """Realization-plan bookkeeping for both players, filled in by a
-    builder as it walks the game.
+    builder.
 
-    The builders pass ``at = (searcher sequence id, hider sequence id,
-    chance probability)`` down their recursion in place of tree nodes.
+    A walk passes ``at = (searcher sequence id, hider sequence id, chance
+    probability)`` down its recursion in place of tree nodes; subgame
+    tables register the same information sets and sequences, in the same
+    order, from their root.
     """
 
     def __init__(self):
@@ -116,6 +122,30 @@ class _SequenceForm:
         self.seq_list = {SEARCHER: [()], HIDER: [()]}
         self.infosets: dict = {}  # (player, key) -> dict(id, parent, actions, labels)
         self.payoff: dict[tuple[int, int], Fraction] = {}
+
+    def infoset(self, player, key, parent: int, labels: list) -> dict:
+        """The record of ``player``'s information set ``key``, reached by
+        the player's sequence ``parent``, registered on the first visit."""
+        info = self.infosets.get((player, key))
+        if info is None:
+            info = {"id": len(self.infosets), "parent": parent, "actions": [], "labels": labels}
+            self.infosets[(player, key)] = info
+        elif info["parent"] != parent:
+            raise SolverError(f"perfect recall violated at information set {(player, key)}")
+        elif labels != info["labels"]:
+            raise SolverError(f"information set {(player, key)} reached with differing action sets")
+        return info
+
+    def sequence(self, player, info: dict, label) -> int:
+        """Id of the sequence that plays ``label`` at ``info``, handed out
+        on first use."""
+        seqs = self.seq_list[player]
+        seq_key = seqs[info["parent"]] + ((info["id"], label),)
+        sid = self.seq_ids[player].setdefault(seq_key, len(seqs))
+        if sid == len(seqs):
+            seqs.append(seq_key)
+            info["actions"].append((info["id"], label, sid))
+        return sid
 
     def decide(self, player, infoset, parent: int, labels: list):
         """Yield ``(label, sequence id)`` for each action of ``player`` at
@@ -125,25 +155,9 @@ class _SequenceForm:
         each action's subgame before taking the next numbers the sequences
         depth-first; column order drives the simplex's tie-breaks.
         """
-        key = (player, infoset)
-        info = self.infosets.get(key)
-        first_visit = info is None
-        if first_visit:
-            info = {"id": len(self.infosets), "parent": parent, "actions": [], "labels": labels}
-            self.infosets[key] = info
-        elif info["parent"] != parent:
-            raise SolverError(f"perfect recall violated at information set {key}")
-        elif labels != info["labels"]:
-            raise SolverError(f"information set {key} reached with differing action sets")
-        ids, seqs = self.seq_ids[player], self.seq_list[player]
+        info = self.infoset(player, infoset, parent, labels)
         for label in labels:
-            seq_key = seqs[parent] + ((info["id"], label),)
-            sid = ids.setdefault(seq_key, len(seqs))
-            if sid == len(seqs):
-                seqs.append(seq_key)
-            if first_visit:
-                info["actions"].append((info["id"], label, sid))
-            yield label, sid
+            yield label, self.sequence(player, info, label)
 
     def win(self, at) -> None:
         """Add the searcher's win, reached with probability ``at[2]``, to
@@ -153,26 +167,187 @@ class _SequenceForm:
         self.payoff[key] = self.payoff.get(key, ZERO) + prob
 
 
-def _reveal_node(variant, counts, q, child, hider_infoset, tick, sf, at):
-    """Walk on after query ``q`` over ``counts``: a loss, the one possible
-    reveal, chance's pick under ``RANDOM``, or else the hider's.
-    ``child(box, at)`` walks on after ``box`` surrenders a treasure;
-    ``hider_infoset()`` names a hider decision."""
-    outs = reveals(counts, q, variant)
-    if not outs:
-        tick()
-        return
-    s_seq, h_seq, prob = at
-    if variant == Variant.RANDOM:
-        tick()
-        for b, w in outs:
-            child(b, (s_seq, h_seq, prob * w))
-    elif len(outs) == 1:
-        child(outs[0][0], at)
+def _write_game(spec: GameSpec, moves, roots, budget: int, sf: _SequenceForm, tick, hider_infoset) -> None:
+    """Write the game below the hider's root choice into ``sf``: walked
+    under the adversary revealer, from subgame tables under the random one.
+
+    ``roots`` yields ``(state, hider sequence)`` per root choice.
+    ``moves(state)`` is None where the searcher has won.  Otherwise it is
+    ``(labels, options)``: the searcher's action labels at ``state`` and,
+    per action in the same order, ``(action, chance_nodes, draws)``.
+    ``chance_nodes`` is 1 if chance draws before the reveal, else 0 (and
+    the one draw has probability 1).  Each draw is ``(probability,
+    reveals)``, and each reveal ``(weight, box, label, next state)``: the
+    box that surrenders, with its chance weight under ``RANDOM``, the label
+    the searcher observes, and the state after.  A draw with no reveals is
+    a loss.  ``hider_infoset(root state, observations, action)`` names a
+    reveal decision of the hider.
+    """
+    if spec.variant == Variant.RANDOM:
+        _SubgameTables(spec, moves, budget).write(sf, roots, tick)
     else:
+        _walk(moves, roots, hider_infoset, sf, tick)
+
+
+def _walk(moves, roots, hider_infoset, sf: _SequenceForm, tick) -> None:
+    """Walk every path of a game in which the hider picks each reveal
+    among several, registering in ``sf`` as the walk goes.  A state's
+    moves are listed once."""
+
+    memo: dict = {}
+
+    def node(root, state, obs, at):
         tick()
-        for b, h in sf.decide(HIDER, hider_infoset(), h_seq, [b for b, _ in outs]):
-            child(b, (s_seq, h, prob))
+        if state not in memo:
+            memo[state] = moves(state)
+        listed = memo[state]
+        if listed is None:
+            sf.win(at)
+            return
+        labels, options = listed
+        s_seq, h_seq, prob = at
+        for (action, chance_nodes, draws), (_, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, labels)):
+            for p, outs in draws:
+                if len(outs) == 1:
+                    picks = [(None, h_seq)]
+                else:
+                    tick()  # a loss, or the hider's choice
+                    boxes = [box for _, box, _, _ in outs]
+                    picks = sf.decide(HIDER, hider_infoset(root, obs, action), h_seq, boxes) if boxes else ()
+                for (_, _, label, after), (_, h) in zip(outs, picks):
+                    node(root, after, obs + ((action, label),), (sid, h, prob * p if chance_nodes else prob))
+            if chance_nodes:
+                tick()
+
+    for root, h_seq in roots:
+        node(root, root, (), (0, h_seq, ONE))
+
+
+# ---------------------------------------------------------------------------
+# Random-revealer games: one table per subgame state.
+# ---------------------------------------------------------------------------
+
+_ENTRY = -1  # win key of a subgame that is won at its root
+
+
+class _SubgameTables:
+    """Memoized subgame tables of a game whose hider moves only at the
+    root, over the ``moves`` of ``_write_game``.
+
+    A table is a subgame's part of the sequence form, relative to its root:
+    ``(nodes, events, wins)``.  ``nodes`` is its extensive-form node count.
+    ``events`` holds, in depth-first first-visit order, the searcher
+    information sets it reaches (value: their action labels) and the
+    sequences it plays there (value: None).  ``wins`` maps the sequence
+    played last before a win to the win's probability times ``D``.
+
+    Events are interned as ints.  The key of an event (``keys[event]``) is
+    ``(None, None)`` for the information set at the subgame's root,
+    ``(None, action)`` for a sequence played there, and ``(step, event)``
+    for ``event`` of the subgame entered by step ``(action, label)``.
+    Every path probability is a multiple of ``1 / D`` with
+    ``D = n! lcm(1..d)^d``: the draws on a path take at most ``n`` counts
+    without replacement and at most ``d`` reveals each divide by a
+    treasure total of at most ``d``.  So wins are exact integers, and a
+    Fraction is made only for the payoff.
+    """
+
+    def __init__(self, spec: GameSpec, moves, budget: int):
+        self.moves = moves
+        self.budget = budget
+        self.denominator = factorial(spec.n) * lcm(*range(1, spec.d + 1)) ** spec.d
+        self.memo: dict = {}
+        self.keys: list = []
+        self.ids: dict = {}
+        self.steps: list = []
+        self.step_ids: dict = {}
+
+    def write(self, sf: _SequenceForm, roots, tick) -> None:
+        """Write the table of each root state into ``sf``, registering
+        through it what a walk would register, in the same order."""
+        for state, h_seq in roots:
+            nodes, events, wins = self.table(state)
+            tick(nodes)
+            infos, sids = {}, {}
+            for event, labels in events.items():
+                obs, action = self._decode(event)
+                if action is None:
+                    parent = sids[obs[:-1], obs[-1][0]] if obs else 0
+                    infos[obs] = sf.infoset(SEARCHER, obs, parent, labels)
+                else:
+                    sids[obs, action] = sf.sequence(SEARCHER, infos[obs], action)
+            for event, w in wins.items():
+                sf.win((sids[self._decode(event)], h_seq, Fraction(w, self.denominator)))
+
+    def table(self, state) -> tuple:
+        table = self.memo.get(state)
+        if table is None:
+            table = self.memo[state] = self._build(state)
+        return table
+
+    def _build(self, state) -> tuple:
+        listed = self.moves(state)
+        if listed is None:
+            return 1, {}, {_ENTRY: self.denominator}
+        labels, options = listed
+        nodes = 1
+        events = {self._event((None, None)): labels}
+        wins: dict = {}
+        for action, chance_nodes, draws in options:
+            played = self._event((None, action))
+            events[played] = None
+            # Every draw is a reveal node, a loss included.
+            nodes = self._counted(nodes + chance_nodes + len(draws))
+            outcomes: dict = {}  # (label, next state) -> [probability, paths]
+            for p, outs in draws:
+                for w, _, label, child in outs:
+                    seen = outcomes.setdefault((label, child), [ZERO, 0])
+                    seen[0] += p * w
+                    seen[1] += 1
+            for (label, child), (p, paths) in outcomes.items():
+                sub_nodes, sub_events, sub_wins = self.table(child)
+                nodes = self._counted(nodes + paths * sub_nodes)
+                step = self.step_ids.setdefault((action, label), len(self.steps))
+                if step == len(self.steps):
+                    self.steps.append((action, label))
+                for event, sub_labels in sub_events.items():
+                    event = self._event((step, event))
+                    if event not in events:
+                        events[event] = sub_labels
+                    elif events[event] != sub_labels:
+                        raise SolverError(
+                            f"information set {self._decode(event)[0]} reached with differing action sets"
+                        )
+                num, den = p.numerator, p.denominator
+                for event, w in sub_wins.items():
+                    event = played if event == _ENTRY else self._event((step, event))
+                    w, rest = divmod(w * num, den)
+                    if rest:
+                        raise SolverError(f"win weight is not a multiple of 1/{self.denominator}")
+                    wins[event] = wins.get(event, 0) + w
+        return nodes, events, wins
+
+    def _counted(self, nodes: int) -> int:
+        if nodes > self.budget:
+            raise BudgetExceededError(self.budget, nodes)
+        return nodes
+
+    def _event(self, key) -> int:
+        event = self.ids.get(key)
+        if event is None:
+            event = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return event
+
+    def _decode(self, event: int):
+        """``(observations, action)`` of ``event``, the action None for an
+        information set."""
+        obs = []
+        step, rest = self.keys[event]
+        while step is not None:
+            obs.append(self.steps[step])
+            step, rest = self.keys[rest]
+        return tuple(obs), rest
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +360,10 @@ def _query_sizes(k: int, relaxed: bool) -> range:
 
 
 def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm, tick) -> None:
+    """States are ``(remaining counts, treasures found)``.  Under
+    ``RANDOM`` the game is built from one table per state, its node count
+    summed from the tables; otherwise it is walked, and a hider reveal
+    decision is keyed by the placement, the observations and the query."""
     n, d, k = spec.n, spec.d, spec.k
     placements = comb(n + d - 1, d)
     num_queries = sum(comb(n, size) for size in _query_sizes(k, relaxed))
@@ -194,25 +373,20 @@ def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm, t
         tuple(q) for size in _query_sizes(k, relaxed) for q in combinations(range(n), size)
     ]
 
-    def searcher_node(alloc, remaining, found, obs, at):
-        tick()
+    def moves(state):
+        remaining, found = state
         if found == d:
-            sf.win(at)
-            return
-        s_seq, h_seq, prob = at
-        for q, sid in sf.decide(SEARCHER, obs, s_seq, queries):
-            after_query(alloc, remaining, found, obs, q, (sid, h_seq, prob))
-
-    def after_query(alloc, remaining, found, obs, q, at):
-        def child(b, at):
-            searcher_node(alloc, take(remaining, b, n)[0], found + 1, obs + ((q, b),), at)
-
-        _reveal_node(spec.variant, remaining, q, child, lambda: (alloc, obs, q), tick, sf, at)
+            return None
+        return queries, [
+            (q, 0, [(ONE, [(w, b, b, (take(remaining, b, n)[0], found + 1))
+                           for b, w in reveals(remaining, q, spec.variant)])])
+            for q in queries
+        ]
 
     tick()
     allocations = [a.counts for a in enumerate_allocations(n, d)]
-    for counts, h_seq in sf.decide(HIDER, ("root",), 0, allocations):
-        searcher_node(counts, counts, 0, (), (0, h_seq, ONE))
+    roots = (((counts, 0), h_seq) for counts, h_seq in sf.decide(HIDER, ("root",), 0, allocations))
+    _write_game(spec, moves, roots, budget, sf, tick, lambda root, obs, q: (root[0], obs, q))
 
 
 # ---------------------------------------------------------------------------
@@ -233,52 +407,49 @@ def _canonical_actions(touched: int, untouched: int, k: int, relaxed: bool):
                 yield (known, f)
 
 
-def _build_reduced(spec: GameSpec, relaxed: bool, sf: _SequenceForm, tick) -> None:
+def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm, tick) -> None:
+    """States are ``(touched counts, untouched pool, treasures found)``.
+    Under ``RANDOM`` the game is built from one table per state, its node
+    count summed from the tables; otherwise it is walked."""
     n, d, k = spec.n, spec.d, spec.k
+    actions_at: dict = {}
+    draws_of: dict = {}
+
+    def moves(state):
+        touched, untouched, found = state
+        if found == d:
+            return None
+        t0 = len(touched)
+        if t0 not in actions_at:
+            actions_at[t0] = list(_canonical_actions(t0, n - t0, k, relaxed))
+        actions = actions_at[t0]
+        options = []
+        for action in actions:
+            known, f = action
+            q = known + tuple(range(t0, t0 + f))
+            if (untouched, f) not in draws_of:
+                draws_of[untouched, f] = list(fresh_draws(untouched, f))
+            draws = []
+            for draw, p, rest in draws_of[untouched, f]:
+                counts = touched + draw
+                outs = []
+                for b, w in reveals(counts, q, spec.variant):
+                    after, l = take(counts, b, t0)
+                    outs.append((w, b, l, (after, rest, found + 1)))
+                draws.append((p, outs))
+            options.append((action, int(f > 0), draws))
+        return actions, options
+
     # Reveal decisions are singleton information sets: the hider knows his
     # placement and sees every query, so each decision point on a path is
     # distinguishable to him.  (Distinct chance draws can reach post-reveal
     # states that only differ by the searcher's private relabeling; that
     # difference is payoff-irrelevant, and sharing a key across them would
     # break perfect recall.)
-    serial = [0]
-
-    def hider_infoset():
-        serial[0] += 1
-        return ("reveal", serial[0])
-
-    def searcher_node(touched, untouched, found, obs, at):
-        tick()
-        if found == d:
-            sf.win(at)
-            return
-        actions = list(_canonical_actions(len(touched), len(untouched), k, relaxed))
-        s_seq, h_seq, prob = at
-        for action, sid in sf.decide(SEARCHER, obs, s_seq, actions):
-            play(touched, untouched, found, obs, action, (sid, h_seq, prob))
-
-    def play(touched, untouched, found, obs, action, at):
-        known, f = action
-        t0 = len(touched)
-        q = known + tuple(range(t0, t0 + f))
-
-        def resolve(counts, rest, at):
-            def child(l, at):
-                after, l = take(counts, l, t0)
-                searcher_node(after, rest, found + 1, obs + ((action, l),), at)
-
-            _reveal_node(spec.variant, counts, q, child, hider_infoset, tick, sf, at)
-
-        if f == 0:
-            return resolve(touched, untouched, at)
-        s_seq, h_seq, prob = at
-        for draw, p, rest in fresh_draws(untouched, f):
-            resolve(touched + draw, rest, (s_seq, h_seq, prob * p))
-        tick()
-
+    serial = count(1)
     tick()
-    for pat, h_seq in sf.decide(HIDER, ("root",), 0, patterns(d, n)):
-        searcher_node((), pat, 0, (), (0, h_seq, ONE))
+    roots = ((((), pat, 0), h_seq) for pat, h_seq in sf.decide(HIDER, ("root",), 0, patterns(d, n)))
+    _write_game(spec, moves, roots, budget, sf, tick, lambda *_: ("reveal", next(serial)))
 
 
 @dataclass

@@ -212,6 +212,22 @@ class TestCache:
         assert f"stored={fresh}  payload=1/2  fresh={fresh}  MISMATCH" in out
         assert "1 cache entries failed recheck" in err
 
+    def test_recheck_detects_corrupted_plan(self, capsys, tmp_path):
+        # The value is intact, but a hit would serve a wrong plan.
+        cache = tmp_path / "cache.json"
+        argv = ("--cache", str(cache), "solve", "--n", "3", "--d", "2", "--k", "2")
+        run_json(capsys, *argv)
+        data = json.loads(cache.read_text())
+        entry = next(iter(data["entries"].values()))
+        entry["payload"]["searcher_plan"][1]["weight"] = "7/3"
+        cache.write_text(json.dumps(data))
+        assert run_json(capsys, *argv)["searcher_plan"][1]["weight"] == "7/3"
+        code, out, err = run(capsys, "--cache", str(cache), "--recheck",
+                             "solve", "--n", "1", "--d", "1", "--k", "1")
+        assert code == 4
+        assert "MISMATCH (searcher_plan)" in out
+        assert "1 cache entries failed recheck" in err
+
     def test_flags_key_separately(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
         run_json(capsys, "--cache", str(cache), "solve", "--n", "3", "--d", "2", "--k", "2")

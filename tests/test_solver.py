@@ -23,6 +23,7 @@ from cachegame.solver import (
     SEARCHER,
     SolverError,
     _SequenceForm,
+    _SubgameTables,
     optimal_hider_332,
     searcher_plan_value,
 )
@@ -91,6 +92,49 @@ class TestBuildTree:
             build_tree(GameSpec(6, 4, 3, ADV), budget=50)
         assert err.value.estimate > 50
 
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_random_budget_rejection_reports_estimate(self, symmetry):
+        with pytest.raises(BudgetExceededError) as err:
+            build_tree(GameSpec(6, 4, 3, RAN), symmetry_reduction=symmetry, budget=50)
+        assert err.value.estimate > 50
+
+
+class TestSubgameTables:
+    """Random-revealer games are built from one table per state; these toy
+    games reach the tables' own checks."""
+
+    @staticmethod
+    def tables(game):
+        def moves(state):
+            return game.get(state)
+
+        return _SubgameTables(GameSpec(2, 1, 1, RAN), moves, budget=100)
+
+    def test_relative_infoset_with_two_label_lists_rejected(self):
+        # Both outcomes of "a" are observed as label 0, so "x" and "y" are one
+        # information set of the searcher, offering her different actions.
+        half = Fraction(1, 2)
+        game = {
+            "root": (["a"], [("a", 1, [(half, [(1, 0, 0, "x")]), (half, [(1, 1, 0, "y")])])]),
+            "x": (["p"], [("p", 0, [(1, [])])]),
+            "y": (["q"], [("q", 0, [(1, [])])]),
+        }
+        with pytest.raises(SolverError, match="differing action sets"):
+            self.tables(game).table("root")
+
+    def test_win_weight_off_the_denominator_rejected(self):
+        # For n = 2, d = 1 every path probability is a multiple of 1/2.
+        game = {"root": (["a"], [("a", 1, [(Fraction(1, 3), [(1, 0, 0, "won")])])])}
+        with pytest.raises(SolverError, match="not a multiple of 1/2"):
+            self.tables(game).table("root")
+
+    def test_budget_checked_inside_a_table(self):
+        # The searcher node, the chance node and 200 losing draws.
+        game = {"root": (["a"], [("a", 1, [(Fraction(1, 200), [])] * 200)])}
+        with pytest.raises(BudgetExceededError) as err:
+            self.tables(game).table("root")
+        assert err.value.estimate == 202
+
 
 # Sizes of the solved trees and programs: (nodes, lp_rows, lp_cols, pivots,
 # searcher_sequences, hider_sequences, searcher_infosets, hider_infosets).
@@ -117,6 +161,10 @@ SOLVE_STATS = [
     ((3, 2, 2, ADV, False, True), (211, 24, 66, 45, 61, 13, 10, 4)),
     ((3, 2, 2, RAN, True, True), (120, 7, 15, 10, 13, 3, 3, 1)),
     ((3, 2, 2, RAN, False, True), (313, 18, 63, 62, 61, 7, 10, 1)),
+    ((5, 3, 2, RAN, True, False), (1217, 14, 54, 21, 52, 4, 9, 1)),
+    ((6, 3, 3, RAN, True, False), (14711, 26, 302, 40, 300, 4, 21, 1)),
+    ((4, 3, 3, RAN, True, True), (14522, 62, 742, 158, 740, 4, 57, 1)),
+    ((5, 2, 2, RAN, False, False), (1666, 38, 213, 65, 211, 16, 21, 1)),
 ]
 
 
