@@ -6,9 +6,12 @@ terms, so a pivot is plain integer arithmetic and values become Fractions
 only at the edges (duals, primal point, ray).  Pivoting follows Bland's
 rule by default (termination guaranteed); a largest-coefficient rule with
 automatic Bland fallback is available for speed on degenerate game
-programs.  Before ``solve_lp`` returns, ``check_certificate`` verifies the
-answer in Fractions against the caller's own rows and bounds, so the
-mapping back from the internal standard form is checked too:
+programs.  The caller's Fraction rows become integer numerators over one
+lcm denominator per row once, in the standard form, and everything after
+that up to the answer runs in integers.  Before ``solve_lp`` returns,
+``check_certificate`` verifies the answer against the caller's own rows and
+bounds, which it converts to integers itself, so the mapping back from the
+internal standard form is checked too:
 
 * ``OPTIMAL``  -- a feasible point, row and bound multipliers of the
   signs their senses allow, dual-feasible reduced costs, and equal primal
@@ -46,6 +49,10 @@ class CertificateError(RuntimeError):
     """A certificate failed its check; raised inside ``solve_lp``, a solver bug."""
 
 
+def _rational(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 class LinearProgram:
     """max/min  c.x  subject to rows ``a.x (<=|=|>=) b`` and variable bounds.
 
@@ -59,7 +66,7 @@ class LinearProgram:
         self.num_vars = num_vars
         if objective is None:
             objective = [_ZERO] * num_vars
-        self.objective = [Fraction(c) for c in objective]
+        self.objective = [_rational(c) for c in objective]
         if len(self.objective) != num_vars:
             raise LPError("objective length does not match variable count")
         self.rows: list[dict[int, Fraction]] = []
@@ -69,11 +76,11 @@ class LinearProgram:
         self.upper: list[Fraction | None] = [None] * num_vars
 
     def set_objective(self, j: int, coeff) -> None:
-        self.objective[j] = Fraction(coeff)
+        self.objective[j] = _rational(coeff)
 
     def set_bounds(self, j: int, lower, upper) -> None:
-        self.lower[j] = None if lower is None else Fraction(lower)
-        self.upper[j] = None if upper is None else Fraction(upper)
+        self.lower[j] = None if lower is None else _rational(lower)
+        self.upper[j] = None if upper is None else _rational(upper)
         if self.lower[j] is not None and self.upper[j] is not None and self.lower[j] > self.upper[j]:
             raise LPError(f"empty bound interval for variable {j}")
 
@@ -86,12 +93,12 @@ class LinearProgram:
         for j, value in items:
             if not 0 <= j < self.num_vars:
                 raise LPError(f"column {j} out of range")
-            value = Fraction(value)
+            value = _rational(value)
             if value:
-                row[j] = row.get(j, _ZERO) + value
+                row[j] = row[j] + value if j in row else value
         self.rows.append({j: v for j, v in row.items() if v})
         self.senses.append(sense)
-        self.rhs.append(Fraction(rhs))
+        self.rhs.append(_rational(rhs))
         return len(self.rows) - 1
 
 
@@ -135,7 +142,10 @@ class _Standard:
 
     Variables with bounds other than ``[0, inf)`` are split into a
     difference of nonnegatives, and their finite bounds become extra rows,
-    so the whole program is rows over nonnegative columns.
+    so the whole program is rows over nonnegative columns.  Each row is
+    ``(nums, rhs, den)``: integer numerators of its columns and right-hand
+    side over ``den``, the lcm of its denominators, which leaves the row in
+    lowest terms.  The cost is a ``_Row`` in the same form.
     """
 
     def __init__(self, lp: LinearProgram, maximize: bool):
@@ -155,44 +165,41 @@ class _Standard:
         self.num_structural = len(self.col_var)
 
         sign = 1 if maximize else -1
-        self.cost = [_ZERO] * self.num_structural
-        for j in range(lp.num_vars):
-            for col, s in self.var_cols[j]:
-                self.cost[col] = sign * s * lp.objective[j]
+        cost, _, den = self._expand(dict(enumerate(lp.objective)), _ZERO)
+        self.cost = _Row({col: sign * v for col, v in cost.items() if v}, 0, den)
 
         # Rows: originals first, then bound rows.  ``row_origin[i]`` tells
         # where internal row i came from for dual mapping.
-        self.rows: list[dict[int, Fraction]] = []
+        self.rows: list[tuple[dict[int, int], int, int]] = []
         self.senses: list[str] = []
-        self.rhs: list[Fraction] = []
         self.row_origin: list[tuple] = []
         for i, row in enumerate(lp.rows):
-            self.rows.append(self._expand(row))
+            self.rows.append(self._expand(row, lp.rhs[i]))
             self.senses.append(lp.senses[i])
-            self.rhs.append(lp.rhs[i])
             self.row_origin.append(("row", i))
         for j in range(lp.num_vars):
             lo, hi = lp.lower[j], lp.upper[j]
             if lo == 0 and hi is None:
                 continue
             if lo is not None:
-                self.rows.append(self._expand({j: _ONE}))
+                self.rows.append(self._expand({j: _ONE}, lo))
                 self.senses.append(GREATER_EQUAL)
-                self.rhs.append(lo)
                 self.row_origin.append(("lower", j))
             if hi is not None:
-                self.rows.append(self._expand({j: _ONE}))
+                self.rows.append(self._expand({j: _ONE}, hi))
                 self.senses.append(LESS_EQUAL)
-                self.rhs.append(hi)
                 self.row_origin.append(("upper", j))
         self.num_rows = len(self.rows)
 
-    def _expand(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def _expand(self, row: dict[int, Fraction], rhs: Fraction) -> tuple[dict[int, int], int, int]:
+        """``row`` and ``rhs`` over the split columns as ``(nums, rhs, den)``."""
+        den = lcm(rhs.denominator, *(v.denominator for v in row.values()))
+        nums: dict[int, int] = {}
         for j, value in row.items():
+            num = value.numerator * (den // value.denominator)
             for col, s in self.var_cols[j]:
-                out[col] = out.get(col, _ZERO) + s * value
-        return {c: v for c, v in out.items() if v}
+                nums[col] = s * num
+        return nums, rhs.numerator * (den // rhs.denominator), den
 
     def structural_point(self, cols: dict[int, Fraction]) -> tuple[Fraction, ...]:
         """Collapse split columns back into original-variable values."""
@@ -209,18 +216,14 @@ class _Row:
     """One tableau row in fraction-free form.
 
     Column ``c`` holds ``nums[c] / den`` and the right-hand side is
-    ``rhs / den``: integer numerators over one positive denominator, kept in
-    lowest terms after every update.
+    ``rhs / den``: integer numerators over one positive denominator, put in
+    lowest terms by every update.
     """
 
     __slots__ = ("nums", "rhs", "den")
 
-    def __init__(self, values: dict[int, Fraction], rhs: Fraction):
-        # Over the lcm of the denominators the row is already in lowest terms.
-        den = lcm(rhs.denominator, *(v.denominator for v in values.values()))
-        self.nums = {c: v.numerator * (den // v.denominator) for c, v in values.items() if v}
-        self.rhs = rhs.numerator * (den // rhs.denominator)
-        self.den = den
+    def __init__(self, nums: dict[int, int], rhs: int, den: int):
+        self.nums, self.rhs, self.den = nums, rhs, den
 
     def make_unit(self, col: int) -> None:
         """Divide the row by its entry in ``col``, which becomes 1."""
@@ -274,37 +277,38 @@ class _Tableau:
         self.degenerate_pivots = 0
         self.bland_fallback = False
 
-        for i in range(m):
-            row = dict(std.rows[i])
-            rhs = std.rhs[i]
+        for i, (nums, rhs, den) in enumerate(std.rows):
             sense = std.senses[i]
             flip = 1
             if rhs < 0:
                 flip = -1
                 rhs = -rhs
-                row = {c: -v for c, v in row.items()}
+                nums = {c: -v for c, v in nums.items()}
                 sense = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[sense]
+            else:
+                nums = dict(nums)
             self.flip.append(flip)
+            # A slack or artificial coefficient of 1 is ``den`` over ``den``.
             if sense == LESS_EQUAL:
                 slack = self._new_col()
-                row[slack] = _ONE
+                nums[slack] = den
                 self.basis[i] = slack
                 self.unit_col[i], self.unit_sign[i] = slack, 1
             elif sense == GREATER_EQUAL:
                 surplus = self._new_col()
-                row[surplus] = -_ONE
+                nums[surplus] = -den
                 self.unit_col[i], self.unit_sign[i] = surplus, -1
                 art = self._new_col()
-                row[art] = _ONE
+                nums[art] = den
                 self.artificial.add(art)
                 self.basis[i] = art
             else:
                 art = self._new_col()
-                row[art] = _ONE
+                nums[art] = den
                 self.artificial.add(art)
                 self.basis[i] = art
                 self.unit_col[i], self.unit_sign[i] = art, 1
-            self.rows.append(_Row(row, rhs))
+            self.rows.append(_Row(nums, rhs, den))
         self.max_den_bits = max((row.den.bit_length() for row in self.rows), default=0)
 
     def _new_col(self) -> int:
@@ -325,21 +329,22 @@ class _Tableau:
 
     # -- reduced costs -----------------------------------------------------
 
-    def reduced_costs(self, cost: dict[int, Fraction]) -> _Row:
+    def reduced_costs(self, cost: _Row) -> _Row:
         """c_j - y.A_j for all columns, as a row whose right-hand side is
-        minus the basis objective value (so pivots update it like any row)."""
-        red = dict(cost)
-        value = _ZERO
-        for i, bi in enumerate(self.basis):
-            cb = cost.get(bi, _ZERO)
-            if not cb:
-                continue
-            row = self.rows[i]
-            scale = cb / row.den
-            value += scale * row.rhs
+        minus the basis objective value (so pivots update it like any row).
+        Its denominator is ``cost.den`` times the lcm of the denominators of
+        the rows whose basic column has a cost; the first update that
+        touches it puts it in lowest terms."""
+        priced = [(cost.nums[b], row) for b, row in zip(self.basis, self.rows) if b in cost.nums]
+        scale = lcm(*(row.den for _, row in priced))
+        red = {c: v * scale for c, v in cost.nums.items()}
+        value = 0
+        for cb, row in priced:
+            f = cb * (scale // row.den)
+            value += f * row.rhs
             for c, v in row.nums.items():
-                red[c] = red.get(c, _ZERO) - scale * v
-        return _Row(red, -value)
+                red[c] = red.get(c, 0) - f * v
+        return _Row({c: v for c, v in red.items() if v}, -value, cost.den * scale)
 
     def pivot(self, r: int, col: int, red: _Row | None) -> None:
         self.pivots += 1
@@ -357,7 +362,7 @@ class _Tableau:
             red.eliminate(col, prow)
         self.basis[r] = col
 
-    def run_simplex(self, cost: dict[int, Fraction], barred: set[int], rule: str):
+    def run_simplex(self, cost: _Row, barred: set[int], rule: str):
         """Maximize, returning (status, reduced-cost row).  ``status`` is
         OPTIMAL or UNBOUNDED (with ``self.unbounded_col`` set)."""
         red = self.reduced_costs(cost)
@@ -408,15 +413,13 @@ class _Tableau:
                 if stall > 2 * (self.num_cols + len(self.rows)):
                     bland = self.bland_fallback = True
 
-    def duals(self, red: _Row, cost: dict[int, Fraction]) -> list[Fraction]:
+    def duals(self, red: _Row, cost: _Row) -> list[Fraction]:
         """Row prices y (internal orientation) read off the unit columns."""
         out = []
-        for i in range(len(self.rows)):
-            col, sign = self.unit_col[i], self.unit_sign[i]
-            r = Fraction(red.nums.get(col, 0), red.den)
-            c = cost.get(col, _ZERO)
+        for col, sign in zip(self.unit_col, self.unit_sign):
             # r = c - y_i * sign  =>  y_i = (c - r) / sign
-            out.append((c - r) if sign == 1 else (r - c))
+            c_minus_r = cost.nums.get(col, 0) * red.den - red.nums.get(col, 0) * cost.den
+            out.append(Fraction(sign * c_minus_r, cost.den * red.den))
         return out
 
     def primal_cols(self) -> dict[int, Fraction]:
@@ -439,26 +442,25 @@ def _simplex(lp: LinearProgram, maximize: bool, pivot_rule: str) -> LPSolution:
 
     # Phase 1: drive artificials to zero.
     if tab.artificial:
-        cost1 = {c: -_ONE for c in tab.artificial}
+        cost1 = _Row({c: -1 for c in tab.artificial}, 0, 1)
         status, red = tab.run_simplex(cost1, barred=set(), rule=pivot_rule)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise CertificateError("phase 1 reported unbounded")
         tab.phase1_pivots = tab.pivots
-        art_rows = [row for i, row in enumerate(tab.rows) if tab.basis[i] in tab.artificial]
-        infeas = -sum(Fraction(row.rhs, row.den) for row in art_rows)
-        if infeas < 0:
+        # Right-hand sides stay >= 0, so the artificials sum to a positive
+        # value exactly when one of them is basic at a positive level.
+        if any(row.rhs for row, b in zip(tab.rows, tab.basis) if b in tab.artificial):
             dual, bound_dual = _original_duals(std, tab, tab.duals(red, cost1), 1)
             return LPSolution(INFEASIBLE, None, None, dual, bound_dual=bound_dual, **tab.counters())
         _pivot_out_artificials(tab)
         tab.phase1_pivots = tab.pivots
 
-    cost2 = {c: std.cost[c] for c in range(std.num_structural) if std.cost[c]}
-    status, red = tab.run_simplex(cost2, barred=tab.artificial, rule=pivot_rule)
+    status, red = tab.run_simplex(std.cost, barred=tab.artificial, rule=pivot_rule)
     if status == UNBOUNDED:
         return _unbounded_solution(std, tab)
 
     orient = 1 if maximize else -1
-    dual, bound_dual = _original_duals(std, tab, tab.duals(red, cost2), orient)
+    dual, bound_dual = _original_duals(std, tab, tab.duals(red, std.cost), orient)
     return LPSolution(
         status=OPTIMAL,
         # The reduced-cost row's right-hand side is minus the internal
@@ -543,70 +545,114 @@ def check_certificate(lp: LinearProgram, sense: str, sol: LPSolution) -> bool:
     * UNBOUNDED: ``primal`` is feasible, and the ray in ``dual`` improves
       the objective and lies in the recession cone.
 
-    Raises CertificateError on any violation.
+    The check runs in integers: each of ``lp``'s rows is converted here to
+    numerators over the lcm of its denominators, a point goes over one
+    common denominator, and so do the row multipliers.  Fractions appear
+    only where a cost, a bound multiplier or a finite nonzero bound does.
+
+    Raises CertificateError on any violation, a malformed ``sol`` included.
     """
     orient = 1 if sense == "max" else -1
+    rows = []  # row i as (nums, rhs, den): a_ij = nums[j] / den, b_i = rhs / den
+    for row, b in zip(lp.rows, lp.rhs):
+        den = lcm(b.denominator, *(v.denominator for v in row.values()))
+        nums = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        rows.append((nums, b.numerator * (den // b.denominator), den))
     if sol.status == UNBOUNDED:
-        _check_point(lp, sol.primal, 1, "point")
-        _check_point(lp, sol.dual, 0, "ray")
-        if orient * sum(c * r for c, r in zip(lp.objective, sol.dual)) <= 0:
+        _check_point(lp, rows, sol.primal, 1, "point")
+        _check_point(lp, rows, sol.dual, 0, "ray")
+        if orient * sum(c * r for c, r in zip(lp.objective, sol.dual) if c) <= 0:
             raise CertificateError("ray does not improve the objective")
         return True
     if sol.status == OPTIMAL:
-        _check_point(lp, sol.primal, 1, "point")
+        _check_point(lp, rows, sol.primal, 1, "point")
         cost = lp.objective
     elif sol.status == INFEASIBLE:
         orient, cost = 1, [_ZERO] * lp.num_vars
     else:
         raise LPError(f"unknown status {sol.status!r}")
     y = sol.dual
+    if y is None:
+        raise CertificateError("row multipliers are missing")
     if len(y) != len(lp.rows):
         raise CertificateError(f"{len(y)} row multipliers for {len(lp.rows)} rows")
-    g = [_ZERO] * lp.num_vars
-    value = _ZERO
-    for i, row in enumerate(lp.rows):
-        if not y[i]:
+    # g and value over one denominator z: row i enters as z_i = z * y_i / den_i.
+    z = _common_denominator(
+        (yi.denominator * den for yi, (_, _, den) in zip(y, rows) if yi), "row multipliers"
+    )
+    g = [0] * lp.num_vars
+    value = 0
+    for i, (nums, rhs, den) in enumerate(rows):
+        num = y[i].numerator
+        if not num:
             continue
         s = lp.senses[i]
-        if (s == LESS_EQUAL and orient * y[i] < 0) or (s == GREATER_EQUAL and orient * y[i] > 0):
+        if (s == LESS_EQUAL and orient * num < 0) or (s == GREATER_EQUAL and orient * num > 0):
             raise CertificateError(f"dual sign on row {i}")
-        value += y[i] * lp.rhs[i]
-        for j, v in row.items():
-            g[j] += y[i] * v
-    for (kind, j), mult in sol.bound_dual.items():
-        bound = {"lower": lp.lower, "upper": lp.upper}[kind][j]
+        zi = num * (z // (y[i].denominator * den))
+        value += zi * rhs
+        for j, v in nums.items():
+            g[j] += zi * v
+    # The rest of g - c, and of value, in Fractions where it is nonzero.
+    extra = {j: -c for j, c in enumerate(cost) if c}
+    extra_value = _ZERO
+    for key, mult in sol.bound_dual.items():
+        kind, j = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        bounds = {"lower": lp.lower, "upper": lp.upper}.get(kind)
+        if bounds is None or not (isinstance(j, int) and 0 <= j < lp.num_vars):
+            raise CertificateError(f"multiplier on an unknown bound {key!r}")
+        if not isinstance(mult, (int, Fraction)):
+            raise CertificateError(f"multiplier on the {kind} bound of variable {j} is not rational")
+        bound = bounds[j]
         if bound is None:
             raise CertificateError(f"multiplier on the missing {kind} bound of variable {j}")
         if (kind == "upper" and orient * mult < 0) or (kind == "lower" and orient * mult > 0):
             raise CertificateError(f"dual sign on the {kind} bound of variable {j}")
-        value += mult * bound
-        g[j] += mult
+        if mult:
+            extra_value += mult * bound
+            extra[j] = extra.get(j, _ZERO) + mult
     for j in range(lp.num_vars):
-        reduced = g[j] - cost[j]
+        e = extra.get(j)
+        reduced = g[j] * e.denominator + e.numerator * z if e else g[j]  # sign of (g_j - c_j)
         if (orient * reduced < 0) if lp.lower[j] == 0 and lp.upper[j] is None else reduced:
             raise CertificateError(f"dual infeasibility at variable {j}")
+    value = Fraction(value, z) + extra_value
     if sol.status == INFEASIBLE:
         if value >= 0:
             raise CertificateError("Farkas certificate has nonnegative value")
-    elif not sum(c * x for c, x in zip(lp.objective, sol.primal)) == value == sol.objective_value:
+    elif not sum(c * x for c, x in zip(lp.objective, sol.primal) if c) == value == sol.objective_value:
         raise CertificateError("objective mismatch in certificate")
     return True
 
 
-def _check_point(lp: LinearProgram, x, scale: int, what: str) -> None:
+def _check_point(lp: LinearProgram, rows, x, scale: int, what: str) -> None:
     """Raise unless ``x`` meets every row and bound, with right-hand sides
     and finite bounds multiplied by ``scale``: 1 checks a point, 0 a
-    direction of the recession cone."""
+    direction of the recession cone.  ``rows`` are ``lp``'s rows as
+    ``check_certificate`` converts them; ``x`` goes over one denominator."""
+    if x is None:
+        raise CertificateError(f"{what} is missing")
     if len(x) != lp.num_vars:
         raise CertificateError(f"{what} has {len(x)} entries for {lp.num_vars} variables")
-    for i, row in enumerate(lp.rows):
-        gap = sum(v * x[j] for j, v in row.items()) - scale * lp.rhs[i]
+    d = _common_denominator((v.denominator for v in x), what)
+    xs = [v.numerator * (d // v.denominator) for v in x]
+    for i, (nums, rhs, _) in enumerate(rows):
+        gap = sum(v * xs[j] for j, v in nums.items()) - scale * rhs * d
         if (gap > 0) if lp.senses[i] == LESS_EQUAL else (gap < 0) if lp.senses[i] == GREATER_EQUAL else gap:
             raise CertificateError(f"{what} violates row {i}")
     for j in range(lp.num_vars):
         lo, hi = lp.lower[j], lp.upper[j]
-        if (lo is not None and x[j] < scale * lo) or (hi is not None and x[j] > scale * hi):
+        if (lo is not None and (x[j] < scale * lo if lo else xs[j] < 0)) or (
+            hi is not None and (x[j] > scale * hi if hi else xs[j] > 0)
+        ):
             raise CertificateError(f"{what} violates the bounds of variable {j}")
+
+
+def _common_denominator(denominators, what: str) -> int:
+    try:
+        return lcm(*denominators)
+    except (AttributeError, TypeError):
+        raise CertificateError(f"{what} has an entry that is not rational") from None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,17 @@ import random
 from cachegame import GameSpec, Variant, solve
 from cachegame.core import enumerate_allocations
 from cachegame import lp as lpmod
+from cachegame.lp import (
+    GREATER_EQUAL,
+    INFEASIBLE,
+    LESS_EQUAL,
+    OPTIMAL,
+    UNBOUNDED,
+    CertificateError,
+    LPError,
+)
+
+_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -78,3 +89,90 @@ def complementary_slackness_holds(lp, sol):
         if rho[j] * x[j] != 0:
             return False
     return True
+
+
+def reference_check_certificate(lp, sense, sol) -> bool:
+    """Reference oracle for ``lp.check_certificate``: the same rules,
+    checked with Fraction arithmetic throughout.
+
+    Verify ``sol`` from scratch in the original program's space.
+
+    Row multipliers (``dual``) and bound multipliers (``bound_dual``) must
+    have the signs their senses allow: under ``max``, and in every Farkas
+    certificate, >= 0 on ``<=`` rows and upper bounds and <= 0 on ``>=``
+    rows and lower bounds; ``min`` flips both.  Together they combine the
+    program into ``g.x <= value`` for every feasible ``x``.
+
+    * OPTIMAL: ``primal`` is feasible; the reduced cost ``g - c`` is >= 0
+      (<= 0 under ``min``) on a default ``[0, inf)`` variable and exactly 0
+      on any other; the primal objective, ``value`` and ``objective_value``
+      are equal.
+    * INFEASIBLE: ``g`` is >= 0 on default variables and 0 on the others,
+      and ``value < 0``, so no point within the bounds satisfies it.
+    * UNBOUNDED: ``primal`` is feasible, and the ray in ``dual`` improves
+      the objective and lies in the recession cone.
+
+    Raises CertificateError on any violation.
+    """
+    orient = 1 if sense == "max" else -1
+    if sol.status == UNBOUNDED:
+        _reference_check_point(lp, sol.primal, 1, "point")
+        _reference_check_point(lp, sol.dual, 0, "ray")
+        if orient * sum(c * r for c, r in zip(lp.objective, sol.dual)) <= 0:
+            raise CertificateError("ray does not improve the objective")
+        return True
+    if sol.status == OPTIMAL:
+        _reference_check_point(lp, sol.primal, 1, "point")
+        cost = lp.objective
+    elif sol.status == INFEASIBLE:
+        orient, cost = 1, [_ZERO] * lp.num_vars
+    else:
+        raise LPError(f"unknown status {sol.status!r}")
+    y = sol.dual
+    if len(y) != len(lp.rows):
+        raise CertificateError(f"{len(y)} row multipliers for {len(lp.rows)} rows")
+    g = [_ZERO] * lp.num_vars
+    value = _ZERO
+    for i, row in enumerate(lp.rows):
+        if not y[i]:
+            continue
+        s = lp.senses[i]
+        if (s == LESS_EQUAL and orient * y[i] < 0) or (s == GREATER_EQUAL and orient * y[i] > 0):
+            raise CertificateError(f"dual sign on row {i}")
+        value += y[i] * lp.rhs[i]
+        for j, v in row.items():
+            g[j] += y[i] * v
+    for (kind, j), mult in sol.bound_dual.items():
+        bound = {"lower": lp.lower, "upper": lp.upper}[kind][j]
+        if bound is None:
+            raise CertificateError(f"multiplier on the missing {kind} bound of variable {j}")
+        if (kind == "upper" and orient * mult < 0) or (kind == "lower" and orient * mult > 0):
+            raise CertificateError(f"dual sign on the {kind} bound of variable {j}")
+        value += mult * bound
+        g[j] += mult
+    for j in range(lp.num_vars):
+        reduced = g[j] - cost[j]
+        if (orient * reduced < 0) if lp.lower[j] == 0 and lp.upper[j] is None else reduced:
+            raise CertificateError(f"dual infeasibility at variable {j}")
+    if sol.status == INFEASIBLE:
+        if value >= 0:
+            raise CertificateError("Farkas certificate has nonnegative value")
+    elif not sum(c * x for c, x in zip(lp.objective, sol.primal)) == value == sol.objective_value:
+        raise CertificateError("objective mismatch in certificate")
+    return True
+
+
+def _reference_check_point(lp, x, scale: int, what: str) -> None:
+    """Raise unless ``x`` meets every row and bound, with right-hand sides
+    and finite bounds multiplied by ``scale``: 1 checks a point, 0 a
+    direction of the recession cone."""
+    if len(x) != lp.num_vars:
+        raise CertificateError(f"{what} has {len(x)} entries for {lp.num_vars} variables")
+    for i, row in enumerate(lp.rows):
+        gap = sum(v * x[j] for j, v in row.items()) - scale * lp.rhs[i]
+        if (gap > 0) if lp.senses[i] == LESS_EQUAL else (gap < 0) if lp.senses[i] == GREATER_EQUAL else gap:
+            raise CertificateError(f"{what} violates row {i}")
+    for j in range(lp.num_vars):
+        lo, hi = lp.lower[j], lp.upper[j]
+        if (lo is not None and x[j] < scale * lo) or (hi is not None and x[j] > scale * hi):
+            raise CertificateError(f"{what} violates the bounds of variable {j}")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachegame import lp as lpmod
-from helpers import complementary_slackness_holds, random_bounded_lp
+from helpers import complementary_slackness_holds, random_bounded_lp, reference_check_certificate
 
 
 def test_single_cap():
@@ -212,6 +212,27 @@ class TestCheckCertificateRejectsForgeries:
         with pytest.raises(lpmod.CertificateError, match="point violates row 0"):
             lpmod.check_certificate(p, "max", forged)
 
+    @pytest.mark.parametrize("change,message", [
+        ({"bound_dual": {("lower", 5): Fraction(1)}}, r"unknown bound \('lower', 5\)"),
+        ({"bound_dual": {("foo", 0): Fraction(1)}}, r"unknown bound \('foo', 0\)"),
+        ({"bound_dual": {"upper": Fraction(1)}}, "unknown bound 'upper'"),
+        ({"bound_dual": {("upper", 0): 1.0}}, "upper bound of variable 0 is not rational"),
+        ({"primal": None}, "point is missing"),
+        ({"dual": None}, "row multipliers are missing"),
+        ({"primal": ()}, "point has 0 entries for 1 variables"),
+        ({"dual": (Fraction(1),)}, "1 row multipliers for 0 rows"),
+        ({"primal": (1.0,)}, "point has an entry that is not rational"),
+    ])
+    def test_malformed_solution(self, change, message):
+        # max x on [0, 1]: a solution with a missing vector, a vector of the
+        # wrong length or a multiplier on a bound that does not exist is
+        # rejected by name, not by the first lookup that fails on it.
+        p = lpmod.LinearProgram(1, [1])
+        p.set_bounds(0, 0, 1)
+        sol = lpmod.solve_lp(p)
+        with pytest.raises(lpmod.CertificateError, match=message):
+            lpmod.check_certificate(p, "max", replace(sol, **change))
+
 
 def test_solve_lp_checks_the_mapping_back(monkeypatch):
     # Dropping the row flips from the mapping back to the caller's rows
@@ -337,6 +358,49 @@ def test_negated_multiplier_is_rejected(case):
         if mult:
             with pytest.raises(lpmod.CertificateError):
                 lpmod.check_certificate(p, sense, replace(sol, bound_dual={**sol.bound_dual, key: -mult}))
+
+
+_NUDGES = (
+    lambda v: v + Fraction(1, 1009),
+    lambda v: v - Fraction(1, 1009),
+    lambda v: v * Fraction(1010, 1009),
+    lambda v: v * Fraction(1008, 1009),
+)
+
+
+def _nudged(sol):
+    """``sol`` with one primal entry, row multiplier (or ray entry), bound
+    multiplier or the objective value shifted or scaled slightly."""
+    for name in ("primal", "dual"):
+        vector = getattr(sol, name)
+        for i in range(len(vector or ())):
+            for nudge in _NUDGES:
+                yield replace(sol, **{name: vector[:i] + (nudge(vector[i]),) + vector[i + 1:]})
+    for key, mult in sol.bound_dual.items():
+        for nudge in _NUDGES:
+            yield replace(sol, bound_dual={**sol.bound_dual, key: nudge(mult)})
+    if sol.objective_value is not None:
+        for nudge in _NUDGES:
+            yield replace(sol, objective_value=nudge(sol.objective_value))
+
+
+def _verdict(check, p, sense, sol):
+    try:
+        return check(p, sense, sol)
+    except lpmod.CertificateError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_programs())
+def test_integer_check_agrees_with_the_fraction_oracle(case):
+    # The integer check and the Fraction reference accept the same
+    # certificates and reject the rest for the same first reason.
+    p, sense = case
+    sol = lpmod.solve_lp(p, sense)
+    for forged in (sol, *_nudged(sol)):
+        expected = _verdict(reference_check_certificate, p, sense, forged)
+        assert _verdict(lpmod.check_certificate, p, sense, forged) == expected
 
 
 class TestCheckFeasible:

@@ -168,11 +168,25 @@ SOLVE_STATS = [
 ]
 
 
+# The benchmark's ``wide`` ladder: counts that also pin its pivot sequences.
+LADDER_KEYS = ("nodes", "lp_rows", "lp_cols", "pivots", "degenerate_pivots", "max_denominator_bits")
+LADDER_STATS = [
+    ((12, 2, 6, RAN), (8860, 6, 68, 6, 4, 5)),
+    ((9, 3, 3, RAN), (22160, 26, 369, 36, 31, 14)),
+    ((10, 3, 4, RAN), (295776, 54, 2544, 77, 72, 14)),
+]
+
+
 class TestSolveStats:
     @pytest.mark.parametrize("case,expected", SOLVE_STATS)
     def test_tree_and_program_sizes(self, case, expected):
         stats = solve_cached(*case).stats
         assert tuple(stats[key] for key in STATS_KEYS) == expected
+
+    @pytest.mark.parametrize("case,expected", LADDER_STATS)
+    def test_wide_ladder_counts(self, case, expected):
+        stats = solve_cached(*case).stats
+        assert tuple(stats[key] for key in LADDER_KEYS) == expected
 
 
 class TestSolveKnownValues:
