@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .rational import ONE, ZERO
+from .rational import ONE
 
 
 class Variant(str, Enum):
@@ -127,12 +127,13 @@ def reveals(counts, q, variant: Variant) -> list[tuple[int, Fraction]]:
     return [(b, ONE) for b in positive]
 
 
-def reveal_value(variant: Variant, weighted) -> Fraction:
+def reveal_value(variant: Variant, weighted):
     """Value of a query from the ``(weight, value)`` pair of each reveal:
     the expectation under ``RANDOM``, otherwise the minimum (the hider's
-    choice; a cooperative caller passes only the agreed reveal)."""
+    choice; a cooperative caller passes only the agreed reveal).  Integer
+    weights and values give an integer."""
     if variant == Variant.RANDOM:
-        return sum((w * v for w, v in weighted), ZERO)
+        return sum(w * v for w, v in weighted)
     return min(v for _, v in weighted)
 
 
@@ -155,28 +156,29 @@ def take(counts: tuple[int, ...], label: int, t0: int) -> tuple[tuple[int, ...],
 
 def fresh_draws(untouched: tuple[int, ...], f: int):
     """Distinct ordered draws of ``f`` counts from the pool ``untouched``,
-    with exact without-replacement probabilities, as ``(draw, probability,
-    rest)``; ``rest`` is the pool left over, still weakly decreasing.  Lazy:
-    callers may abort after a bounded number of outcomes."""
+    as ``(draw, ways, rest)``: ``ways`` ordered picks give ``draw``, so its
+    probability is ``ways / math.perm(len(untouched), f)``.  ``rest`` is the
+    pool left over, still weakly decreasing.  Lazy: callers may abort after
+    a bounded number of outcomes."""
     if f == 0:
-        yield (), ONE, untouched
+        yield (), 1, untouched
         return
     counter = Counter(untouched)
     values = sorted(counter, reverse=True)
 
-    def rec(prefix, prob, left):
+    def rec(prefix, ways):
         if len(prefix) == f:
-            yield prefix, prob, tuple(v for v in values for _ in range(counter[v]))
+            yield prefix, ways, tuple(v for v in values for _ in range(counter[v]))
             return
         for v in values:
             c = counter[v]
             if c == 0:
                 continue
             counter[v] -= 1
-            yield from rec(prefix + (v,), prob * Fraction(c, left), left - 1)
+            yield from rec(prefix + (v,), ways * c)
             counter[v] += 1
 
-    yield from rec((), ONE, len(untouched))
+    yield from rec((), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 
 from . import lp as lpmod
 from .core import (
@@ -164,7 +164,7 @@ class _SequenceForm:
         the payoff of its sequence pair."""
         s_seq, h_seq, prob = at
         key = (s_seq, h_seq)
-        self.payoff[key] = self.payoff.get(key, ZERO) + prob
+        self.payoff[key] = self.payoff[key] + prob if key in self.payoff else prob
 
 
 def _write_game(spec: GameSpec, moves, roots, budget: int, sf: _SequenceForm, tick, hider_infoset) -> None:
@@ -221,6 +221,7 @@ def _walk(moves, roots, hider_infoset, sf: _SequenceForm, tick) -> None:
 
     for root, h_seq in roots:
         node(root, root, (), (0, h_seq, ONE))
+    del node  # it refers to itself, so only the cycle collector would free it and ``sf``
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +429,8 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
             known, f = action
             q = known + tuple(range(t0, t0 + f))
             if (untouched, f) not in draws_of:
-                draws_of[untouched, f] = list(fresh_draws(untouched, f))
+                draws_of[untouched, f] = [(draw, Fraction(ways, perm(len(untouched), f)), rest)
+                                          for draw, ways, rest in fresh_draws(untouched, f)]
             draws = []
             for draw, p, rest in draws_of[untouched, f]:
                 counts = touched + draw
@@ -521,10 +523,8 @@ def solve_tree(tree: GameTree) -> SolveResult:
 
     program.add_constraint({0: ONE}, lpmod.EQUAL, ONE)
     for info in searcher_infosets:
-        row = {}
-        for _, _, sid in info["actions"]:
-            row[sid] = row.get(sid, ZERO) + ONE
-        row[info["parent"]] = row.get(info["parent"], ZERO) - ONE
+        row = {sid: ONE for _, _, sid in info["actions"]}
+        row[info["parent"]] = -ONE
         program.add_constraint(row, lpmod.EQUAL, ZERO)
 
     # Group hider infosets by their parent sequence id.
@@ -547,10 +547,9 @@ def solve_tree(tree: GameTree) -> SolveResult:
         else:
             row[n_sseq + 1 + seq_infoset[h_seq]] = ONE
         for info in children_of.get(h_seq, []):
-            col = n_sseq + 1 + hider_ids[id(info)]
-            row[col] = row.get(col, ZERO) - ONE
+            row[n_sseq + 1 + hider_ids[id(info)]] = -ONE
         for s_seq, val in payoff_by_hseq.get(h_seq, {}).items():
-            row[s_seq] = row.get(s_seq, ZERO) - val
+            row[s_seq] = -val  # each searcher sequence once per row
         row_for_hseq[h_seq] = program.add_constraint(row, lpmod.LESS_EQUAL, ZERO)
 
     # Largest-coefficient pricing with the automatic Bland fallback: the
@@ -702,10 +701,10 @@ def best_response_value(spec: GameSpec, strategy) -> BestResponse:
     additionally picks reveals knowing the full state.  A missing branch
     means the searcher resigns on that line (contributes 0, never an error).
     """
-    _check_strategy(spec, strategy)
+    mix_lcm = _check_strategy(spec, strategy)
     if spec.variant == Variant.COOPERATIVE:
         raise ValueError("use joint_verify_cooperative for cooperative play")
-    values = _pattern_values(spec, strategy.root)
+    values = _pattern_values(spec, strategy.root, mix_lcm)
     worst = min(values, key=lambda p: (values[p], p))
     alloc_values = {Allocation(p): v for p, v in values.items()}
     return BestResponse(value=values[worst], worst_allocation=Allocation(worst), allocation_values=alloc_values)
@@ -718,12 +717,13 @@ def joint_cooperative_value(spec: GameSpec, strategy, reveal_rule) -> Fraction:
     treasure-holding queried box; ``counts_in_query`` maps canonical labels
     to remaining counts and ``history`` is the canonical observation list.
     """
-    _check_strategy(spec, strategy)
-    return min(_pattern_values(spec, strategy.root, reveal_rule).values())
+    mix_lcm = _check_strategy(spec, strategy)
+    return min(_pattern_values(spec, strategy.root, mix_lcm, reveal_rule).values())
 
 
-def _check_strategy(spec: GameSpec, strategy) -> None:
-    """Reject a strategy tree that is not a canonical plan for ``spec``.
+def _check_strategy(spec: GameSpec, strategy) -> int:
+    """Reject a strategy tree that is not a canonical plan for ``spec``,
+    and return the lcm of its mix-probability denominators.
 
     Each distinct (node, depth, touched-label count) is checked once: the
     count after a query is the count before it plus the query's fresh
@@ -739,6 +739,7 @@ def _check_strategy(spec: GameSpec, strategy) -> None:
             f"spec is ({spec.n},{spec.d},{spec.k})"
         )
     seen = set()
+    denominators = set()
 
     def check(node, depth, t0, path):
         if node is None or (id(node), depth, t0) in seen:
@@ -751,6 +752,7 @@ def _check_strategy(spec: GameSpec, strategy) -> None:
             here = path + (idx,)
             q = entry.query
             total += entry.prob
+            denominators.add(entry.prob.denominator)
             if entry.prob < 0:
                 raise StrategyError("negative mix probability", here)
             if len(q) > spec.k:
@@ -775,35 +777,47 @@ def _check_strategy(spec: GameSpec, strategy) -> None:
             raise StrategyError(f"mix probabilities sum to {total}, not 1", path)
 
     check(strategy.root, 0, 0, ())
+    return lcm(*denominators)
 
 
-def _pattern_values(spec: GameSpec, root, reveal_rule=None) -> dict:
+def _pattern_values(spec: GameSpec, root, mix_lcm: int, reveal_rule=None) -> dict:
     """Win probability of a checked strategy tree against each count
     pattern, played through a uniform relabeling of the boxes.
 
     Without ``reveal_rule`` the reveal is chance's under ``RANDOM`` and the
     hider's (worst case) otherwise; with it, the rule picks the reveal.
+
+    As in ``_SubgameTables``, values are integers: a state with ``found``
+    treasures found and ``u`` untouched labels is worth its integer over
+    ``D(found, u) = (L M)^(d - found) u!``.  ``L`` is ``lcm(1..d)`` under
+    ``RANDOM`` (a reveal weight is over a treasure total of at most ``d``)
+    and 1 otherwise; ``M = mix_lcm``, the lcm of the mix denominators.  A
+    win is ``u!``, a missing branch 0.  A query drawing ``f`` fresh labels
+    has ``ways`` over ``perm(u, f)``, and ``D(found, u) = L M perm(u, f)
+    D(found + 1, u - f)``: reveal weights enter as ``w L``, mix
+    probabilities as ``p M``, and one Fraction is made per pattern.
     """
     memo: dict = {}
     d, variant = spec.d, spec.variant
+    L = lcm(*range(1, d + 1)) if variant == Variant.RANDOM else 1
 
     def value(node, touched, untouched, found, history):
         if found == d:
-            return ONE
+            return factorial(len(untouched))
         if node is None:
-            return ZERO
+            return 0
         key = (id(node), touched, untouched, history)
         if key in memo:
             return memo[key]
         t0 = len(touched)
-        total = ZERO
+        total = 0
         for entry in node.mix:
             if not entry.prob:
                 continue
             q = entry.query
             branches = dict(entry.branches)
-            entry_value = ZERO
-            for draw, prob, rest in fresh_draws(untouched, sum(1 for l in q if l >= t0)):
+            entry_value = 0
+            for draw, ways, rest in fresh_draws(untouched, sum(1 for l in q if l >= t0)):
                 counts = touched + draw
                 outs = reveals(counts, q, variant)
                 if not outs:
@@ -815,13 +829,17 @@ def _pattern_values(spec: GameSpec, root, reveal_rule=None) -> dict:
                     after, l = take(counts, b, t0)
                     observed = history if reveal_rule is None else history + ((q, l),)
                     # A missing branch and an explicit end both mean the searcher stops here.
-                    weighted.append((w, value(branches.get(l), after, rest, found + 1, observed)))
-                entry_value += prob * reveal_value(variant, weighted)
-            total += entry.prob * entry_value
+                    child = value(branches.get(l), after, rest, found + 1, observed)
+                    weighted.append((w.numerator * (L // w.denominator), child))
+                entry_value += ways * reveal_value(variant, weighted)
+            total += entry.prob.numerator * (mix_lcm // entry.prob.denominator) * entry_value
         memo[key] = total
         return total
 
-    return {pat: value(root, (), pat, 0, ()) for pat in patterns(d, spec.n)}
+    scale = (L * mix_lcm) ** d * factorial(spec.n)
+    values = {pat: Fraction(value(root, (), pat, 0, ()), scale) for pat in patterns(d, spec.n)}
+    del value  # it refers to itself, so only the cycle collector would free it and ``memo``
+    return values
 
 
 def _rule_choice(reveal_rule, counts, q, outs, history) -> int:

@@ -1,12 +1,15 @@
 """Shared test utilities: cached solves, independent oracles, random LPs."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 import random
 
 from cachegame import GameSpec, Variant, solve
-from cachegame.core import enumerate_allocations
+from cachegame.core import enumerate_allocations, patterns, reveals, take
+from cachegame.rational import ONE, ZERO
+from cachegame.solver import _rule_choice
 from cachegame import lp as lpmod
 from cachegame.lp import (
     GREATER_EQUAL,
@@ -176,3 +179,88 @@ def _reference_check_point(lp, x, scale: int, what: str) -> None:
         lo, hi = lp.lower[j], lp.upper[j]
         if (lo is not None and x[j] < scale * lo) or (hi is not None and x[j] > scale * hi):
             raise CertificateError(f"{what} violates the bounds of variable {j}")
+
+
+def reference_pattern_values(spec: GameSpec, root, reveal_rule=None) -> dict:
+    """Reference oracle for ``solver._pattern_values``: the same walk,
+    with every probability a Fraction.
+
+    Win probability of a checked strategy tree against each count
+    pattern, played through a uniform relabeling of the boxes.
+
+    Without ``reveal_rule`` the reveal is chance's under ``RANDOM`` and the
+    hider's (worst case) otherwise; with it, the rule picks the reveal.
+    """
+    memo: dict = {}
+    d, variant = spec.d, spec.variant
+
+    def value(node, touched, untouched, found, history):
+        if found == d:
+            return ONE
+        if node is None:
+            return ZERO
+        key = (id(node), touched, untouched, history)
+        if key in memo:
+            return memo[key]
+        t0 = len(touched)
+        total = ZERO
+        for entry in node.mix:
+            if not entry.prob:
+                continue
+            q = entry.query
+            branches = dict(entry.branches)
+            entry_value = ZERO
+            for draw, prob, rest in _reference_fresh_draws(untouched, sum(1 for l in q if l >= t0)):
+                counts = touched + draw
+                outs = reveals(counts, q, variant)
+                if not outs:
+                    continue
+                if reveal_rule is not None:
+                    outs = [(_rule_choice(reveal_rule, counts, q, outs, history), ONE)]
+                weighted = []
+                for b, w in outs:
+                    after, l = take(counts, b, t0)
+                    observed = history if reveal_rule is None else history + ((q, l),)
+                    # A missing branch and an explicit end both mean the searcher stops here.
+                    weighted.append((w, value(branches.get(l), after, rest, found + 1, observed)))
+                entry_value += prob * _reference_reveal_value(variant, weighted)
+            total += entry.prob * entry_value
+        memo[key] = total
+        return total
+
+    return {pat: value(root, (), pat, 0, ()) for pat in patterns(d, spec.n)}
+
+
+def _reference_reveal_value(variant: Variant, weighted) -> Fraction:
+    """Value of a query from the ``(weight, value)`` pair of each reveal:
+    the expectation under ``RANDOM``, otherwise the minimum (the hider's
+    choice; a cooperative caller passes only the agreed reveal)."""
+    if variant == Variant.RANDOM:
+        return sum((w * v for w, v in weighted), ZERO)
+    return min(v for _, v in weighted)
+
+
+def _reference_fresh_draws(untouched: tuple[int, ...], f: int):
+    """Distinct ordered draws of ``f`` counts from the pool ``untouched``,
+    with exact without-replacement probabilities, as ``(draw, probability,
+    rest)``; ``rest`` is the pool left over, still weakly decreasing.  Lazy:
+    callers may abort after a bounded number of outcomes."""
+    if f == 0:
+        yield (), ONE, untouched
+        return
+    counter = Counter(untouched)
+    values = sorted(counter, reverse=True)
+
+    def rec(prefix, prob, left):
+        if len(prefix) == f:
+            yield prefix, prob, tuple(v for v in values for _ in range(counter[v]))
+            return
+        for v in values:
+            c = counter[v]
+            if c == 0:
+                continue
+            counter[v] -= 1
+            yield from rec(prefix + (v,), prob * Fraction(c, left), left - 1)
+            counter[v] += 1
+
+    yield from rec((), ONE, len(untouched))

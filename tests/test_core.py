@@ -79,6 +79,13 @@ class TestLegalReveals:
         weighted = [(Fraction(2, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 4))]
         assert reveal_value(Variant.RANDOM, weighted) == Fraction(5, 12)
         assert reveal_value(Variant.ADVERSARY, weighted) == Fraction(1, 4)
+        # The same reveals as integers over one denominator per level: weights
+        # over 3, values over 4.  The sum stays an int, over 3 * 4.
+        integer = [(2, 2), (1, 1)]
+        assert reveal_value(Variant.RANDOM, integer) == 5
+        assert type(reveal_value(Variant.RANDOM, integer)) is int
+        assert Fraction(reveal_value(Variant.RANDOM, integer), 3 * 4) == Fraction(5, 12)
+        assert reveal_value(Variant.ADVERSARY, integer) == 1
 
 
 class TestApplyMove:
@@ -122,19 +129,33 @@ class TestApplyMove:
 
 
 class TestFreshDraws:
+    """``fresh_draws`` counts ordered picks: a draw's probability is its
+    integer ``ways`` over ``perm(len(pool), f)``."""
+
     def test_single_draw(self):
         got = list(fresh_draws((2, 1, 0), 1))
+        assert got == [((2,), 1, (1, 0)), ((1,), 1, (2, 0)), ((0,), 1, (2, 1))]
         third = Fraction(1, 3)
-        assert got == [((2,), third, (1, 0)), ((1,), third, (2, 0)), ((0,), third, (2, 1))]
+        assert [Fraction(ways, math.perm(3, 1)) for _, ways, _ in got] == [third] * 3
 
     def test_no_draw_keeps_the_pool(self):
         assert list(fresh_draws((1, 1, 0), 0)) == [((), 1, (1, 1, 0))]
+        assert math.perm(3, 0) == 1
+
+    def test_repeated_counts_add_their_ways(self):
+        # Two of the four entries are 1s: the draw (1, 1) has 2 * 1 ordered
+        # picks of 4 * 3, and (2, 1) has 1 * 2.
+        got = {draw: ways for draw, ways, _ in fresh_draws((2, 1, 1, 0), 2)}
+        assert got[1, 1] == 2 and got[2, 1] == 2 and got[0, 2] == 1
+        assert Fraction(got[1, 1], math.perm(4, 2)) == Fraction(1, 6)
 
     @pytest.mark.parametrize("pool", [(3, 1, 1, 0), (2, 2, 0, 0), (1, 1, 1, 1), (4, 0, 0, 0)])
     @pytest.mark.parametrize("f", [1, 2, 3, 4])
     def test_draws_partition_the_pool(self, pool, f):
         draws = list(fresh_draws(pool, f))
-        assert sum(p for _, p, _ in draws) == 1
+        assert all(type(ways) is int and ways > 0 for _, ways, _ in draws)
+        assert sum(ways for _, ways, _ in draws) == math.perm(len(pool), f)
+        assert sum(Fraction(ways, math.perm(len(pool), f)) for _, ways, _ in draws) == 1
         assert len({draw for draw, _, _ in draws}) == len(draws)
         for draw, _, rest in draws:
             assert sorted(draw + rest) == sorted(pool)

@@ -1,8 +1,11 @@
+import gc
 import json
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
 from cachegame import (
     GameSpec,
@@ -24,11 +27,21 @@ from cachegame.solver import (
     SolverError,
     _SequenceForm,
     _SubgameTables,
+    _check_strategy,
+    _pattern_values,
     optimal_hider_332,
     searcher_plan_value,
 )
-from cachegame.strategies import StrategyTree, ask
-from helpers import solve_cached
+from cachegame.strategies import (
+    StrategyTree,
+    ask,
+    builtin_family,
+    entry,
+    family_infinite_d,
+    least_treasures_rule,
+    node,
+)
+from helpers import reference_pattern_values, solve_cached
 
 ADV, RAN = Variant.ADVERSARY, Variant.RANDOM
 
@@ -81,6 +94,22 @@ class TestBuildTree:
         finally:
             tracemalloc.stop()
         assert tree.num_nodes > 10_000
+        assert held < 1_000_000
+
+    def test_walk_is_freed_on_return(self):
+        # The adversary walk is a self-recursive closure over the sequence
+        # form.  Left to the cycle collector, each dropped build of the full
+        # (4,3,2) game (about 0.7 MB) outlives its call.
+        spec = GameSpec(4, 3, 2, ADV)
+        build_tree(spec, symmetry_reduction=False)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                build_tree(spec, symmetry_reduction=False)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert held < 1_000_000
 
     def test_cooperative_rejected(self):
@@ -343,12 +372,119 @@ class TestBestResponse:
         with pytest.raises(ValueError, match=r"\(4,3,2\)"):
             best_response_value(GameSpec(3, 3, 2, ADV), fig432())
 
+    def test_evaluator_memo_is_freed_on_return(self):
+        # The memo hangs off a self-recursive closure.  Left to the cycle
+        # collector, each call's memo (about 0.75 MB here) outlives it, and
+        # three calls hold 2 MB.
+        spec, tree = GameSpec(5, 8, 2, ADV), family_infinite_d(5, 8, 2)
+        best_response_value(spec, tree)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                best_response_value(spec, tree)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
+
     def test_worst_allocation_is_a_witness(self):
         # A deliberately weak 3-box plan: open {0,1}, then wander off.
         tree = StrategyTree(3, 3, 2, ask((0, 1), {0: ask((0, 2), {0: ask((0, 1))})}))
         response = best_response_value(GameSpec(3, 3, 2, ADV), tree)
         assert response.allocation_values[response.worst_allocation] == response.value
         assert all(v >= response.value for v in response.allocation_values.values())
+
+
+def _most_treasures_rule(counts_in_query, history):
+    """Surrender from the fullest queried box; ties go to the highest label
+    after an odd number of reveals and to the lowest after an even one."""
+    labels = sorted(counts_in_query, reverse=len(history) % 2 == 1)
+    return max(labels, key=lambda label: counts_in_query[label])
+
+
+_REVEAL_CASES = {
+    "adversary": (ADV, None),
+    "random": (RAN, None),
+    "cooperative-least": (Variant.COOPERATIVE, least_treasures_rule),
+    "cooperative-most": (Variant.COOPERATIVE, _most_treasures_rule),
+}
+
+
+@hs.composite
+def _canonical_trees(draw):
+    """A small canonical strategy tree with its game: mixes over up to
+    three queries with probabilities over assorted denominators (zero ones
+    included), and each reachable branch missing, an explicit end, or a
+    subtree."""
+    n = draw(hs.integers(1, 4))
+    d = draw(hs.integers(1, 3))
+    k = draw(hs.integers(1, n))
+
+    def mix(width):
+        probs, left = [], Fraction(1)
+        for _ in range(draw(hs.integers(1, width)) - 1):
+            den = draw(hs.sampled_from((1, 2, 3, 5, 7, 9)))
+            p = Fraction(draw(hs.integers(0, den)), den)
+            p = p if p <= left else Fraction(0)
+            probs.append(p)
+            left -= p
+        return probs + [left]
+
+    def make(depth, t0):
+        entries = []
+        for p in mix(3 if depth == 0 else 2):
+            size = draw(hs.integers(1, k))
+            f = draw(hs.integers(max(0, size - t0), min(size, n - t0)))
+            known = tuple(draw(hs.permutations(range(t0)))[: size - f])
+            branches = {}
+            for box in known + ((t0,) if f else ()):
+                kind = draw(hs.sampled_from(("missing", "end", "subtree", "subtree")))
+                if kind == "end":
+                    branches[box] = None
+                elif kind == "subtree" and depth + 1 < d:
+                    branches[box] = make(depth + 1, t0 + f)
+            entries.append(entry(p, known + tuple(range(t0, t0 + f)), branches))
+        return node(*entries)
+
+    return StrategyTree(n, d, k, make(0, 0))
+
+
+class TestPatternValuesAgainstReference:
+    """The integer evaluator against the Fraction walk it replaced: every
+    pattern's value must be the identical Fraction."""
+
+    @staticmethod
+    def _assert_matches(tree, case):
+        variant, rule = _REVEAL_CASES[case]
+        spec = GameSpec(tree.n, tree.d, tree.k, variant)
+        mix_lcm = _check_strategy(spec, tree)
+        got = _pattern_values(spec, tree.root, mix_lcm, rule)
+        assert got == reference_pattern_values(spec, tree.root, rule)
+        assert all(type(v) is Fraction for v in got.values())
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_canonical_trees(), hs.sampled_from(sorted(_REVEAL_CASES)))
+    def test_random_trees(self, tree, case):
+        self._assert_matches(tree, case)
+
+    @pytest.mark.parametrize("case", sorted(_REVEAL_CASES))
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("fig432", {}),
+            ("fig542", {}),
+            ("332-adversary", {}),
+            ("332-random", {}),
+            ("332-cooperative", {}),
+            *[("d2", {"k": k}) for k in (1, 2, 3)],
+            *[("d3", {"k": k}) for k in (1, 2, 3)],
+            *[("infinite-d", dict(n=n, d=d, k=k)) for n, d, k in [(2, 3, 2), (3, 5, 2), (4, 4, 3), (5, 4, 2)]],
+        ],
+        ids=lambda v: ",".join(f"{a}={b}" for a, b in v.items()) or "fixed" if isinstance(v, dict) else v,
+    )
+    def test_builtin_families(self, name, params, case):
+        self._assert_matches(builtin_family(name, **params), case)
 
 
 class TestHiderStrategyValue:
