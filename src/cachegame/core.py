@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .rational import ONE
 
@@ -154,31 +155,23 @@ def take(counts: tuple[int, ...], label: int, t0: int) -> tuple[tuple[int, ...],
     return tuple(lst), label
 
 
-def fresh_draws(untouched: tuple[int, ...], f: int):
-    """Distinct ordered draws of ``f`` counts from the pool ``untouched``,
-    as ``(draw, ways, rest)``: ``ways`` ordered picks give ``draw``, so its
+@cache
+def fresh_draws(untouched: tuple[int, ...], f: int) -> tuple:
+    """Distinct ordered draws of ``f`` counts from the weakly decreasing
+    pool ``untouched``, as a tuple of ``(draw, ways, rest)`` in lexicographic
+    order, larger counts first: ``ways`` ordered picks give ``draw``, so its
     probability is ``ways / math.perm(len(untouched), f)``.  ``rest`` is the
-    pool left over, still weakly decreasing.  Lazy: callers may abort after
-    a bounded number of outcomes."""
-    if f == 0:
-        yield (), 1, untouched
-        return
-    counter = Counter(untouched)
-    values = sorted(counter, reverse=True)
-
-    def rec(prefix, ways):
-        if len(prefix) == f:
-            yield prefix, ways, tuple(v for v in values for _ in range(counter[v]))
-            return
-        for v in values:
-            c = counter[v]
-            if c == 0:
-                continue
-            counter[v] -= 1
-            yield from rec(prefix + (v,), ways * c)
-            counter[v] += 1
-
-    yield from rec((), 1)
+    pool left over, still weakly decreasing.  Cached: the tree builder and
+    the strategy evaluator share one listing per pool."""
+    listing = [((), 1, untouched)]
+    for _ in range(f):  # one fresh label at a time
+        longer = []
+        for draw, ways, pool in listing:
+            for i, v in enumerate(pool):
+                if not i or pool[i - 1] != v:  # the first of each run of equal counts
+                    longer.append((draw + (v,), ways * pool.count(v), pool[:i] + pool[i + 1:]))
+        listing = longer
+    return tuple(listing)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +239,7 @@ def partitions(d: int, max_parts: int) -> list[tuple[int, ...]]:
             rec(prefix + (part,), left - part, part)
 
     rec((), d, d)
+    del rec  # it refers to itself, so only the cycle collector would free it and ``out``
     return out
 
 

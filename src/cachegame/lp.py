@@ -3,15 +3,15 @@
 A two-phase primal simplex on a sparse fraction-free tableau: each row is
 integer numerators over one positive integer denominator, kept in lowest
 terms, so a pivot is plain integer arithmetic and values become Fractions
-only at the edges (duals, primal point, ray).  Pivoting follows Bland's
-rule by default (termination guaranteed); a largest-coefficient rule with
-automatic Bland fallback is available for speed on degenerate game
-programs.  The caller's Fraction rows become integer numerators over one
-lcm denominator per row once, in the standard form, and everything after
-that up to the answer runs in integers.  Before ``solve_lp`` returns,
-``check_certificate`` verifies the answer against the caller's own rows and
-bounds, which it converts to integers itself, so the mapping back from the
-internal standard form is checked too:
+only at the edges (duals, primal point, ray).  There is one pricing rule:
+the largest reduced cost enters, and once zero-step pivots persist a stall
+guard switches to Bland's rule, which guarantees termination.  The caller's
+Fraction rows become integer numerators over one lcm denominator per row
+once, in the standard form, and everything after that up to the answer runs
+in integers.  Before ``solve_lp`` returns, ``check_certificate`` verifies
+the answer against the caller's own rows and bounds, which it converts to
+integers itself, so the mapping back from the internal standard form is
+checked too:
 
 * ``OPTIMAL``  -- a feasible point, row and bound multipliers of the
   signs their senses allow, dual-feasible reduced costs, and equal primal
@@ -84,19 +84,18 @@ class LinearProgram:
         if self.lower[j] is not None and self.upper[j] is not None and self.lower[j] > self.upper[j]:
             raise LPError(f"empty bound interval for variable {j}")
 
-    def add_constraint(self, coeffs, sense: str, rhs) -> int:
-        """Add one row; ``coeffs`` is a dict or iterable of (col, value)."""
+    def add_constraint(self, coeffs: dict, sense: str, rhs) -> int:
+        """Add one row; ``coeffs`` is a dict from column to coefficient."""
         if sense not in _SENSES:
             raise LPError(f"unknown sense {sense!r}")
         row: dict[int, Fraction] = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for j, value in items:
+        for j, value in coeffs.items():
             if not 0 <= j < self.num_vars:
                 raise LPError(f"column {j} out of range")
             value = _rational(value)
             if value:
-                row[j] = row[j] + value if j in row else value
-        self.rows.append({j: v for j, v in row.items() if v})
+                row[j] = value
+        self.rows.append(row)
         self.senses.append(sense)
         self.rhs.append(_rational(rhs))
         return len(self.rows) - 1
@@ -362,11 +361,12 @@ class _Tableau:
             red.eliminate(col, prow)
         self.basis[r] = col
 
-    def run_simplex(self, cost: _Row, barred: set[int], rule: str):
+    def run_simplex(self, cost: _Row, barred: set[int]):
         """Maximize, returning (status, reduced-cost row).  ``status`` is
-        OPTIMAL or UNBOUNDED (with ``self.unbounded_col`` set)."""
+        OPTIMAL or UNBOUNDED (with ``self.unbounded_col`` set).  Each call
+        starts in largest-coefficient pricing."""
         red = self.reduced_costs(cost)
-        bland = rule == "bland"
+        bland = False
         stall = -1  # the first pivot has no earlier objective value to repeat
         while True:
             # One positive denominator: pricing compares numerators.
@@ -426,24 +426,30 @@ class _Tableau:
         return {self.basis[i]: Fraction(row.rhs, row.den) for i, row in enumerate(self.rows) if row.rhs}
 
 
-def solve_lp(lp: LinearProgram, sense: str = "max", pivot_rule: str = "bland") -> LPSolution:
-    """Solve exactly; every returned solution has passed ``check_certificate``."""
+def solve_lp(lp: LinearProgram, sense: str = "max") -> LPSolution:
+    """Solve exactly; every returned solution has passed ``check_certificate``.
+
+    Both phases price by the largest reduced cost and switch to Bland's
+    rule if zero-step pivots persist (``bland_fallback``): the game
+    programs are heavily degenerate, and pure Bland pricing solves them
+    several times slower.
+    """
     if sense not in ("max", "min"):
         raise LPError(f"sense must be 'max' or 'min', got {sense!r}")
     _validate(lp)
-    sol = _simplex(lp, sense == "max", pivot_rule)
+    sol = _simplex(lp, sense == "max")
     check_certificate(lp, sense, sol)
     return sol
 
 
-def _simplex(lp: LinearProgram, maximize: bool, pivot_rule: str) -> LPSolution:
+def _simplex(lp: LinearProgram, maximize: bool) -> LPSolution:
     std = _Standard(lp, maximize)
     tab = _Tableau(std)
 
     # Phase 1: drive artificials to zero.
     if tab.artificial:
         cost1 = _Row({c: -1 for c in tab.artificial}, 0, 1)
-        status, red = tab.run_simplex(cost1, barred=set(), rule=pivot_rule)
+        status, red = tab.run_simplex(cost1, barred=set())
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise CertificateError("phase 1 reported unbounded")
         tab.phase1_pivots = tab.pivots
@@ -455,7 +461,7 @@ def _simplex(lp: LinearProgram, maximize: bool, pivot_rule: str) -> LPSolution:
         _pivot_out_artificials(tab)
         tab.phase1_pivots = tab.pivots
 
-    status, red = tab.run_simplex(std.cost, barred=tab.artificial, rule=pivot_rule)
+    status, red = tab.run_simplex(std.cost, barred=tab.artificial)
     if status == UNBOUNDED:
         return _unbounded_solution(std, tab)
 
@@ -674,27 +680,25 @@ class FeasibilityResult:
 def check_feasible(num_vars: int, constraints) -> FeasibilityResult:
     """Decide a system of weak and strict linear constraints exactly.
 
-    ``constraints`` is an iterable of ``(coeffs, sense, rhs)`` with sense in
-    ``{<=, =, >=, <, >}``.  Strict rows are decided without epsilons: a
-    margin variable t is pushed into every strict row and maximized; the
-    strict system is feasible iff the best margin is positive.  The witness
-    then satisfies every strict row with room to spare.  The margin is
-    capped at 1, so a feasible system with no strict row has margin 1.
+    ``constraints`` is an iterable of ``(coeffs, sense, rhs)``, ``coeffs`` a
+    dict from column to coefficient and sense in ``{<=, =, >=, <, >}``.
+    Strict rows are decided without epsilons: a margin variable t is pushed
+    into every strict row and maximized; the strict system is feasible iff
+    the best margin is positive.  The witness then satisfies every strict
+    row with room to spare.  The margin is capped at 1, so a feasible system
+    with no strict row has margin 1.
     """
     t_col = num_vars
     lp = LinearProgram(num_vars + 1)
     lp.set_bounds(t_col, None, _ONE)  # cap keeps the margin objective bounded
     lp.set_objective(t_col, _ONE)
     for coeffs, sense, rhs in constraints:
-        row = dict(coeffs.items() if isinstance(coeffs, dict) else coeffs)
         if sense == STRICT_LESS:
-            row[t_col] = row.get(t_col, _ZERO) + _ONE
-            lp.add_constraint(row, LESS_EQUAL, rhs)
+            lp.add_constraint({**coeffs, t_col: _ONE}, LESS_EQUAL, rhs)
         elif sense == STRICT_GREATER:
-            row[t_col] = row.get(t_col, _ZERO) - _ONE
-            lp.add_constraint(row, GREATER_EQUAL, rhs)
+            lp.add_constraint({**coeffs, t_col: -_ONE}, GREATER_EQUAL, rhs)
         else:
-            lp.add_constraint(row, sense, rhs)
+            lp.add_constraint(coeffs, sense, rhs)
 
     sol = solve_lp(lp, "max")
     if sol.status == INFEASIBLE:

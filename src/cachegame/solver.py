@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, islice
 from math import comb, factorial, lcm, perm
 
 from . import lp as lpmod
@@ -414,7 +414,6 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
     count summed from the tables; otherwise it is walked."""
     n, d, k = spec.n, spec.d, spec.k
     actions_at: dict = {}
-    draws_of: dict = {}
 
     def moves(state):
         touched, untouched, found = state
@@ -422,24 +421,27 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
             return None
         t0 = len(touched)
         if t0 not in actions_at:
-            actions_at[t0] = list(_canonical_actions(t0, n - t0, k, relaxed))
+            # Each action needs a node, so budget + 1 of them overflow it.
+            actions_at[t0] = list(islice(_canonical_actions(t0, n - t0, k, relaxed), budget + 1))
         actions = actions_at[t0]
         options = []
+        listed = 0
         for action in actions:
             known, f = action
             q = known + tuple(range(t0, t0 + f))
-            if (untouched, f) not in draws_of:
-                draws_of[untouched, f] = [(draw, Fraction(ways, perm(len(untouched), f)), rest)
-                                          for draw, ways, rest in fresh_draws(untouched, f)]
+            total = perm(len(untouched), f)
             draws = []
-            for draw, p, rest in draws_of[untouched, f]:
+            for draw, ways, rest in fresh_draws(untouched, f):
                 counts = touched + draw
                 outs = []
                 for b, w in reveals(counts, q, spec.variant):
                     after, l = take(counts, b, t0)
                     outs.append((w, b, l, (after, rest, found + 1)))
-                draws.append((p, outs))
+                draws.append((Fraction(ways, total), outs))
             options.append((action, int(f > 0), draws))
+            listed += int(f > 0) + len(draws)  # at most the nodes below the state
+            if listed > budget:
+                raise BudgetExceededError(budget, listed)
         return actions, options
 
     # Reveal decisions are singleton information sets: the hider knows his
@@ -552,10 +554,7 @@ def solve_tree(tree: GameTree) -> SolveResult:
             row[s_seq] = -val  # each searcher sequence once per row
         row_for_hseq[h_seq] = program.add_constraint(row, lpmod.LESS_EQUAL, ZERO)
 
-    # Largest-coefficient pricing with the automatic Bland fallback: the
-    # game programs are heavily degenerate and pure Bland pivots several
-    # times slower, while the fallback keeps termination guaranteed.
-    sol = lpmod.solve_lp(program, "max", pivot_rule="dantzig")
+    sol = lpmod.solve_lp(program, "max")
     if sol.status != lpmod.OPTIMAL:
         raise SolverError(f"sequence-form program came back {sol.status}")
     value = sol.objective_value
@@ -777,6 +776,7 @@ def _check_strategy(spec: GameSpec, strategy) -> int:
             raise StrategyError(f"mix probabilities sum to {total}, not 1", path)
 
     check(strategy.root, 0, 0, ())
+    del check  # it refers to itself, so only the cycle collector would free it and ``seen``
     return lcm(*denominators)
 
 

@@ -21,6 +21,7 @@ from cachegame.core import (
     reveals,
     take,
 )
+from helpers import _reference_fresh_draws
 
 
 class TestEnumerateAllocations:
@@ -160,6 +161,25 @@ class TestFreshDraws:
         for draw, _, rest in draws:
             assert sorted(draw + rest) == sorted(pool)
             assert list(rest) == sorted(rest, reverse=True)
+
+    def test_listing_is_shared(self):
+        # The builder and the strategy evaluator read one cached tuple.
+        assert fresh_draws((2, 1, 1, 0), 2) is fresh_draws((2, 1, 1, 0), 2)
+        assert type(fresh_draws((2, 1, 1, 0), 2)) is tuple
+
+    def test_matches_the_reference_enumeration(self):
+        # Same draws in the same order, the same probabilities and rests as
+        # the Fraction reference, over every padded pattern with d, n <= 6.
+        cases = 0
+        for n in range(1, 7):
+            for d in range(1, 7):
+                for pool in patterns(d, n):
+                    for f in range(n + 1):
+                        got = [(draw, Fraction(ways, math.perm(n, f)), rest)
+                               for draw, ways, rest in fresh_draws(pool, f)]
+                        assert got == list(_reference_fresh_draws(pool, f))
+                        cases += 1
+        assert cases == 646
 
 
 class TestBounds:

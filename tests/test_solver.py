@@ -127,6 +127,32 @@ class TestBuildTree:
             build_tree(GameSpec(6, 4, 3, RAN), symmetry_reduction=symmetry, budget=50)
         assert err.value.estimate > 50
 
+    @pytest.mark.parametrize("variant", [ADV, RAN])
+    def test_budget_bounds_a_state_with_many_actions(self, variant):
+        # After the first reveal of (36,2,18) the searcher has 2^18
+        # canonical actions; listing them all would take seconds and
+        # hundreds of MB before a node below that state is counted.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                build_tree(GameSpec(36, 2, 18, variant), budget=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.estimate > 1000
+        assert peak < 5_000_000
+
+    @pytest.mark.parametrize("variant", [ADV, RAN])
+    @pytest.mark.parametrize("relaxed", [False, True])
+    @pytest.mark.parametrize("symmetry", [True, False])
+    @pytest.mark.parametrize("n,d,k", [(2, 1, 1), (3, 2, 2), (3, 3, 2), (4, 2, 3), (4, 3, 2)])
+    def test_budget_equal_to_the_node_count_suffices(self, n, d, k, symmetry, relaxed, variant):
+        spec = GameSpec(n, d, k, variant)
+        nodes = build_tree(spec, symmetry, relaxed).num_nodes
+        assert build_tree(spec, symmetry, relaxed, budget=nodes).num_nodes == nodes
+        with pytest.raises(BudgetExceededError):
+            build_tree(spec, symmetry, relaxed, budget=nodes - 1)
+
 
 class TestSubgameTables:
     """Random-revealer games are built from one table per state; these toy
@@ -387,6 +413,26 @@ class TestBestResponse:
         finally:
             tracemalloc.stop()
         assert held < 1_000_000
+
+    def test_evaluation_leaves_no_cyclic_garbage(self):
+        # With the collector off, every object one call leaves behind must
+        # be freed by reference counting: DEBUG_SAVEALL keeps whatever only
+        # the cycle collector would find.
+        spec, tree = GameSpec(5, 8, 2, ADV), family_infinite_d(5, 8, 2)
+        gc.collect()
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            best_response_value(spec, tree)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert garbage == []
 
     def test_worst_allocation_is_a_witness(self):
         # A deliberately weak 3-box plan: open {0,1}, then wander off.
