@@ -11,10 +11,13 @@ a labeled placement, and chance assigns pattern entries to freshly touched
 labels by uniform draws without replacement.  Both games have the same
 value; the reduced one is exponentially smaller.
 
-Under the adversary revealer a builder walks every path of its game.  Under
-the random revealer the hider moves only at the root, so a subgame's part of
-the sequence form depends on its state alone: a builder makes one table per
-state (``_SubgameTables``) and writes the root tables.  Either way
+Under the adversary revealer a builder walks every path of its game, and
+one sequence-form LP solves it.  Under the random revealer the hider moves
+only at the root, so a subgame's part of the sequence form depends on its
+state alone: a builder makes one table per state (``_SubgameTables``) and
+writes the root tables, and column generation solves the game: a master LP
+over the searcher's pure plans found so far, grown by an exact integer best
+response to the hider's mixture until the two values meet.  Either way
 ``GameTree.num_nodes`` is the extensive form's node count; the tables sum it
 rather than visit the nodes.
 """
@@ -122,6 +125,24 @@ class _SequenceForm:
         self.seq_list = {SEARCHER: [()], HIDER: [()]}
         self.infosets: dict = {}  # (player, key) -> dict(id, parent, actions, labels)
         self.payoff: dict[tuple[int, int], Fraction] = {}
+        self._payoff_table = None
+
+    def payoff_table(self) -> tuple:
+        """``(den, payoffs, after)``, made on first use: ``payoffs[h]`` lists
+        ``(searcher sequence, payoff times den)`` against hider sequence
+        ``h``, and ``after`` maps searcher sequences, in descending id
+        order, to the action ids of each information set they lead to."""
+        if self._payoff_table is None:
+            den = lcm(*(w.denominator for w in self.payoff.values()))
+            payoffs: dict = {}
+            for (s, h), w in self.payoff.items():
+                payoffs.setdefault(h, []).append((s, w.numerator * (den // w.denominator)))
+            groups: dict = {}
+            for (player, _), info in self.infosets.items():
+                if player == SEARCHER:
+                    groups.setdefault(info["parent"], []).append([sid for _, _, sid in info["actions"]])
+            self._payoff_table = den, payoffs, {s: groups[s] for s in sorted(groups, reverse=True)}
+        return self._payoff_table
 
     def infoset(self, player, key, parent: int, labels: list) -> dict:
         """The record of ``player``'s information set ``key``, reached by
@@ -508,11 +529,24 @@ def _label_json(label):
 
 
 def solve_tree(tree: GameTree) -> SolveResult:
+    """Exact value and optimal realization plans of a built game.
+
+    A random-revealer game, whose hider moves only at the root, is solved by
+    column generation and certified by a best-response sandwich; any other
+    by the sequence-form LP, certified by strong duality.  Either way the
+    hider plan must pass as an exact realization plan.
+    """
+    if tree.spec.variant == Variant.RANDOM:
+        return _solve_column_generation(tree)
+    return _solve_sequence_lp(tree)
+
+
+def _solve_sequence_lp(tree: GameTree) -> SolveResult:
+    """The whole game as one sequence-form LP: the searcher's realization
+    plan against one value variable per hider information set."""
     start = time.perf_counter()
     sf = tree.sf
-    searcher_infosets = [
-        info for (player, _), info in sf.infosets.items() if player == SEARCHER
-    ]
+    searcher_infosets = [info for (player, _), info in sf.infosets.items() if player == SEARCHER]
     hider_infosets = [info for (player, _), info in sf.infosets.items() if player == HIDER]
 
     n_sseq = len(sf.seq_list[SEARCHER])
@@ -557,66 +591,130 @@ def solve_tree(tree: GameTree) -> SolveResult:
     sol = lpmod.solve_lp(program, "max")
     if sol.status != lpmod.OPTIMAL:
         raise SolverError(f"sequence-form program came back {sol.status}")
-    value = sol.objective_value
+
+    searcher_plan = {sf.seq_list[SEARCHER][i]: sol.primal[i] for i in range(n_sseq) if sol.primal[i]}
+    hider_plan = {sf.seq_list[HIDER][h]: sol.dual[row] for h, row in row_for_hseq.items() if sol.dual[row]}
+    return _result(tree, start, sol.objective_value, searcher_plan, hider_plan, _lp_stats([(program, sol)]))
+
+
+def _solve_column_generation(tree: GameTree) -> SolveResult:
+    """Column generation over the searcher's pure plans (a one-sided double
+    oracle).  The master LP, ``max v`` s.t. ``v <= sum_i lambda_i U(plan_i,
+    h)`` for every hider root sequence ``h`` and ``sum lambda = 1``, has row
+    duals ``y``, the hider's mixture.  The best response to ``y`` joins the
+    master until it earns the master value, the upper bound; the master's
+    certificate and an exact check of its mixture give the lower bound."""
+    start = time.perf_counter()
+    sf = tree.sf
+    den, payoffs, _ = sf.payoff_table()
+    hider = range(1, len(sf.seq_list[HIDER]))  # the hider's root choices
+    y = {h: Fraction(1, len(hider)) for h in hider}
+    plans, columns, solved = [], [], []
+    while True:
+        best, plan = _best_response(sf, y)
+        if solved and best < value:
+            raise SolverError(f"best response {best} is below the master value {value}")
+        column = {h: sum(num for s, num in payoffs.get(h, ()) if s in plan) for h in hider}
+        # A plan earning ``best > value`` is new: ``y`` holds every master column to ``value``.
+        if sum(y[h] * column[h] for h in hider) != best * den:
+            raise SolverError(f"the best response's plan does not earn its value {best}")
+        if solved and best == value:
+            break
+        plans.append(plan)
+        columns.append(column)
+        v = len(plans)  # lambda per plan, then v
+        program = lpmod.LinearProgram(v + 1)
+        program.set_bounds(v, None, None)
+        program.set_objective(v, ONE)
+        for h in hider:
+            program.add_constraint({v: ONE, **{i: Fraction(-col[h], den) for i, col in enumerate(columns)}},
+                                   lpmod.LESS_EQUAL, ZERO)
+        program.add_constraint(dict.fromkeys(range(v), ONE), lpmod.EQUAL, ONE)
+        sol = lpmod.solve_lp(program, "max")
+        solved.append((program, sol))
+        if sol.status != lpmod.OPTIMAL:
+            raise SolverError(f"master program came back {sol.status}")
+        value, y = sol.objective_value, dict(zip(hider, sol.dual))
+    mix = [(w, plan, col) for w, plan, col in zip(sol.primal, plans, columns) if w]
+    if any(sum(w * col[h] for w, _, col in mix) < value * den for h in hider):
+        raise SolverError(f"the master's mixture earns less than {value} against a hider choice")
+    weights: dict[int, Fraction] = {}
+    for w, plan, _ in mix:
+        for s in plan:
+            weights[s] = weights.get(s, ZERO) + w
+    searcher_plan = {sf.seq_list[SEARCHER][s]: weights[s] for s in sorted(weights)}
+    hider_plan = {(): ONE, **{sf.seq_list[HIDER][h]: w for h, w in y.items() if w}}
+    return _result(tree, start, value, searcher_plan, hider_plan, {**_lp_stats(solved), "iterations": len(solved)})
+
+
+def _best_response(sf: _SequenceForm, y: dict) -> tuple[Fraction, frozenset]:
+    """The searcher's exact best reply to the hider mixture ``y`` (root
+    sequence id -> probability) and its pure plan, the ids of the sequences
+    it plays.  One pass in reverse id order (an action's id
+    exceeds its parent's) computes ``val(s) = sum_h y_h payoff(s, h) + sum
+    over information sets I after s of max over a in I of val(a)`` in
+    integers; ties go to the lowest id."""
+    den, payoffs, after = sf.payoff_table()
+    scale = lcm(*(w.denominator for w in y.values()))
+    val = [0] * len(sf.seq_list[SEARCHER])
+    for h, w in y.items():
+        yh = w.numerator * (scale // w.denominator)
+        for s, num in payoffs.get(h, ()) if yh else ():
+            val[s] += num * yh
+    get = val.__getitem__
+    for s, infosets in after.items():
+        val[s] += sum(max(map(get, actions)) for actions in infosets)
+    plan, stack = [], [0]
+    while stack:
+        plan.append(stack.pop())
+        stack.extend(max(actions, key=get) for actions in after.get(plan[-1], ()))
+    return Fraction(val[0], den * scale), frozenset(plan)
+
+
+def _lp_stats(solved) -> dict:
+    """Sizes and work counters summed over ``(program, solution)`` pairs;
+    the Bland fallback if any used it, the largest denominator."""
+    stats = {"lp_rows": sum(len(p.rows) for p, _ in solved), "lp_cols": sum(p.num_vars for p, _ in solved)}
+    for key in ("pivots", "phase1_pivots", "phase2_pivots", "degenerate_pivots"):
+        stats[key] = sum(getattr(sol, key) for _, sol in solved)
+    stats["bland_fallback"] = any(sol.bland_fallback for _, sol in solved)
+    stats["max_denominator_bits"] = max(sol.max_denominator_bits for _, sol in solved)
+    return stats
+
+
+def _result(tree: GameTree, start: float, value, searcher_plan, hider_plan, lp_stats: dict) -> SolveResult:
+    """The result of a solve begun at ``start``, once its value lies in
+    [0, 1] and its hider plan passes as a realization plan."""
+    sf = tree.sf
     if not ZERO <= value <= ONE:
         raise SolverError(f"game value {value} outside [0, 1]")
-
-    searcher_plan = {
-        sf.seq_list[SEARCHER][i]: sol.primal[i] for i in range(n_sseq) if sol.primal[i]
-    }
-    hider_plan = {}
-    for h_seq, row_idx in row_for_hseq.items():
-        weight = sol.dual[row_idx]
-        if weight:
-            hider_plan[sf.seq_list[HIDER][h_seq]] = weight
-    _check_realization_plan(hider_plan, hider_infosets, sf)
-
-    elapsed = time.perf_counter() - start
+    _check_realization_plan(hider_plan, sf)
+    hider_infosets = sum(player == HIDER for player, _ in sf.infosets)
     stats = {
         "nodes": tree.num_nodes,
-        "searcher_sequences": n_sseq,
+        "searcher_sequences": len(sf.seq_list[SEARCHER]),
         "hider_sequences": len(sf.seq_list[HIDER]),
-        "searcher_infosets": len(searcher_infosets),
-        "hider_infosets": len(hider_infosets),
-        "lp_rows": len(program.rows),
-        "lp_cols": program.num_vars,
-        "pivots": sol.pivots,
-        "phase1_pivots": sol.phase1_pivots,
-        "phase2_pivots": sol.phase2_pivots,
-        "degenerate_pivots": sol.degenerate_pivots,
-        "bland_fallback": sol.bland_fallback,
-        "max_denominator_bits": sol.max_denominator_bits,
-        "solve_seconds": elapsed,
+        "searcher_infosets": len(sf.infosets) - hider_infosets,
+        "hider_infosets": hider_infosets,
+        **lp_stats,
+        "solve_seconds": time.perf_counter() - start,
     }
-    result = SolveResult(
-        spec=tree.spec,
-        symmetry=tree.symmetry,
-        relaxed=tree.relaxed,
-        value=value,
-        searcher_plan=searcher_plan,
-        hider_plan=hider_plan,
-        stats=stats,
-    )
-    result.searcher_behavior = _behavior(sf, SEARCHER, searcher_plan)
-    result.hider_behavior = _behavior(sf, HIDER, hider_plan)
-    return result
+    return SolveResult(tree.spec, tree.symmetry, tree.relaxed, value, searcher_plan, hider_plan, stats,
+                       _behavior(sf, SEARCHER, searcher_plan), _behavior(sf, HIDER, hider_plan))
 
 
-def _check_realization_plan(plan: dict, infosets, sf) -> None:
-    """Dual weights must form an exact hider realization plan."""
-    get = lambda seq: plan.get(seq, ZERO)
-    if get(()) != ONE:
+def _check_realization_plan(plan: dict, sf) -> None:
+    """The hider plan must be an exact realization plan."""
+    seqs = sf.seq_list[HIDER]
+    if plan.get((), ZERO) != ONE:
         raise SolverError("hider plan root weight is not 1")
-    for info in infosets:
-        parent_key = sf.seq_list[HIDER][info["parent"]]
-        total = ZERO
-        for _, label, sid in info["actions"]:
-            w = get(sf.seq_list[HIDER][sid])
-            if w < 0:
+    for (player, _), info in sf.infosets.items():
+        if player == HIDER:
+            weights = [plan.get(seqs[sid], ZERO) for _, _, sid in info["actions"]]
+            if any(w < 0 for w in weights):
                 raise SolverError("negative realization weight")
-            total += w
-        if total != get(parent_key):
-            raise SolverError("hider plan violates flow conservation")
+            if sum(weights) != plan.get(seqs[info["parent"]], ZERO):
+                raise SolverError("hider plan violates flow conservation")
 
 
 def _behavior(sf, player, plan) -> dict:

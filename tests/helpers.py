@@ -6,10 +6,10 @@ from functools import lru_cache
 from itertools import permutations
 import random
 
-from cachegame import GameSpec, Variant, solve
+from cachegame import GameSpec, Variant, build_tree, solve
 from cachegame.core import enumerate_allocations, patterns, reveals, take
 from cachegame.rational import ONE, ZERO
-from cachegame.solver import _rule_choice
+from cachegame.solver import _rule_choice, _solve_sequence_lp
 from cachegame import lp as lpmod
 from cachegame.lp import (
     GREATER_EQUAL,
@@ -27,6 +27,13 @@ _ZERO = Fraction(0)
 @lru_cache(maxsize=None)
 def solve_cached(n, d, k, variant=Variant.ADVERSARY, symmetry=True, relaxed=False):
     return solve(GameSpec(n, d, k, variant), symmetry=symmetry, relaxed=relaxed)
+
+
+@lru_cache(maxsize=None)
+def sequence_lp_cached(n, d, k, variant=Variant.ADVERSARY, symmetry=True, relaxed=False):
+    """The game solved as one sequence-form LP, whatever its variant."""
+    tree = build_tree(GameSpec(n, d, k, variant), symmetry_reduction=symmetry, relaxed_queries=relaxed)
+    return _solve_sequence_lp(tree)
 
 
 def oracle_p_lambda(lam, n, d):

@@ -21,16 +21,21 @@ from cachegame import (
     upper_bound_combinatorial,
     upper_bound_first_query,
 )
+from cachegame import lp as lpmod
+from cachegame import solver
 from cachegame.solver import (
     HIDER,
     SEARCHER,
     SolverError,
     _SequenceForm,
     _SubgameTables,
+    _best_response,
     _check_strategy,
     _pattern_values,
+    _solve_sequence_lp,
     optimal_hider_332,
     searcher_plan_value,
+    solve_tree,
 )
 from cachegame.strategies import (
     StrategyTree,
@@ -41,7 +46,7 @@ from cachegame.strategies import (
     least_treasures_rule,
     node,
 )
-from helpers import reference_pattern_values, solve_cached
+from helpers import reference_pattern_values, sequence_lp_cached, solve_cached
 
 ADV, RAN = Variant.ADVERSARY, Variant.RANDOM
 
@@ -232,16 +237,39 @@ LADDER_STATS = [
 ]
 
 
+def _program_stats(n, d, k, variant, *flags):
+    """Stats of the one sequence-form LP of a game.  ``solve`` runs it for
+    the adversary; a random game is solved by column generation, so its
+    monolithic program is solved here directly."""
+    solved = solve_cached if variant == ADV else sequence_lp_cached
+    return solved(n, d, k, variant, *flags).stats
+
+
+# Column generation on the ladder and on the ``solve`` workload's random
+# game: master solves and their pivots in total.
+COLUMN_GENERATION_STATS = [
+    ((12, 2, 6, RAN), (2, 5)),
+    ((9, 3, 3, RAN), (3, 9)),
+    ((10, 3, 4, RAN), (5, 20)),
+    ((4, 4, 2, RAN), (11, 77)),
+]
+
+
 class TestSolveStats:
     @pytest.mark.parametrize("case,expected", SOLVE_STATS)
     def test_tree_and_program_sizes(self, case, expected):
-        stats = solve_cached(*case).stats
+        stats = _program_stats(*case)
         assert tuple(stats[key] for key in STATS_KEYS) == expected
 
     @pytest.mark.parametrize("case,expected", LADDER_STATS)
     def test_wide_ladder_counts(self, case, expected):
-        stats = solve_cached(*case).stats
+        stats = _program_stats(*case)
         assert tuple(stats[key] for key in LADDER_KEYS) == expected
+
+    @pytest.mark.parametrize("case,expected", COLUMN_GENERATION_STATS)
+    def test_column_generation_counts(self, case, expected):
+        stats = solve_cached(*case).stats
+        assert (stats["iterations"], stats["pivots"]) == expected
 
 
 class TestSolveKnownValues:
@@ -355,8 +383,18 @@ class TestSolverInvariants:
 class TestSelfDuality:
     @pytest.mark.parametrize("n,d,variant", [(3, 3, ADV), (3, 3, RAN), (3, 2, ADV), (3, 2, RAN)])
     def test_plans_certify_the_value_from_both_sides(self, n, d, variant):
+        self._check(n, d, variant, relaxed=False)
+
+    # Random games are solved by column generation; these check its plans
+    # with relaxed queries and at one more size.
+    @pytest.mark.parametrize("n,d,relaxed", [(3, 2, True), (3, 3, True), (4, 2, False)])
+    def test_column_generation_plans_certify_the_value(self, n, d, relaxed):
+        self._check(n, d, RAN, relaxed)
+
+    @staticmethod
+    def _check(n, d, variant, relaxed):
         spec = GameSpec(n, d, 2, variant)
-        result = solve_cached(n, d, 2, variant, symmetry=False)
+        result = solve_cached(n, d, 2, variant, symmetry=False, relaxed=relaxed)
 
         reply_to_searcher = searcher_plan_value(spec, result.searcher_behavior)
         assert reply_to_searcher == result.value
@@ -381,6 +419,89 @@ class TestSelfDuality:
             spec, weights, policy if variant == ADV else None
         )
         assert value == result.value
+
+
+# Random games small enough for the monolithic LP, on both builders,
+# relaxed and exact (the full builder's (4,3,k) games take too long).
+RANDOM_GRID = [
+    (n, d, k, symmetry, relaxed)
+    for n, d, k in SMALL_SPECS
+    for symmetry in (True, False)
+    for relaxed in (False, True)
+    if symmetry or (n, d) != (4, 3)
+]
+
+
+class TestColumnGeneration:
+    @pytest.mark.parametrize(
+        "n,d,k,symmetry,relaxed",
+        RANDOM_GRID + [(4, 4, 2, True, False)] + [(*case[:3], True, False) for case, _ in LADDER_STATS],
+    )
+    def test_value_equals_the_sequence_lp(self, n, d, k, symmetry, relaxed):
+        generated = solve_cached(n, d, k, RAN, symmetry, relaxed)
+        assert "iterations" in generated.stats
+        assert generated.value == sequence_lp_cached(n, d, k, RAN, symmetry, relaxed).value
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_best_response_to_the_hider_plan_is_the_value(self, symmetry):
+        # The upper half of the certificate, recomputed from the result.
+        tree = build_tree(GameSpec(4, 2, 2, RAN), symmetry_reduction=symmetry)
+        result = solve_tree(tree)
+        ids = tree.sf.seq_ids[HIDER]
+        y = {ids[seq]: w for seq, w in result.hider_plan.items() if seq}
+        value, plan = _best_response(tree.sf, y)
+        assert value == result.value
+        assert 0 in plan
+
+    def test_stats_total_the_master_solves(self, monkeypatch):
+        calls = []
+        real = lpmod.solve_lp
+
+        def counted(program, sense="max"):
+            sol = real(program, sense)
+            calls.append((program, sol))
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve_lp", counted)
+        stats = solve(GameSpec(4, 4, 2, RAN)).stats
+        sols = [sol for _, sol in calls]
+        assert stats["iterations"] == len(calls) > 1
+        assert stats["lp_rows"] == sum(len(program.rows) for program, _ in calls)
+        assert stats["lp_cols"] == sum(program.num_vars for program, _ in calls)
+        for key in ("pivots", "phase1_pivots", "phase2_pivots", "degenerate_pivots"):
+            assert stats[key] == sum(getattr(sol, key) for sol in sols)
+        assert stats["bland_fallback"] == any(sol.bland_fallback for sol in sols)
+        assert stats["max_denominator_bits"] == max(sol.max_denominator_bits for sol in sols)
+
+    def test_oracle_below_the_master_value_is_an_error(self, monkeypatch):
+        real = solver._best_response
+        calls = []
+
+        def short(sf, y):
+            value, plan = real(sf, y)
+            calls.append(plan)
+            return (value if len(calls) == 1 else Fraction(-1)), plan
+
+        monkeypatch.setattr(solver, "_best_response", short)
+        with pytest.raises(SolverError, match="below the master value"):
+            solve(GameSpec(3, 3, 2, RAN))
+
+    def test_oracle_plan_that_misses_its_value_is_an_error(self, monkeypatch):
+        # Re-adding a plan the master already holds would never end the loop.
+        real = solver._best_response
+        plans = []
+
+        def stale(sf, y):
+            value, plan = real(sf, y)
+            plans.append(plan)
+            return value, plans[0]
+
+        monkeypatch.setattr(solver, "_best_response", stale)
+        with pytest.raises(SolverError, match="does not earn its value"):
+            solve(GameSpec(4, 4, 2, RAN))
+
+    def test_adversary_games_keep_the_sequence_lp(self):
+        assert "iterations" not in solve_cached(3, 3, 2, ADV).stats
 
 
 class TestBestResponse:
