@@ -167,6 +167,8 @@ def _load_cache(path: str) -> dict:
     if path and os.path.exists(path):
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
+            raise ValueError(f"cache file {path} is not an object with an 'entries' object")
         if data.get("schema") != CACHE_SCHEMA:
             raise ValueError(f"cache schema {data.get('schema')} unsupported")
         return data

@@ -19,7 +19,8 @@ writes the root tables, and column generation solves the game: a master LP
 over the searcher's pure plans found so far, grown by an exact integer best
 response to the hider's mixture until the two values meet.  Either way
 ``GameTree.num_nodes`` is the extensive form's node count; the tables sum it
-rather than visit the nodes.
+rather than visit the nodes.  Payoffs are integers over one game
+denominator; a Fraction is made only for an LP row entry.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, count, islice
+from itertools import combinations, count, islice, repeat
 from math import comb, factorial, lcm, perm
 
 from . import lp as lpmod
@@ -99,7 +100,7 @@ def build_tree(
         if counter[0] > budget:
             raise BudgetExceededError(budget, counter[0])
 
-    sf = _SequenceForm()
+    sf = _SequenceForm(factorial(spec.n) * _reveal_lcm(spec) ** spec.d)
     build = _build_reduced if symmetry_reduction else _build_full
     build(spec, relaxed_queries, budget, sf, tick)
     return GameTree(spec, symmetry_reduction, relaxed_queries, counter[0], sf)
@@ -118,31 +119,21 @@ class _SequenceForm:
     probability)`` down its recursion in place of tree nodes; subgame
     tables register the same information sets and sequences, in the same
     order, from their root.
+
+    ``payoff[h][s]`` is the win probability of the sequence pair ``(s, h)``
+    times ``denominator``, an integer: ``D = n! L^d`` (``L`` of
+    ``_reveal_lcm``), as a path draws at most ``n`` labels without
+    replacement and makes at most ``d`` reveals.  ``after[s]`` maps the id
+    of each searcher information set after sequence ``s`` to its sequences.
     """
 
-    def __init__(self):
+    def __init__(self, denominator: int):
         self.seq_ids = {SEARCHER: {(): 0}, HIDER: {(): 0}}
         self.seq_list = {SEARCHER: [()], HIDER: [()]}
         self.infosets: dict = {}  # (player, key) -> dict(id, parent, actions, labels)
-        self.payoff: dict[tuple[int, int], Fraction] = {}
-        self._payoff_table = None
-
-    def payoff_table(self) -> tuple:
-        """``(den, payoffs, after)``, made on first use: ``payoffs[h]`` lists
-        ``(searcher sequence, payoff times den)`` against hider sequence
-        ``h``, and ``after`` maps searcher sequences, in descending id
-        order, to the action ids of each information set they lead to."""
-        if self._payoff_table is None:
-            den = lcm(*(w.denominator for w in self.payoff.values()))
-            payoffs: dict = {}
-            for (s, h), w in self.payoff.items():
-                payoffs.setdefault(h, []).append((s, w.numerator * (den // w.denominator)))
-            groups: dict = {}
-            for (player, _), info in self.infosets.items():
-                if player == SEARCHER:
-                    groups.setdefault(info["parent"], []).append([sid for _, _, sid in info["actions"]])
-            self._payoff_table = den, payoffs, {s: groups[s] for s in sorted(groups, reverse=True)}
-        return self._payoff_table
+        self.denominator = denominator
+        self.payoff: dict[int, dict[int, int]] = {}
+        self.after: dict[int, dict[int, list[int]]] = {}
 
     def infoset(self, player, key, parent: int, labels: list) -> dict:
         """The record of ``player``'s information set ``key``, reached by
@@ -166,6 +157,8 @@ class _SequenceForm:
         if sid == len(seqs):
             seqs.append(seq_key)
             info["actions"].append((info["id"], label, sid))
+            if player == SEARCHER:
+                self.after.setdefault(info["parent"], {}).setdefault(info["id"], []).append(sid)
         return sid
 
     def decide(self, player, infoset, parent: int, labels: list):
@@ -181,11 +174,17 @@ class _SequenceForm:
             yield label, self.sequence(player, info, label)
 
     def win(self, at) -> None:
-        """Add the searcher's win, reached with probability ``at[2]``, to
-        the payoff of its sequence pair."""
+        """Add the searcher's win, reached with probability ``at[2]`` over
+        ``denominator``, to the payoff of its sequence pair."""
         s_seq, h_seq, prob = at
-        key = (s_seq, h_seq)
-        self.payoff[key] = self.payoff[key] + prob if key in self.payoff else prob
+        row = self.payoff.setdefault(h_seq, {})
+        row[s_seq] = row.get(s_seq, 0) + prob
+
+
+def _reveal_lcm(spec: GameSpec) -> int:
+    """``L``, with every reveal weight a multiple of ``1 / L``: a weight
+    under ``RANDOM`` is over a treasure total of at most ``d``."""
+    return lcm(*range(1, spec.d + 1)) if spec.variant == Variant.RANDOM else 1
 
 
 def _write_game(spec: GameSpec, moves, roots, budget: int, sf: _SequenceForm, tick, hider_infoset) -> None:
@@ -195,17 +194,17 @@ def _write_game(spec: GameSpec, moves, roots, budget: int, sf: _SequenceForm, ti
     ``roots`` yields ``(state, hider sequence)`` per root choice.
     ``moves(state)`` is None where the searcher has won.  Otherwise it is
     ``(labels, options)``: the searcher's action labels at ``state`` and,
-    per action in the same order, ``(action, chance_nodes, draws)``.
-    ``chance_nodes`` is 1 if chance draws before the reveal, else 0 (and
-    the one draw has probability 1).  Each draw is ``(probability,
-    reveals)``, and each reveal ``(weight, box, label, next state)``: the
-    box that surrenders, with its chance weight under ``RANDOM``, the label
-    the searcher observes, and the state after.  A draw with no reveals is
-    a loss.  ``hider_infoset(root state, observations, action)`` names a
-    reveal decision of the hider.
+    per action in the same order, ``(action, chance_nodes, total, draws)``.
+    ``chance_nodes`` is 1 if chance draws before the reveal, else 0.  Each
+    draw is ``(ways, reveals)``, the draw's probability being the integer
+    ``ways`` over the integer ``total``, and each reveal ``(weight, box,
+    label, next state)``: the box that surrenders, with its chance weight
+    under ``RANDOM``, the label the searcher observes, and the state after.
+    A draw with no reveals is a loss.  ``hider_infoset(root state,
+    observations, action)`` names a reveal decision of the hider.
     """
     if spec.variant == Variant.RANDOM:
-        _SubgameTables(spec, moves, budget).write(sf, roots, tick)
+        _SubgameTables(moves, budget, sf.denominator, _reveal_lcm(spec)).write(sf, roots, tick)
     else:
         _walk(moves, roots, hider_infoset, sf, tick)
 
@@ -213,7 +212,8 @@ def _write_game(spec: GameSpec, moves, roots, budget: int, sf: _SequenceForm, ti
 def _walk(moves, roots, hider_infoset, sf: _SequenceForm, tick) -> None:
     """Walk every path of a game in which the hider picks each reveal
     among several, registering in ``sf`` as the walk goes.  A state's
-    moves are listed once."""
+    moves are listed once, and a path's probability is an integer over
+    ``sf.denominator``."""
 
     memo: dict = {}
 
@@ -227,8 +227,11 @@ def _walk(moves, roots, hider_infoset, sf: _SequenceForm, tick) -> None:
             return
         labels, options = listed
         s_seq, h_seq, prob = at
-        for (action, chance_nodes, draws), (_, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, labels)):
-            for p, outs in draws:
+        for (action, chance_nodes, total, draws), (_, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, labels)):
+            for ways, outs in draws:
+                p, rest = divmod(prob * ways, total)
+                if rest:
+                    raise SolverError(f"path probability is not a multiple of 1/{sf.denominator}")
                 if len(outs) == 1:
                     picks = [(None, h_seq)]
                 else:
@@ -236,12 +239,11 @@ def _walk(moves, roots, hider_infoset, sf: _SequenceForm, tick) -> None:
                     boxes = [box for _, box, _, _ in outs]
                     picks = sf.decide(HIDER, hider_infoset(root, obs, action), h_seq, boxes) if boxes else ()
                 for (_, _, label, after), (_, h) in zip(outs, picks):
-                    node(root, after, obs + ((action, label),), (sid, h, prob * p if chance_nodes else prob))
-            if chance_nodes:
-                tick()
+                    node(root, after, obs + ((action, label),), (sid, h, p))
+            tick(chance_nodes)
 
     for root, h_seq in roots:
-        node(root, root, (), (0, h_seq, ONE))
+        node(root, root, (), (0, h_seq, sf.denominator))
     del node  # it refers to itself, so only the cycle collector would free it and ``sf``
 
 
@@ -261,23 +263,21 @@ class _SubgameTables:
     ``events`` holds, in depth-first first-visit order, the searcher
     information sets it reaches (value: their action labels) and the
     sequences it plays there (value: None).  ``wins`` maps the sequence
-    played last before a win to the win's probability times ``D``.
+    played last before a win to the win's probability times
+    ``denominator``, an integer like the payoffs of ``_SequenceForm``.  A
+    reveal weight ``w`` enters as the integer ``w L``, ``L = reveal_lcm``.
 
     Events are interned as ints.  The key of an event (``keys[event]``) is
     ``(None, None)`` for the information set at the subgame's root,
     ``(None, action)`` for a sequence played there, and ``(step, event)``
     for ``event`` of the subgame entered by step ``(action, label)``.
-    Every path probability is a multiple of ``1 / D`` with
-    ``D = n! lcm(1..d)^d``: the draws on a path take at most ``n`` counts
-    without replacement and at most ``d`` reveals each divide by a
-    treasure total of at most ``d``.  So wins are exact integers, and a
-    Fraction is made only for the payoff.
     """
 
-    def __init__(self, spec: GameSpec, moves, budget: int):
+    def __init__(self, moves, budget: int, denominator: int, reveal_lcm: int):
         self.moves = moves
         self.budget = budget
-        self.denominator = factorial(spec.n) * lcm(*range(1, spec.d + 1)) ** spec.d
+        self.denominator = denominator
+        self.reveal_lcm = reveal_lcm
         self.memo: dict = {}
         self.keys: list = []
         self.ids: dict = {}
@@ -299,7 +299,7 @@ class _SubgameTables:
                 else:
                     sids[obs, action] = sf.sequence(SEARCHER, infos[obs], action)
             for event, w in wins.items():
-                sf.win((sids[self._decode(event)], h_seq, Fraction(w, self.denominator)))
+                sf.win((sids[self._decode(event)], h_seq, w))
 
     def table(self, state) -> tuple:
         table = self.memo.get(state)
@@ -315,18 +315,19 @@ class _SubgameTables:
         nodes = 1
         events = {self._event((None, None)): labels}
         wins: dict = {}
-        for action, chance_nodes, draws in options:
+        L = self.reveal_lcm
+        for action, chance_nodes, total, draws in options:
             played = self._event((None, action))
             events[played] = None
             # Every draw is a reveal node, a loss included.
             nodes = self._counted(nodes + chance_nodes + len(draws))
-            outcomes: dict = {}  # (label, next state) -> [probability, paths]
-            for p, outs in draws:
+            outcomes: dict = {}  # (label, next state) -> [probability times total L, paths]
+            for ways, outs in draws:
                 for w, _, label, child in outs:
-                    seen = outcomes.setdefault((label, child), [ZERO, 0])
-                    seen[0] += p * w
+                    seen = outcomes.setdefault((label, child), [0, 0])
+                    seen[0] += ways * w.numerator * (L // w.denominator)
                     seen[1] += 1
-            for (label, child), (p, paths) in outcomes.items():
+            for (label, child), (num, paths) in outcomes.items():
                 sub_nodes, sub_events, sub_wins = self.table(child)
                 nodes = self._counted(nodes + paths * sub_nodes)
                 step = self.step_ids.setdefault((action, label), len(self.steps))
@@ -340,10 +341,9 @@ class _SubgameTables:
                         raise SolverError(
                             f"information set {self._decode(event)[0]} reached with differing action sets"
                         )
-                num, den = p.numerator, p.denominator
                 for event, w in sub_wins.items():
                     event = played if event == _ENTRY else self._event((step, event))
-                    w, rest = divmod(w * num, den)
+                    w, rest = divmod(w * num, total * L)
                     if rest:
                         raise SolverError(f"win weight is not a multiple of 1/{self.denominator}")
                     wins[event] = wins.get(event, 0) + w
@@ -400,8 +400,8 @@ def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm, t
         if found == d:
             return None
         return queries, [
-            (q, 0, [(ONE, [(w, b, b, (take(remaining, b, n)[0], found + 1))
-                           for b, w in reveals(remaining, q, spec.variant)])])
+            (q, 0, 1, [(1, [(w, b, b, (take(remaining, b, n)[0], found + 1))
+                            for b, w in reveals(remaining, q, spec.variant)])])
             for q in queries
         ]
 
@@ -450,7 +450,6 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
         for action in actions:
             known, f = action
             q = known + tuple(range(t0, t0 + f))
-            total = perm(len(untouched), f)
             draws = []
             for draw, ways, rest in fresh_draws(untouched, f):
                 counts = touched + draw
@@ -458,8 +457,8 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
                 for b, w in reveals(counts, q, spec.variant):
                     after, l = take(counts, b, t0)
                     outs.append((w, b, l, (after, rest, found + 1)))
-                draws.append((Fraction(ways, total), outs))
-            options.append((action, int(f > 0), draws))
+                draws.append((ways, outs))
+            options.append((action, int(f > 0), perm(len(untouched), f), draws))
             listed += int(f > 0) + len(draws)  # at most the nodes below the state
             if listed > budget:
                 raise BudgetExceededError(budget, listed)
@@ -571,10 +570,6 @@ def _solve_sequence_lp(tree: GameTree) -> SolveResult:
         for _, _, sid in info["actions"]:
             seq_infoset[sid] = hider_ids[id(info)]
 
-    payoff_by_hseq: dict[int, dict[int, Fraction]] = {}
-    for (s_seq, h_seq), val in sf.payoff.items():
-        payoff_by_hseq.setdefault(h_seq, {})[s_seq] = val
-
     row_for_hseq = {}
     for h_seq in range(len(sf.seq_list[HIDER])):
         row: dict[int, Fraction] = {}
@@ -584,8 +579,8 @@ def _solve_sequence_lp(tree: GameTree) -> SolveResult:
             row[n_sseq + 1 + seq_infoset[h_seq]] = ONE
         for info in children_of.get(h_seq, []):
             row[n_sseq + 1 + hider_ids[id(info)]] = -ONE
-        for s_seq, val in payoff_by_hseq.get(h_seq, {}).items():
-            row[s_seq] = -val  # each searcher sequence once per row
+        for s_seq, w in sf.payoff.get(h_seq, {}).items():
+            row[s_seq] = Fraction(-w, sf.denominator)  # each searcher sequence once per row
         row_for_hseq[h_seq] = program.add_constraint(row, lpmod.LESS_EQUAL, ZERO)
 
     sol = lpmod.solve_lp(program, "max")
@@ -606,7 +601,7 @@ def _solve_column_generation(tree: GameTree) -> SolveResult:
     certificate and an exact check of its mixture give the lower bound."""
     start = time.perf_counter()
     sf = tree.sf
-    den, payoffs, _ = sf.payoff_table()
+    den = sf.denominator
     hider = range(1, len(sf.seq_list[HIDER]))  # the hider's root choices
     y = {h: Fraction(1, len(hider)) for h in hider}
     plans, columns, solved = [], [], []
@@ -614,7 +609,7 @@ def _solve_column_generation(tree: GameTree) -> SolveResult:
         best, plan = _best_response(sf, y)
         if solved and best < value:
             raise SolverError(f"best response {best} is below the master value {value}")
-        column = {h: sum(num for s, num in payoffs.get(h, ()) if s in plan) for h in hider}
+        column = {h: sum(map(sf.payoff.get(h, {}).get, plan, repeat(0))) for h in hider}
         # A plan earning ``best > value`` is new: ``y`` holds every master column to ``value``.
         if sum(y[h] * column[h] for h in hider) != best * den:
             raise SolverError(f"the best response's plan does not earn its value {best}")
@@ -654,21 +649,20 @@ def _best_response(sf: _SequenceForm, y: dict) -> tuple[Fraction, frozenset]:
     exceeds its parent's) computes ``val(s) = sum_h y_h payoff(s, h) + sum
     over information sets I after s of max over a in I of val(a)`` in
     integers; ties go to the lowest id."""
-    den, payoffs, after = sf.payoff_table()
     scale = lcm(*(w.denominator for w in y.values()))
     val = [0] * len(sf.seq_list[SEARCHER])
     for h, w in y.items():
         yh = w.numerator * (scale // w.denominator)
-        for s, num in payoffs.get(h, ()) if yh else ():
+        for s, num in sf.payoff.get(h, {}).items() if yh else ():
             val[s] += num * yh
-    get = val.__getitem__
-    for s, infosets in after.items():
-        val[s] += sum(max(map(get, actions)) for actions in infosets)
+    get, after = val.__getitem__, sf.after
+    for s in sorted(after, reverse=True):
+        val[s] += sum(max(map(get, actions)) for actions in after[s].values())
     plan, stack = [], [0]
     while stack:
         plan.append(stack.pop())
-        stack.extend(max(actions, key=get) for actions in after.get(plan[-1], ()))
-    return Fraction(val[0], den * scale), frozenset(plan)
+        stack.extend(max(actions, key=get) for actions in after.get(plan[-1], {}).values())
+    return Fraction(val[0], sf.denominator * scale), frozenset(plan)
 
 
 def _lp_stats(solved) -> dict:
@@ -885,11 +879,10 @@ def _pattern_values(spec: GameSpec, root, mix_lcm: int, reveal_rule=None) -> dic
     Without ``reveal_rule`` the reveal is chance's under ``RANDOM`` and the
     hider's (worst case) otherwise; with it, the rule picks the reveal.
 
-    As in ``_SubgameTables``, values are integers: a state with ``found``
+    As in ``_SequenceForm``, values are integers: a state with ``found``
     treasures found and ``u`` untouched labels is worth its integer over
-    ``D(found, u) = (L M)^(d - found) u!``.  ``L`` is ``lcm(1..d)`` under
-    ``RANDOM`` (a reveal weight is over a treasure total of at most ``d``)
-    and 1 otherwise; ``M = mix_lcm``, the lcm of the mix denominators.  A
+    ``D(found, u) = (L M)^(d - found) u!``, with ``L`` from ``_reveal_lcm``
+    and ``M = mix_lcm``, the lcm of the mix denominators.  A
     win is ``u!``, a missing branch 0.  A query drawing ``f`` fresh labels
     has ``ways`` over ``perm(u, f)``, and ``D(found, u) = L M perm(u, f)
     D(found + 1, u - f)``: reveal weights enter as ``w L``, mix
@@ -897,7 +890,7 @@ def _pattern_values(spec: GameSpec, root, mix_lcm: int, reveal_rule=None) -> dic
     """
     memo: dict = {}
     d, variant = spec.d, spec.variant
-    L = lcm(*range(1, d + 1)) if variant == Variant.RANDOM else 1
+    L = _reveal_lcm(spec)
 
     def value(node, touched, untouched, found, history):
         if found == d:

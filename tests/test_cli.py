@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from cachegame import cli
 from cachegame import strategies as st
 
@@ -276,3 +278,11 @@ class TestCache:
     def test_recheck_requires_cache(self, capsys):
         code, _, err = run(capsys, "--recheck", "solve", "--n", "1", "--d", "1", "--k", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("content", [[], {"schema": 1, "entries": []}, {"schema": 1}])
+    def test_malformed_cache_file_exits_2(self, capsys, tmp_path, content):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps(content))
+        code, _, err = run(capsys, "--cache", str(cache), "solve", "--n", "2", "--d", "1", "--k", "1")
+        assert code == 2
+        assert f"error: cache file {cache} is not an object with an 'entries' object" in err

@@ -2,6 +2,7 @@ import gc
 import json
 import tracemalloc
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -68,8 +69,26 @@ class TestBuildTree:
         hider = _sequence(sf, HIDER, ("root",), (2, 1, 0))
         first = ((0, 1), 0), ((0, 2), 0)
         second = ((0, 1), 1), ((0, 2), 0)
-        assert sf.payoff[(_sequence(sf, SEARCHER, first, (1, 2)), hider)] == Fraction(2, 3)
-        assert sf.payoff[(_sequence(sf, SEARCHER, second, (0, 2)), hider)] == Fraction(1, 3)
+        payoff = sf.payoff[hider]
+        assert Fraction(payoff[_sequence(sf, SEARCHER, first, (1, 2))], sf.denominator) == Fraction(2, 3)
+        assert Fraction(payoff[_sequence(sf, SEARCHER, second, (0, 2))], sf.denominator) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("variant", [ADV, RAN])
+    @pytest.mark.parametrize("symmetry", [True, False])
+    @pytest.mark.parametrize("n,d,k,relaxed", [(3, 3, 2, False), (4, 3, 2, False), (3, 2, 2, True)])
+    def test_payoffs_are_integers_over_the_game_denominator(self, n, d, k, relaxed, symmetry, variant):
+        # D = n! lcm(1..d)^d under the random revealer, n! under the adversary.
+        sf = build_tree(GameSpec(n, d, k, variant), symmetry, relaxed).sf
+        reveal_lcm = lcm(*range(1, d + 1)) if variant == RAN else 1
+        assert sf.denominator == factorial(n) * reveal_lcm**d
+        entries = [w for row in sf.payoff.values() for w in row.values()]
+        assert entries and all(type(w) is int and w > 0 for w in entries)
+
+    def test_walk_rejects_a_path_probability_off_the_denominator(self):
+        # With denominator 2 every path probability is a multiple of 1/2.
+        game = {"root": (["a"], [("a", 1, 3, [(1, [(1, 0, 0, "won")])])]), "won": None}
+        with pytest.raises(SolverError, match="not a multiple of 1/2"):
+            solver._walk(game.get, [("root", 0)], None, _SequenceForm(2), lambda nodes=1: None)
 
     @pytest.mark.parametrize("variant", [ADV, RAN])
     def test_first_infoset_reduction(self, variant):
@@ -78,13 +97,13 @@ class TestBuildTree:
             assert len(sf.infosets[(SEARCHER, ())]["labels"]) == first_moves
 
     def test_infoset_with_differing_action_sets_rejected(self):
-        sf = _SequenceForm()
+        sf = _SequenceForm(1)
         list(sf.decide(SEARCHER, "same", 0, ["p", "q"]))
         with pytest.raises(SolverError, match="differing action sets"):
             list(sf.decide(SEARCHER, "same", 0, ["p"]))
 
     def test_infoset_reached_from_two_sequences_rejected(self):
-        sf = _SequenceForm()
+        sf = _SequenceForm(1)
         (_, p), (_, q) = sf.decide(SEARCHER, "first", 0, ["p", "q"])
         list(sf.decide(SEARCHER, "next", p, ["r"]))
         with pytest.raises(SolverError, match="perfect recall violated"):
@@ -168,29 +187,28 @@ class TestSubgameTables:
         def moves(state):
             return game.get(state)
 
-        return _SubgameTables(GameSpec(2, 1, 1, RAN), moves, budget=100)
+        return _SubgameTables(moves, budget=100, denominator=2, reveal_lcm=1)
 
     def test_relative_infoset_with_two_label_lists_rejected(self):
         # Both outcomes of "a" are observed as label 0, so "x" and "y" are one
         # information set of the searcher, offering her different actions.
-        half = Fraction(1, 2)
         game = {
-            "root": (["a"], [("a", 1, [(half, [(1, 0, 0, "x")]), (half, [(1, 1, 0, "y")])])]),
-            "x": (["p"], [("p", 0, [(1, [])])]),
-            "y": (["q"], [("q", 0, [(1, [])])]),
+            "root": (["a"], [("a", 1, 2, [(1, [(1, 0, 0, "x")]), (1, [(1, 1, 0, "y")])])]),
+            "x": (["p"], [("p", 0, 1, [(1, [])])]),
+            "y": (["q"], [("q", 0, 1, [(1, [])])]),
         }
         with pytest.raises(SolverError, match="differing action sets"):
             self.tables(game).table("root")
 
     def test_win_weight_off_the_denominator_rejected(self):
-        # For n = 2, d = 1 every path probability is a multiple of 1/2.
-        game = {"root": (["a"], [("a", 1, [(Fraction(1, 3), [(1, 0, 0, "won")])])])}
+        # With denominator 2 every path probability is a multiple of 1/2.
+        game = {"root": (["a"], [("a", 1, 3, [(1, [(1, 0, 0, "won")])])])}
         with pytest.raises(SolverError, match="not a multiple of 1/2"):
             self.tables(game).table("root")
 
     def test_budget_checked_inside_a_table(self):
         # The searcher node, the chance node and 200 losing draws.
-        game = {"root": (["a"], [("a", 1, [(Fraction(1, 200), [])] * 200)])}
+        game = {"root": (["a"], [("a", 1, 200, [(1, [])] * 200)])}
         with pytest.raises(BudgetExceededError) as err:
             self.tables(game).table("root")
         assert err.value.estimate == 202
