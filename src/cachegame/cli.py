@@ -171,6 +171,9 @@ def _load_cache(path: str) -> dict:
             raise ValueError(f"cache file {path} is not an object with an 'entries' object")
         if data.get("schema") != CACHE_SCHEMA:
             raise ValueError(f"cache schema {data.get('schema')} unsupported")
+        for key, entry in data["entries"].items():
+            if not isinstance(entry, dict) or not isinstance(entry.get("params"), dict):
+                raise ValueError(f"cache file {path} entry {key} is not an object with a 'params' object")
         return data
     return {"schema": CACHE_SCHEMA, "entries": {}}
 

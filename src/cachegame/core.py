@@ -99,6 +99,7 @@ def enumerate_allocations(n: int, d: int) -> list[Allocation]:
             rec(prefix + (c,), left - c)
 
     rec((), d)
+    del rec  # it refers to itself, so only the cycle collector would free it and ``out``
     return out
 
 

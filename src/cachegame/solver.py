@@ -11,16 +11,21 @@ a labeled placement, and chance assigns pattern entries to freshly touched
 labels by uniform draws without replacement.  Both games have the same
 value; the reduced one is exponentially smaller.
 
-Under the adversary revealer a builder walks every path of its game, and
-one sequence-form LP solves it.  Under the random revealer the hider moves
-only at the root, so a subgame's part of the sequence form depends on its
-state alone: a builder makes one table per state (``_SubgameTables``) and
-writes the root tables, and column generation solves the game: a master LP
-over the searcher's pure plans found so far, grown by an exact integer best
-response to the hider's mixture until the two values meet.  Either way
-``GameTree.num_nodes`` is the extensive form's node count; the tables sum it
-rather than visit the nodes.  Payoffs are integers over one game
-denominator; a Fraction is made only for an LP row entry.
+Both builders hand their rules to one walk (``_walk``), which lists each
+state's moves once and follows every path, registering sequences and wins
+as it goes.  Under the random revealer the listing merges each action's
+chance outcomes into one forced reveal per (observed label, next state);
+under the adversary revealer a reveal among several is the hider's
+decision.  ``GameTree.num_nodes`` is the extensive form's node count,
+summed once per state in the listing rather than counted node by node.
+Payoffs are integers over one game denominator; a Fraction is made only
+for an LP row entry.
+
+Under the adversary revealer one sequence-form LP solves the game.  Under
+the random revealer the hider moves only at the root, and column
+generation solves it: a master LP over the searcher's pure plans found so
+far, grown by an exact integer best response to the hider's mixture until
+the two values meet.
 """
 
 from __future__ import annotations
@@ -93,17 +98,10 @@ def build_tree(
         raise ValueError("cooperative games are verified, not solved; build adversary or random trees")
     if budget < 1:
         raise ValueError("node budget must be positive")
-    counter = [0]
-
-    def tick(nodes: int = 1) -> None:
-        counter[0] += nodes
-        if counter[0] > budget:
-            raise BudgetExceededError(budget, counter[0])
-
     sf = _SequenceForm(factorial(spec.n) * _reveal_lcm(spec) ** spec.d)
     build = _build_reduced if symmetry_reduction else _build_full
-    build(spec, relaxed_queries, budget, sf, tick)
-    return GameTree(spec, symmetry_reduction, relaxed_queries, counter[0], sf)
+    nodes = build(spec, relaxed_queries, budget, sf)
+    return GameTree(spec, symmetry_reduction, relaxed_queries, nodes, sf)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +114,7 @@ class _SequenceForm:
     builder.
 
     A walk passes ``at = (searcher sequence id, hider sequence id, chance
-    probability)`` down its recursion in place of tree nodes; subgame
-    tables register the same information sets and sequences, in the same
-    order, from their root.
+    probability)`` down its recursion in place of tree nodes.
 
     ``payoff[h][s]`` is the win probability of the sequence pair ``(s, h)``
     times ``denominator``, an integer: ``D = n! L^d`` (``L`` of
@@ -187,9 +183,9 @@ def _reveal_lcm(spec: GameSpec) -> int:
     return lcm(*range(1, spec.d + 1)) if spec.variant == Variant.RANDOM else 1
 
 
-def _write_game(spec: GameSpec, moves, roots, budget: int, sf: _SequenceForm, tick, hider_infoset) -> None:
-    """Write the game below the hider's root choice into ``sf``: walked
-    under the adversary revealer, from subgame tables under the random one.
+def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget: int) -> int:
+    """Write the game below the hider's root choice into ``sf`` and return
+    its extensive-form node count, the hider's root node included.
 
     ``roots`` yields ``(state, hider sequence)`` per root choice.
     ``moves(state)`` is None where the searcher has won.  Otherwise it is
@@ -200,34 +196,62 @@ def _write_game(spec: GameSpec, moves, roots, budget: int, sf: _SequenceForm, ti
     ``ways`` over the integer ``total``, and each reveal ``(weight, box,
     label, next state)``: the box that surrenders, with its chance weight
     under ``RANDOM``, the label the searcher observes, and the state after.
-    A draw with no reveals is a loss.  ``hider_infoset(root state,
-    observations, action)`` names a reveal decision of the hider.
+    A draw with no reveals is a loss.
+
+    A state is listed once, as ``(nodes, labels, options)``.  ``nodes``
+    counts its subgame: the state's node and, per action, its chance node,
+    its reveal nodes and the subgame after every reveal of every draw.
+    Under ``RANDOM`` every draw is a reveal node, a loss included, and an
+    action's draws merge into one forced reveal per (observed label, next
+    state) of weight ``sum(ways w L)`` over ``total L``, ``L`` from
+    ``_reveal_lcm``.  Otherwise only a draw whose reveal count is not 1 is a
+    reveal node: a loss, or a decision of the hider that ``hider_infoset(root
+    state, observations, action)`` names.  The budget is checked as counts
+    grow.
+
+    The walk then follows every path, registering in ``sf`` as it goes; a
+    path's probability is an integer over ``sf.denominator``.
     """
-    if spec.variant == Variant.RANDOM:
-        _SubgameTables(moves, budget, sf.denominator, _reveal_lcm(spec)).write(sf, roots, tick)
-    else:
-        _walk(moves, roots, hider_infoset, sf, tick)
-
-
-def _walk(moves, roots, hider_infoset, sf: _SequenceForm, tick) -> None:
-    """Walk every path of a game in which the hider picks each reveal
-    among several, registering in ``sf`` as the walk goes.  A state's
-    moves are listed once, and a path's probability is an integer over
-    ``sf.denominator``."""
-
+    merge = spec.variant == Variant.RANDOM
+    L = _reveal_lcm(spec)
     memo: dict = {}
 
+    def listing(state):
+        listed = memo.get(state)
+        if listed is not None:
+            return listed
+        game = moves(state)
+        if game is None:
+            listed = memo[state] = (1, None, None)
+            return listed
+        labels, options = game
+        nodes, kept = 1, []
+        for action, chance_nodes, total, draws in options:
+            nodes += chance_nodes + (len(draws) if merge else sum(len(outs) != 1 for _, outs in draws))
+            weights: dict = {}  # (label, next state) -> probability times total L
+            for ways, outs in draws:
+                for w, _, label, after in outs:
+                    if nodes > budget:
+                        raise BudgetExceededError(budget, nodes)
+                    nodes += listing(after)[0]
+                    if merge:
+                        key = label, after
+                        weights[key] = weights.get(key, 0) + ways * w.numerator * (L // w.denominator)
+            if nodes > budget:
+                raise BudgetExceededError(budget, nodes)
+            if merge:
+                total, draws = total * L, [(num, [(None, None, *key)]) for key, num in weights.items()]
+            kept.append((action, total, draws))
+        listed = memo[state] = (nodes, labels, kept)
+        return listed
+
     def node(root, state, obs, at):
-        tick()
-        if state not in memo:
-            memo[state] = moves(state)
-        listed = memo[state]
-        if listed is None:
+        _, labels, options = memo[state]
+        if labels is None:
             sf.win(at)
             return
-        labels, options = listed
         s_seq, h_seq, prob = at
-        for (action, chance_nodes, total, draws), (_, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, labels)):
+        for (action, total, draws), (_, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, labels)):
             for ways, outs in draws:
                 p, rest = divmod(prob * ways, total)
                 if rest:
@@ -235,141 +259,19 @@ def _walk(moves, roots, hider_infoset, sf: _SequenceForm, tick) -> None:
                 if len(outs) == 1:
                     picks = [(None, h_seq)]
                 else:
-                    tick()  # a loss, or the hider's choice
                     boxes = [box for _, box, _, _ in outs]
                     picks = sf.decide(HIDER, hider_infoset(root, obs, action), h_seq, boxes) if boxes else ()
                 for (_, _, label, after), (_, h) in zip(outs, picks):
                     node(root, after, obs + ((action, label),), (sid, h, p))
-            tick(chance_nodes)
 
+    nodes = 1
     for root, h_seq in roots:
+        nodes += listing(root)[0]
+        if nodes > budget:
+            raise BudgetExceededError(budget, nodes)
         node(root, root, (), (0, h_seq, sf.denominator))
-    del node  # it refers to itself, so only the cycle collector would free it and ``sf``
-
-
-# ---------------------------------------------------------------------------
-# Random-revealer games: one table per subgame state.
-# ---------------------------------------------------------------------------
-
-_ENTRY = -1  # win key of a subgame that is won at its root
-
-
-class _SubgameTables:
-    """Memoized subgame tables of a game whose hider moves only at the
-    root, over the ``moves`` of ``_write_game``.
-
-    A table is a subgame's part of the sequence form, relative to its root:
-    ``(nodes, events, wins)``.  ``nodes`` is its extensive-form node count.
-    ``events`` holds, in depth-first first-visit order, the searcher
-    information sets it reaches (value: their action labels) and the
-    sequences it plays there (value: None).  ``wins`` maps the sequence
-    played last before a win to the win's probability times
-    ``denominator``, an integer like the payoffs of ``_SequenceForm``.  A
-    reveal weight ``w`` enters as the integer ``w L``, ``L = reveal_lcm``.
-
-    Events are interned as ints.  The key of an event (``keys[event]``) is
-    ``(None, None)`` for the information set at the subgame's root,
-    ``(None, action)`` for a sequence played there, and ``(step, event)``
-    for ``event`` of the subgame entered by step ``(action, label)``.
-    """
-
-    def __init__(self, moves, budget: int, denominator: int, reveal_lcm: int):
-        self.moves = moves
-        self.budget = budget
-        self.denominator = denominator
-        self.reveal_lcm = reveal_lcm
-        self.memo: dict = {}
-        self.keys: list = []
-        self.ids: dict = {}
-        self.steps: list = []
-        self.step_ids: dict = {}
-
-    def write(self, sf: _SequenceForm, roots, tick) -> None:
-        """Write the table of each root state into ``sf``, registering
-        through it what a walk would register, in the same order."""
-        for state, h_seq in roots:
-            nodes, events, wins = self.table(state)
-            tick(nodes)
-            infos, sids = {}, {}
-            for event, labels in events.items():
-                obs, action = self._decode(event)
-                if action is None:
-                    parent = sids[obs[:-1], obs[-1][0]] if obs else 0
-                    infos[obs] = sf.infoset(SEARCHER, obs, parent, labels)
-                else:
-                    sids[obs, action] = sf.sequence(SEARCHER, infos[obs], action)
-            for event, w in wins.items():
-                sf.win((sids[self._decode(event)], h_seq, w))
-
-    def table(self, state) -> tuple:
-        table = self.memo.get(state)
-        if table is None:
-            table = self.memo[state] = self._build(state)
-        return table
-
-    def _build(self, state) -> tuple:
-        listed = self.moves(state)
-        if listed is None:
-            return 1, {}, {_ENTRY: self.denominator}
-        labels, options = listed
-        nodes = 1
-        events = {self._event((None, None)): labels}
-        wins: dict = {}
-        L = self.reveal_lcm
-        for action, chance_nodes, total, draws in options:
-            played = self._event((None, action))
-            events[played] = None
-            # Every draw is a reveal node, a loss included.
-            nodes = self._counted(nodes + chance_nodes + len(draws))
-            outcomes: dict = {}  # (label, next state) -> [probability times total L, paths]
-            for ways, outs in draws:
-                for w, _, label, child in outs:
-                    seen = outcomes.setdefault((label, child), [0, 0])
-                    seen[0] += ways * w.numerator * (L // w.denominator)
-                    seen[1] += 1
-            for (label, child), (num, paths) in outcomes.items():
-                sub_nodes, sub_events, sub_wins = self.table(child)
-                nodes = self._counted(nodes + paths * sub_nodes)
-                step = self.step_ids.setdefault((action, label), len(self.steps))
-                if step == len(self.steps):
-                    self.steps.append((action, label))
-                for event, sub_labels in sub_events.items():
-                    event = self._event((step, event))
-                    if event not in events:
-                        events[event] = sub_labels
-                    elif events[event] != sub_labels:
-                        raise SolverError(
-                            f"information set {self._decode(event)[0]} reached with differing action sets"
-                        )
-                for event, w in sub_wins.items():
-                    event = played if event == _ENTRY else self._event((step, event))
-                    w, rest = divmod(w * num, total * L)
-                    if rest:
-                        raise SolverError(f"win weight is not a multiple of 1/{self.denominator}")
-                    wins[event] = wins.get(event, 0) + w
-        return nodes, events, wins
-
-    def _counted(self, nodes: int) -> int:
-        if nodes > self.budget:
-            raise BudgetExceededError(self.budget, nodes)
-        return nodes
-
-    def _event(self, key) -> int:
-        event = self.ids.get(key)
-        if event is None:
-            event = self.ids[key] = len(self.keys)
-            self.keys.append(key)
-        return event
-
-    def _decode(self, event: int):
-        """``(observations, action)`` of ``event``, the action None for an
-        information set."""
-        obs = []
-        step, rest = self.keys[event]
-        while step is not None:
-            obs.append(self.steps[step])
-            step, rest = self.keys[rest]
-        return tuple(obs), rest
+    del listing, node  # each refers to itself, so only the cycle collector would free them and ``sf``
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +283,10 @@ def _query_sizes(k: int, relaxed: bool) -> range:
     return range(1, k + 1) if relaxed else range(k, k + 1)
 
 
-def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm, tick) -> None:
-    """States are ``(remaining counts, treasures found)``.  Under
-    ``RANDOM`` the game is built from one table per state, its node count
-    summed from the tables; otherwise it is walked, and a hider reveal
-    decision is keyed by the placement, the observations and the query."""
+def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm) -> int:
+    """States are ``(remaining counts, treasures found)``; a hider reveal
+    decision is keyed by the placement, the observations and the query.
+    Returns the node count."""
     n, d, k = spec.n, spec.d, spec.k
     placements = comb(n + d - 1, d)
     num_queries = sum(comb(n, size) for size in _query_sizes(k, relaxed))
@@ -405,10 +306,9 @@ def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm, t
             for q in queries
         ]
 
-    tick()
     allocations = [a.counts for a in enumerate_allocations(n, d)]
     roots = (((counts, 0), h_seq) for counts, h_seq in sf.decide(HIDER, ("root",), 0, allocations))
-    _write_game(spec, moves, roots, budget, sf, tick, lambda root, obs, q: (root[0], obs, q))
+    return _walk(spec, moves, roots, lambda root, obs, q: (root[0], obs, q), sf, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +329,9 @@ def _canonical_actions(touched: int, untouched: int, k: int, relaxed: bool):
                 yield (known, f)
 
 
-def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm, tick) -> None:
+def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm) -> int:
     """States are ``(touched counts, untouched pool, treasures found)``.
-    Under ``RANDOM`` the game is built from one table per state, its node
-    count summed from the tables; otherwise it is walked."""
+    Returns the node count."""
     n, d, k = spec.n, spec.d, spec.k
     actions_at: dict = {}
 
@@ -471,9 +370,8 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
     # difference is payoff-irrelevant, and sharing a key across them would
     # break perfect recall.)
     serial = count(1)
-    tick()
     roots = ((((), pat, 0), h_seq) for pat, h_seq in sf.decide(HIDER, ("root",), 0, patterns(d, n)))
-    _write_game(spec, moves, roots, budget, sf, tick, lambda *_: ("reveal", next(serial)))
+    return _walk(spec, moves, roots, lambda *_: ("reveal", next(serial)), sf, budget)
 
 
 @dataclass

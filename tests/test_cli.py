@@ -286,3 +286,15 @@ class TestCache:
         code, _, err = run(capsys, "--cache", str(cache), "solve", "--n", "2", "--d", "1", "--k", "1")
         assert code == 2
         assert f"error: cache file {cache} is not an object with an 'entries' object" in err
+
+    @pytest.mark.parametrize("entry", [5, [], {}, {"params": 5}])
+    @pytest.mark.parametrize("recheck", [False, True])
+    def test_cache_entry_without_a_params_object_exits_2(self, capsys, tmp_path, entry, recheck):
+        # The key is the one ``solve --n 2 --d 1 --k 1`` looks up.
+        cache = tmp_path / "cache.json"
+        key = cli._cache_key(2, 1, 1, "adversary", True, False)
+        cache.write_text(json.dumps({"schema": 1, "entries": {key: entry}}))
+        argv = ("--recheck",) * recheck + ("solve", "--n", "2", "--d", "1", "--k", "1")
+        code, _, err = run(capsys, "--cache", str(cache), *argv)
+        assert code == 2
+        assert f"error: cache file {cache} entry {key} is not an object with a 'params' object" in err

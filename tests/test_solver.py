@@ -29,7 +29,6 @@ from cachegame.solver import (
     SEARCHER,
     SolverError,
     _SequenceForm,
-    _SubgameTables,
     _best_response,
     _check_strategy,
     _pattern_values,
@@ -88,7 +87,7 @@ class TestBuildTree:
         # With denominator 2 every path probability is a multiple of 1/2.
         game = {"root": (["a"], [("a", 1, 3, [(1, [(1, 0, 0, "won")])])]), "won": None}
         with pytest.raises(SolverError, match="not a multiple of 1/2"):
-            solver._walk(game.get, [("root", 0)], None, _SequenceForm(2), lambda nodes=1: None)
+            solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], None, _SequenceForm(2), 100)
 
     @pytest.mark.parametrize("variant", [ADV, RAN])
     def test_first_infoset_reduction(self, variant):
@@ -120,11 +119,12 @@ class TestBuildTree:
         assert tree.num_nodes > 10_000
         assert held < 1_000_000
 
-    def test_walk_is_freed_on_return(self):
-        # The adversary walk is a self-recursive closure over the sequence
-        # form.  Left to the cycle collector, each dropped build of the full
-        # (4,3,2) game (about 0.7 MB) outlives its call.
-        spec = GameSpec(4, 3, 2, ADV)
+    @pytest.mark.parametrize("variant", [ADV, RAN])
+    def test_walk_is_freed_on_return(self, variant):
+        # The walk and its listing memo are self-recursive closures over the
+        # sequence form.  Left to the cycle collector, each dropped build of
+        # the full (4,3,2) game (about 0.7 MB) outlives its call.
+        spec = GameSpec(4, 3, 2, variant)
         build_tree(spec, symmetry_reduction=False)
         gc.collect()
         tracemalloc.start()
@@ -135,6 +135,37 @@ class TestBuildTree:
         finally:
             tracemalloc.stop()
         assert held < 1_000_000
+
+    @pytest.mark.parametrize("variant", [ADV, RAN])
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_build_leaves_no_cyclic_garbage(self, symmetry, variant):
+        # With the collector off, every object a build leaves behind must be
+        # freed by reference counting: DEBUG_SAVEALL keeps whatever only the
+        # cycle collector would find, such as the walk's listing memo.
+        gc.collect()
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            build_tree(GameSpec(3, 3, 2, variant), symmetry_reduction=symmetry)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert garbage == []
+
+    def test_random_build_peak_memory(self):
+        # One merged listing per state keeps this build's peak near 8 MB.
+        tracemalloc.start()
+        try:
+            build_tree(GameSpec(5, 5, 2, RAN))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15_000_000
 
     def test_cooperative_rejected(self):
         with pytest.raises(ValueError):
@@ -178,18 +209,16 @@ class TestBuildTree:
             build_tree(spec, symmetry, relaxed, budget=nodes - 1)
 
 
-class TestSubgameTables:
-    """Random-revealer games are built from one table per state; these toy
-    games reach the tables' own checks."""
+class TestWalk:
+    """Toy games in the ``moves`` format of ``solver._walk`` that reach its
+    own checks under the random revealer, where each action's chance
+    outcomes merge into one forced reveal per (label, next state)."""
 
     @staticmethod
-    def tables(game):
-        def moves(state):
-            return game.get(state)
+    def walk(game):
+        return solver._walk(GameSpec(2, 1, 1, RAN), game.get, [("root", 0)], None, _SequenceForm(2), 100)
 
-        return _SubgameTables(moves, budget=100, denominator=2, reveal_lcm=1)
-
-    def test_relative_infoset_with_two_label_lists_rejected(self):
+    def test_infoset_with_two_label_lists_rejected(self):
         # Both outcomes of "a" are observed as label 0, so "x" and "y" are one
         # information set of the searcher, offering her different actions.
         game = {
@@ -198,19 +227,19 @@ class TestSubgameTables:
             "y": (["q"], [("q", 0, 1, [(1, [])])]),
         }
         with pytest.raises(SolverError, match="differing action sets"):
-            self.tables(game).table("root")
+            self.walk(game)
 
-    def test_win_weight_off_the_denominator_rejected(self):
+    def test_merged_path_off_the_denominator_rejected(self):
         # With denominator 2 every path probability is a multiple of 1/2.
         game = {"root": (["a"], [("a", 1, 3, [(1, [(1, 0, 0, "won")])])])}
         with pytest.raises(SolverError, match="not a multiple of 1/2"):
-            self.tables(game).table("root")
+            self.walk(game)
 
-    def test_budget_checked_inside_a_table(self):
+    def test_budget_checked_inside_a_state(self):
         # The searcher node, the chance node and 200 losing draws.
         game = {"root": (["a"], [("a", 1, 200, [(1, [])] * 200)])}
         with pytest.raises(BudgetExceededError) as err:
-            self.tables(game).table("root")
+            self.walk(game)
         assert err.value.estimate == 202
 
 
