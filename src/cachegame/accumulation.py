@@ -11,7 +11,8 @@ symmetry the gold vector can be taken weakly decreasing, and then the
 winning family is closed upward under coordinatewise index decrease, so the
 search runs over up-closed subset families, each decided by an exact
 feasibility program with strict inequalities handled through a maximized
-margin.
+margin.  Losing counts are visited best-first, and the checked certificate
+of each infeasible program is reused to refute later families.
 """
 
 from __future__ import annotations
@@ -92,14 +93,32 @@ def best_ruckle_distribution(spec: AccumulationSpec) -> tuple[int, int, GoldDist
 # ---------------------------------------------------------------------------
 
 
-def _dominators(subset, n):
-    """Immediate coordinatewise predecessors: shift one index down by one."""
-    out = []
-    s = set(subset)
-    for idx in subset:
-        if idx - 1 >= 0 and idx - 1 not in s:
-            out.append(tuple(sorted(s - {idx} | {idx - 1})))
-    return out
+def _up_closed_families(n, k):
+    """The k-subsets in lexicographic order, the bitmasks (bit i for
+    ``subsets[i]``) of each one's immediate richer and poorer neighbors (a
+    richer one shifts one index down by one), and every up-closed winning
+    family as such a bitmask, depth-first with winning tried first."""
+    subsets = list(combinations(range(n), k))
+    index = {s: i for i, s in enumerate(subsets)}
+    richer, poorer = [0] * len(subsets), [0] * len(subsets)
+    for i, s in enumerate(subsets):
+        for p, idx in enumerate(s):
+            if idx and idx - 1 not in s:
+                j = index[s[:p] + (idx - 1,) + s[p + 1:]]
+                richer[i] |= 1 << j
+                poorer[j] |= 1 << i
+    families = [0]  # walk richest-first: a subset wins only after its richer neighbors
+    for i in sorted(range(len(subsets)), key=lambda i: (sum(subsets[i]), subsets[i])):
+        bit = 1 << i
+        families = [g for f in families for g in ((f | bit, f) if not richer[i] & ~f else (f,))]
+    return subsets, richer, poorer, families
+
+
+def _frontier(win, richer, poorer):
+    """Poorest winners and richest losers of ``win``, the rows its program needs."""
+    min_win = [i for i, p in enumerate(poorer) if win >> i & 1 and not p & win]
+    max_lose = [i for i, r in enumerate(richer) if not win >> i & 1 and not r & ~win]
+    return min_win, max_lose
 
 
 def max_losing_subsets_exact(spec: AccumulationSpec) -> tuple[int, GoldDistribution]:
@@ -108,75 +127,39 @@ def max_losing_subsets_exact(spec: AccumulationSpec) -> tuple[int, GoldDistribut
 
     Guarded to n <= 8: the candidate winning families are the up-closed
     families in the domination order on k-subsets, and their number grows
-    quickly.  Among maximizers the lexicographically least witness is
-    returned.
+    quickly.  Losing counts are visited best-first, most losing first, and
+    the search stops at the first count with a realizable family.  The
+    returned witness is the lexicographically least of the LP witnesses of
+    the realizable families at that count.
+
+    An infeasible family's checked certificate refutes every later family
+    that keeps the rows it uses (``_refutes``): there each recorded winner
+    dominates one of the family's poorest winners and each recorded loser
+    is dominated by one of its richest losers, so, gold being sorted, every
+    recorded row follows from the family's own rows.
     """
     n, k, d = spec.n, spec.k, spec.d
     if n > MAX_EXACT_BOXES:
         raise ValueError(f"exact search is guarded to n <= {MAX_EXACT_BOXES}, got n={n}")
-    subsets = list(combinations(range(n), k))
-    index = {s: i for i, s in enumerate(subsets)}
-    total = len(subsets)
-
-    # Topological order: a subset comes after everything dominating it.
-    order = sorted(subsets, key=lambda s: (sum(s), s))
-    dominators_of = {s: [d_ for d_ in _dominators(s, n)] for s in subsets}
-
-    best_count = -1
-    best_witness = None
-
-    def candidate(win_flags):
-        nonlocal best_count, best_witness
-        losing = [s for s in subsets if not win_flags[index[s]]]
-        if len(losing) < best_count:
-            return  # cannot improve; skip the feasibility program
-        winning = [s for s in subsets if win_flags[index[s]]]
-        # Only frontier constraints: poorest winners, richest losers.
-        min_win = [
-            s for s in winning if not any(win_flags[index[t]] for t in _covered_by(s, n, index))
-        ]
-        max_lose = [
-            s for s in losing if all(win_flags[index[t]] for t in dominators_of[s])
-        ]
-        result = _feasible_family(n, d, min_win, max_lose)
-        if result.feasible:
-            count = len(losing)
-            witness = tuple(result.witness)
-            if count > best_count or (count == best_count and witness < best_witness):
-                best_count = count
-                best_witness = witness
-
-    # Enumerate up-closed families by walking subsets richest-first; a
-    # subset may win only when every richer neighbor already won.
-    flags = [False] * total
-
-    def rec(pos):
-        if pos == len(order):
-            candidate(flags)
-            return
-        s = order[pos]
-        if all(flags[index[t]] for t in dominators_of[s]):
-            flags[index[s]] = True
-            rec(pos + 1)
-        flags[index[s]] = False
-        rec(pos + 1)
-
-    rec(0)
-    if best_witness is None:
-        raise RuntimeError("no realizable family found; this cannot happen")
-    return best_count, GoldDistribution(best_witness)
-
-
-def _covered_by(s, n, index):
-    """Immediate successors of ``s`` in the domination order (one index up)."""
-    out = []
-    sset = set(s)
-    for idx in s:
-        if idx + 1 < n and idx + 1 not in sset:
-            t = tuple(sorted(sset - {idx} | {idx + 1}))
-            if t in index:
-                out.append(t)
-    return out
+    subsets, richer, poorer, families = _up_closed_families(n, k)
+    by_count = {}
+    for win in families:
+        by_count.setdefault(len(subsets) - win.bit_count(), []).append(win)
+    cuts = []
+    for count in sorted(by_count, reverse=True):
+        witnesses = []
+        for win in by_count[count]:
+            if any(_refutes(cut, win) for cut in cuts):
+                continue
+            min_win, max_lose = _frontier(win, richer, poorer)
+            result = _feasible_family(n, d, [subsets[i] for i in min_win], [subsets[i] for i in max_lose])
+            if result.feasible:
+                witnesses.append(tuple(result.witness))
+            else:
+                cuts.append(_cut(n, result.certificate, min_win, max_lose))
+        if witnesses:
+            return count, GoldDistribution(min(witnesses))
+    raise RuntimeError("no realizable family found; this cannot happen")
 
 
 def _feasible_family(n, d, min_win, max_lose) -> lpmod.FeasibilityResult:
@@ -189,6 +172,23 @@ def _feasible_family(n, d, min_win, max_lose) -> lpmod.FeasibilityResult:
     for s in max_lose:
         constraints.append(({j: ONE for j in s}, lpmod.STRICT_LESS, ONE))
     return lpmod.check_feasible(n, constraints)
+
+
+def _cut(n, certificate, min_win, max_lose):
+    """Bitmasks of the winners and of the losers whose rows carry a nonzero
+    multiplier in ``certificate``, read in ``_feasible_family``'s row order:
+    n - 1 ordering rows, the total, ``min_win``, then ``max_lose``."""
+    used = [y != 0 for y in certificate[n:]]
+    w = sum(1 << i for i, u in zip(min_win, used) if u)
+    l = sum(1 << i for i, u in zip(max_lose, used[len(min_win):]) if u)
+    return w, l
+
+
+def _refutes(cut, win) -> bool:
+    """Whether the certificate behind ``cut`` refutes family ``win``: every
+    recorded winner wins in it and every recorded loser loses."""
+    w, l = cut
+    return not w & ~win and not l & win
 
 
 def verify_divisibility_bound(n: int, k: int, d) -> tuple[bool, int, Fraction]:

@@ -379,7 +379,11 @@ def cmd_accumulation(args) -> int:
             "probability": format_rational(Fraction(total - losing, total)),
             "witness": witness.to_json(),
         }
-    _emit(args, payload)
+    _emit(args, payload, [
+        (key, ",".join(value) if key == "witness" else value,
+         parse_rational(value) if key == "probability" else None)
+        for key, value in payload.items()
+    ])
     return EXIT_OK
 
 

@@ -3,10 +3,10 @@
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 import random
 
-from cachegame import GameSpec, Variant, build_tree, solve
+from cachegame import GameSpec, Variant, accumulation, build_tree, solve
 from cachegame.core import enumerate_allocations, patterns, reveals, take
 from cachegame.rational import ONE, ZERO
 from cachegame.solver import _rule_choice, _solve_sequence_lp
@@ -186,6 +186,60 @@ def _reference_check_point(lp, x, scale: int, what: str) -> None:
         lo, hi = lp.lower[j], lp.upper[j]
         if (lo is not None and x[j] < scale * lo) or (hi is not None and x[j] > scale * hi):
             raise CertificateError(f"{what} violates the bounds of variable {j}")
+
+
+def max_losing_reference(spec):
+    """Reference oracle for ``accumulation.max_losing_subsets_exact``: the
+    exhaustive search, with no best-first order and no certificate reuse.
+
+    Every up-closed winning family that could still tie the best losing
+    count gets its own feasibility program; among the maximizers the
+    lexicographically least LP witness is kept.  Returns (count, witness).
+    """
+    n, k, d = spec.n, spec.k, spec.d
+    subsets = list(combinations(range(n), k))
+    index = {s: i for i, s in enumerate(subsets)}
+
+    def shifted(s, step):
+        """Neighbors of ``s`` with one index moved by ``step``."""
+        return [
+            tuple(sorted(set(s) - {idx} | {idx + step}))
+            for idx in s
+            if 0 <= idx + step < n and idx + step not in s
+        ]
+
+    # Topological order: a subset comes after everything dominating it.
+    order = sorted(subsets, key=lambda s: (sum(s), s))
+    best_count, best_witness = -1, None
+    flags = [False] * len(subsets)
+
+    def candidate():
+        nonlocal best_count, best_witness
+        losing = [s for s in subsets if not flags[index[s]]]
+        if len(losing) < best_count:
+            return
+        winning = [s for s in subsets if flags[index[s]]]
+        min_win = [s for s in winning if not any(flags[index[t]] for t in shifted(s, 1))]
+        max_lose = [s for s in losing if all(flags[index[t]] for t in shifted(s, -1))]
+        result = accumulation._feasible_family(n, d, min_win, max_lose)
+        if result.feasible:
+            witness = tuple(result.witness)
+            if len(losing) > best_count or witness < best_witness:
+                best_count, best_witness = len(losing), witness
+
+    def rec(pos):
+        if pos == len(order):
+            candidate()
+            return
+        s = order[pos]
+        if all(flags[index[t]] for t in shifted(s, -1)):
+            flags[index[s]] = True
+            rec(pos + 1)
+        flags[index[s]] = False
+        rec(pos + 1)
+
+    rec(0)
+    return best_count, accumulation.GoldDistribution(best_witness)
 
 
 def reference_pattern_values(spec: GameSpec, root, reveal_rule=None) -> dict:

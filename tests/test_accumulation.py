@@ -3,14 +3,24 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from cachegame import accumulation as ac
+from helpers import max_losing_reference
 
 F = Fraction
+
+GOLD = [F(1, 2), F(1), F(3, 2), F(5, 3), F(11, 6), F(2), F(3)]
 
 
 def spec(n, k, d):
     return ac.AccumulationSpec(n, k, F(d))
+
+
+def small_instances(n):
+    """Every k for n boxes, each with the GOLD totals and d = n/k."""
+    return [(n, k, d) for k in range(1, n + 1) for d in sorted(set(GOLD) | {F(n, k)})]
 
 
 class TestCountWinning:
@@ -102,6 +112,57 @@ class TestExactMaximum:
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
             ac.max_losing_subsets_exact(spec(9, 2, F(2)))
+
+
+class TestSearchAgainstReference:
+    @pytest.mark.parametrize("n,k,d", [i for n in range(1, 7) for i in small_instances(n)])
+    def test_count_and_witness(self, n, k, d):
+        s = spec(n, k, d)
+        assert ac.max_losing_subsets_exact(s) == max_losing_reference(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hs.integers(1, 6).flatmap(lambda n: hs.tuples(hs.just(n), hs.integers(1, n))),
+        hs.fractions(min_value=F(1, 6), max_value=4, max_denominator=6),
+    )
+    def test_random_instances(self, nk, d):
+        s = spec(*nk, d)
+        assert ac.max_losing_subsets_exact(s) == max_losing_reference(s)
+
+    @pytest.mark.parametrize("n,k,d,programs", [(6, 3, 2, 28), (6, 3, 3, 28), (7, 3, 2, 1)])
+    def test_programs_solved(self, monkeypatch, n, k, d, programs):
+        # The reference solves 58, 62 and 222 programs here.
+        calls = []
+        check_feasible = ac.lpmod.check_feasible
+        monkeypatch.setattr(ac.lpmod, "check_feasible", lambda *a: calls.append(a) or check_feasible(*a))
+        ac.max_losing_subsets_exact(spec(n, k, d))
+        assert len(calls) == programs
+
+
+class TestCertificateReuse:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_refuted_family_is_infeasible(self, n):
+        # Solve every family, then hold each certificate's cut against
+        # every family: each one it refutes must be infeasible.
+        refuted = 0
+        for _, k, d in small_instances(n):
+            subsets, richer, poorer, families = ac._up_closed_families(n, k)
+            feasible, cuts = {}, []
+            for win in families:
+                min_win, max_lose = ac._frontier(win, richer, poorer)
+                result = ac._feasible_family(
+                    n, d, [subsets[i] for i in min_win], [subsets[i] for i in max_lose]
+                )
+                feasible[win] = result.feasible
+                if not result.feasible:
+                    cuts.append((win, ac._cut(n, result.certificate, min_win, max_lose)))
+            for source, cut in cuts:
+                assert ac._refutes(cut, source)
+                for win in families:
+                    if win != source and ac._refutes(cut, win):
+                        assert not feasible[win], (k, d, source, win)
+                        refuted += 1
+        assert refuted or n == 1
 
 
 class TestDivisibilityBound:

@@ -144,6 +144,25 @@ class TestAccumulationCommand:
                         "--mode", "ruckle")
         assert data["winning"] == 0
 
+    MODES = [["--mode", "exact"], ["--mode", "ruckle"],
+             ["--mode", "evaluate", "--dist", "11/12,11/12,0,0,0"]]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_table_witness_is_a_dist_argument(self, capsys, mode):
+        code, out, _ = run(capsys, "accumulation", "--n", "5", "--k", "3", "--d", "11/6",
+                           *mode, "--format", "table")
+        assert code == 0
+        witness = next(line for line in out.splitlines() if line.startswith("witness"))
+        assert witness.split() == ["witness", "11/12,11/12,0/1,0/1,0/1"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_table_approx_marks_the_probability(self, capsys, mode):
+        code, out, _ = run(capsys, "accumulation", "--n", "5", "--k", "3", "--d", "11/6",
+                           *mode, "--format", "table", "--approx")
+        assert code == 0
+        lines = [line for line in out.splitlines() if "approximate" in line]
+        assert lines == ["probability  3/10   (~0.300000, approximate)"]
+
     def test_evaluate_requires_dist(self, capsys):
         code, _, _ = run(capsys, "accumulation", "--n", "5", "--k", "3", "--d", "1",
                          "--mode", "evaluate")
