@@ -3,28 +3,29 @@
 A two-phase primal simplex on a sparse fraction-free tableau: each row is
 integer numerators over one positive integer denominator, kept in lowest
 terms, so a pivot is plain integer arithmetic and values become Fractions
-only at the edges (duals, primal point, ray).  There is one pricing rule:
+only at the edges (duals and primal point).  There is one pricing rule:
 the largest reduced cost enters, and once zero-step pivots persist a stall
 guard switches to Bland's rule, which guarantees termination.  The caller's
 Fraction rows become integer numerators over one lcm denominator per row
 once, in the standard form, and everything after that up to the answer runs
-in integers.  Before ``solve_lp`` returns, ``check_certificate`` verifies
-the answer against the caller's own rows and bounds, which it converts to
-integers itself, so the mapping back from the internal standard form is
-checked too:
+in integers.  Variables are nonnegative or free; a finite bound is a row.
+Before ``solve_lp`` returns, ``check_certificate`` verifies the answer
+against the caller's own rows, which it converts to integers itself, so the
+mapping back from the internal standard form is checked too:
 
-* ``OPTIMAL``  -- a feasible point, row and bound multipliers of the
-  signs their senses allow, dual-feasible reduced costs, and equal primal
-  objective, dual objective and ``objective_value`` (strong duality).
+* ``OPTIMAL``  -- a feasible point, row multipliers of the signs their
+  senses allow, dual-feasible reduced costs, and equal primal objective,
+  dual objective and ``objective_value`` (strong duality).
 * ``INFEASIBLE`` -- Farkas multipliers of the same signs combining the
-  rows and bounds into an impossible inequality.
-* ``UNBOUNDED`` -- a feasible point plus an improving ray in the
-  recession cone.
+  rows into an impossible inequality.
+
+An unbounded objective has no certificate here: ``solve_lp`` raises
+``LPError`` for it and reports no value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -35,14 +36,13 @@ _SENSES = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class LPError(ValueError):
-    """Malformed program: bad dimensions, senses, or bounds."""
+    """Malformed program (bad dimensions, columns or senses) or an unbounded objective."""
 
 
 class CertificateError(RuntimeError):
@@ -53,11 +53,19 @@ def _rational(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-class LinearProgram:
-    """max/min  c.x  subject to rows ``a.x (<=|=|>=) b`` and variable bounds.
+def _orient(sense: str) -> int:
+    """+1 for ``max``, -1 for ``min``."""
+    if sense not in ("max", "min"):
+        raise LPError(f"sense must be 'max' or 'min', got {sense!r}")
+    return 1 if sense == "max" else -1
 
-    Bounds default to ``x_j >= 0``; ``None`` marks an infinite end.  All
-    coefficients are coerced to Fraction on entry.
+
+class LinearProgram:
+    """max/min  c.x  subject to rows ``a.x (<=|=|>=) b``.
+
+    Every variable is nonnegative unless ``set_free`` puts it in ``free``; a
+    finite bound is written as a row.  All coefficients are coerced to
+    Fraction on entry.
     """
 
     def __init__(self, num_vars: int, objective=None):
@@ -72,17 +80,19 @@ class LinearProgram:
         self.rows: list[dict[int, Fraction]] = []
         self.senses: list[str] = []
         self.rhs: list[Fraction] = []
-        self.lower: list[Fraction | None] = [_ZERO] * num_vars
-        self.upper: list[Fraction | None] = [None] * num_vars
+        self.free: set[int] = set()
+
+    def _column(self, j: int) -> int:
+        if not 0 <= j < self.num_vars:
+            raise LPError(f"column {j} out of range")
+        return j
 
     def set_objective(self, j: int, coeff) -> None:
-        self.objective[j] = _rational(coeff)
+        self.objective[self._column(j)] = _rational(coeff)
 
-    def set_bounds(self, j: int, lower, upper) -> None:
-        self.lower[j] = None if lower is None else _rational(lower)
-        self.upper[j] = None if upper is None else _rational(upper)
-        if self.lower[j] is not None and self.upper[j] is not None and self.lower[j] > self.upper[j]:
-            raise LPError(f"empty bound interval for variable {j}")
+    def set_free(self, j: int) -> None:
+        """Let variable ``j`` take any sign."""
+        self.free.add(self._column(j))
 
     def add_constraint(self, coeffs: dict, sense: str, rhs) -> int:
         """Add one row; ``coeffs`` is a dict from column to coefficient."""
@@ -90,8 +100,7 @@ class LinearProgram:
             raise LPError(f"unknown sense {sense!r}")
         row: dict[int, Fraction] = {}
         for j, value in coeffs.items():
-            if not 0 <= j < self.num_vars:
-                raise LPError(f"column {j} out of range")
+            self._column(j)
             value = _rational(value)
             if value:
                 row[j] = value
@@ -106,9 +115,8 @@ class LPSolution:
     """Outcome of one solve.
 
     ``dual`` is indexed by the original constraints.  For ``INFEASIBLE`` it
-    holds the Farkas multipliers; for ``UNBOUNDED`` it holds the improving
-    ray over the *variables* (the certificate of unboundedness), while
-    ``primal`` holds a feasible starting point.
+    holds the Farkas multipliers, and ``objective_value`` and ``primal`` are
+    None.
 
     ``pivots`` is the total of ``phase1_pivots`` (driving artificials out
     included) and ``phase2_pivots``.  ``degenerate_pivots`` counts pivots
@@ -123,7 +131,6 @@ class LPSolution:
     primal: tuple[Fraction, ...] | None
     dual: tuple[Fraction, ...] | None
     pivots: int = 0
-    bound_dual: dict = field(default_factory=dict, repr=False)
     phase1_pivots: int = 0
     phase2_pivots: int = 0
     degenerate_pivots: int = 0
@@ -139,55 +146,32 @@ class LPSolution:
 class _Standard:
     """Expansion of a LinearProgram into equality standard form.
 
-    Variables with bounds other than ``[0, inf)`` are split into a
-    difference of nonnegatives, and their finite bounds become extra rows,
-    so the whole program is rows over nonnegative columns.  Each row is
+    Each free variable is split into a difference of nonnegatives, so the
+    whole program is rows over nonnegative columns.  Each row is
     ``(nums, rhs, den)``: integer numerators of its columns and right-hand
     side over ``den``, the lcm of its denominators, which leaves the row in
     lowest terms.  The cost is a ``_Row`` in the same form.
     """
 
-    def __init__(self, lp: LinearProgram, maximize: bool):
+    def __init__(self, lp: LinearProgram, orient: int):
         self.lp = lp
         self.var_cols: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
         self.col_var: list[tuple[int, int]] = []  # col -> (var, sign)
         for j in range(lp.num_vars):
-            if lp.lower[j] == 0 and lp.upper[j] is None:
-                col = len(self.col_var)
-                self.col_var.append((j, 1))
-                self.var_cols.append([(col, 1)])
-            else:
-                pos, neg = len(self.col_var), len(self.col_var) + 1
-                self.col_var.append((j, 1))
+            col = len(self.col_var)
+            self.col_var.append((j, 1))
+            if j in lp.free:
                 self.col_var.append((j, -1))
-                self.var_cols.append([(pos, 1), (neg, -1)])
+                self.var_cols.append([(col, 1), (col + 1, -1)])
+            else:
+                self.var_cols.append([(col, 1)])
         self.num_structural = len(self.col_var)
 
-        sign = 1 if maximize else -1
         cost, _, den = self._expand(dict(enumerate(lp.objective)), _ZERO)
-        self.cost = _Row({col: sign * v for col, v in cost.items() if v}, 0, den)
+        self.cost = _Row({col: orient * v for col, v in cost.items() if v}, 0, den)
 
-        # Rows: originals first, then bound rows.  ``row_origin[i]`` tells
-        # where internal row i came from for dual mapping.
-        self.rows: list[tuple[dict[int, int], int, int]] = []
-        self.senses: list[str] = []
-        self.row_origin: list[tuple] = []
-        for i, row in enumerate(lp.rows):
-            self.rows.append(self._expand(row, lp.rhs[i]))
-            self.senses.append(lp.senses[i])
-            self.row_origin.append(("row", i))
-        for j in range(lp.num_vars):
-            lo, hi = lp.lower[j], lp.upper[j]
-            if lo == 0 and hi is None:
-                continue
-            if lo is not None:
-                self.rows.append(self._expand({j: _ONE}, lo))
-                self.senses.append(GREATER_EQUAL)
-                self.row_origin.append(("lower", j))
-            if hi is not None:
-                self.rows.append(self._expand({j: _ONE}, hi))
-                self.senses.append(LESS_EQUAL)
-                self.row_origin.append(("upper", j))
+        self.rows = [self._expand(row, b) for row, b in zip(lp.rows, lp.rhs)]
+        self.senses = lp.senses
         self.num_rows = len(self.rows)
 
     def _expand(self, row: dict[int, Fraction], rhs: Fraction) -> tuple[dict[int, int], int, int]:
@@ -361,10 +345,10 @@ class _Tableau:
             red.eliminate(col, prow)
         self.basis[r] = col
 
-    def run_simplex(self, cost: _Row, barred: set[int]):
-        """Maximize, returning (status, reduced-cost row).  ``status`` is
-        OPTIMAL or UNBOUNDED (with ``self.unbounded_col`` set).  Each call
-        starts in largest-coefficient pricing."""
+    def run_simplex(self, cost: _Row, barred: set[int]) -> _Row:
+        """Maximize, returning the optimal reduced-cost row; raise LPError
+        if the objective is unbounded.  Each call starts in
+        largest-coefficient pricing."""
         red = self.reduced_costs(cost)
         bland = False
         stall = -1  # the first pivot has no earlier objective value to repeat
@@ -386,7 +370,7 @@ class _Tableau:
                     if entering is None or c < entering:
                         entering = c
             if entering is None:
-                return OPTIMAL, red
+                return red
             # Ratio rhs/a per row (the row denominator cancels), compared by
             # cross-multiplication.
             leave = None
@@ -401,8 +385,7 @@ class _Tableau:
                 if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                     leave, lead_rhs, lead_a = i, row.rhs, a
             if leave is None:
-                self.unbounded_col = entering
-                return UNBOUNDED, red
+                raise LPError("objective is unbounded")
             self.pivot(leave, entering, red)
             if not bland:
                 # Degeneracy guard: persistent zero-progress pivots switch
@@ -432,41 +415,33 @@ def solve_lp(lp: LinearProgram, sense: str = "max") -> LPSolution:
     Both phases price by the largest reduced cost and switch to Bland's
     rule if zero-step pivots persist (``bland_fallback``): the game
     programs are heavily degenerate, and pure Bland pricing solves them
-    several times slower.
+    several times slower.  Raises LPError if the objective is unbounded.
     """
-    if sense not in ("max", "min"):
-        raise LPError(f"sense must be 'max' or 'min', got {sense!r}")
+    orient = _orient(sense)
     _validate(lp)
-    sol = _simplex(lp, sense == "max")
+    sol = _simplex(lp, orient)
     check_certificate(lp, sense, sol)
     return sol
 
 
-def _simplex(lp: LinearProgram, maximize: bool) -> LPSolution:
-    std = _Standard(lp, maximize)
+def _simplex(lp: LinearProgram, orient: int) -> LPSolution:
+    std = _Standard(lp, orient)
     tab = _Tableau(std)
 
-    # Phase 1: drive artificials to zero.
+    # Phase 1: drive artificials to zero (bounded: the objective is <= 0).
     if tab.artificial:
         cost1 = _Row({c: -1 for c in tab.artificial}, 0, 1)
-        status, red = tab.run_simplex(cost1, barred=set())
-        if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
-            raise CertificateError("phase 1 reported unbounded")
+        red = tab.run_simplex(cost1, barred=set())
         tab.phase1_pivots = tab.pivots
         # Right-hand sides stay >= 0, so the artificials sum to a positive
         # value exactly when one of them is basic at a positive level.
         if any(row.rhs for row, b in zip(tab.rows, tab.basis) if b in tab.artificial):
-            dual, bound_dual = _original_duals(std, tab, tab.duals(red, cost1), 1)
-            return LPSolution(INFEASIBLE, None, None, dual, bound_dual=bound_dual, **tab.counters())
+            dual = _original_duals(tab.flip, tab.duals(red, cost1), 1)
+            return LPSolution(INFEASIBLE, None, None, dual, **tab.counters())
         _pivot_out_artificials(tab)
         tab.phase1_pivots = tab.pivots
 
-    status, red = tab.run_simplex(std.cost, barred=tab.artificial)
-    if status == UNBOUNDED:
-        return _unbounded_solution(std, tab)
-
-    orient = 1 if maximize else -1
-    dual, bound_dual = _original_duals(std, tab, tab.duals(red, std.cost), orient)
+    red = tab.run_simplex(std.cost, barred=tab.artificial)
     return LPSolution(
         status=OPTIMAL,
         # The reduced-cost row's right-hand side is minus the internal
@@ -474,31 +449,22 @@ def _simplex(lp: LinearProgram, maximize: bool) -> LPSolution:
         # with c.x at the returned point and with the dual objective.
         objective_value=Fraction(-orient * red.rhs, red.den),
         primal=std.structural_point(tab.primal_cols()),
-        dual=dual,
-        bound_dual=bound_dual,
+        dual=_original_duals(tab.flip, tab.duals(red, std.cost), orient),
         **tab.counters(),
     )
 
 
-def _original_duals(std, tab, y_internal, orient: int) -> tuple[tuple, dict]:
-    """Multipliers of the original rows (``dual``) and of the variable
-    bounds (``bound_dual``, keyed by row origin) from internal row
-    multipliers ``y_internal``, each scaled by ``orient``."""
-    dual = [_ZERO] * len(std.lp.rows)
-    bound_dual: dict = {}
-    for i, origin in enumerate(std.row_origin):
-        value = orient * tab.flip[i] * y_internal[i]
-        if origin[0] == "row":
-            dual[origin[1]] = value
-        else:
-            bound_dual[origin] = value
-    return tuple(dual), bound_dual
+def _original_duals(flip, y_internal, orient: int) -> tuple[Fraction, ...]:
+    """Multipliers of the caller's rows from internal row multipliers
+    ``y_internal``: each undoes its row's sign ``flip`` and is scaled by
+    ``orient``."""
+    return tuple(orient * f * y for f, y in zip(flip, y_internal))
 
 
 def _validate(lp: LinearProgram) -> None:
     if not (len(lp.rows) == len(lp.senses) == len(lp.rhs)):
         raise LPError("row bookkeeping out of sync")
-    if not (len(lp.objective) == len(lp.lower) == len(lp.upper) == lp.num_vars):
+    if len(lp.objective) != lp.num_vars or any(not 0 <= j < lp.num_vars for j in lp.free):
         raise LPError("column bookkeeping out of sync")
 
 
@@ -512,22 +478,6 @@ def _pivot_out_artificials(tab: _Tableau) -> None:
         # Otherwise the row is redundant; the artificial stays basic at 0.
 
 
-def _unbounded_solution(std, tab) -> LPSolution:
-    col = tab.unbounded_col
-    ray_cols = {col: _ONE}
-    for i, row in enumerate(tab.rows):
-        a = row.nums.get(col)
-        if a:
-            ray_cols[tab.basis[i]] = ray_cols.get(tab.basis[i], _ZERO) - Fraction(a, row.den)
-    return LPSolution(
-        status=UNBOUNDED,
-        objective_value=None,
-        primal=std.structural_point(tab.primal_cols()),
-        dual=std.structural_point(ray_cols),
-        **tab.counters(),
-    )
-
-
 # ---------------------------------------------------------------------------
 # The certificate check, in the caller's program.
 # ---------------------------------------------------------------------------
@@ -536,42 +486,33 @@ def _unbounded_solution(std, tab) -> LPSolution:
 def check_certificate(lp: LinearProgram, sense: str, sol: LPSolution) -> bool:
     """Verify ``sol`` from scratch in the original program's space.
 
-    Row multipliers (``dual``) and bound multipliers (``bound_dual``) must
-    have the signs their senses allow: under ``max``, and in every Farkas
-    certificate, >= 0 on ``<=`` rows and upper bounds and <= 0 on ``>=``
-    rows and lower bounds; ``min`` flips both.  Together they combine the
-    program into ``g.x <= value`` for every feasible ``x``.
+    Row multipliers (``dual``) must have the signs their senses allow: under
+    ``max``, and in every Farkas certificate, >= 0 on ``<=`` rows and <= 0
+    on ``>=`` rows; ``min`` flips both.  They combine the rows into
+    ``g.x <= value`` for every feasible ``x``.
 
-    * OPTIMAL: ``primal`` is feasible; the reduced cost ``g - c`` is >= 0
-      (<= 0 under ``min``) on a default ``[0, inf)`` variable and exactly 0
-      on any other; the primal objective, ``value`` and ``objective_value``
-      are equal.
-    * INFEASIBLE: ``g`` is >= 0 on default variables and 0 on the others,
-      and ``value < 0``, so no point within the bounds satisfies it.
-    * UNBOUNDED: ``primal`` is feasible, and the ray in ``dual`` improves
-      the objective and lies in the recession cone.
+    * OPTIMAL: ``primal`` is feasible; the reduced cost ``g - c`` is exactly
+      0 on a free variable and >= 0 (<= 0 under ``min``) on any other; the
+      primal objective, ``value`` and ``objective_value`` are equal.
+    * INFEASIBLE: ``g`` is 0 on free variables and >= 0 on the others, and
+      ``value < 0``, so no point satisfies it.
 
     The check runs in integers: each of ``lp``'s rows is converted here to
     numerators over the lcm of its denominators, a point goes over one
     common denominator, and so do the row multipliers.  Fractions appear
-    only where a cost, a bound multiplier or a finite nonzero bound does.
+    only where a cost does.
 
-    Raises CertificateError on any violation, a malformed ``sol`` included.
+    Raises LPError on an unknown sense or status, and CertificateError on
+    any violation, a malformed ``sol`` included.
     """
-    orient = 1 if sense == "max" else -1
+    orient = _orient(sense)
     rows = []  # row i as (nums, rhs, den): a_ij = nums[j] / den, b_i = rhs / den
     for row, b in zip(lp.rows, lp.rhs):
         den = lcm(b.denominator, *(v.denominator for v in row.values()))
         nums = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
         rows.append((nums, b.numerator * (den // b.denominator), den))
-    if sol.status == UNBOUNDED:
-        _check_point(lp, rows, sol.primal, 1, "point")
-        _check_point(lp, rows, sol.dual, 0, "ray")
-        if orient * sum(c * r for c, r in zip(lp.objective, sol.dual) if c) <= 0:
-            raise CertificateError("ray does not improve the objective")
-        return True
     if sol.status == OPTIMAL:
-        _check_point(lp, rows, sol.primal, 1, "point")
+        _check_point(lp, rows, sol.primal)
         cost = lp.objective
     elif sol.status == INFEASIBLE:
         orient, cost = 1, [_ZERO] * lp.num_vars
@@ -599,30 +540,11 @@ def check_certificate(lp: LinearProgram, sense: str, sol: LPSolution) -> bool:
         value += zi * rhs
         for j, v in nums.items():
             g[j] += zi * v
-    # The rest of g - c, and of value, in Fractions where it is nonzero.
-    extra = {j: -c for j, c in enumerate(cost) if c}
-    extra_value = _ZERO
-    for key, mult in sol.bound_dual.items():
-        kind, j = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
-        bounds = {"lower": lp.lower, "upper": lp.upper}.get(kind)
-        if bounds is None or not (isinstance(j, int) and 0 <= j < lp.num_vars):
-            raise CertificateError(f"multiplier on an unknown bound {key!r}")
-        if not isinstance(mult, (int, Fraction)):
-            raise CertificateError(f"multiplier on the {kind} bound of variable {j} is not rational")
-        bound = bounds[j]
-        if bound is None:
-            raise CertificateError(f"multiplier on the missing {kind} bound of variable {j}")
-        if (kind == "upper" and orient * mult < 0) or (kind == "lower" and orient * mult > 0):
-            raise CertificateError(f"dual sign on the {kind} bound of variable {j}")
-        if mult:
-            extra_value += mult * bound
-            extra[j] = extra.get(j, _ZERO) + mult
-    for j in range(lp.num_vars):
-        e = extra.get(j)
-        reduced = g[j] * e.denominator + e.numerator * z if e else g[j]  # sign of (g_j - c_j)
-        if (orient * reduced < 0) if lp.lower[j] == 0 and lp.upper[j] is None else reduced:
+    for j, c in enumerate(cost):
+        reduced = g[j] * c.denominator - c.numerator * z if c else g[j]  # sign of (g_j - c_j)
+        if reduced if j in lp.free else orient * reduced < 0:
             raise CertificateError(f"dual infeasibility at variable {j}")
-    value = Fraction(value, z) + extra_value
+    value = Fraction(value, z)
     if sol.status == INFEASIBLE:
         if value >= 0:
             raise CertificateError("Farkas certificate has nonnegative value")
@@ -631,27 +553,23 @@ def check_certificate(lp: LinearProgram, sense: str, sol: LPSolution) -> bool:
     return True
 
 
-def _check_point(lp: LinearProgram, rows, x, scale: int, what: str) -> None:
-    """Raise unless ``x`` meets every row and bound, with right-hand sides
-    and finite bounds multiplied by ``scale``: 1 checks a point, 0 a
-    direction of the recession cone.  ``rows`` are ``lp``'s rows as
-    ``check_certificate`` converts them; ``x`` goes over one denominator."""
+def _check_point(lp: LinearProgram, rows, x) -> None:
+    """Raise unless ``x`` meets every row and is nonnegative outside the
+    free variables.  ``rows`` are ``lp``'s rows as ``check_certificate``
+    converts them; ``x`` goes over one denominator."""
     if x is None:
-        raise CertificateError(f"{what} is missing")
+        raise CertificateError("point is missing")
     if len(x) != lp.num_vars:
-        raise CertificateError(f"{what} has {len(x)} entries for {lp.num_vars} variables")
-    d = _common_denominator((v.denominator for v in x), what)
+        raise CertificateError(f"point has {len(x)} entries for {lp.num_vars} variables")
+    d = _common_denominator((v.denominator for v in x), "point")
     xs = [v.numerator * (d // v.denominator) for v in x]
     for i, (nums, rhs, _) in enumerate(rows):
-        gap = sum(v * xs[j] for j, v in nums.items()) - scale * rhs * d
+        gap = sum(v * xs[j] for j, v in nums.items()) - rhs * d
         if (gap > 0) if lp.senses[i] == LESS_EQUAL else (gap < 0) if lp.senses[i] == GREATER_EQUAL else gap:
-            raise CertificateError(f"{what} violates row {i}")
-    for j in range(lp.num_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if (lo is not None and (x[j] < scale * lo if lo else xs[j] < 0)) or (
-            hi is not None and (x[j] > scale * hi if hi else xs[j] > 0)
-        ):
-            raise CertificateError(f"{what} violates the bounds of variable {j}")
+            raise CertificateError(f"point violates row {i}")
+    for j, v in enumerate(xs):
+        if v < 0 and j not in lp.free:
+            raise CertificateError(f"point is negative at variable {j}")
 
 
 def _common_denominator(denominators, what: str) -> int:
@@ -682,28 +600,40 @@ def check_feasible(num_vars: int, constraints) -> FeasibilityResult:
 
     ``constraints`` is an iterable of ``(coeffs, sense, rhs)``, ``coeffs`` a
     dict from column to coefficient and sense in ``{<=, =, >=, <, >}``.
-    Strict rows are decided without epsilons: a margin variable t is pushed
-    into every strict row and maximized; the strict system is feasible iff
-    the best margin is positive.  The witness then satisfies every strict
-    row with room to spare.  The margin is capped at 1, so a feasible system
-    with no strict row has margin 1.
+    Strict rows are decided without epsilons: a free margin variable t is
+    pushed into every strict row and maximized; the strict system is
+    feasible iff the best margin is positive.  The witness then satisfies
+    every strict row with room to spare.  The margin is capped at 1 by a
+    last row ``t <= 1``, so a feasible system with no strict row has
+    margin 1.
+
+    When the system is not feasible, ``certificate`` holds the checked row
+    multipliers, one per constraint in the caller's order; the cap's
+    multiplier is left out because it is always 0.  In a Farkas
+    certificate the reduced cost on the free column t is 0, and it sums
+    nonnegative terms, one from each strict row and one from the cap, so
+    each is 0.  At a margin <= 0 the cap is slack, and strong duality forces
+    complementary slackness, so its multiplier is 0.
     """
     t_col = num_vars
     lp = LinearProgram(num_vars + 1)
-    lp.set_bounds(t_col, None, _ONE)  # cap keeps the margin objective bounded
+    lp.set_free(t_col)
     lp.set_objective(t_col, _ONE)
     for coeffs, sense, rhs in constraints:
+        if t_col in coeffs:  # the margin's column is not the caller's
+            raise LPError(f"column {t_col} out of range")
         if sense == STRICT_LESS:
             lp.add_constraint({**coeffs, t_col: _ONE}, LESS_EQUAL, rhs)
         elif sense == STRICT_GREATER:
             lp.add_constraint({**coeffs, t_col: -_ONE}, GREATER_EQUAL, rhs)
         else:
             lp.add_constraint(coeffs, sense, rhs)
+    cap = lp.add_constraint({t_col: _ONE}, LESS_EQUAL, _ONE)  # keeps the margin objective bounded
 
     sol = solve_lp(lp, "max")
     if sol.status == INFEASIBLE:
-        return FeasibilityResult(False, None, sol.dual, None)
+        return FeasibilityResult(False, None, sol.dual[:cap], None)
     margin = sol.objective_value
     if margin > 0:
         return FeasibilityResult(True, sol.primal[:num_vars], None, margin)
-    return FeasibilityResult(False, None, sol.dual, margin)
+    return FeasibilityResult(False, None, sol.dual[:cap], margin)

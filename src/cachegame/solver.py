@@ -451,7 +451,7 @@ def _solve_sequence_lp(tree: GameTree) -> SolveResult:
     n_q = 1 + len(hider_infosets)  # q_0 plus one value variable per hider set
     program = lpmod.LinearProgram(n_sseq + n_q)
     for col in range(n_sseq, n_sseq + n_q):
-        program.set_bounds(col, None, None)
+        program.set_free(col)
     program.set_objective(n_sseq, ONE)
 
     program.add_constraint({0: ONE}, lpmod.EQUAL, ONE)
@@ -517,7 +517,7 @@ def _solve_column_generation(tree: GameTree) -> SolveResult:
         columns.append(column)
         v = len(plans)  # lambda per plan, then v
         program = lpmod.LinearProgram(v + 1)
-        program.set_bounds(v, None, None)
+        program.set_free(v)
         program.set_objective(v, ONE)
         for h in hider:
             program.add_constraint({v: ONE, **{i: Fraction(-col[h], den) for i, col in enumerate(columns)}},

@@ -16,7 +16,6 @@ from cachegame.lp import (
     INFEASIBLE,
     LESS_EQUAL,
     OPTIMAL,
-    UNBOUNDED,
     CertificateError,
     LPError,
 )
@@ -93,8 +92,6 @@ def complementary_slackness_holds(lp, sol):
         if y[i]:
             for j, v in row.items():
                 rho[j] += y[i] * v
-    for (kind, j), mult in sol.bound_dual.items():
-        rho[j] += mult
     for j in range(lp.num_vars):
         if rho[j] * x[j] != 0:
             return False
@@ -107,32 +104,25 @@ def reference_check_certificate(lp, sense, sol) -> bool:
 
     Verify ``sol`` from scratch in the original program's space.
 
-    Row multipliers (``dual``) and bound multipliers (``bound_dual``) must
-    have the signs their senses allow: under ``max``, and in every Farkas
-    certificate, >= 0 on ``<=`` rows and upper bounds and <= 0 on ``>=``
-    rows and lower bounds; ``min`` flips both.  Together they combine the
-    program into ``g.x <= value`` for every feasible ``x``.
+    Row multipliers (``dual``) must have the signs their senses allow: under
+    ``max``, and in every Farkas certificate, >= 0 on ``<=`` rows and <= 0
+    on ``>=`` rows; ``min`` flips both.  They combine the rows into
+    ``g.x <= value`` for every feasible ``x``.
 
-    * OPTIMAL: ``primal`` is feasible; the reduced cost ``g - c`` is >= 0
-      (<= 0 under ``min``) on a default ``[0, inf)`` variable and exactly 0
-      on any other; the primal objective, ``value`` and ``objective_value``
-      are equal.
-    * INFEASIBLE: ``g`` is >= 0 on default variables and 0 on the others,
-      and ``value < 0``, so no point within the bounds satisfies it.
-    * UNBOUNDED: ``primal`` is feasible, and the ray in ``dual`` improves
-      the objective and lies in the recession cone.
+    * OPTIMAL: ``primal`` is feasible; the reduced cost ``g - c`` is exactly
+      0 on a free variable and >= 0 (<= 0 under ``min``) on any other; the
+      primal objective, ``value`` and ``objective_value`` are equal.
+    * INFEASIBLE: ``g`` is 0 on free variables and >= 0 on the others, and
+      ``value < 0``, so no point satisfies it.
 
-    Raises CertificateError on any violation.
+    Raises LPError on an unknown sense or status, and CertificateError on
+    any violation.
     """
+    if sense not in ("max", "min"):
+        raise LPError(f"sense must be 'max' or 'min', got {sense!r}")
     orient = 1 if sense == "max" else -1
-    if sol.status == UNBOUNDED:
-        _reference_check_point(lp, sol.primal, 1, "point")
-        _reference_check_point(lp, sol.dual, 0, "ray")
-        if orient * sum(c * r for c, r in zip(lp.objective, sol.dual)) <= 0:
-            raise CertificateError("ray does not improve the objective")
-        return True
     if sol.status == OPTIMAL:
-        _reference_check_point(lp, sol.primal, 1, "point")
+        _reference_check_point(lp, sol.primal)
         cost = lp.objective
     elif sol.status == INFEASIBLE:
         orient, cost = 1, [_ZERO] * lp.num_vars
@@ -152,17 +142,9 @@ def reference_check_certificate(lp, sense, sol) -> bool:
         value += y[i] * lp.rhs[i]
         for j, v in row.items():
             g[j] += y[i] * v
-    for (kind, j), mult in sol.bound_dual.items():
-        bound = {"lower": lp.lower, "upper": lp.upper}[kind][j]
-        if bound is None:
-            raise CertificateError(f"multiplier on the missing {kind} bound of variable {j}")
-        if (kind == "upper" and orient * mult < 0) or (kind == "lower" and orient * mult > 0):
-            raise CertificateError(f"dual sign on the {kind} bound of variable {j}")
-        value += mult * bound
-        g[j] += mult
     for j in range(lp.num_vars):
         reduced = g[j] - cost[j]
-        if (orient * reduced < 0) if lp.lower[j] == 0 and lp.upper[j] is None else reduced:
+        if reduced if j in lp.free else orient * reduced < 0:
             raise CertificateError(f"dual infeasibility at variable {j}")
     if sol.status == INFEASIBLE:
         if value >= 0:
@@ -172,20 +154,18 @@ def reference_check_certificate(lp, sense, sol) -> bool:
     return True
 
 
-def _reference_check_point(lp, x, scale: int, what: str) -> None:
-    """Raise unless ``x`` meets every row and bound, with right-hand sides
-    and finite bounds multiplied by ``scale``: 1 checks a point, 0 a
-    direction of the recession cone."""
+def _reference_check_point(lp, x) -> None:
+    """Raise unless ``x`` meets every row and is nonnegative outside the
+    free variables."""
     if len(x) != lp.num_vars:
-        raise CertificateError(f"{what} has {len(x)} entries for {lp.num_vars} variables")
+        raise CertificateError(f"point has {len(x)} entries for {lp.num_vars} variables")
     for i, row in enumerate(lp.rows):
-        gap = sum(v * x[j] for j, v in row.items()) - scale * lp.rhs[i]
+        gap = sum(v * x[j] for j, v in row.items()) - lp.rhs[i]
         if (gap > 0) if lp.senses[i] == LESS_EQUAL else (gap < 0) if lp.senses[i] == GREATER_EQUAL else gap:
-            raise CertificateError(f"{what} violates row {i}")
+            raise CertificateError(f"point violates row {i}")
     for j in range(lp.num_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if (lo is not None and x[j] < scale * lo) or (hi is not None and x[j] > scale * hi):
-            raise CertificateError(f"{what} violates the bounds of variable {j}")
+        if x[j] < 0 and j not in lp.free:
+            raise CertificateError(f"point is negative at variable {j}")
 
 
 def max_losing_reference(spec):

@@ -39,19 +39,17 @@ def test_infeasible_with_farkas():
     assert y >= 0 and y * Fraction(-1) < 0
 
 
-def test_unbounded_with_ray():
+def test_unbounded_objective_raises():
     p = lpmod.LinearProgram(2, [1, 0])
     p.add_constraint({1: 1}, lpmod.LESS_EQUAL, 5)
-    sol = lpmod.solve_lp(p)
-    assert sol.status == lpmod.UNBOUNDED
-    ray = sol.dual
-    assert sum(p.objective[j] * ray[j] for j in range(2)) > 0
-    assert ray[0] >= 0 and ray[1] >= 0
+    with pytest.raises(lpmod.LPError, match="objective is unbounded"):
+        lpmod.solve_lp(p)
+    assert _improving_ray_exists(p, "max")
 
 
 def test_minimize_with_free_variable():
     p = lpmod.LinearProgram(2, [1, 3])
-    p.set_bounds(0, None, None)
+    p.set_free(0)
     p.add_constraint({0: 1, 1: 1}, lpmod.EQUAL, 4)
     p.add_constraint({0: 1}, lpmod.GREATER_EQUAL, -2)
     sol = lpmod.solve_lp(p, "min")
@@ -63,9 +61,13 @@ def test_minimize_with_free_variable():
 
 
 def test_bounded_variables():
+    # Finite bounds are rows: 1/2 <= x0 <= 3/2 and a free x1 <= 2.
     p = lpmod.LinearProgram(2, [2, 1])
-    p.set_bounds(0, Fraction(1, 2), Fraction(3, 2))
-    p.set_bounds(1, None, Fraction(2))
+    p.set_free(0)
+    p.set_free(1)
+    p.add_constraint({0: 1}, lpmod.GREATER_EQUAL, Fraction(1, 2))
+    p.add_constraint({0: 1}, lpmod.LESS_EQUAL, Fraction(3, 2))
+    p.add_constraint({1: 1}, lpmod.LESS_EQUAL, Fraction(2))
     sol = lpmod.solve_lp(p)
     assert sol.status == lpmod.OPTIMAL
     assert sol.primal == (Fraction(3, 2), Fraction(2))
@@ -82,7 +84,7 @@ def test_negative_rhs_sign_handling():
     lpmod.check_certificate(p, "max", sol)
 
     p = lpmod.LinearProgram(2, [1, -1])
-    p.set_bounds(0, None, None)
+    p.set_free(0)
     p.add_constraint({0: 1, 1: -1}, lpmod.EQUAL, -3)
     p.add_constraint({0: -1}, lpmod.GREATER_EQUAL, -4)
     sol = lpmod.solve_lp(p, "max")
@@ -102,7 +104,9 @@ def test_textbook_corner():
 
 def test_negative_bound_interval():
     p = lpmod.LinearProgram(1, [1])
-    p.set_bounds(0, Fraction(-7, 2), Fraction(-1, 3))
+    p.set_free(0)
+    p.add_constraint({0: 1}, lpmod.GREATER_EQUAL, Fraction(-7, 2))
+    p.add_constraint({0: 1}, lpmod.LESS_EQUAL, Fraction(-1, 3))
     sol = lpmod.solve_lp(p, "min")
     assert sol.primal == (Fraction(-7, 2),)
     lpmod.check_certificate(p, "min", sol)
@@ -116,6 +120,30 @@ def test_dimension_validation():
         p.add_constraint({0: 1}, "<<", 0)
     with pytest.raises(lpmod.LPError):
         lpmod.solve_lp(p, "maximize")
+
+
+@pytest.mark.parametrize("j", [-1, 2])
+@pytest.mark.parametrize("edit", [
+    lambda p, j: p.set_objective(j, 5),
+    lambda p, j: p.set_free(j),
+    lambda p, j: p.add_constraint({j: 0}, lpmod.LESS_EQUAL, 0),
+], ids=["set_objective", "set_free", "add_constraint"])
+def test_out_of_range_column_is_rejected(edit, j):
+    # -1 would otherwise edit the last column, and num_vars would not be
+    # named as a column error.
+    p = lpmod.LinearProgram(2, [1, 2])
+    with pytest.raises(lpmod.LPError, match=f"column {j} out of range"):
+        edit(p, j)
+    assert p.objective == [1, 2] and p.free == set() and p.rows == []
+
+
+@pytest.mark.parametrize("sense", ["minimize", "Max", None])
+def test_check_certificate_rejects_an_unknown_sense(sense):
+    p = lpmod.LinearProgram(1, [1])
+    p.add_constraint({0: 1}, lpmod.LESS_EQUAL, 1)
+    sol = lpmod.solve_lp(p)
+    with pytest.raises(lpmod.LPError, match="sense must be 'max' or 'min'"):
+        lpmod.check_certificate(p, sense, sol)
 
 
 def test_add_constraint_coerces_and_drops_zeros():
@@ -179,24 +207,26 @@ def test_beale_cycling_program_falls_back_to_bland():
 
 class TestCheckCertificateRejectsForgeries:
     def test_interior_point_of_a_box(self):
-        # max x on [0, 10]: at x = 5, lower and upper multipliers of 1/2
-        # cancel the cost and match both objectives, but a lower bound of a
-        # maximization takes a multiplier <= 0.
+        # max x over a free x with rows x >= 0 and x <= 10: at x = 5,
+        # multipliers of 1/2 on both rows cancel the cost and match both
+        # objectives, but a >= row of a maximization takes a multiplier <= 0.
         p = lpmod.LinearProgram(1, [1])
-        p.set_bounds(0, 0, 10)
+        p.set_free(0)
+        p.add_constraint({0: 1}, lpmod.GREATER_EQUAL, 0)
+        p.add_constraint({0: 1}, lpmod.LESS_EQUAL, 10)
         half = Fraction(1, 2)
-        forged = lpmod.LPSolution(lpmod.OPTIMAL, Fraction(5), (Fraction(5),), (),
-                                  bound_dual={("lower", 0): half, ("upper", 0): half})
-        with pytest.raises(lpmod.CertificateError, match="dual sign on the lower bound of variable 0"):
+        forged = lpmod.LPSolution(lpmod.OPTIMAL, Fraction(5), (Fraction(5),), (half, half))
+        with pytest.raises(lpmod.CertificateError, match="dual sign on row 0"):
             lpmod.check_certificate(p, "max", forged)
         assert lpmod.solve_lp(p).objective_value == 10
 
     def test_unpriced_point_of_a_shifted_variable(self):
-        # max -x with x >= -5: at x = 0 without multipliers the reduced cost
-        # is 1, which only a default [0, inf) variable may keep.
+        # max -x over a free x with x >= -5: at x = 0 with a zero multiplier
+        # the reduced cost is 1, which only a nonnegative variable may keep.
         p = lpmod.LinearProgram(1, [-1])
-        p.set_bounds(0, -5, None)
-        forged = lpmod.LPSolution(lpmod.OPTIMAL, Fraction(0), (Fraction(0),), ())
+        p.set_free(0)
+        p.add_constraint({0: 1}, lpmod.GREATER_EQUAL, -5)
+        forged = lpmod.LPSolution(lpmod.OPTIMAL, Fraction(0), (Fraction(0),), (Fraction(0),))
         with pytest.raises(lpmod.CertificateError, match="dual infeasibility at variable 0"):
             lpmod.check_certificate(p, "max", forged)
         assert lpmod.solve_lp(p).objective_value == 5
@@ -210,33 +240,29 @@ class TestCheckCertificateRejectsForgeries:
         with pytest.raises(lpmod.CertificateError, match="objective mismatch"):
             lpmod.check_certificate(p, "max", replace(sol, objective_value=sol.objective_value + 1))
 
-    def test_unbounded_point_violating_a_row(self):
-        p = lpmod.LinearProgram(2, [1, 0])
-        p.add_constraint({1: 1}, lpmod.LESS_EQUAL, 5)
+    def test_negative_point_of_a_nonnegative_variable(self):
+        # max x + y with x + y <= 1: (-1, 2) meets the row and both
+        # objectives, but x is not free.
+        p = lpmod.LinearProgram(2, [1, 1])
+        p.add_constraint({0: 1, 1: 1}, lpmod.LESS_EQUAL, 1)
         sol = lpmod.solve_lp(p)
-        assert sol.status == lpmod.UNBOUNDED
-        lpmod.check_certificate(p, "max", sol)
-        forged = replace(sol, primal=(sol.primal[0], Fraction(6)))
-        with pytest.raises(lpmod.CertificateError, match="point violates row 0"):
+        forged = replace(sol, primal=(Fraction(-1), Fraction(2)))
+        with pytest.raises(lpmod.CertificateError, match="point is negative at variable 0"):
             lpmod.check_certificate(p, "max", forged)
 
     @pytest.mark.parametrize("change,message", [
-        ({"bound_dual": {("lower", 5): Fraction(1)}}, r"unknown bound \('lower', 5\)"),
-        ({"bound_dual": {("foo", 0): Fraction(1)}}, r"unknown bound \('foo', 0\)"),
-        ({"bound_dual": {"upper": Fraction(1)}}, "unknown bound 'upper'"),
-        ({"bound_dual": {("upper", 0): 1.0}}, "upper bound of variable 0 is not rational"),
         ({"primal": None}, "point is missing"),
         ({"dual": None}, "row multipliers are missing"),
         ({"primal": ()}, "point has 0 entries for 1 variables"),
-        ({"dual": (Fraction(1),)}, "1 row multipliers for 0 rows"),
+        ({"dual": (Fraction(1), Fraction(1))}, "2 row multipliers for 1 rows"),
         ({"primal": (1.0,)}, "point has an entry that is not rational"),
     ])
     def test_malformed_solution(self, change, message):
-        # max x on [0, 1]: a solution with a missing vector, a vector of the
-        # wrong length or a multiplier on a bound that does not exist is
-        # rejected by name, not by the first lookup that fails on it.
+        # max x with x <= 1: a solution with a missing vector or a vector of
+        # the wrong length is rejected by name, not by the first lookup that
+        # fails on it.
         p = lpmod.LinearProgram(1, [1])
-        p.set_bounds(0, 0, 1)
+        p.add_constraint({0: 1}, lpmod.LESS_EQUAL, 1)
         sol = lpmod.solve_lp(p)
         with pytest.raises(lpmod.CertificateError, match=message):
             lpmod.check_certificate(p, "max", replace(sol, **change))
@@ -247,9 +273,8 @@ def test_solve_lp_checks_the_mapping_back(monkeypatch):
     # gives the x >= 2 row of max -x a multiplier of the wrong sign.
     real = lpmod._original_duals
 
-    def unflipped(std, tab, y_internal, orient):
-        tab.flip = [1] * len(tab.flip)
-        return real(std, tab, y_internal, orient)
+    def unflipped(flip, y_internal, orient):
+        return real([1] * len(flip), y_internal, orient)
 
     p = lpmod.LinearProgram(1, [-1])
     p.add_constraint({0: -1}, lpmod.LESS_EQUAL, -2)
@@ -259,9 +284,9 @@ def test_solve_lp_checks_the_mapping_back(monkeypatch):
 
 
 def _farkas_holds(p, sol):
-    """The row and bound multipliers refute the program in its own space:
-    their combination is a valid inequality g.x <= value with g.x >= 0 on
-    every point the bounds allow, yet value < 0."""
+    """The row multipliers refute the program in its own space: their
+    combination is a valid inequality g.x <= value with g.x >= 0 on every
+    point whose nonnegative variables are nonnegative, yet value < 0."""
     y = sol.dual
     for i, sense in enumerate(p.senses):
         if (sense == lpmod.LESS_EQUAL and y[i] < 0) or (sense == lpmod.GREATER_EQUAL and y[i] > 0):
@@ -271,40 +296,44 @@ def _farkas_holds(p, sol):
     for i, row in enumerate(p.rows):
         for j, v in row.items():
             g[j] += y[i] * v
-    for (kind, j), mult in sol.bound_dual.items():
-        if (kind == "lower" and mult > 0) or (kind == "upper" and mult < 0):
-            return False
-        g[j] += mult
-        value += mult * (p.lower[j] if kind == "lower" else p.upper[j])
     for j in range(p.num_vars):
-        nonneg = p.lower[j] == 0 and p.upper[j] is None
-        if (g[j] < 0) if nonneg else (g[j] != 0):
+        if (g[j] != 0) if j in p.free else (g[j] < 0):
             return False
     return value < 0
 
 
-def _ray_holds(p, sense, sol):
-    """``primal`` is feasible and ``dual`` an improving recession direction."""
-    x, r = sol.primal, sol.dual
-    gain = sum(p.objective[j] * r[j] for j in range(p.num_vars))
-    if (gain <= 0) if sense == "max" else (gain >= 0):
+def _with_rows(p, objective, rhs):
+    """``p``'s rows and free variables under a new objective and right-hand sides."""
+    q = lpmod.LinearProgram(p.num_vars, objective)
+    for j in p.free:
+        q.set_free(j)
+    for row, sense, b in zip(p.rows, p.senses, rhs):
+        q.add_constraint(row, sense, b)
+    return q
+
+
+def _improving_ray_exists(p, sense):
+    """``p`` is feasible and its objective unbounded, as two certified
+    solves show: ``p`` with no objective is optimal, and some direction r
+    of its recession cone has ``c.r`` of the improving sign, which the cap
+    ``c.r <= 1`` (``>= -1`` under ``min``) then holds at 1."""
+    if lpmod.solve_lp(_with_rows(p, None, p.rhs)).status != lpmod.OPTIMAL:
         return False
-    for i, row in enumerate(p.rows):
-        at = sum(v * x[j] for j, v in row.items()) - p.rhs[i]
-        step = sum(v * r[j] for j, v in row.items())
-        for delta in (at, step):
-            if p.senses[i] == lpmod.LESS_EQUAL and delta > 0:
-                return False
-            if p.senses[i] == lpmod.GREATER_EQUAL and delta < 0:
-                return False
-            if p.senses[i] == lpmod.EQUAL and delta != 0:
-                return False
-    for j in range(p.num_vars):
-        if p.lower[j] is not None and (x[j] < p.lower[j] or r[j] < 0):
-            return False
-        if p.upper[j] is not None and (x[j] > p.upper[j] or r[j] > 0):
-            return False
-    return True
+    orient = 1 if sense == "max" else -1
+    cone = _with_rows(p, [orient * c for c in p.objective], [0] * len(p.rows))
+    cone.add_constraint({j: orient * c for j, c in enumerate(p.objective)}, lpmod.LESS_EQUAL, 1)
+    return lpmod.solve_lp(cone).objective_value == 1
+
+
+def _solved(p, sense):
+    """``solve_lp``'s answer, or None for an objective that is unbounded,
+    checked so by ``_improving_ray_exists``."""
+    try:
+        return lpmod.solve_lp(p, sense)
+    except lpmod.LPError as exc:
+        assert str(exc) == "objective is unbounded"
+        assert _improving_ray_exists(p, sense)
+        return None
 
 
 _coef = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -313,23 +342,31 @@ _coef = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 @st.composite
 def _small_programs(draw):
     """Programs with Fraction data, every sense, right-hand sides of either
-    sign, and default, free, one-sided and boxed variables."""
+    sign, and default, free, one-sided and boxed variables.  A variable
+    with a finite bound other than ``x >= 0`` is free, and its bounds are
+    rows after the drawn ones (lower before upper, by variable)."""
     num_vars = draw(st.integers(1, 3))
     p = lpmod.LinearProgram(num_vars, draw(st.lists(_coef, min_size=num_vars, max_size=num_vars)))
+    bounds = []
     for j in range(num_vars):
         kind = draw(st.sampled_from(["default", "free", "lower", "upper", "boxed"]))
-        if kind == "free":
-            p.set_bounds(j, None, None)
-        elif kind == "lower":
-            p.set_bounds(j, draw(_coef), None)
+        lo, hi = (0, None) if kind == "default" else (None, None)
+        if kind == "lower":
+            lo = draw(_coef)
         elif kind == "upper":
-            p.set_bounds(j, None, draw(_coef))
+            hi = draw(_coef)
         elif kind == "boxed":
             lo = draw(_coef)
-            p.set_bounds(j, lo, lo + draw(st.fractions(min_value=0, max_value=3, max_denominator=3)))
+            hi = lo + draw(st.fractions(min_value=0, max_value=3, max_denominator=3))
+        if (lo, hi) != (0, None):
+            p.set_free(j)
+            bounds += [(j, sense, b) for sense, b in ((lpmod.GREATER_EQUAL, lo), (lpmod.LESS_EQUAL, hi))
+                       if b is not None]
     for _ in range(draw(st.integers(0, 4))):
         row = draw(st.dictionaries(st.integers(0, num_vars - 1), _coef, max_size=num_vars))
         p.add_constraint(row, draw(st.sampled_from(lpmod._SENSES)), draw(_coef))
+    for j, sense, b in bounds:
+        p.add_constraint({j: 1}, sense, b)
     return p, draw(st.sampled_from(["max", "min"]))
 
 
@@ -337,31 +374,27 @@ def _small_programs(draw):
 @given(_small_programs())
 def test_random_programs_certified(case):
     p, sense = case
-    sol = lpmod.solve_lp(p, sense)
+    sol = _solved(p, sense)
+    if sol is None:
+        return
     assert sol.pivots == sol.phase1_pivots + sol.phase2_pivots
     assert lpmod.check_certificate(p, sense, sol)
     if sol.status == lpmod.INFEASIBLE:
         assert _farkas_holds(p, sol)
-    elif sol.status == lpmod.UNBOUNDED:
-        assert _ray_holds(p, sense, sol)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_small_programs())
 def test_negated_multiplier_is_rejected(case):
     p, sense = case
-    sol = lpmod.solve_lp(p, sense)
-    if sol.status != lpmod.OPTIMAL:
+    sol = _solved(p, sense)
+    if sol is None or sol.status != lpmod.OPTIMAL:
         return
     for i, y in enumerate(sol.dual):
         if y and p.senses[i] != lpmod.EQUAL:
             dual = sol.dual[:i] + (-y,) + sol.dual[i + 1:]
             with pytest.raises(lpmod.CertificateError):
                 lpmod.check_certificate(p, sense, replace(sol, dual=dual))
-    for key, mult in sol.bound_dual.items():
-        if mult:
-            with pytest.raises(lpmod.CertificateError):
-                lpmod.check_certificate(p, sense, replace(sol, bound_dual={**sol.bound_dual, key: -mult}))
 
 
 _NUDGES = (
@@ -373,16 +406,13 @@ _NUDGES = (
 
 
 def _nudged(sol):
-    """``sol`` with one primal entry, row multiplier (or ray entry), bound
-    multiplier or the objective value shifted or scaled slightly."""
+    """``sol`` with one primal entry, row multiplier or the objective value
+    shifted or scaled slightly."""
     for name in ("primal", "dual"):
         vector = getattr(sol, name)
         for i in range(len(vector or ())):
             for nudge in _NUDGES:
                 yield replace(sol, **{name: vector[:i] + (nudge(vector[i]),) + vector[i + 1:]})
-    for key, mult in sol.bound_dual.items():
-        for nudge in _NUDGES:
-            yield replace(sol, bound_dual={**sol.bound_dual, key: nudge(mult)})
     if sol.objective_value is not None:
         for nudge in _NUDGES:
             yield replace(sol, objective_value=nudge(sol.objective_value))
@@ -401,7 +431,9 @@ def test_integer_check_agrees_with_the_fraction_oracle(case):
     # The integer check and the Fraction reference accept the same
     # certificates and reject the rest for the same first reason.
     p, sense = case
-    sol = lpmod.solve_lp(p, sense)
+    sol = _solved(p, sense)
+    if sol is None:
+        return
     for forged in (sol, *_nudged(sol)):
         expected = _verdict(reference_check_certificate, p, sense, forged)
         assert _verdict(lpmod.check_certificate, p, sense, forged) == expected
@@ -441,6 +473,26 @@ class TestCheckFeasible:
         )
         assert not r.feasible
         assert r.certificate is not None
+
+    def test_margin_column_is_not_a_caller_column(self):
+        # Column 1 of a one-variable system would otherwise constrain the
+        # margin and turn the feasible x <= 5 into a verdict of infeasible.
+        with pytest.raises(lpmod.LPError, match="column 1 out of range"):
+            lpmod.check_feasible(1, [({0: 1}, lpmod.LESS_EQUAL, 5), ({1: 1}, lpmod.LESS_EQUAL, -5)])
+
+    @pytest.mark.parametrize("constraints,margin", [
+        # Infeasible even without strict rows: a Farkas certificate.
+        ([({0: 1}, lpmod.STRICT_LESS, 0), ({0: 1}, lpmod.LESS_EQUAL, -1), ({0: 1}, lpmod.GREATER_EQUAL, 1)], None),
+        # Feasible, but only with margin 0: the optimal row multipliers.
+        ([({0: 1}, lpmod.STRICT_LESS, 1), ({0: 1}, lpmod.STRICT_GREATER, 1), ({0: 1}, lpmod.EQUAL, 1)], 0),
+    ])
+    def test_one_multiplier_per_constraint(self, constraints, margin):
+        # The cap on the margin is a row of its own; its multiplier is 0 on
+        # both paths and is not part of the certificate.
+        r = lpmod.check_feasible(1, constraints)
+        assert not r.feasible and r.margin == margin
+        assert len(r.certificate) == len(constraints)
+        assert any(r.certificate)
 
 
 def _ordered_nonneg_sum(n, total):
