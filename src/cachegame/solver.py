@@ -21,6 +21,12 @@ summed once per state in the listing rather than counted node by node.
 Payoffs are integers over one game denominator; a Fraction is made only
 for an LP row entry.
 
+The sequence form holds one ``_Infoset`` record per information set (its
+parent sequence, its labels and the ids of the sequences playing them),
+and per player the records after each sequence.  Both solve paths read
+sequence ids; a sequence becomes a tuple of ``(infoset id, label)`` pairs
+only as a key of the result's plans.
+
 Under the adversary revealer one sequence-form LP solves the game.  Under
 the random revealer the hider moves only at the root, and column
 generation solves it: a master LP over the searcher's pure plans found so
@@ -35,6 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count, islice, repeat
 from math import comb, factorial, lcm, perm
+from typing import NamedTuple
 
 from . import lp as lpmod
 from .core import (
@@ -109,6 +116,17 @@ def build_tree(
 # ---------------------------------------------------------------------------
 
 
+class _Infoset(NamedTuple):
+    """One information set: its id, the player's sequence that reaches it,
+    its action labels and, in label order, the ids of the sequences that
+    play them."""
+
+    id: int
+    parent: int
+    labels: list
+    sids: list
+
+
 class _SequenceForm:
     """Realization-plan bookkeeping for both players, filled in by a
     builder.
@@ -116,58 +134,47 @@ class _SequenceForm:
     A walk passes ``at = (searcher sequence id, hider sequence id, chance
     probability)`` down its recursion in place of tree nodes.
 
+    ``infosets[(player, key)]`` is the ``_Infoset`` record of each
+    information set, in the order of first visit; ``after[player][s]``
+    lists the records of the player's sets reached by sequence ``s``.
+    ``seq_list[player][s]`` is sequence ``s`` as a tuple of ``(infoset id,
+    label)`` pairs, made once per sequence for the solve's output.
     ``payoff[h][s]`` is the win probability of the sequence pair ``(s, h)``
     times ``denominator``, an integer: ``D = n! L^d`` (``L`` of
     ``_reveal_lcm``), as a path draws at most ``n`` labels without
-    replacement and makes at most ``d`` reveals.  ``after[s]`` maps the id
-    of each searcher information set after sequence ``s`` to its sequences.
+    replacement and makes at most ``d`` reveals.
     """
 
     def __init__(self, denominator: int):
-        self.seq_ids = {SEARCHER: {(): 0}, HIDER: {(): 0}}
         self.seq_list = {SEARCHER: [()], HIDER: [()]}
-        self.infosets: dict = {}  # (player, key) -> dict(id, parent, actions, labels)
+        self.infosets: dict[tuple, _Infoset] = {}
+        self.after: dict[str, dict[int, list[_Infoset]]] = {SEARCHER: {}, HIDER: {}}
         self.denominator = denominator
         self.payoff: dict[int, dict[int, int]] = {}
-        self.after: dict[int, dict[int, list[int]]] = {}
 
-    def infoset(self, player, key, parent: int, labels: list) -> dict:
-        """The record of ``player``'s information set ``key``, reached by
-        the player's sequence ``parent``, registered on the first visit."""
-        info = self.infosets.get((player, key))
-        if info is None:
-            info = {"id": len(self.infosets), "parent": parent, "actions": [], "labels": labels}
-            self.infosets[(player, key)] = info
-        elif info["parent"] != parent:
-            raise SolverError(f"perfect recall violated at information set {(player, key)}")
-        elif labels != info["labels"]:
-            raise SolverError(f"information set {(player, key)} reached with differing action sets")
-        return info
-
-    def sequence(self, player, info: dict, label) -> int:
-        """Id of the sequence that plays ``label`` at ``info``, handed out
-        on first use."""
-        seqs = self.seq_list[player]
-        seq_key = seqs[info["parent"]] + ((info["id"], label),)
-        sid = self.seq_ids[player].setdefault(seq_key, len(seqs))
-        if sid == len(seqs):
-            seqs.append(seq_key)
-            info["actions"].append((info["id"], label, sid))
-            if player == SEARCHER:
-                self.after.setdefault(info["parent"], {}).setdefault(info["id"], []).append(sid)
-        return sid
-
-    def decide(self, player, infoset, parent: int, labels: list):
+    def decide(self, player, key, parent: int, labels: list):
         """Yield ``(label, sequence id)`` for each action of ``player`` at
-        ``infoset``, reached by the player's sequence ``parent``.
+        information set ``key``, reached by the player's sequence
+        ``parent``.
 
         Ids are handed out one action at a time, so a builder that walks
         each action's subgame before taking the next numbers the sequences
         depth-first; column order drives the simplex's tie-breaks.
         """
-        info = self.infoset(player, infoset, parent, labels)
-        for label in labels:
-            yield label, self.sequence(player, info, label)
+        info = self.infosets.get((player, key))
+        if info is None:
+            info = self.infosets[(player, key)] = _Infoset(len(self.infosets), parent, labels, [])
+            self.after[player].setdefault(parent, []).append(info)
+        elif info.parent != parent:
+            raise SolverError(f"perfect recall violated at information set {(player, key)}")
+        elif labels != info.labels:
+            raise SolverError(f"information set {(player, key)} reached with differing action sets")
+        seqs, sids = self.seq_list[player], info.sids
+        for i, label in enumerate(labels):
+            if i == len(sids):
+                sids.append(len(seqs))
+                seqs.append(seqs[parent] + ((info.id, label),))
+            yield label, sids[i]
 
     def win(self, at) -> None:
         """Add the searcher's win, reached with probability ``at[2]`` over
@@ -410,10 +417,7 @@ class SolveResult:
 
 
 def _seq_json(seq) -> list:
-    out = []
-    for infoset_id, label in seq:
-        out.append([infoset_id, _label_json(label)])
-    return out
+    return [[infoset_id, _label_json(label)] for infoset_id, label in seq]
 
 
 def _label_json(label):
@@ -443,50 +447,34 @@ def _solve_sequence_lp(tree: GameTree) -> SolveResult:
     plan against one value variable per hider information set."""
     start = time.perf_counter()
     sf = tree.sf
-    searcher_infosets = [info for (player, _), info in sf.infosets.items() if player == SEARCHER]
-    hider_infosets = [info for (player, _), info in sf.infosets.items() if player == HIDER]
-
     n_sseq = len(sf.seq_list[SEARCHER])
-    hider_ids = {id(info): idx for idx, info in enumerate(hider_infosets)}
-    n_q = 1 + len(hider_infosets)  # q_0 plus one value variable per hider set
-    program = lpmod.LinearProgram(n_sseq + n_q)
-    for col in range(n_sseq, n_sseq + n_q):
+    hider_sets = [info for (player, _), info in sf.infosets.items() if player == HIDER]
+    q_col = {info.id: col for col, info in enumerate(hider_sets, n_sseq + 1)}  # q_0 is column n_sseq
+    program = lpmod.LinearProgram(n_sseq + 1 + len(q_col))
+    for col in range(n_sseq, program.num_vars):
         program.set_free(col)
     program.set_objective(n_sseq, ONE)
 
     program.add_constraint({0: ONE}, lpmod.EQUAL, ONE)
-    for info in searcher_infosets:
-        row = {sid: ONE for _, _, sid in info["actions"]}
-        row[info["parent"]] = -ONE
-        program.add_constraint(row, lpmod.EQUAL, ZERO)
+    for (player, _), info in sf.infosets.items():
+        if player == SEARCHER:
+            program.add_constraint({**dict.fromkeys(info.sids, ONE), info.parent: -ONE}, lpmod.EQUAL, ZERO)
 
-    # Group hider infosets by their parent sequence id.
-    children_of: dict[int, list] = {}
-    seq_infoset: dict[int, int] = {}  # hider seq -> infoset it extends
-    for info in hider_infosets:
-        children_of.setdefault(info["parent"], []).append(info)
-        for _, _, sid in info["actions"]:
-            seq_infoset[sid] = hider_ids[id(info)]
-
-    row_for_hseq = {}
-    for h_seq in range(len(sf.seq_list[HIDER])):
-        row: dict[int, Fraction] = {}
-        if h_seq == 0:
-            row[n_sseq] = ONE  # q_0
-        else:
-            row[n_sseq + 1 + seq_infoset[h_seq]] = ONE
-        for info in children_of.get(h_seq, []):
-            row[n_sseq + 1 + hider_ids[id(info)]] = -ONE
+    rows = []
+    for h_seq, seq in enumerate(sf.seq_list[HIDER]):
+        row = {q_col[seq[-1][0]] if seq else n_sseq: ONE}  # the value of the set h_seq extends, or q_0
+        for info in sf.after[HIDER].get(h_seq, ()):
+            row[q_col[info.id]] = -ONE
         for s_seq, w in sf.payoff.get(h_seq, {}).items():
             row[s_seq] = Fraction(-w, sf.denominator)  # each searcher sequence once per row
-        row_for_hseq[h_seq] = program.add_constraint(row, lpmod.LESS_EQUAL, ZERO)
+        rows.append(program.add_constraint(row, lpmod.LESS_EQUAL, ZERO))
 
     sol = lpmod.solve_lp(program, "max")
     if sol.status != lpmod.OPTIMAL:
         raise SolverError(f"sequence-form program came back {sol.status}")
 
-    searcher_plan = {sf.seq_list[SEARCHER][i]: sol.primal[i] for i in range(n_sseq) if sol.primal[i]}
-    hider_plan = {sf.seq_list[HIDER][h]: sol.dual[row] for h, row in row_for_hseq.items() if sol.dual[row]}
+    searcher_plan = {s: sol.primal[s] for s in range(n_sseq) if sol.primal[s]}
+    hider_plan = {h: sol.dual[row] for h, row in enumerate(rows) if sol.dual[row]}
     return _result(tree, start, sol.objective_value, searcher_plan, hider_plan, _lp_stats([(program, sol)]))
 
 
@@ -535,8 +523,8 @@ def _solve_column_generation(tree: GameTree) -> SolveResult:
     for w, plan, _ in mix:
         for s in plan:
             weights[s] = weights.get(s, ZERO) + w
-    searcher_plan = {sf.seq_list[SEARCHER][s]: weights[s] for s in sorted(weights)}
-    hider_plan = {(): ONE, **{sf.seq_list[HIDER][h]: w for h, w in y.items() if w}}
+    searcher_plan = {s: weights[s] for s in sorted(weights)}
+    hider_plan = {0: ONE, **{h: w for h, w in y.items() if w}}
     return _result(tree, start, value, searcher_plan, hider_plan, {**_lp_stats(solved), "iterations": len(solved)})
 
 
@@ -553,13 +541,13 @@ def _best_response(sf: _SequenceForm, y: dict) -> tuple[Fraction, frozenset]:
         yh = w.numerator * (scale // w.denominator)
         for s, num in sf.payoff.get(h, {}).items() if yh else ():
             val[s] += num * yh
-    get, after = val.__getitem__, sf.after
+    get, after = val.__getitem__, sf.after[SEARCHER]
     for s in sorted(after, reverse=True):
-        val[s] += sum(max(map(get, actions)) for actions in after[s].values())
+        val[s] += sum(max(map(get, info.sids)) for info in after[s])
     plan, stack = [], [0]
     while stack:
         plan.append(stack.pop())
-        stack.extend(max(actions, key=get) for actions in after.get(plan[-1], {}).values())
+        stack.extend(max(info.sids, key=get) for info in after.get(plan[-1], ()))
     return Fraction(val[0], sf.denominator * scale), frozenset(plan)
 
 
@@ -576,7 +564,8 @@ def _lp_stats(solved) -> dict:
 
 def _result(tree: GameTree, start: float, value, searcher_plan, hider_plan, lp_stats: dict) -> SolveResult:
     """The result of a solve begun at ``start``, once its value lies in
-    [0, 1] and its hider plan passes as a realization plan."""
+    [0, 1] and its hider plan passes as a realization plan.  The plans map
+    sequence ids to weights; the result keys them by sequence tuple."""
     sf = tree.sf
     if not ZERO <= value <= ONE:
         raise SolverError(f"game value {value} outside [0, 1]")
@@ -591,38 +580,36 @@ def _result(tree: GameTree, start: float, value, searcher_plan, hider_plan, lp_s
         **lp_stats,
         "solve_seconds": time.perf_counter() - start,
     }
-    return SolveResult(tree.spec, tree.symmetry, tree.relaxed, value, searcher_plan, hider_plan, stats,
+    searcher_seqs, hider_seqs = sf.seq_list[SEARCHER], sf.seq_list[HIDER]
+    return SolveResult(tree.spec, tree.symmetry, tree.relaxed, value,
+                       {searcher_seqs[s]: w for s, w in searcher_plan.items()},
+                       {hider_seqs[h]: w for h, w in hider_plan.items()}, stats,
                        _behavior(sf, SEARCHER, searcher_plan), _behavior(sf, HIDER, hider_plan))
 
 
 def _check_realization_plan(plan: dict, sf) -> None:
-    """The hider plan must be an exact realization plan."""
-    seqs = sf.seq_list[HIDER]
-    if plan.get((), ZERO) != ONE:
+    """The hider plan, sequence id -> weight, must be an exact realization
+    plan."""
+    if plan.get(0, ZERO) != ONE:
         raise SolverError("hider plan root weight is not 1")
     for (player, _), info in sf.infosets.items():
         if player == HIDER:
-            weights = [plan.get(seqs[sid], ZERO) for _, _, sid in info["actions"]]
+            weights = [plan.get(sid, ZERO) for sid in info.sids]
             if any(w < 0 for w in weights):
                 raise SolverError("negative realization weight")
-            if sum(weights) != plan.get(seqs[info["parent"]], ZERO):
+            if sum(weights) != plan.get(info.parent, ZERO):
                 raise SolverError("hider plan violates flow conservation")
 
 
 def _behavior(sf, player, plan) -> dict:
-    """Per-infoset action distributions from a realization plan."""
+    """Per-infoset action distributions from a realization plan, sequence
+    id -> weight."""
     out = {}
     for (p, key), info in sf.infosets.items():
-        if p != player:
-            continue
-        parent_weight = plan.get(sf.seq_list[player][info["parent"]], ZERO)
-        dist = []
-        if parent_weight:
-            for _, label, sid in info["actions"]:
-                w = plan.get(sf.seq_list[player][sid], ZERO)
-                if w:
-                    dist.append((label, w / parent_weight))
-        out[key] = dist
+        if p == player:
+            parent_weight = plan.get(info.parent)
+            out[key] = [(label, plan[sid] / parent_weight) for label, sid in zip(info.labels, info.sids)
+                        if plan.get(sid)] if parent_weight else []
     return out
 
 

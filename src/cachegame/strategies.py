@@ -353,32 +353,41 @@ def _node_json(n: StrategyNode | None):
 
 
 def from_json_dict(data: dict) -> StrategyTree:
-    try:
-        return StrategyTree(
-            n=int(data["n"]),
-            d=int(data["d"]),
-            k=int(data["k"]),
-            root=_node_from_json(data["root"], path=("root",)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"strategy JSON is missing field {exc}") from exc
+    """Parse the wire format; a malformed field raises ``ValueError``
+    naming its path."""
+    if not isinstance(data, dict):
+        raise ValueError("strategy JSON must be an object with fields n, d, k and root")
+    missing = [name for name in ("n", "d", "k", "root") if name not in data]
+    if missing:
+        raise ValueError(f"strategy JSON is missing field {missing[0]!r}")
+    sizes = []
+    for name in ("n", "d", "k"):
+        try:
+            sizes.append(int(data[name]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"strategy JSON field {name!r} is not an integer: {exc}") from exc
+    return StrategyTree(*sizes, root=_node_from_json(data["root"], path=("root",)))
 
 
 def _node_from_json(data, path):
     if data == "end" or data is None:
         return None
-    if not isinstance(data, dict) or "mix" not in data:
-        raise ValueError(f"strategy node at {'/'.join(map(str, path))} must be 'end' or have a mix")
+    if not isinstance(data, dict) or not isinstance(data.get("mix"), list):
+        raise ValueError(f"strategy node at {'/'.join(map(str, path))} must be 'end' or have a mix list")
     entries = []
     for i, e in enumerate(data["mix"]):
         here = path + (f"mix[{i}]",)
         try:
+            if not isinstance(e, dict):
+                raise ValueError("not an object")
             prob = parse_rational(str(e["p"]))
+            if not isinstance(e["query"], list):
+                raise ValueError("query is not a list")
             query = tuple(int(b) for b in e["query"])
-        except (KeyError, ValueError) as exc:
+            if not isinstance(e.get("branches", {}), dict):
+                raise ValueError("branches is not an object")
+            branches = [(int(box), here + (box,), child) for box, child in e.get("branches", {}).items()]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad mix entry at {'/'.join(map(str, here))}: {exc}") from exc
-        branches = {}
-        for box, child in e.get("branches", {}).items():
-            branches[int(box)] = _node_from_json(child, here + (box,))
-        entries.append(entry(prob, query, branches))
+        entries.append(entry(prob, query, {box: _node_from_json(child, at) for box, at, child in branches}))
     return node(*entries)

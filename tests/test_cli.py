@@ -90,12 +90,22 @@ class TestVerifyCommand:
         data = run_json(capsys, "verify", "--file", str(path))
         assert data["value"] == "8/35"
 
-    def test_malformed_file_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("content,where", [
+        ('{"n": 3, "d": 1, "k": 2, "root": {"mix": [{"p": "1/1"}]}}', "root/mix[0]"),
+        ("[]", "strategy JSON must be an object"),
+        ('{"n": null, "d": 1, "k": 2, "root": "end"}', "field 'n'"),
+        ('{"n": 3, "d": 1, "k": 2, "root": {"mix": 5}}', "node at root"),
+        ('{"n": 3, "d": 1, "k": 2, "root": {"mix": [5]}}', "root/mix[0]"),
+        ('{"n": 3, "d": 1, "k": 2, "root": {"mix": [{"p": "1", "query": 5}]}}', "root/mix[0]"),
+        ('{"n": 3, "d": 1, "k": 2, "root": {"mix": [{"p": "1", "query": [0, 1], "branches": [1]}]}}',
+         "root/mix[0]"),
+    ])
+    def test_malformed_file_exit_2(self, capsys, tmp_path, content, where):
         path = tmp_path / "broken.json"
-        path.write_text('{"n": 3, "d": 1, "k": 2, "root": {"mix": [{"p": "1/1"}]}}')
+        path.write_text(content)
         code, _, err = run(capsys, "verify", "--file", str(path))
         assert code == 2
-        assert "mix[0]" in err
+        assert where in err
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "fig432", "--file", "x.json")

@@ -30,6 +30,7 @@ from cachegame.solver import (
     SolverError,
     _SequenceForm,
     _best_response,
+    _check_realization_plan,
     _check_strategy,
     _pattern_values,
     _solve_sequence_lp,
@@ -53,13 +54,14 @@ ADV, RAN = Variant.ADVERSARY, Variant.RANDOM
 
 def _sequence(sf, player, infoset, label):
     """Id of the sequence that plays ``label`` at ``infoset``."""
-    return next(sid for _, l, sid in sf.infosets[(player, infoset)]["actions"] if l == label)
+    info = sf.infosets[(player, infoset)]
+    return info.sids[info.labels.index(label)]
 
 
 class TestBuildTree:
     def test_full_root_has_all_placements(self):
         sf = build_tree(GameSpec(3, 3, 2, ADV), symmetry_reduction=False).sf
-        assert len(sf.infosets[(HIDER, ("root",))]["labels"]) == 10
+        assert len(sf.infosets[(HIDER, ("root",))].labels) == 10
 
     def test_full_random_chance_weights(self):
         # Query (0, 1) on placement (2, 1, 0): box 0 pays with 2/3, box 1
@@ -93,7 +95,7 @@ class TestBuildTree:
     def test_first_infoset_reduction(self, variant):
         for symmetry, first_moves in ((False, 6), (True, 1)):
             sf = build_tree(GameSpec(4, 3, 2, variant), symmetry_reduction=symmetry).sf
-            assert len(sf.infosets[(SEARCHER, ())]["labels"]) == first_moves
+            assert len(sf.infosets[(SEARCHER, ())].labels) == first_moves
 
     def test_infoset_with_differing_action_sets_rejected(self):
         sf = _SequenceForm(1)
@@ -468,6 +470,40 @@ class TestSelfDuality:
         assert value == result.value
 
 
+class TestRealizationPlanCheck:
+    @staticmethod
+    def _solved():
+        """A solved (3,3,2) adversary game and its hider plan by sequence id."""
+        tree = build_tree(GameSpec(3, 3, 2, ADV))
+        ids = {seq: h for h, seq in enumerate(tree.sf.seq_list[HIDER])}
+        return tree.sf, {ids[seq]: w for seq, w in solve_tree(tree).hider_plan.items()}
+
+    def test_solved_plan_passes(self):
+        sf, plan = self._solved()
+        _check_realization_plan(plan, sf)
+
+    def test_root_weight_must_be_one(self):
+        sf, plan = self._solved()
+        with pytest.raises(SolverError, match="root weight is not 1"):
+            _check_realization_plan({**plan, 0: Fraction(1, 2)}, sf)
+
+    def test_negative_weight(self):
+        sf, plan = self._solved()
+        h = next(h for h in plan if h)
+        with pytest.raises(SolverError, match="negative realization weight"):
+            _check_realization_plan({**plan, h: -plan[h]}, sf)
+
+    def test_weight_moved_to_another_set_breaks_flow(self):
+        # Move the heaviest root choice's weight onto a reveal decision.
+        sf, plan = self._solved()
+        root = sf.infosets[(HIDER, ("root",))]
+        reveal = next(info for (player, _), info in sf.infosets.items() if player == HIDER and info is not root)
+        h = max(root.sids, key=lambda sid: plan.get(sid, 0))
+        moved = {**plan, h: Fraction(0), reveal.sids[0]: plan.get(reveal.sids[0], 0) + plan[h]}
+        with pytest.raises(SolverError, match="flow conservation"):
+            _check_realization_plan(moved, sf)
+
+
 # Random games small enough for the monolithic LP, on both builders,
 # relaxed and exact (the full builder's (4,3,k) games take too long).
 RANDOM_GRID = [
@@ -494,7 +530,7 @@ class TestColumnGeneration:
         # The upper half of the certificate, recomputed from the result.
         tree = build_tree(GameSpec(4, 2, 2, RAN), symmetry_reduction=symmetry)
         result = solve_tree(tree)
-        ids = tree.sf.seq_ids[HIDER]
+        ids = {seq: h for h, seq in enumerate(tree.sf.seq_list[HIDER])}
         y = {ids[seq]: w for seq, w in result.hider_plan.items() if seq}
         value, plan = _best_response(tree.sf, y)
         assert value == result.value

@@ -290,11 +290,26 @@ class TestJsonFormat:
         assert entry["query"] == [0, 1]
         assert set(entry["branches"]) == {"0"}
 
-    def test_malformed_rejected_with_path(self):
-        with pytest.raises(ValueError, match="missing"):
-            st.from_json_dict({"n": 3, "d": 1, "k": 2})
-        with pytest.raises(ValueError, match="root"):
-            st.from_json_dict({"n": 3, "d": 1, "k": 2, "root": {"nope": []}})
+    @pytest.mark.parametrize("data,message", [
+        ({"n": 3, "d": 1, "k": 2}, "missing field 'root'"),
+        ({"n": 3, "d": 1, "k": 2, "root": {"nope": []}}, "node at root must be"),
+        ([], "strategy JSON must be an object"),
+        ({"n": None, "d": 1, "k": 2, "root": "end"}, "field 'n' is not an integer"),
+        ({"n": 3, "d": 1, "k": float("inf"), "root": "end"}, "field 'k' is not an integer"),
+        ({"n": 3, "d": 1, "k": 2, "root": {"mix": 5}}, "node at root must be"),
+        ({"n": 3, "d": 1, "k": 2, "root": {"mix": [5]}}, r"entry at root/mix\[0\]: not an object"),
+        ({"n": 3, "d": 1, "k": 2, "root": {"mix": [{"p": "1", "query": 5}]}},
+         r"entry at root/mix\[0\]: query is not a list"),
+        ({"n": 3, "d": 1, "k": 2, "root": {"mix": [{"p": "1", "query": [0, 1], "branches": [1]}]}},
+         r"entry at root/mix\[0\]: branches is not an object"),
+        ({"n": 3, "d": 1, "k": 2, "root": {"mix": [{"p": "1", "query": [0, 1], "branches": {"x": "end"}}]}},
+         r"entry at root/mix\[0\]: invalid literal"),
+        ({"n": 3, "d": 2, "k": 2, "root": {"mix": [{"p": "1", "query": [0, 1], "branches": {"0": {"mix": [5]}}}]}},
+         r"entry at root/mix\[0\]/0/mix\[0\]: not an object"),
+    ])
+    def test_malformed_rejected_with_path(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            st.from_json_dict(data)
 
     def test_builtin_lookup(self):
         assert st.builtin_family("fig432") == fig432()
