@@ -288,7 +288,10 @@ def cmd_verify(args) -> int:
         tree = strategies.builtin_family(args.family, **params)
     else:
         with open(args.file) as fh:
-            tree = strategies.from_json_dict(json.load(fh))
+            try:
+                tree = strategies.from_json_dict(json.load(fh))
+            except RecursionError:
+                raise ValueError(f"strategy file {args.file} is nested too deeply to read") from None
     variant = Variant(args.variant)
     spec = GameSpec(tree.n, tree.d, tree.k, variant)
     if variant == Variant.COOPERATIVE:

@@ -107,6 +107,16 @@ class TestVerifyCommand:
         assert code == 2
         assert where in err
 
+    def test_deeply_nested_file_exit_2(self, capsys, tmp_path):
+        depth = 3000
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 3, "d": 1, "k": 2, "root": '
+                        + '{"mix": [{"p": "1", "query": [0], "branches": {"0": ' * depth
+                        + '"end"' + "}}]}" * depth + "}")
+        code, _, err = run(capsys, "verify", "--file", str(path))
+        assert code == 2
+        assert "nested too deeply" in err
+
     def test_needs_exactly_one_source(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "fig432", "--file", "x.json")
         assert code == 2

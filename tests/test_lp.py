@@ -2,11 +2,13 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cachegame import GameSpec, Variant, accumulation, build_tree, solver
 from cachegame import lp as lpmod
 from helpers import complementary_slackness_holds, random_bounded_lp, reference_check_certificate
 
@@ -37,6 +39,7 @@ def test_infeasible_with_farkas():
     # Farkas: nonnegative multiplier on the <= row, combination refutes.
     (y,) = sol.dual
     assert y >= 0 and y * Fraction(-1) < 0
+    assert _same_in_both_forms(p) == sol
 
 
 def test_unbounded_objective_raises():
@@ -203,6 +206,7 @@ def test_beale_cycling_program_falls_back_to_bland():
     assert sol.bland_fallback is True
     assert sol.phase1_pivots == 0 and sol.phase2_pivots == sol.pivots
     assert 0 < sol.degenerate_pivots < sol.pivots
+    assert _same_in_both_forms(p) == sol
 
 
 class TestCheckCertificateRejectsForgeries:
@@ -532,3 +536,93 @@ def test_seven_triple_system_feasible():
     for t in combinations(range(5), 3):
         if t not in ((0, 1, 2), (0, 1, 3), (0, 1, 4)):
             assert sum(w[i] for i in t) < 1
+
+
+# ---------------------------------------------------------------------------
+# The tableau and the revised form make the same pivots.
+# ---------------------------------------------------------------------------
+
+
+def _solved_in(form, p, sense):
+    """``solve_lp``'s answer with ``form`` forced, or the LPError text."""
+    with mock.patch.object(lpmod, "_form", lambda std: form):
+        try:
+            return lpmod.solve_lp(p, sense)
+        except lpmod.LPError as exc:
+            return str(exc)
+
+
+def _same_in_both_forms(p, sense="max"):
+    """Solve ``p`` in both forms and require the same answer, every work
+    counter included; only ``max_denominator_bits`` measures each form's own
+    rows.  Returns the tableau's answer."""
+    tableau = _solved_in(lpmod._Tableau, p, sense)
+    revised = _solved_in(lpmod._Revised, p, sense)
+    if isinstance(tableau, str):
+        assert revised == tableau
+    else:
+        assert replace(revised, max_denominator_bits=0) == replace(tableau, max_denominator_bits=0)
+    return tableau
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_forms_agree_on_random_bounded_programs(seed):
+    sol = _same_in_both_forms(random_bounded_lp(random.Random(seed)))
+    assert sol.status == lpmod.OPTIMAL
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_programs())
+def test_forms_agree_on_programs_of_every_shape(case):
+    _same_in_both_forms(*case)
+
+
+@pytest.mark.parametrize("n,d,k,variant", [(3, 3, 2, Variant.ADVERSARY), (4, 3, 2, Variant.ADVERSARY),
+                                           (4, 4, 2, Variant.RANDOM)])
+def test_forms_agree_on_sequence_form_programs(n, d, k, variant):
+    programs = []
+    real = lpmod.solve_lp
+
+    def recording(p, sense="max"):
+        programs.append((p, sense))
+        return real(p, sense)
+
+    with mock.patch.object(lpmod, "solve_lp", recording):
+        solver._solve_sequence_lp(build_tree(GameSpec(n, d, k, variant)))
+    ((p, sense),) = programs
+    assert _same_in_both_forms(p, sense).status == lpmod.OPTIMAL
+
+
+def _forms_picked(run):
+    """Row counts and forms ``_form`` picks for the programs ``run`` solves."""
+    picked = []
+    real = lpmod._form
+
+    def recording(std):
+        picked.append((std.num_rows, real(std)))
+        return picked[-1][1]
+
+    with mock.patch.object(lpmod, "_form", recording):
+        run()
+    return picked
+
+
+def test_size_rule_keeps_the_tiny_programs_on_the_tableau():
+    # The accumulation workload's feasibility programs and the masters of
+    # the random-revealer games the benchmark solves by column generation.
+    def run():
+        for n, k, d in [(6, 3, 2), (6, 3, 3), (7, 3, 2)]:
+            accumulation.max_losing_subsets_exact(accumulation.AccumulationSpec(n, k, Fraction(d)))
+        for n, d, k in [(4, 4, 2), (12, 2, 6), (9, 3, 3), (10, 3, 4)]:
+            solver.solve(GameSpec(n, d, k, Variant.RANDOM))
+
+    picked = _forms_picked(run)
+    assert len(picked) == 57 + 11 + 2 + 3 + 5  # feasibility programs, then masters per game
+    assert {form for _, form in picked} == {lpmod._Tableau}
+
+
+@pytest.mark.parametrize("n,d,k,rows", [(5, 3, 3, 172), (5, 4, 2, 404)])
+def test_size_rule_sends_the_large_game_programs_to_the_revised_form(n, d, k, rows):
+    picked = _forms_picked(lambda: solver.solve(GameSpec(n, d, k, Variant.ADVERSARY)))
+    assert picked == [(rows, lpmod._Revised)]
