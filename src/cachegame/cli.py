@@ -221,7 +221,7 @@ def _solve_cached(args, n, d, k, variant) -> dict:
 
 
 def _without_wall_times(stats: dict) -> dict:
-    return {k: v for k, v in stats.items() if k not in ("build_seconds", "solve_seconds")}
+    return {k: v for k, v in stats.items() if not k.endswith("_seconds")}
 
 
 def _comparable(payload: dict) -> dict:

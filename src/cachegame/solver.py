@@ -552,10 +552,12 @@ def _best_response(sf: _SequenceForm, y: dict) -> tuple[Fraction, frozenset]:
 
 
 def _lp_stats(solved) -> dict:
-    """Sizes and work counters summed over ``(program, solution)`` pairs;
-    the Bland fallback if any used it, the largest denominator."""
+    """Sizes, work counters and LP wall times summed over ``(program,
+    solution)`` pairs; the Bland fallback if any used it, the largest
+    denominator."""
     stats = {"lp_rows": sum(len(p.rows) for p, _ in solved), "lp_cols": sum(p.num_vars for p, _ in solved)}
-    for key in ("pivots", "phase1_pivots", "phase2_pivots", "degenerate_pivots"):
+    for key in ("pivots", "phase1_pivots", "phase2_pivots", "degenerate_pivots",
+                "phase1_seconds", "phase2_seconds", "certificate_seconds"):
         stats[key] = sum(getattr(sol, key) for _, sol in solved)
     stats["bland_fallback"] = any(sol.bland_fallback for _, sol in solved)
     stats["max_denominator_bits"] = max(sol.max_denominator_bits for _, sol in solved)

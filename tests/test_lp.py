@@ -191,22 +191,74 @@ def test_random_programs_pass_the_reference_check():
         assert reference_check_certificate(p, "max", sol)
 
 
-def test_beale_cycling_program_falls_back_to_bland():
-    # Beale's example cycles under plain largest-coefficient pricing; the
-    # stall guard must switch to Bland's rule and still reach the optimum.
+def _beale():
+    """Beale's example, which cycles under largest-coefficient pricing."""
     p = lpmod.LinearProgram(4, [Fraction(3, 4), -20, Fraction(1, 2), -6])
     p.add_constraint({0: Fraction(1, 4), 1: -8, 2: -1, 3: 9}, lpmod.LESS_EQUAL, 0)
     p.add_constraint({0: Fraction(1, 2), 1: -12, 2: Fraction(-1, 2), 3: 3}, lpmod.LESS_EQUAL, 0)
     p.add_constraint({2: 1}, lpmod.LESS_EQUAL, 1)
-    sol = lpmod.solve_lp(p)
+    return p
+
+
+def _assert_beale_optimum(p, sol):
     assert sol.status == lpmod.OPTIMAL
     assert sol.objective_value == Fraction(5, 4)
     assert sol.primal == (1, 0, 1, 0)
     lpmod.check_certificate(p, "max", sol)
-    assert sol.bland_fallback is True
     assert sol.phase1_pivots == 0 and sol.phase2_pivots == sol.pivots
-    assert 0 < sol.degenerate_pivots < sol.pivots
     assert _same_in_both_forms(p) == sol
+
+
+def test_beale_cycling_program_does_not_cycle_under_devex():
+    p = _beale()
+    sol = lpmod.solve_lp(p)
+    _assert_beale_optimum(p, sol)
+    assert sol.bland_fallback is False
+    assert (sol.pivots, sol.degenerate_pivots) == (3, 2)
+
+
+def test_solutions_report_phase_and_certificate_times():
+    p = lpmod.LinearProgram(2, [1, 1])
+    p.add_constraint({0: 1, 1: 1}, lpmod.GREATER_EQUAL, 1)  # an artificial for phase 1
+    p.add_constraint({0: 1, 1: 2}, lpmod.LESS_EQUAL, 4)
+    sol = lpmod.solve_lp(p)
+    assert sol.objective_value == 4 and sol.phase1_pivots > 0
+    times = (sol.phase1_seconds, sol.phase2_seconds, sol.certificate_seconds)
+    assert all(t >= 0 for t in times)
+    # Wall times take no part in comparing two answers.
+    assert replace(sol, phase1_seconds=1.0, phase2_seconds=2.0, certificate_seconds=3.0) == sol
+
+
+def test_pricing_outside_the_float_range():
+    # Reduced costs far below the float range price as 0 and still solve.
+    p = lpmod.LinearProgram(2, [Fraction(1, 10**200), Fraction(1, 3**400)])
+    p.add_constraint({0: 1, 1: 1}, lpmod.LESS_EQUAL, 1)
+    p.add_constraint({0: 1, 1: Fraction(1, 7**300)}, lpmod.LESS_EQUAL, 1)
+    sol = _same_in_both_forms(p)
+    assert sol.objective_value == Fraction(1, 3**400) and sol.bland_fallback is False
+    # A reduced cost of 10**400 has no float: Bland's rule finishes the phase.
+    p = lpmod.LinearProgram(2, [10**400, 1])
+    p.add_constraint({0: 1, 1: 1}, lpmod.LESS_EQUAL, 1)
+    p.add_constraint({0: 10**500, 1: 1}, lpmod.LESS_EQUAL, 3)
+    sol = _same_in_both_forms(p)
+    assert sol.objective_value == 1 + Fraction(2 * (10**400 - 1), 10**500 - 1)
+    assert sol.bland_fallback is True
+    # Nor does a pivot-row ratio of 10**400, met while updating the weights.
+    p = lpmod.LinearProgram(2, [1, 1])
+    p.add_constraint({0: 1, 1: 10**400}, lpmod.LESS_EQUAL, 1)
+    sol = _same_in_both_forms(p)
+    assert sol.objective_value == 1 and sol.bland_fallback is True
+
+
+def test_stall_guard_falls_back_to_bland(monkeypatch):
+    # With no stall allowed, the second zero-step pivot in a row switches
+    # to Bland's rule, which still reaches the optimum.
+    monkeypatch.setattr(lpmod, "_STALL_FACTOR", 0)
+    p = _beale()
+    sol = lpmod.solve_lp(p)
+    _assert_beale_optimum(p, sol)
+    assert sol.bland_fallback is True
+    assert (sol.pivots, sol.degenerate_pivots) == (4, 2)
 
 
 class TestCheckCertificateRejectsForgeries:

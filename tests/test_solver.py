@@ -247,7 +247,8 @@ class TestWalk:
 
 # Sizes of the solved trees and programs: (nodes, lp_rows, lp_cols, pivots,
 # searcher_sequences, hider_sequences, searcher_infosets, hider_infosets).
-# They change only if a builder changes the shape of a tree.
+# The sizes change only if a builder changes the shape of a tree; the pivots
+# also change with the pricing rule.
 STATS_KEYS = (
     "nodes",
     "lp_rows",
@@ -260,20 +261,20 @@ STATS_KEYS = (
 )
 SOLVE_STATS = [
     # n, d, k, variant, symmetry, relaxed
-    ((3, 3, 2, ADV, True, False), (227, 31, 34, 29, 23, 22, 8, 10)),
-    ((3, 3, 2, ADV, False, False), (527, 109, 159, 225, 130, 65, 43, 28)),
+    ((3, 3, 2, ADV, True, False), (227, 31, 34, 27, 23, 22, 8, 10)),
+    ((3, 3, 2, ADV, False, False), (527, 109, 159, 180, 130, 65, 43, 28)),
     ((3, 3, 2, RAN, True, False), (329, 13, 25, 16, 23, 4, 8, 1)),
-    ((3, 3, 2, RAN, False, False), (833, 55, 132, 99, 130, 11, 43, 1)),
+    ((3, 3, 2, RAN, False, False), (833, 55, 132, 100, 130, 11, 43, 1)),
     ((4, 3, 2, ADV, True, False), (638, 36, 57, 25, 44, 26, 9, 12)),
     ((4, 3, 2, RAN, True, False), (866, 14, 46, 19, 44, 4, 9, 1)),
     ((3, 2, 2, ADV, True, True), (90, 9, 16, 11, 13, 5, 3, 2)),
-    ((3, 2, 2, ADV, False, True), (211, 24, 66, 45, 61, 13, 10, 4)),
+    ((3, 2, 2, ADV, False, True), (211, 24, 66, 34, 61, 13, 10, 4)),
     ((3, 2, 2, RAN, True, True), (120, 7, 15, 10, 13, 3, 3, 1)),
-    ((3, 2, 2, RAN, False, True), (313, 18, 63, 62, 61, 7, 10, 1)),
+    ((3, 2, 2, RAN, False, True), (313, 18, 63, 35, 61, 7, 10, 1)),
     ((5, 3, 2, RAN, True, False), (1217, 14, 54, 21, 52, 4, 9, 1)),
-    ((6, 3, 3, RAN, True, False), (14711, 26, 302, 40, 300, 4, 21, 1)),
-    ((4, 3, 3, RAN, True, True), (14522, 62, 742, 158, 740, 4, 57, 1)),
-    ((5, 2, 2, RAN, False, False), (1666, 38, 213, 65, 211, 16, 21, 1)),
+    ((6, 3, 3, RAN, True, False), (14711, 26, 302, 37, 300, 4, 21, 1)),
+    ((4, 3, 3, RAN, True, True), (14522, 62, 742, 160, 740, 4, 57, 1)),
+    ((5, 2, 2, RAN, False, False), (1666, 38, 213, 67, 211, 16, 21, 1)),
 ]
 
 
@@ -283,8 +284,15 @@ SOLVE_STATS = [
 LADDER_KEYS = ("nodes", "lp_rows", "lp_cols", "pivots", "degenerate_pivots", "max_denominator_bits")
 LADDER_STATS = [
     ((12, 2, 6, RAN), (8860, 6, 68, 6, 4, 5)),
-    ((9, 3, 3, RAN), (22160, 26, 369, 36, 31, 14)),
-    ((10, 3, 4, RAN), (295776, 54, 2544, 77, 72, 13)),
+    ((9, 3, 3, RAN), (22160, 26, 369, 35, 31, 14)),
+    ((10, 3, 4, RAN), (295776, 54, 2544, 70, 65, 13)),
+]
+
+# The benchmark's ``solve`` workload's adversary programs, in the same keys:
+# their pivot counts are the ones Devex pricing brought down.
+SOLVE_WORKLOAD_STATS = [
+    ((5, 3, 3, ADV), (4711, 172, 255, 134, 120, 15)),
+    ((5, 4, 2, ADV), (15764, 404, 945, 289, 283, 11)),
 ]
 
 
@@ -301,8 +309,8 @@ def _program_stats(n, d, k, variant, *flags):
 COLUMN_GENERATION_STATS = [
     ((12, 2, 6, RAN), (2, 5)),
     ((9, 3, 3, RAN), (3, 9)),
-    ((10, 3, 4, RAN), (5, 20)),
-    ((4, 4, 2, RAN), (11, 77)),
+    ((10, 3, 4, RAN), (5, 19)),
+    ((4, 4, 2, RAN), (11, 71)),
 ]
 
 
@@ -314,6 +322,11 @@ class TestSolveStats:
 
     @pytest.mark.parametrize("case,expected", LADDER_STATS)
     def test_wide_ladder_counts(self, case, expected):
+        stats = _program_stats(*case)
+        assert tuple(stats[key] for key in LADDER_KEYS) == expected
+
+    @pytest.mark.parametrize("case,expected", SOLVE_WORKLOAD_STATS)
+    def test_solve_workload_counts(self, case, expected):
         stats = _program_stats(*case)
         assert tuple(stats[key] for key in LADDER_KEYS) == expected
 
@@ -553,7 +566,8 @@ class TestColumnGeneration:
         assert stats["iterations"] == len(calls) > 1
         assert stats["lp_rows"] == sum(len(program.rows) for program, _ in calls)
         assert stats["lp_cols"] == sum(program.num_vars for program, _ in calls)
-        for key in ("pivots", "phase1_pivots", "phase2_pivots", "degenerate_pivots"):
+        for key in ("pivots", "phase1_pivots", "phase2_pivots", "degenerate_pivots",
+                    "phase1_seconds", "phase2_seconds", "certificate_seconds"):
             assert stats[key] == sum(getattr(sol, key) for sol in sols)
         assert stats["bland_fallback"] == any(sol.bland_fallback for sol in sols)
         assert stats["max_denominator_bits"] == max(sol.max_denominator_bits for sol in sols)
