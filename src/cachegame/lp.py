@@ -1,16 +1,16 @@
 """Exact linear programming over rationals.
 
 A two-phase primal simplex over fraction-free rows: each row is integer
-numerators over one positive integer denominator, kept in lowest terms, so
-a pivot is plain integer arithmetic and values become Fractions only at the
-edges (duals and primal point).  There is one pricing rule, Devex: the
-column with the largest squared reduced cost over a float reference weight
-enters, and once zero-step pivots persist a stall guard switches to Bland's
-rule, which guarantees termination.  The weights only pick the entering
-column; no float reaches a row, a value or a certificate.  The caller's
-Fraction rows become integer numerators over one lcm denominator per row
-once, in the standard form, and everything after that up to the answer runs
-in integers.  Variables are nonnegative or free; a finite bound is a row.
+numerators over one positive integer denominator, put in lowest terms
+whenever that denominator changes, so a pivot is plain integer arithmetic
+and values become Fractions only at the edges (duals and primal point).
+There is one pricing rule, Devex: the column with the largest squared
+reduced cost over a float reference weight enters, and once zero-step
+pivots persist a stall guard switches to Bland's rule, which guarantees
+termination.  The weights only pick the entering column; no float reaches
+a row, a value or a certificate.  The caller's Fraction rows become integer
+numerators over one lcm denominator per row once, in the standard form, and
+everything after that up to the answer runs in integers.  Variables are nonnegative or free; a finite bound is a row.
 
 One driver runs the simplex in either of two forms.  They make the same
 pivots and return the same solution, but for ``max_denominator_bits``,
@@ -23,6 +23,13 @@ which each form measures on the rows it keeps:
   artificial columns.  The entering column ``B⁻¹A_q`` and the pivot row
   ``B⁻¹_r A`` are computed from the standard form's rows when the driver
   reads them, so a pivot updates no structural entry.
+
+A pivot costs what it changes.  It changes only the pivot row's columns of
+the rows it touches, so an update that keeps a row's denominator reduces
+nothing, the revised form's column index learns the columns a row gains and
+loses from the update itself (and a row that shrank is copied, to shed the
+slots its dict keeps for deleted entries), and Devex pricing scores anew
+only the columns of the expanded pivot row.
 
 The game programs are large and sparse, and most tableau updates touch
 structural entries that no later pivot reads; on tiny dense programs the
@@ -48,6 +55,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 LESS_EQUAL = "<="
@@ -236,7 +244,10 @@ class _Row:
 
     Column ``c`` holds ``nums[c] / den`` and the right-hand side is
     ``rhs / den``: integer numerators over one positive denominator, put in
-    lowest terms by every update.
+    lowest terms whenever the denominator changes.  An update that keeps
+    the denominator changes only the pivot row's columns and skips the
+    reduction, so between two updates that change it a row may carry a
+    common factor; the values, and so every pivot, are the same.
     """
 
     __slots__ = ("nums", "rhs", "den")
@@ -258,22 +269,34 @@ class _Row:
             rhs //= g
         self.nums, self.rhs, self.den = nums, rhs, p // g
 
-    def eliminate(self, f: int, scale: int, prow: _Row) -> None:
+    def eliminate(self, f: int, scale: int, prow: _Row) -> tuple[list[int], list[int]]:
         """Subtract the multiple of ``prow`` (a unit in the pivot column)
         that clears this row's pivot-column entry ``f / (den·scale)``:
-        ``(row·P − f·prow) / (den·P)`` with ``P = prow.den·scale``, in plain
-        integers."""
+        ``(row·P − (f/g)·prow) / (den·P)`` with ``g = gcd(f, prow.den·scale)``
+        and ``P = prow.den·scale / g``, in plain integers.  Only ``prow``'s
+        columns change, so with ``P = 1`` the row keeps its denominator and
+        is not reduced; otherwise it is rescaled anyway and put in lowest
+        terms.  Returns the columns the row gained (it had no entry there)
+        and lost (its entry cancelled)."""
         pden = prow.den * scale
         g = gcd(f, pden)
         f, p = f // g, pden // g
         nums = {c: v * p for c, v in self.nums.items()} if p != 1 else self.nums
+        gained, lost = [], []
         for c, v in prow.nums.items():
-            nv = nums.get(c, 0) - f * v
-            if nv:
+            old = nums.get(c)
+            if old is None:
+                nums[c] = -f * v
+                gained.append(c)
+            elif nv := old - f * v:
                 nums[c] = nv
             else:
                 del nums[c]
+                lost.append(c)
         rhs = self.rhs * p - f * prow.rhs
+        if p == 1:
+            self.rhs = rhs
+            return gained, lost
         den = self.den * p
         g = gcd(den, rhs, *nums.values())
         if g != 1:
@@ -281,6 +304,7 @@ class _Row:
             rhs //= g
             den //= g
         self.nums, self.rhs, self.den = nums, rhs, den
+        return gained, lost
 
 
 class _Tableau:
@@ -288,8 +312,8 @@ class _Tableau:
     slack/artificial bookkeeping, and the simplex driver both forms run.
 
     The driver reads the rows through ``column`` and ``expand`` only; the
-    revised form overrides those two and extends ``pivot`` to keep its
-    column index."""
+    revised form overrides those two, and ``reindex``, which ``pivot``
+    calls to keep its column index."""
 
     def __init__(self, std: _Standard):
         self.std = std
@@ -372,8 +396,8 @@ class _Tableau:
     def reduced_costs(self, cost: _Row) -> _Row:
         """c_j - y.A_j for all columns, as a row whose right-hand side is
         minus the basis objective value (so pivots update it like any row).
-        It need not be in lowest terms; the first update that touches it puts it
-        there."""
+        It need not be in lowest terms; like any row, an update that changes
+        its denominator puts it there."""
         priced = [(cost.nums[b], row) for b, row in zip(self.basis, self.rows) if b in cost.nums]
         scale = lcm(*(row.den for _, row in priced))
         minus: dict[int, int] = {}  # minus the priced rows' cost-weighted sum
@@ -402,10 +426,20 @@ class _Tableau:
         for i, f in entries.items():
             if i != r:
                 row = rows[i]
-                row.eliminate(f, scale, prow)
+                gained, lost = row.eliminate(f, scale, prow)
+                if gained or lost:
+                    self.reindex(i, gained, lost)
+                    if len(lost) > len(gained):
+                        # A dict keeps the slots of its deleted entries
+                        # until it grows again; a copy of a shrunk row sheds them.
+                        row.nums = dict(row.nums)
                 bits = max(bits, row.den.bit_length())
         self.max_den_bits = max(self.max_den_bits, bits)
         self.basis[r] = col
+
+    def reindex(self, i: int, gained: list[int], lost: list[int]) -> None:
+        """Note the columns row ``i`` gained and lost in a pivot; the
+        tableau keeps no column index."""
 
     def run_simplex(self, cost: _Row, barred: set[int]) -> _Row:
         """Maximize, returning the optimal reduced-cost row; raise LPError
@@ -421,31 +455,56 @@ class _Tableau:
         integers, so it depends on the rational value alone and both forms
         price alike.  Floats only pick the entering column: the ratio test,
         the stall guard, the pivot and the answer are exact.  A ratio of
-        2**1024 or more has no float; Bland's rule then finishes the phase,
-        as it does once zero-step pivots persist."""
+        2**1024 or more has no float, and a nan score (inf / inf) has no
+        order; Bland's rule then finishes the phase, as it does once
+        zero-step pivots persist.
+
+        A pivot changes the reduced cost and the weight of the expanded
+        pivot row's columns only (rescaling ``red`` keeps its values), so
+        each eligible column keeps its score, those columns are scored
+        anew after each pivot, and a heap of ``(-score, column)`` finds the
+        largest, lowest column first.  Its stale entries are dropped when
+        they reach the top, and the heap is rebuilt from the live scores
+        once they outnumber them."""
         red = self.reduced_costs(cost)
         rows = self.rows
         weights = [1.0] * self.num_cols
+        scores: dict[int, float] = {}  # eligible column -> d_j² / w_j
+        heap: list[tuple[float, int]] = []  # (-score, column), stale entries too
+
+        def rescore(cols) -> None:
+            """Score the eligible columns of ``cols`` anew."""
+            nums, den = red.nums, red.den
+            for c in cols:
+                v = nums.get(c, 0)
+                if v <= 0 or c in barred:
+                    scores.pop(c, None)
+                    continue
+                d = v / den
+                score = d * d / weights[c]
+                if score != scores.get(c):
+                    if score != score:  # inf / inf: both overflowed
+                        raise OverflowError("a nan score has no order")
+                    scores[c] = score
+                    heappush(heap, (-score, c))
+            if len(heap) > 2 * len(scores):
+                heap[:] = [(-score, c) for c, score in scores.items()]
+                heapify(heap)
+
         bland = False
+        try:
+            rescore(red.nums)
+        except OverflowError:
+            bland = self.bland_fallback = True
         stall = -1  # the first pivot has no earlier objective value to repeat
         while True:
             entering = None
             if not bland:
-                den = red.den
-                try:
-                    for c, v in red.nums.items():
-                        if v <= 0 or c in barred:
-                            continue
-                        d = v / den
-                        score = d * d / weights[c]
-                        # Some eligible column enters even if a score is nan (inf / inf).
-                        if entering is None or score > best or (score == best and c < entering):
-                            best = score
-                            entering = c
-                except OverflowError:
-                    entering = None
-                    bland = self.bland_fallback = True
-            if bland:
+                while heap and scores.get(heap[0][1]) != -heap[0][0]:
+                    heappop(heap)
+                if heap:
+                    entering = heap[0][1]
+            else:
                 for c, v in red.nums.items():
                     if c in barred or v <= 0:
                         continue
@@ -486,6 +545,7 @@ class _Tableau:
                             weights[c] = w
                     x = prow.nums[leaving] / den
                     weights[leaving] = max(1.0, x * x * wq)
+                    rescore(prow.nums)
                 except OverflowError:
                     bland = self.bland_fallback = True
                 # Degeneracy guard: persistent zero-progress pivots switch
@@ -551,19 +611,16 @@ class _Revised(_Tableau):
                 entries[i] = entries.get(i, 0) + rows[i].nums[u] * w
         return {i: a for i, a in entries.items() if a}, scale
 
-    def pivot(self, r: int, col: int, column) -> None:
-        """The driver's pivot, keeping ``holders`` exact.  A pivot changes
-        only the pivot row's columns of the rows it touches: each such row
-        gains every one it lacked and loses those whose entries cancel."""
-        rows, holders = self.rows, self.holders
-        support = set(rows[r].nums)
-        gains = {i: support.difference(rows[i].nums) for i in column[0] if i != r}
-        super().pivot(r, col, column)
-        for i, gained in gains.items():
-            for u in gained:
-                holders[u].append(i)
-            for u in support.difference(rows[i].nums):
-                holders[u].remove(i)
+    def reindex(self, i: int, gained: list[int], lost: list[int]) -> None:
+        """Keep ``holders`` exact as the driver's pivot updates row ``i``,
+        from the columns the update itself reports: a pivot changes only
+        the pivot row's columns of the rows it touches, and the pivot row
+        keeps its own."""
+        holders = self.holders
+        for u in gained:
+            holders[u].append(i)
+        for u in lost:
+            holders[u].remove(i)
 
     def expand(self, row: _Row) -> _Row:
         """``row`` over every column, ``B⁻¹_r A``: its basis-inverse part

@@ -469,13 +469,15 @@ def _solve_sequence_lp(tree: GameTree) -> SolveResult:
             row[s_seq] = Fraction(-w, sf.denominator)  # each searcher sequence once per row
         rows.append(program.add_constraint(row, lpmod.LESS_EQUAL, ZERO))
 
+    assembly_seconds = time.perf_counter() - start
     sol = lpmod.solve_lp(program, "max")
     if sol.status != lpmod.OPTIMAL:
         raise SolverError(f"sequence-form program came back {sol.status}")
 
     searcher_plan = {s: sol.primal[s] for s in range(n_sseq) if sol.primal[s]}
     hider_plan = {h: sol.dual[row] for h, row in enumerate(rows) if sol.dual[row]}
-    return _result(tree, start, sol.objective_value, searcher_plan, hider_plan, _lp_stats([(program, sol)]))
+    return _result(tree, start, sol.objective_value, searcher_plan, hider_plan,
+                   _lp_stats([(program, sol)], assembly_seconds))
 
 
 def _solve_column_generation(tree: GameTree) -> SolveResult:
@@ -491,6 +493,7 @@ def _solve_column_generation(tree: GameTree) -> SolveResult:
     hider = range(1, len(sf.seq_list[HIDER]))  # the hider's root choices
     y = {h: Fraction(1, len(hider)) for h in hider}
     plans, columns, solved = [], [], []
+    assembly_seconds = 0.0
     while True:
         best, plan = _best_response(sf, y)
         if solved and best < value:
@@ -503,6 +506,7 @@ def _solve_column_generation(tree: GameTree) -> SolveResult:
             break
         plans.append(plan)
         columns.append(column)
+        assembly = time.perf_counter()
         v = len(plans)  # lambda per plan, then v
         program = lpmod.LinearProgram(v + 1)
         program.set_free(v)
@@ -511,6 +515,7 @@ def _solve_column_generation(tree: GameTree) -> SolveResult:
             program.add_constraint({v: ONE, **{i: Fraction(-col[h], den) for i, col in enumerate(columns)}},
                                    lpmod.LESS_EQUAL, ZERO)
         program.add_constraint(dict.fromkeys(range(v), ONE), lpmod.EQUAL, ONE)
+        assembly_seconds += time.perf_counter() - assembly
         sol = lpmod.solve_lp(program, "max")
         solved.append((program, sol))
         if sol.status != lpmod.OPTIMAL:
@@ -525,7 +530,8 @@ def _solve_column_generation(tree: GameTree) -> SolveResult:
             weights[s] = weights.get(s, ZERO) + w
     searcher_plan = {s: weights[s] for s in sorted(weights)}
     hider_plan = {0: ONE, **{h: w for h, w in y.items() if w}}
-    return _result(tree, start, value, searcher_plan, hider_plan, {**_lp_stats(solved), "iterations": len(solved)})
+    return _result(tree, start, value, searcher_plan, hider_plan,
+                   {**_lp_stats(solved, assembly_seconds), "iterations": len(solved)})
 
 
 def _best_response(sf: _SequenceForm, y: dict) -> tuple[Fraction, frozenset]:
@@ -551,11 +557,13 @@ def _best_response(sf: _SequenceForm, y: dict) -> tuple[Fraction, frozenset]:
     return Fraction(val[0], sf.denominator * scale), frozenset(plan)
 
 
-def _lp_stats(solved) -> dict:
+def _lp_stats(solved, assembly_seconds: float) -> dict:
     """Sizes, work counters and LP wall times summed over ``(program,
     solution)`` pairs; the Bland fallback if any used it, the largest
-    denominator."""
-    stats = {"lp_rows": sum(len(p.rows) for p, _ in solved), "lp_cols": sum(p.num_vars for p, _ in solved)}
+    denominator, and ``assembly_seconds``, the time spent writing the
+    programs' rows."""
+    stats = {"lp_rows": sum(len(p.rows) for p, _ in solved), "lp_cols": sum(p.num_vars for p, _ in solved),
+             "assembly_seconds": assembly_seconds}
     for key in ("pivots", "phase1_pivots", "phase2_pivots", "degenerate_pivots",
                 "phase1_seconds", "phase2_seconds", "certificate_seconds"):
         stats[key] = sum(getattr(sol, key) for _, sol in solved)
@@ -580,13 +588,17 @@ def _result(tree: GameTree, start: float, value, searcher_plan, hider_plan, lp_s
         "searcher_infosets": len(sf.infosets) - hider_infosets,
         "hider_infosets": hider_infosets,
         **lp_stats,
-        "solve_seconds": time.perf_counter() - start,
     }
+    behavior = time.perf_counter()
+    searcher_behavior, hider_behavior = _behavior(sf, SEARCHER, searcher_plan), _behavior(sf, HIDER, hider_plan)
+    end = time.perf_counter()
+    stats["behavior_seconds"] = end - behavior
+    stats["solve_seconds"] = end - start
     searcher_seqs, hider_seqs = sf.seq_list[SEARCHER], sf.seq_list[HIDER]
     return SolveResult(tree.spec, tree.symmetry, tree.relaxed, value,
                        {searcher_seqs[s]: w for s, w in searcher_plan.items()},
                        {hider_seqs[h]: w for h, w in hider_plan.items()}, stats,
-                       _behavior(sf, SEARCHER, searcher_plan), _behavior(sf, HIDER, hider_plan))
+                       searcher_behavior, hider_behavior)
 
 
 def _check_realization_plan(plan: dict, sf) -> None:

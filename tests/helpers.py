@@ -168,6 +168,100 @@ def _reference_check_point(lp, x) -> None:
             raise CertificateError(f"point is negative at variable {j}")
 
 
+def reference_run_simplex(self, cost, barred):
+    """Reference oracle for ``lp._Tableau.run_simplex``: the same Devex
+    pricing with a full scan of the reduced-cost row before every pivot, in
+    place of the incremental scores and their heap.
+
+    Maximize, returning the optimal reduced-cost row; raise LPError
+    if the objective is unbounded.
+
+    Devex pricing (Harris 1973): the eligible column with the largest
+    ``d_j² / w_j`` enters, lowest column first on ties, where ``d_j`` is
+    its reduced cost and ``w_j`` a float reference weight, 1 for every
+    column at each call.  After a pivot on ``(r, q)`` each column ``j``
+    of the pivot row takes ``max(w_j, x_j²·w_q)`` with
+    ``x_j = α_rj / α_rq``, and the leaving column ``max(w_q / α_rq², 1)``.
+    A ratio of 2**1024 or more has no float; Bland's rule then finishes
+    the phase, as it does once zero-step pivots persist.  A nan score
+    (inf / inf) is not ordered here, so which column enters then depends
+    on the scan's order; the engine switches to Bland's rule instead, and
+    the programs this oracle is compared on price no nan."""
+    red = self.reduced_costs(cost)
+    rows = self.rows
+    weights = [1.0] * self.num_cols
+    bland = False
+    stall = -1  # the first pivot has no earlier objective value to repeat
+    while True:
+        entering = None
+        if not bland:
+            den = red.den
+            try:
+                for c, v in red.nums.items():
+                    if v <= 0 or c in barred:
+                        continue
+                    d = v / den
+                    score = d * d / weights[c]
+                    # Some eligible column enters even if a score is nan (inf / inf).
+                    if entering is None or score > best or (score == best and c < entering):
+                        best = score
+                        entering = c
+            except OverflowError:
+                entering = None
+                bland = self.bland_fallback = True
+        if bland:
+            for c, v in red.nums.items():
+                if c in barred or v <= 0:
+                    continue
+                if entering is None or c < entering:
+                    entering = c
+        if entering is None:
+            return red
+        # Ratio rhs/a per row (the row denominator and the column's
+        # scale cancel), compared by cross-multiplication.  Ties go to
+        # the lowest basic column, so the rows' order does not matter.
+        column = self.column(entering)
+        leave = None
+        for i, a in column[0].items():
+            if a <= 0:
+                continue
+            row_rhs = rows[i].rhs
+            if leave is None:
+                leave, lead_rhs, lead_a = i, row_rhs, a
+                continue
+            lhs, rhs = row_rhs * lead_a, lead_rhs * a
+            if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                leave, lead_rhs, lead_a = i, row_rhs, a
+        if leave is None:
+            raise lpmod.LPError("objective is unbounded")
+        leaving = self.basis[leave]
+        self.pivot(leave, entering, column)
+        prow = self.expand(rows[leave])
+        red.eliminate(red.nums[entering], 1, prow)
+        if not bland:
+            # The pivot row now holds x_j = α_rj / α_rq, and 1 / α_rq in
+            # the leaving column.
+            den, wq = prow.den, weights[entering]
+            try:
+                for c, v in prow.nums.items():
+                    x = v / den
+                    w = x * x * wq
+                    if w > weights[c]:
+                        weights[c] = w
+                x = prow.nums[leaving] / den
+                weights[leaving] = max(1.0, x * x * wq)
+            except OverflowError:
+                bland = self.bland_fallback = True
+            # Degeneracy guard: persistent zero-progress pivots switch
+            # to Bland's rule, restoring the termination guarantee.  The
+            # objective moves by red[entering] * ratio with red > 0, so a
+            # pivot makes no progress exactly when its ratio is zero.
+            stall = 0 if lead_rhs else stall + 1
+            if stall > lpmod._STALL_FACTOR * (self.num_cols + len(self.rows)):
+                bland = self.bland_fallback = True
+
+
+
 def max_losing_reference(spec):
     """Reference oracle for ``accumulation.max_losing_subsets_exact``: the
     exhaustive search, with no best-first order and no certificate reuse.

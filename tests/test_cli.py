@@ -64,7 +64,8 @@ class TestSolveCommand:
         assert 0 <= stats["degenerate_pivots"] <= stats["pivots"]
         assert stats["bland_fallback"] is False
         assert stats["max_denominator_bits"] > 0
-        wall_times = ("build_seconds", "solve_seconds", "phase1_seconds", "phase2_seconds", "certificate_seconds")
+        wall_times = ("build_seconds", "solve_seconds", "assembly_seconds", "phase1_seconds", "phase2_seconds",
+                      "certificate_seconds", "behavior_seconds")
         assert all(stats[k] >= 0 for k in wall_times)
         entry = next(iter(json.loads(cache.read_text())["entries"].values()))
         assert entry["stats"] == {k: v for k, v in stats.items() if k not in wall_times}

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from cachegame import GameSpec, Variant, accumulation, build_tree, solver
 from cachegame import lp as lpmod
-from helpers import complementary_slackness_holds, random_bounded_lp, reference_check_certificate
+from helpers import (
+    complementary_slackness_holds,
+    random_bounded_lp,
+    reference_check_certificate,
+    reference_run_simplex,
+)
 
 
 def test_single_cap():
@@ -248,6 +253,14 @@ def test_pricing_outside_the_float_range():
     p.add_constraint({0: 1, 1: 10**400}, lpmod.LESS_EQUAL, 1)
     sol = _same_in_both_forms(p)
     assert sol.objective_value == 1 and sol.bland_fallback is True
+    # After the first pivot column 1 has reduced cost 10**200 and weight
+    # 10**400: both square to inf, and a nan score has no order.
+    p = lpmod.LinearProgram(2, [1, 0])
+    p.add_constraint({0: 1, 1: -10**200}, lpmod.LESS_EQUAL, 1)
+    p.add_constraint({1: 1}, lpmod.LESS_EQUAL, 1)
+    sol = _same_in_both_forms(p)
+    assert sol.objective_value == 1 + 10**200 and sol.bland_fallback is True
+    assert lpmod.check_certificate(p, "max", sol)
 
 
 def test_stall_guard_falls_back_to_bland(monkeypatch):
@@ -630,9 +643,8 @@ def test_forms_agree_on_programs_of_every_shape(case):
     _same_in_both_forms(*case)
 
 
-@pytest.mark.parametrize("n,d,k,variant", [(3, 3, 2, Variant.ADVERSARY), (4, 3, 2, Variant.ADVERSARY),
-                                           (4, 4, 2, Variant.RANDOM)])
-def test_forms_agree_on_sequence_form_programs(n, d, k, variant):
+def _sequence_form_program(n, d, k, variant=Variant.ADVERSARY):
+    """The game's sequence-form program and its sense."""
     programs = []
     real = lpmod.solve_lp
 
@@ -643,7 +655,13 @@ def test_forms_agree_on_sequence_form_programs(n, d, k, variant):
     with mock.patch.object(lpmod, "solve_lp", recording):
         solver._solve_sequence_lp(build_tree(GameSpec(n, d, k, variant)))
     ((p, sense),) = programs
-    assert _same_in_both_forms(p, sense).status == lpmod.OPTIMAL
+    return p, sense
+
+
+@pytest.mark.parametrize("n,d,k,variant", [(3, 3, 2, Variant.ADVERSARY), (4, 3, 2, Variant.ADVERSARY),
+                                           (4, 4, 2, Variant.RANDOM)])
+def test_forms_agree_on_sequence_form_programs(n, d, k, variant):
+    assert _same_in_both_forms(*_sequence_form_program(n, d, k, variant)).status == lpmod.OPTIMAL
 
 
 def _forms_picked(run):
@@ -678,3 +696,73 @@ def test_size_rule_keeps_the_tiny_programs_on_the_tableau():
 def test_size_rule_sends_the_large_game_programs_to_the_revised_form(n, d, k, rows):
     picked = _forms_picked(lambda: solver.solve(GameSpec(n, d, k, Variant.ADVERSARY)))
     assert picked == [(rows, lpmod._Revised)]
+
+
+# ---------------------------------------------------------------------------
+# Incremental pricing and the column index.
+# ---------------------------------------------------------------------------
+
+
+def _same_as_the_full_scan(p, sense="max"):
+    """Solve ``p`` in each form with the incremental Devex pricing and with
+    the full scan of ``reference_run_simplex``, and require the same answer,
+    every counter and ``max_denominator_bits`` included."""
+    for form in (lpmod._Tableau, lpmod._Revised):
+        with mock.patch.object(lpmod._Tableau, "run_simplex", reference_run_simplex):
+            reference = _solved_in(form, p, sense)
+        assert _solved_in(form, p, sense) == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_incremental_pricing_matches_the_full_scan_on_random_bounded_programs(seed):
+    _same_as_the_full_scan(random_bounded_lp(random.Random(seed)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_programs())
+def test_incremental_pricing_matches_the_full_scan_on_programs_of_every_shape(case):
+    _same_as_the_full_scan(*case)
+
+
+@pytest.mark.parametrize("n,d,k", [(3, 3, 2), (4, 3, 2), (5, 3, 3)])
+def test_incremental_pricing_matches_the_full_scan_on_sequence_form_programs(n, d, k):
+    _same_as_the_full_scan(*_sequence_form_program(n, d, k))
+
+
+def _holders_checked(p, sense="max"):
+    """Solve ``p`` in the revised form, checking after every pivot that
+    ``holders[u]`` lists, each once, the rows whose basis-inverse part
+    holds ``u``; returns the number of pivots checked."""
+    real = lpmod._Revised.pivot
+    checked = []
+
+    def pivot(self, r, col, column):
+        real(self, r, col, column)
+        expected = {}
+        for i, row in enumerate(self.rows):
+            for u in row.nums:
+                expected.setdefault(u, []).append(i)
+        assert set(expected) <= set(self.holders)
+        assert {u: sorted(rows) for u, rows in self.holders.items()} == {u: expected.get(u, []) for u in self.holders}
+        checked.append(r)
+
+    with mock.patch.object(lpmod._Revised, "pivot", pivot):
+        _solved_in(lpmod._Revised, p, sense)
+    return len(checked)
+
+
+def test_column_index_stays_exact_on_a_game_program():
+    assert _holders_checked(*_sequence_form_program(5, 3, 3)) == 134
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_programs())
+def test_column_index_stays_exact_on_programs_of_every_shape(case):
+    _holders_checked(*case)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32))
+def test_column_index_stays_exact_on_random_bounded_programs(seed):
+    _holders_checked(random_bounded_lp(random.Random(seed)))
