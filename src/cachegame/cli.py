@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Commands: solve, verify, sweep-accuracy, accumulation, plambda,
-fractional-check.  Machine output is JSON with rationals as "p/q" strings;
---format table renders for humans, and --approx adds a clearly marked
-non-authoritative decimal column.  Exit codes: 0 success, 2 invalid input,
-3 node budget exceeded, 4 internal invariant breach.
+fractional-check, recheck.  Each command takes only the flags it reads,
+after the command name.  Machine output is JSON with rationals as "p/q"
+strings; --format table renders for humans, and --approx adds a clearly
+marked non-authoritative decimal column.  solve and sweep-accuracy also take
+--budget, --no-symmetry, --relaxed-queries and --cache DIR, a directory
+holding one JSON file per solved instance; recheck --cache DIR solves every
+entry there again.  Exit codes: 0 success, 2 invalid input, 3 node budget
+exceeded, 4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -31,47 +35,35 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-CACHE_SCHEMA = 1
-
-
-def _add_global_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
-    """Global flags, accepted both before and after the subcommand.
-
-    Only the top-level parser carries real defaults; subcommand copies use
-    SUPPRESS so they never overwrite a flag parsed earlier.
-    """
-    d = (lambda v: v) if top_level else (lambda v: argparse.SUPPRESS)
-    parser.add_argument("--budget", type=int, default=d(solver.DEFAULT_NODE_BUDGET),
-                        help="node budget for game-tree construction")
-    parser.add_argument("--no-symmetry", action="store_true", default=d(False),
-                        help="disable symmetry reduction")
-    parser.add_argument("--relaxed-queries", action="store_true", default=d(False),
-                        help="allow queries smaller than k")
-    parser.add_argument("--format", choices=("json", "table"), default=d("json"))
-    parser.add_argument("--approx", action="store_true", default=d(False),
-                        help="add a non-authoritative decimal column to tables")
-    parser.add_argument("--cache", default=d(None), help="path to a JSON result cache")
-    parser.add_argument("--recheck", action="store_true", default=d(False),
-                        help="recompute cached entries and fail on any mismatch")
-
 
 def build_parser() -> argparse.ArgumentParser:
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "table"), default="json")
+    output.add_argument("--approx", action="store_true",
+                        help="add a non-authoritative decimal column to tables")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=solver.DEFAULT_NODE_BUDGET,
+                        help="node budget for game-tree construction")
+    game = argparse.ArgumentParser(add_help=False, parents=[budget])
+    game.add_argument("--no-symmetry", action="store_true", help="disable symmetry reduction")
+    game.add_argument("--relaxed-queries", action="store_true",
+                      help="allow queries smaller than k")
+    game.add_argument("--cache", metavar="DIR",
+                      help="result cache directory, one JSON file per entry")
+
     p = argparse.ArgumentParser(prog="cachegame", description=__doc__)
-    _add_global_options(p, top_level=True)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text):
-        command = sub.add_parser(name, help=help_text)
-        _add_global_options(command, top_level=False)
-        return command
+    def add_command(name, help_text, *parents):
+        return sub.add_parser(name, help=help_text, parents=parents)
 
-    s = add_command("solve", "exact game value and optimal plans")
+    s = add_command("solve", "exact game value and optimal plans", output, game)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--variant", choices=("adversary", "random"), default="adversary")
 
-    v = add_command("verify", "worst-case value of a strategy tree")
+    v = add_command("verify", "worst-case value of a strategy tree", output)
     v.add_argument("--family", help="built-in family name")
     v.add_argument("--file", help="strategy JSON file")
     v.add_argument("--n", type=int)
@@ -80,28 +72,32 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--variant", choices=("adversary", "random", "cooperative"),
                    default="adversary")
 
-    w = add_command("sweep-accuracy", "compare solved values to the combinatorial bound")
+    w = add_command("sweep-accuracy", "compare solved values to the combinatorial bound",
+                    output, game)
     w.add_argument("--max-n", type=int, required=True)
     w.add_argument("--max-d", type=int, required=True)
     w.add_argument("--max-k", type=int, required=True)
 
-    a = add_command("accumulation", "one-turn accumulation game analysis")
+    a = add_command("accumulation", "one-turn accumulation game analysis", output)
     a.add_argument("--n", type=int, required=True)
     a.add_argument("--k", type=int, required=True)
     a.add_argument("--d", type=str, required=True, help='gold total, e.g. "5/3"')
     a.add_argument("--mode", choices=("evaluate", "ruckle", "exact"), required=True)
     a.add_argument("--dist", help='comma-separated amounts for --mode evaluate, e.g. "1/5,1/5,..."')
 
-    y = add_command("plambda", "repeat-probability of the single-box plan")
+    y = add_command("plambda", "repeat-probability of the single-box plan", output)
     y.add_argument("--n", type=int, required=True)
     y.add_argument("--d", type=int, required=True)
     y.add_argument("--lam", type=str, required=True, help='record, e.g. "2,1"')
 
-    f = add_command("fractional-check", "per-step identities of the mixed plan")
+    f = add_command("fractional-check", "per-step identities of the mixed plan", output)
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--d", type=int, required=True)
     f.add_argument("--k", type=str, required=True, help='rational query size, e.g. "3/2"')
     f.add_argument("--lam", type=str, required=True)
+
+    r = add_command("recheck", "solve every cached entry again; fail on any mismatch", budget)
+    r.add_argument("--cache", metavar="DIR", required=True, help="result cache directory")
     return p
 
 
@@ -112,8 +108,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.recheck:
-            return _recheck_cache(args)
         handler = {
             "solve": cmd_solve,
             "verify": cmd_verify,
@@ -121,6 +115,7 @@ def main(argv=None) -> int:
             "accumulation": cmd_accumulation,
             "plambda": cmd_plambda,
             "fractional-check": cmd_fractional_check,
+            "recheck": cmd_recheck,
         }[args.command]
         return handler(args)
     except solver.BudgetExceededError as exc:
@@ -163,27 +158,28 @@ def _cache_key(n, d, k, variant, symmetry, relaxed) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _load_cache(path: str) -> dict:
-    if path and os.path.exists(path):
+def _read_entry(path: str) -> dict | None:
+    """The entry stored at ``path``, or None when there is none."""
+    try:
         with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
-            raise ValueError(f"cache file {path} is not an object with an 'entries' object")
-        if data.get("schema") != CACHE_SCHEMA:
-            raise ValueError(f"cache schema {data.get('schema')} unsupported")
-        for key, entry in data["entries"].items():
-            if not isinstance(entry, dict) or not isinstance(entry.get("params"), dict):
-                raise ValueError(f"cache file {path} entry {key} is not an object with a 'params' object")
-        return data
-    return {"schema": CACHE_SCHEMA, "entries": {}}
+            entry = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except ValueError:  # not JSON, or not text
+        entry = None
+    if not isinstance(entry, dict) or not isinstance(entry.get("params"), dict):
+        raise ValueError(f"cache entry {path} is not a JSON object with a 'params' object")
+    return entry
 
 
-def _store_cache(path: str, cache: dict) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+def _write_entry(path: str, entry: dict) -> None:
+    """Replace ``path`` atomically, so a reader sees the old entry or the new one."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cachegame-")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(cache, fh, indent=1, sort_keys=True)
+            json.dump(entry, fh, indent=1, sort_keys=True)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -197,17 +193,16 @@ def _solve_cached(args, n, d, k, variant) -> dict:
     by this version are hits; any other entry is solved again and replaced."""
     symmetry = not args.no_symmetry
     relaxed = args.relaxed_queries
-    cache = _load_cache(args.cache) if args.cache else None
     key = _cache_key(n, d, k, variant.value, symmetry, relaxed)
-    if cache is not None and key in cache["entries"]:
-        entry = cache["entries"][key]
-        if "payload" in entry and entry.get("tool_version") == __version__:
-            return entry["payload"]
+    path = os.path.join(args.cache, f"{key}.json") if args.cache else None
+    entry = _read_entry(path) if path else None
+    if entry is not None and "payload" in entry and entry.get("tool_version") == __version__:
+        return entry["payload"]
     result = solver.solve(GameSpec(n, d, k, variant), symmetry=symmetry,
                           relaxed=relaxed, budget=args.budget)
     payload = result.to_json_dict()
-    if cache is not None:
-        cache["entries"][key] = {
+    if path:
+        _write_entry(path, {
             "params": {"n": n, "d": d, "k": k, "variant": variant.value,
                        "symmetry": symmetry, "relaxed": relaxed},
             "value": format_rational(result.value),
@@ -215,8 +210,7 @@ def _solve_cached(args, n, d, k, variant) -> dict:
             "payload": payload,
             "tool_version": __version__,
             "timestamp": int(time.time()),
-        }
-        _store_cache(args.cache, cache)
+        })
     return payload
 
 
@@ -230,15 +224,14 @@ def _comparable(payload: dict) -> dict:
     return {**payload, "stats": _without_wall_times(payload.get("stats", {}))}
 
 
-def _recheck_cache(args) -> int:
+def cmd_recheck(args) -> int:
     """Solve every cached entry again.  An entry passes when its stored
     value and the whole payload a hit serves, wall times aside, equal the
     fresh solve's."""
-    if not args.cache:
-        raise ValueError("--recheck needs --cache")
-    cache = _load_cache(args.cache)
+    entries = [(name[:-len(".json")], _read_entry(os.path.join(args.cache, name)))
+               for name in sorted(os.listdir(args.cache)) if name.endswith(".json")]
     bad = []
-    for key, entry in sorted(cache["entries"].items()):
+    for key, entry in entries:
         p = entry["params"]
         result = solver.solve(
             GameSpec(p["n"], p["d"], p["k"], Variant(p["variant"])),

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import random
 
 from cachegame import GameSpec, Variant, accumulation, build_tree, solve
+from cachegame import strategies as st
 from cachegame.core import enumerate_allocations, patterns, reveals, take
 from cachegame.rational import ONE, ZERO
 from cachegame.solver import _rule_choice, _solve_sequence_lp
@@ -26,6 +27,15 @@ _ZERO = Fraction(0)
 @lru_cache(maxsize=None)
 def solve_cached(n, d, k, variant=Variant.ADVERSARY, symmetry=True, relaxed=False):
     return solve(GameSpec(n, d, k, variant), symmetry=symmetry, relaxed=relaxed)
+
+
+def fig432_ending_early() -> st.StrategyTree:
+    """A plan like ``fig432`` whose 1/5 entry ends after its reveal
+    (a ``None`` branch, "end" on the wire); worst-case value 4/15."""
+    return st.StrategyTree(4, 3, 2, st.ask((0, 1), {0: st.node(
+        st.entry(Fraction(4, 5), (0, 2), {0: st.ask((0, 3)), 2: st.ask((2, 3))}),
+        st.entry(Fraction(1, 5), (2, 3), {2: None}),
+    )}))
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cachegame import cli
+from cachegame import GameSpec, Variant, cli
 from cachegame import strategies as st
+from cachegame.rational import format_rational
+from helpers import fig432_ending_early
 
 
 def run(capsys, *argv):
@@ -17,6 +23,11 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def entries(cache):
+    """The entries of a cache directory by file name."""
+    return {path.name: json.loads(path.read_text()) for path in sorted(cache.glob("*.json"))}
 
 
 class TestSolveCommand:
@@ -57,8 +68,8 @@ class TestSolveCommand:
 
 
     def test_stats_report_lp_work(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        data = run_json(capsys, "--cache", str(cache), "solve", "--n", "3", "--d", "3", "--k", "2")
+        cache = tmp_path / "cache"
+        data = run_json(capsys, "solve", "--n", "3", "--d", "3", "--k", "2", "--cache", str(cache))
         stats = data["stats"]
         assert stats["pivots"] == stats["phase1_pivots"] + stats["phase2_pivots"] > 0
         assert 0 <= stats["degenerate_pivots"] <= stats["pivots"]
@@ -67,7 +78,7 @@ class TestSolveCommand:
         wall_times = ("build_seconds", "solve_seconds", "assembly_seconds", "phase1_seconds", "phase2_seconds",
                       "certificate_seconds", "behavior_seconds")
         assert all(stats[k] >= 0 for k in wall_times)
-        entry = next(iter(json.loads(cache.read_text())["entries"].values()))
+        (entry,) = entries(cache).values()
         assert entry["stats"] == {k: v for k, v in stats.items() if k not in wall_times}
 
 
@@ -90,6 +101,16 @@ class TestVerifyCommand:
         path.write_text(json.dumps(st.to_json_dict(st.fig542())))
         data = run_json(capsys, "verify", "--file", str(path))
         assert data["value"] == "8/35"
+
+    @pytest.mark.parametrize("variant", ["adversary", "random"])
+    def test_strategy_file_with_an_explicit_end(self, capsys, tmp_path, variant):
+        tree = fig432_ending_early()
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps(st.to_json_dict(tree)))
+        assert '"end"' in path.read_text()
+        data = run_json(capsys, "verify", "--file", str(path), "--variant", variant)
+        spec = GameSpec(4, 3, 2, Variant(variant))
+        assert data["value"] == format_rational(st.verify(spec, tree)) == "4/15"
 
     @pytest.mark.parametrize("content,where", [
         ('{"n": 3, "d": 1, "k": 2, "root": {"mix": [{"p": "1/1"}]}}', "root/mix[0]"),
@@ -141,6 +162,15 @@ class TestSweepCommand:
     def test_single_cell_sweep(self, capsys):
         data = run_json(capsys, "sweep-accuracy", "--max-n", "1", "--max-d", "1", "--max-k", "1")
         assert len(data["rows"]) == 1  # only (1,1,1) fits
+
+    def test_budget_skips_cells(self, capsys):
+        data = run_json(capsys, "sweep-accuracy", "--max-n", "3", "--max-d", "3", "--max-k", "2",
+                        "--budget", "20")
+        skipped = [(r["n"], r["d"], r["k"]) for r in data["rows"] if "skipped" in r]
+        assert skipped == [(2, 3, 1), (2, 3, 2), (3, 2, 2), (3, 3, 1), (3, 3, 2)]
+        assert all(r["skipped"] == "budget" for r in data["rows"] if "skipped" in r)
+        assert len(data["rows"]) == 15
+        assert all("value" in r for r in data["rows"] if "skipped" not in r)
 
     def test_empty_sweep_exits_cleanly(self, capsys):
         data = run_json(capsys, "sweep-accuracy", "--max-n", "0", "--max-d", "3", "--max-k", "2")
@@ -212,129 +242,193 @@ class TestFractionalCommands:
         assert code == 2
 
 
+SOLVE_332 = ("solve", "--n", "3", "--d", "3", "--k", "2")
+SOLVE_322 = ("solve", "--n", "3", "--d", "2", "--k", "2")
+
+
 class TestCache:
     def test_solve_populates_and_recheck_passes(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        run_json(capsys, "--cache", str(cache), "solve", "--n", "3", "--d", "3", "--k", "2",
-                 "--variant", "random")
-        run_json(capsys, "--cache", str(cache), "solve", "--n", "3", "--d", "2", "--k", "2")
-        stored = json.loads(cache.read_text())
-        assert stored["schema"] == 1
-        assert len(stored["entries"]) == 2
-        code, out, _ = run(capsys, "--cache", str(cache), "--recheck",
-                           "solve", "--n", "1", "--d", "1", "--k", "1")
+        cache = tmp_path / "cache"
+        run_json(capsys, *SOLVE_332, "--variant", "random", "--cache", str(cache))
+        run_json(capsys, *SOLVE_322, "--cache", str(cache))
+        stored = entries(cache)
+        assert len(stored) == 2
+        assert all(set(entry) == {"params", "value", "stats", "payload", "tool_version", "timestamp"}
+                   for entry in stored.values())
+        code, out, _ = run(capsys, "recheck", "--cache", str(cache))
         assert code == 0
+        assert [line.split()[0] + ".json" for line in out.splitlines()] == sorted(stored)
         assert out.count("ok") == 2
 
+    def _corrupt(self, cache, edit):
+        """Apply ``edit`` to the cache's only entry."""
+        (path,) = cache.glob("*.json")
+        entry = json.loads(path.read_text())
+        edit(entry)
+        path.write_text(json.dumps(entry))
+
     def test_recheck_detects_corruption(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        run_json(capsys, "--cache", str(cache), "solve", "--n", "3", "--d", "2", "--k", "2")
-        data = json.loads(cache.read_text())
-        key = next(iter(data["entries"]))
-        data["entries"][key]["value"] = "1/2"
-        cache.write_text(json.dumps(data))
-        code, out, err = run(capsys, "--cache", str(cache), "--recheck",
-                             "solve", "--n", "1", "--d", "1", "--k", "1")
+        cache = tmp_path / "cache"
+        run_json(capsys, *SOLVE_322, "--cache", str(cache))
+        self._corrupt(cache, lambda entry: entry.update(value="1/2"))
+        code, out, err = run(capsys, "recheck", "--cache", str(cache))
         assert code == 4
         assert "MISMATCH" in out
 
     def test_recheck_detects_corrupted_payload(self, capsys, tmp_path):
         # A cache hit serves the payload, so its value must be rechecked too.
-        cache = tmp_path / "cache.json"
-        argv = ("--cache", str(cache), "solve", "--n", "3", "--d", "2", "--k", "2")
+        cache = tmp_path / "cache"
+        argv = (*SOLVE_322, "--cache", str(cache))
         fresh = run_json(capsys, *argv)["value"]
-        data = json.loads(cache.read_text())
-        entry = next(iter(data["entries"].values()))
-        entry["payload"]["value"] = "1/2"
-        cache.write_text(json.dumps(data))
+        self._corrupt(cache, lambda entry: entry["payload"].update(value="1/2"))
         assert run_json(capsys, *argv)["value"] == "1/2"  # what a hit would serve
-        code, out, err = run(capsys, "--cache", str(cache), "--recheck",
-                             "solve", "--n", "1", "--d", "1", "--k", "1")
+        code, out, err = run(capsys, "recheck", "--cache", str(cache))
         assert code == 4
         assert f"stored={fresh}  payload=1/2  fresh={fresh}  MISMATCH" in out
         assert "1 cache entries failed recheck" in err
 
     def test_recheck_detects_corrupted_plan(self, capsys, tmp_path):
         # The value is intact, but a hit would serve a wrong plan.
-        cache = tmp_path / "cache.json"
-        argv = ("--cache", str(cache), "solve", "--n", "3", "--d", "2", "--k", "2")
+        cache = tmp_path / "cache"
+        argv = (*SOLVE_322, "--cache", str(cache))
         run_json(capsys, *argv)
-        data = json.loads(cache.read_text())
-        entry = next(iter(data["entries"].values()))
-        entry["payload"]["searcher_plan"][1]["weight"] = "7/3"
-        cache.write_text(json.dumps(data))
+        self._corrupt(cache, lambda entry: entry["payload"]["searcher_plan"][1].update(weight="7/3"))
         assert run_json(capsys, *argv)["searcher_plan"][1]["weight"] == "7/3"
-        code, out, err = run(capsys, "--cache", str(cache), "--recheck",
-                             "solve", "--n", "1", "--d", "1", "--k", "1")
+        code, out, err = run(capsys, "recheck", "--cache", str(cache))
         assert code == 4
         assert "MISMATCH (searcher_plan)" in out
         assert "1 cache entries failed recheck" in err
 
     def test_flags_key_separately(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        run_json(capsys, "--cache", str(cache), "solve", "--n", "3", "--d", "2", "--k", "2")
-        run_json(capsys, "--cache", str(cache), "--no-symmetry",
-                 "solve", "--n", "3", "--d", "2", "--k", "2")
-        stored = json.loads(cache.read_text())
-        assert len(stored["entries"]) == 2
+        cache = tmp_path / "cache"
+        run_json(capsys, *SOLVE_322, "--cache", str(cache))
+        run_json(capsys, *SOLVE_322, "--cache", str(cache), "--no-symmetry")
+        assert len(entries(cache)) == 2
 
     def test_hits_skip_recomputation_and_match(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        first = run_json(capsys, "--cache", str(cache), "solve", "--n", "3", "--d", "3", "--k", "2")
-        before = cache.read_text()
-        again = run_json(capsys, "--cache", str(cache), "solve", "--n", "3", "--d", "3", "--k", "2")
+        cache = tmp_path / "cache"
+        first = run_json(capsys, *SOLVE_332, "--cache", str(cache))
+        (path,) = cache.glob("*.json")
+        before = (path.read_text(), path.stat().st_mtime_ns)
+        again = run_json(capsys, *SOLVE_332, "--cache", str(cache))
         assert again == first
-        assert cache.read_text() == before  # untouched on a hit
+        assert (path.read_text(), path.stat().st_mtime_ns) == before  # untouched on a hit
+        assert [p.name for p in cache.iterdir()] == [path.name]
 
     def test_entry_from_another_version_is_solved_again(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        argv = ("--cache", str(cache), "solve", "--n", "3", "--d", "3", "--k", "2")
+        cache = tmp_path / "cache"
+        argv = (*SOLVE_332, "--cache", str(cache))
         run_json(capsys, *argv)
-        data = json.loads(cache.read_text())
-        entry = next(iter(data["entries"].values()))
-        entry["value"] = entry["payload"]["value"] = "1/2"
-        cache.write_text(json.dumps(data))
+
+        def wrong_value(entry):
+            entry["value"] = entry["payload"]["value"] = "1/2"
+
+        self._corrupt(cache, wrong_value)
         assert run_json(capsys, *argv)["value"] == "1/2"  # same version: a hit
-        entry["tool_version"] = "0.0.0"
-        cache.write_text(json.dumps(data))
+        self._corrupt(cache, lambda entry: entry.update(tool_version="0.0.0"))
         assert run_json(capsys, *argv)["value"] == "3/5"
-        entry = next(iter(json.loads(cache.read_text())["entries"].values()))
+        (entry,) = entries(cache).values()
         assert entry["tool_version"] == cli.__version__
         assert entry["value"] == entry["payload"]["value"] == "3/5"
 
     def test_sweep_resumes_from_cache(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        run_json(capsys, "--cache", str(cache), "sweep-accuracy",
-                 "--max-n", "3", "--max-d", "2", "--max-k", "2")
-        stored = json.loads(cache.read_text())
-        filled = len(stored["entries"])
-        assert filled > 0
-        data = run_json(capsys, "--cache", str(cache), "sweep-accuracy",
-                        "--max-n", "4", "--max-d", "2", "--max-k", "2")
-        stored = json.loads(cache.read_text())
-        assert len(stored["entries"]) > filled  # only the new cells were solved
+        cache = tmp_path / "cache"
+        sweep = ("sweep-accuracy", "--max-d", "2", "--max-k", "2", "--cache", str(cache))
+        run_json(capsys, *sweep, "--max-n", "3")
+        filled = entries(cache)
+        assert filled
+        data = run_json(capsys, *sweep, "--max-n", "4")
+        stored = entries(cache)
+        assert len(stored) > len(filled)  # only the new cells were solved
+        assert all(stored[name] == entry for name, entry in filled.items())
         assert data["findings"] == []
 
     def test_recheck_requires_cache(self, capsys):
-        code, _, err = run(capsys, "--recheck", "solve", "--n", "1", "--d", "1", "--k", "1")
+        code, _, err = run(capsys, "recheck")
         assert code == 2
+        assert "--cache" in err
 
-    @pytest.mark.parametrize("content", [[], {"schema": 1, "entries": []}, {"schema": 1}])
-    def test_malformed_cache_file_exits_2(self, capsys, tmp_path, content):
+    def test_single_file_cache_exits_2(self, capsys, tmp_path):
+        # A cache file of the 0.4.0 layout is not a directory, so it is not read.
         cache = tmp_path / "cache.json"
-        cache.write_text(json.dumps(content))
-        code, _, err = run(capsys, "--cache", str(cache), "solve", "--n", "2", "--d", "1", "--k", "1")
+        cache.write_text(json.dumps({"schema": 1, "entries": {}}))
+        code, _, err = run(capsys, "solve", "--n", "2", "--d", "1", "--k", "1", "--cache", str(cache))
         assert code == 2
-        assert f"error: cache file {cache} is not an object with an 'entries' object" in err
+        assert str(cache) in err
 
-    @pytest.mark.parametrize("entry", [5, [], {}, {"params": 5}])
+    MALFORMED = ["not json", "5", "[]", "{}", '{"params": 5}']
+
+    @pytest.mark.parametrize("content", MALFORMED)
     @pytest.mark.parametrize("recheck", [False, True])
-    def test_cache_entry_without_a_params_object_exits_2(self, capsys, tmp_path, entry, recheck):
+    def test_malformed_entry_exits_2(self, capsys, tmp_path, content, recheck):
         # The key is the one ``solve --n 2 --d 1 --k 1`` looks up.
-        cache = tmp_path / "cache.json"
-        key = cli._cache_key(2, 1, 1, "adversary", True, False)
-        cache.write_text(json.dumps({"schema": 1, "entries": {key: entry}}))
-        argv = ("--recheck",) * recheck + ("solve", "--n", "2", "--d", "1", "--k", "1")
-        code, _, err = run(capsys, "--cache", str(cache), *argv)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / f"{cli._cache_key(2, 1, 1, 'adversary', True, False)}.json"
+        path.write_text(content)
+        argv = ("recheck",) if recheck else ("solve", "--n", "2", "--d", "1", "--k", "1")
+        code, _, err = run(capsys, *argv, "--cache", str(cache))
         assert code == 2
-        assert f"error: cache file {cache} entry {key} is not an object with a 'params' object" in err
+        assert f"error: cache entry {path} is not a JSON object with a 'params' object" in err
+
+    @pytest.mark.parametrize("content", MALFORMED)
+    def test_malformed_entry_under_another_key(self, capsys, tmp_path, content):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / f"{cli._cache_key(3, 1, 1, 'adversary', True, False)}.json"
+        path.write_text(content)
+        assert run_json(capsys, "solve", "--n", "2", "--d", "1", "--k", "1",
+                        "--cache", str(cache))["value"] == "1/2"
+        assert len(list(cache.glob("*.json"))) == 2
+        code, out, err = run(capsys, "recheck", "--cache", str(cache))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+
+    def test_concurrent_solves_keep_every_entry(self, tmp_path):
+        # Processes writing into one cache directory, more than there are
+        # cores, lose none of each other's entries.
+        cache = tmp_path / "cache"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        instances = {(3, 2): "2/3", (4, 2): "2/5", (3, 3): "3/5"}
+        procs = [
+            subprocess.Popen([sys.executable, "-m", "cachegame.cli", "solve", "--n", str(n),
+                              "--d", str(d), "--k", "2", "--cache", str(cache)],
+                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            for n, d in instances
+        ]
+        try:
+            for proc in procs:
+                _, err = proc.communicate(timeout=120)
+                assert proc.returncode == 0, err
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+        stored = entries(cache).values()
+        assert {(e["params"]["n"], e["params"]["d"]): e["value"] for e in stored} == instances
+        assert [p.name for p in cache.iterdir() if not p.name.endswith(".json")] == []
+
+
+class TestFlagsBelongToTheirCommands:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "fig432", "--budget", "5"),
+        ("plambda", "--n", "2", "--d", "2", "--lam", "1", "--cache", "d"),
+        ("accumulation", "--n", "5", "--k", "3", "--d", "1", "--mode", "ruckle", "--no-symmetry"),
+        ("fractional-check", "--n", "12", "--d", "2", "--k", "3/2", "--lam", "1", "--relaxed-queries"),
+        ("--no-symmetry", "solve", "--n", "3", "--d", "3", "--k", "2"),
+        ("recheck", "--cache", "d", "--format", "table"),
+        ("solve", "--n", "3", "--d", "3", "--k", "2", "--recheck"),
+    ])
+    def test_unread_flag_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_flag_before_the_command_exits_2(self, capsys):
+        code, out, err = run(capsys, "--format", "table", "plambda", "--n", "2", "--d", "2", "--lam", "1")
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'table'" in err

@@ -336,6 +336,23 @@ class TestCheckCertificateRejectsForgeries:
         with pytest.raises(lpmod.CertificateError, match=message):
             lpmod.check_certificate(p, "max", replace(sol, **change))
 
+    def test_unknown_status(self):
+        p = lpmod.LinearProgram(1, [1])
+        p.add_constraint({0: 1}, lpmod.LESS_EQUAL, 1)
+        sol = lpmod.solve_lp(p)
+        with pytest.raises(lpmod.LPError, match="unknown status 'FEASIBLE'"):
+            lpmod.check_certificate(p, "max", replace(sol, status="FEASIBLE"))
+
+    def test_zero_farkas_multipliers(self):
+        # x <= -1 over a nonnegative x is infeasible, and the multiplier 1
+        # refutes it; 0 meets every sign rule but combines to 0 <= 0.
+        p = lpmod.LinearProgram(1, [1])
+        p.add_constraint({0: 1}, lpmod.LESS_EQUAL, -1)
+        sol = lpmod.solve_lp(p)
+        assert sol.status == lpmod.INFEASIBLE and sol.dual == (Fraction(1),)
+        with pytest.raises(lpmod.CertificateError, match="Farkas certificate has nonnegative value"):
+            lpmod.check_certificate(p, "max", replace(sol, dual=(Fraction(0),)))
+
 
 def test_solve_lp_checks_the_mapping_back(monkeypatch):
     # Dropping the row flips from the mapping back to the caller's rows

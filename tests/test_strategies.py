@@ -24,7 +24,7 @@ from cachegame import (
 )
 from cachegame import strategies as st
 from cachegame.solver import StrategyError, joint_cooperative_value
-from helpers import solve_cached
+from helpers import fig432_ending_early, solve_cached
 
 ADV, RAN, COOP = Variant.ADVERSARY, Variant.RANDOM, Variant.COOPERATIVE
 
@@ -274,7 +274,8 @@ class TestValidation:
 
 class TestJsonFormat:
     @pytest.mark.parametrize(
-        "tree", [fig432(), fig542(), family_332(RAN), family_d3(3), single_query(4, 1, 2)]
+        "tree", [fig432(), fig542(), family_332(RAN), family_d3(3), single_query(4, 1, 2),
+                 fig432_ending_early()]
     )
     def test_round_trip(self, tree):
         data = st.to_json_dict(tree)
