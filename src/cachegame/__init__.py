@@ -7,7 +7,6 @@ bounds, and probabilities are computed and compared exactly.
 __version__ = "0.4.0"
 
 from .core import (
-    Allocation,
     GameSpec,
     Variant,
     enumerate_allocations,
@@ -43,7 +42,6 @@ from .strategies import (
 )
 
 __all__ = [
-    "Allocation",
     "AccuracyResult",
     "BestResponse",
     "BudgetExceededError",

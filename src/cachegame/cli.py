@@ -159,7 +159,8 @@ def _cache_key(n, d, k, variant, symmetry, relaxed) -> str:
 
 
 def _read_entry(path: str) -> dict | None:
-    """The entry stored at ``path``, or None when there is none."""
+    """The entry stored at ``path``, or None when there is none.  Raises
+    ValueError naming the file and the first malformed field its readers use."""
     try:
         with open(path) as fh:
             entry = json.load(fh)
@@ -169,6 +170,21 @@ def _read_entry(path: str) -> dict | None:
         entry = None
     if not isinstance(entry, dict) or not isinstance(entry.get("params"), dict):
         raise ValueError(f"cache entry {path} is not a JSON object with a 'params' object")
+    params, payload = entry["params"], entry.get("payload")
+    fields = {
+        "params.n": type(params.get("n")) is int,
+        "params.d": type(params.get("d")) is int,
+        "params.k": type(params.get("k")) is int,
+        "params.variant": params.get("variant") in ("adversary", "random"),
+        "params.symmetry": type(params.get("symmetry")) is bool,
+        "params.relaxed": type(params.get("relaxed")) is bool,
+        "value": type(entry.get("value")) is str,
+        "payload": isinstance(payload, dict) and type(payload.get("value")) is str
+                   and isinstance(payload.get("stats"), dict),
+    }
+    bad = next((name for name, ok in fields.items() if not ok), None)
+    if bad:
+        raise ValueError(f"cache entry {path} has a malformed field {bad!r}")
     return entry
 
 
@@ -180,6 +196,10 @@ def _write_entry(path: str, entry: dict) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(entry, fh, indent=1, sort_keys=True)
+        # mkstemp makes the file 0600; give the entry the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -189,22 +209,23 @@ def _write_entry(path: str, entry: dict) -> None:
 
 def _solve_cached(args, n, d, k, variant) -> dict:
     """Solve through the result cache: hits skip recomputation entirely,
-    so interrupted sweeps resume where they stopped.  Only entries written
-    by this version are hits; any other entry is solved again and replaced."""
-    symmetry = not args.no_symmetry
-    relaxed = args.relaxed_queries
-    key = _cache_key(n, d, k, variant.value, symmetry, relaxed)
+    so interrupted sweeps resume where they stopped.  A hit is an entry
+    written by this version for these very params; any other entry is
+    solved again and replaced."""
+    symmetry, relaxed = not args.no_symmetry, args.relaxed_queries
+    params = {"n": n, "d": d, "k": k, "variant": variant.value,
+              "symmetry": symmetry, "relaxed": relaxed}
+    key = _cache_key(**params)
     path = os.path.join(args.cache, f"{key}.json") if args.cache else None
     entry = _read_entry(path) if path else None
-    if entry is not None and "payload" in entry and entry.get("tool_version") == __version__:
+    if entry is not None and entry["params"] == params and entry.get("tool_version") == __version__:
         return entry["payload"]
     result = solver.solve(GameSpec(n, d, k, variant), symmetry=symmetry,
                           relaxed=relaxed, budget=args.budget)
     payload = result.to_json_dict()
     if path:
         _write_entry(path, {
-            "params": {"n": n, "d": d, "k": k, "variant": variant.value,
-                       "symmetry": symmetry, "relaxed": relaxed},
+            "params": params,
             "value": format_rational(result.value),
             "stats": _without_wall_times(result.stats),
             "payload": payload,
@@ -225,9 +246,9 @@ def _comparable(payload: dict) -> dict:
 
 
 def cmd_recheck(args) -> int:
-    """Solve every cached entry again.  An entry passes when its stored
-    value and the whole payload a hit serves, wall times aside, equal the
-    fresh solve's."""
+    """Solve every cached entry again.  An entry passes when its file is
+    named by the key of its params, and its stored value and the whole
+    payload a hit serves, wall times aside, equal the fresh solve's."""
     entries = [(name[:-len(".json")], _read_entry(os.path.join(args.cache, name)))
                for name in sorted(os.listdir(args.cache)) if name.endswith(".json")]
     bad = []
@@ -238,11 +259,14 @@ def cmd_recheck(args) -> int:
             symmetry=p["symmetry"], relaxed=p["relaxed"], budget=args.budget,
         )
         fresh = _comparable(result.to_json_dict())
-        served = _comparable(entry.get("payload", {}))
+        served = _comparable(entry["payload"])
         differs = [name for name in sorted(served.keys() | fresh.keys())
                    if served.get(name) != fresh.get(name)]
         if entry["value"] != fresh["value"]:
             differs.insert(0, "stored value")
+        expected = _cache_key(p["n"], p["d"], p["k"], p["variant"], p["symmetry"], p["relaxed"])
+        if key != expected:
+            differs.insert(0, f"file key, params give {expected}")
         status = f"MISMATCH ({', '.join(differs)})" if differs else "ok"
         if differs:
             bad.append(key)
@@ -293,7 +317,7 @@ def cmd_verify(args) -> int:
     else:
         response = solver.best_response_value(spec, tree)
         value = response.value
-        worst = response.worst_allocation.to_json()
+        worst = list(response.worst_allocation)
     payload = {
         "n": tree.n, "d": tree.d, "k": tree.k, "variant": variant.value,
         "value": format_rational(value),

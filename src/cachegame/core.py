@@ -15,6 +15,9 @@ covers several:
   treasures surrenders with probability 2/3).
 * ``COOPERATIVE`` -- the revealer follows a rule agreed with the searcher in
   advance.
+
+A placement, like every state of play, is a plain tuple of counts:
+``counts[i]`` treasures sit in box ``i``.
 """
 
 from __future__ import annotations
@@ -55,30 +58,7 @@ class GameSpec:
             object.__setattr__(self, "variant", Variant(self.variant))
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """A placement of treasures: ``counts[i]`` treasures sit in box ``i``."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"negative treasure count in {self.counts}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def to_json(self) -> list[int]:
-        return list(self.counts)
-
-    @classmethod
-    def from_json(cls, data: list[int]) -> "Allocation":
-        return cls(tuple(data))
-
-
-def enumerate_allocations(n: int, d: int) -> list[Allocation]:
+def enumerate_allocations(n: int, d: int) -> list[tuple[int, ...]]:
     """All placements of ``d`` treasures into ``n`` boxes, lexicographic.
 
     There are C(n+d-1, d) of them; ``d = 0`` yields the single empty
@@ -89,11 +69,11 @@ def enumerate_allocations(n: int, d: int) -> list[Allocation]:
         raise ValueError(f"need at least one box, got n={n}")
     if d < 0:
         raise ValueError(f"negative treasure count d={d}")
-    out: list[Allocation] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], left: int) -> None:
         if len(prefix) == n - 1:
-            out.append(Allocation(prefix + (left,)))
+            out.append(prefix + (left,))
             return
         for c in range(left + 1):
             rec(prefix + (c,), left - c)

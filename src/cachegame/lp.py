@@ -1,6 +1,7 @@
 """Exact linear programming over rationals.
 
-A two-phase primal simplex over fraction-free rows: each row is integer
+A two-phase primal simplex that maximizes (a caller that wants a minimum
+negates its objective) over fraction-free rows: each row is integer
 numerators over one positive integer denominator, put in lowest terms
 whenever that denominator changes, so a pivot is plain integer arithmetic
 and values become Fractions only at the edges (duals and primal point).
@@ -10,7 +11,8 @@ pivots persist a stall guard switches to Bland's rule, which guarantees
 termination.  The weights only pick the entering column; no float reaches
 a row, a value or a certificate.  The caller's Fraction rows become integer
 numerators over one lcm denominator per row once, in the standard form, and
-everything after that up to the answer runs in integers.  Variables are nonnegative or free; a finite bound is a row.
+everything after that up to the answer runs in integers.  Variables are
+nonnegative or free; a finite bound is a row.
 
 One driver runs the simplex in either of two forms.  They make the same
 pivots and return the same solution, but for ``max_denominator_bits``,
@@ -86,19 +88,12 @@ def _rational(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _orient(sense: str) -> int:
-    """+1 for ``max``, -1 for ``min``."""
-    if sense not in ("max", "min"):
-        raise LPError(f"sense must be 'max' or 'min', got {sense!r}")
-    return 1 if sense == "max" else -1
-
-
 class LinearProgram:
-    """max/min  c.x  subject to rows ``a.x (<=|=|>=) b``.
+    """max  c.x  subject to rows ``a.x (<=|=|>=) b``.
 
     Every variable is nonnegative unless ``set_free`` puts it in ``free``; a
     finite bound is written as a row.  All coefficients are coerced to
-    Fraction on entry.
+    Fraction on entry.  To minimize ``c.x``, maximize ``-c.x``.
     """
 
     def __init__(self, num_vars: int, objective=None):
@@ -197,7 +192,7 @@ class _Standard:
     lowest terms.  The cost is a ``_Row`` in the same form.
     """
 
-    def __init__(self, lp: LinearProgram, orient: int):
+    def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.var_cols: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
         self.col_var: list[tuple[int, int]] = []  # col -> (var, sign)
@@ -211,8 +206,7 @@ class _Standard:
                 self.var_cols.append([(col, 1)])
         self.num_structural = len(self.col_var)
 
-        cost, _, den = self._expand(dict(enumerate(lp.objective)), _ZERO)
-        self.cost = _Row({col: orient * v for col, v in cost.items() if v}, 0, den)
+        self.cost = _Row(*self._expand({j: c for j, c in enumerate(lp.objective) if c}, _ZERO))
 
         self.rows = [self._expand(row, b) for row, b in zip(lp.rows, lp.rhs)]
         self.senses = lp.senses
@@ -557,7 +551,7 @@ class _Tableau:
                     bland = self.bland_fallback = True
 
     def duals(self, red: _Row, cost: _Row) -> list[Fraction]:
-        """Row prices y (internal orientation) read off the unit columns."""
+        """Row prices y of the internal rows, read off the unit columns."""
         out = []
         for col, sign in zip(self.unit_col, self.unit_sign):
             # r = c - y_i * sign  =>  y_i = (c - r) / sign
@@ -636,8 +630,8 @@ class _Revised(_Tableau):
         return _Row({c: v for c, v in full.items() if v}, row.rhs * scale, row.den * scale)
 
 
-def solve_lp(lp: LinearProgram, sense: str = "max") -> LPSolution:
-    """Solve exactly; every returned solution has passed ``check_certificate``.
+def solve_lp(lp: LinearProgram) -> LPSolution:
+    """Maximize exactly; every returned solution has passed ``check_certificate``.
 
     Both phases price by Devex and switch to Bland's rule if zero-step
     pivots persist (``bland_fallback``): the game programs are heavily
@@ -645,11 +639,10 @@ def solve_lp(lp: LinearProgram, sense: str = "max") -> LPSolution:
     reduced cost, which makes far fewer than pure Bland pricing.  Raises
     LPError if the objective is unbounded.
     """
-    orient = _orient(sense)
     _validate(lp)
-    sol = _simplex(lp, orient)
+    sol = _simplex(lp)
     start = time.perf_counter()
-    check_certificate(lp, sense, sol)
+    check_certificate(lp, sol)
     sol.certificate_seconds = time.perf_counter() - start
     return sol
 
@@ -668,8 +661,8 @@ def _form(std: _Standard) -> type[_Tableau]:
     return _Revised if std.num_rows >= _REVISED_MIN_ROWS else _Tableau
 
 
-def _simplex(lp: LinearProgram, orient: int) -> LPSolution:
-    std = _Standard(lp, orient)
+def _simplex(lp: LinearProgram) -> LPSolution:
+    std = _Standard(lp)
     tab = _form(std)(std)
 
     # Phase 1: drive artificials to zero (bounded: the objective is <= 0).
@@ -681,7 +674,7 @@ def _simplex(lp: LinearProgram, orient: int) -> LPSolution:
         # Right-hand sides stay >= 0, so the artificials sum to a positive
         # value exactly when one of them is basic at a positive level.
         if any(row.rhs for row, b in zip(tab.rows, tab.basis) if b in tab.artificial):
-            dual = _original_duals(tab.flip, tab.duals(red, cost1), 1)
+            dual = _original_duals(tab.flip, tab.duals(red, cost1))
             return LPSolution(INFEASIBLE, None, None, dual, **tab.counters(),
                               phase1_seconds=time.perf_counter() - start)
         _pivot_out_artificials(tab)
@@ -691,23 +684,22 @@ def _simplex(lp: LinearProgram, orient: int) -> LPSolution:
     red = tab.run_simplex(std.cost, barred=tab.artificial)
     return LPSolution(
         status=OPTIMAL,
-        # The reduced-cost row's right-hand side is minus the internal
-        # objective, orient * c.x; check_certificate compares this value
-        # with c.x at the returned point and with the dual objective.
-        objective_value=Fraction(-orient * red.rhs, red.den),
+        # The reduced-cost row's right-hand side is minus the objective c.x;
+        # check_certificate compares this value with c.x at the returned
+        # point and with the dual objective.
+        objective_value=Fraction(-red.rhs, red.den),
         primal=std.structural_point(tab.primal_cols()),
-        dual=_original_duals(tab.flip, tab.duals(red, std.cost), orient),
+        dual=_original_duals(tab.flip, tab.duals(red, std.cost)),
         **tab.counters(),
         phase1_seconds=phase2 - start,
         phase2_seconds=time.perf_counter() - phase2,
     )
 
 
-def _original_duals(flip, y_internal, orient: int) -> tuple[Fraction, ...]:
+def _original_duals(flip, y_internal) -> tuple[Fraction, ...]:
     """Multipliers of the caller's rows from internal row multipliers
-    ``y_internal``: each undoes its row's sign ``flip`` and is scaled by
-    ``orient``."""
-    return tuple(orient * f * y for f, y in zip(flip, y_internal))
+    ``y_internal``: each undoes its row's sign ``flip``."""
+    return tuple(f * y for f, y in zip(flip, y_internal))
 
 
 def _validate(lp: LinearProgram) -> None:
@@ -732,17 +724,17 @@ def _pivot_out_artificials(tab: _Tableau) -> None:
 # ---------------------------------------------------------------------------
 
 
-def check_certificate(lp: LinearProgram, sense: str, sol: LPSolution) -> bool:
+def check_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     """Verify ``sol`` from scratch in the original program's space.
 
-    Row multipliers (``dual``) must have the signs their senses allow: under
-    ``max``, and in every Farkas certificate, >= 0 on ``<=`` rows and <= 0
-    on ``>=`` rows; ``min`` flips both.  They combine the rows into
-    ``g.x <= value`` for every feasible ``x``.
+    Row multipliers (``dual``) must have the signs their senses allow, in an
+    optimum and in a Farkas certificate alike: >= 0 on ``<=`` rows and <= 0
+    on ``>=`` rows.  They combine the rows into ``g.x <= value`` for every
+    feasible ``x``.
 
     * OPTIMAL: ``primal`` is feasible; the reduced cost ``g - c`` is exactly
-      0 on a free variable and >= 0 (<= 0 under ``min``) on any other; the
-      primal objective, ``value`` and ``objective_value`` are equal.
+      0 on a free variable and >= 0 on any other; the primal objective,
+      ``value`` and ``objective_value`` are equal.
     * INFEASIBLE: ``g`` is 0 on free variables and >= 0 on the others, and
       ``value < 0``, so no point satisfies it.
 
@@ -751,10 +743,9 @@ def check_certificate(lp: LinearProgram, sense: str, sol: LPSolution) -> bool:
     common denominator, and so do the row multipliers.  Fractions appear
     only where a cost does.
 
-    Raises LPError on an unknown sense or status, and CertificateError on
-    any violation, a malformed ``sol`` included.
+    Raises LPError on an unknown status, and CertificateError on any
+    violation, a malformed ``sol`` included.
     """
-    orient = _orient(sense)
     rows = []  # row i as (nums, rhs, den): a_ij = nums[j] / den, b_i = rhs / den
     for row, b in zip(lp.rows, lp.rhs):
         den = lcm(b.denominator, *(v.denominator for v in row.values()))
@@ -764,7 +755,7 @@ def check_certificate(lp: LinearProgram, sense: str, sol: LPSolution) -> bool:
         _check_point(lp, rows, sol.primal)
         cost = lp.objective
     elif sol.status == INFEASIBLE:
-        orient, cost = 1, [_ZERO] * lp.num_vars
+        cost = [_ZERO] * lp.num_vars
     else:
         raise LPError(f"unknown status {sol.status!r}")
     y = sol.dual
@@ -783,7 +774,7 @@ def check_certificate(lp: LinearProgram, sense: str, sol: LPSolution) -> bool:
         if not num:
             continue
         s = lp.senses[i]
-        if (s == LESS_EQUAL and orient * num < 0) or (s == GREATER_EQUAL and orient * num > 0):
+        if (s == LESS_EQUAL and num < 0) or (s == GREATER_EQUAL and num > 0):
             raise CertificateError(f"dual sign on row {i}")
         zi = num * (z // (y[i].denominator * den))
         value += zi * rhs
@@ -791,7 +782,7 @@ def check_certificate(lp: LinearProgram, sense: str, sol: LPSolution) -> bool:
             g[j] += zi * v
     for j, c in enumerate(cost):
         reduced = g[j] * c.denominator - c.numerator * z if c else g[j]  # sign of (g_j - c_j)
-        if reduced if j in lp.free else orient * reduced < 0:
+        if reduced if j in lp.free else reduced < 0:
             raise CertificateError(f"dual infeasibility at variable {j}")
     value = Fraction(value, z)
     if sol.status == INFEASIBLE:
@@ -879,7 +870,7 @@ def check_feasible(num_vars: int, constraints) -> FeasibilityResult:
             lp.add_constraint(coeffs, sense, rhs)
     cap = lp.add_constraint({t_col: _ONE}, LESS_EQUAL, _ONE)  # keeps the margin objective bounded
 
-    sol = solve_lp(lp, "max")
+    sol = solve_lp(lp)
     if sol.status == INFEASIBLE:
         return FeasibilityResult(False, None, sol.dual[:cap], None)
     margin = sol.objective_value

@@ -45,7 +45,6 @@ from typing import NamedTuple
 
 from . import lp as lpmod
 from .core import (
-    Allocation,
     GameSpec,
     Variant,
     enumerate_allocations,
@@ -313,8 +312,8 @@ def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm) -
             for q in queries
         ]
 
-    allocations = [a.counts for a in enumerate_allocations(n, d)]
-    roots = (((counts, 0), h_seq) for counts, h_seq in sf.decide(HIDER, ("root",), 0, allocations))
+    roots = (((counts, 0), h_seq)
+             for counts, h_seq in sf.decide(HIDER, ("root",), 0, enumerate_allocations(n, d)))
     return _walk(spec, moves, roots, lambda root, obs, q: (root[0], obs, q), sf, budget)
 
 
@@ -470,7 +469,7 @@ def _solve_sequence_lp(tree: GameTree) -> SolveResult:
         rows.append(program.add_constraint(row, lpmod.LESS_EQUAL, ZERO))
 
     assembly_seconds = time.perf_counter() - start
-    sol = lpmod.solve_lp(program, "max")
+    sol = lpmod.solve_lp(program)
     if sol.status != lpmod.OPTIMAL:
         raise SolverError(f"sequence-form program came back {sol.status}")
 
@@ -516,7 +515,7 @@ def _solve_column_generation(tree: GameTree) -> SolveResult:
                                    lpmod.LESS_EQUAL, ZERO)
         program.add_constraint(dict.fromkeys(range(v), ONE), lpmod.EQUAL, ONE)
         assembly_seconds += time.perf_counter() - assembly
-        sol = lpmod.solve_lp(program, "max")
+        sol = lpmod.solve_lp(program)
         solved.append((program, sol))
         if sol.status != lpmod.OPTIMAL:
             raise SolverError(f"master program came back {sol.status}")
@@ -673,7 +672,7 @@ def check_accuracy(n: int, d: int, k: int, budget: int = DEFAULT_NODE_BUDGET) ->
 @dataclass
 class BestResponse:
     value: Fraction
-    worst_allocation: Allocation
+    worst_allocation: tuple[int, ...]
     allocation_values: dict
 
 
@@ -696,8 +695,7 @@ def best_response_value(spec: GameSpec, strategy) -> BestResponse:
         raise ValueError("use joint_verify_cooperative for cooperative play")
     values = _pattern_values(spec, strategy.root, mix_lcm)
     worst = min(values, key=lambda p: (values[p], p))
-    alloc_values = {Allocation(p): v for p, v in values.items()}
-    return BestResponse(value=values[worst], worst_allocation=Allocation(worst), allocation_values=alloc_values)
+    return BestResponse(value=values[worst], worst_allocation=worst, allocation_values=values)
 
 
 def joint_cooperative_value(spec: GameSpec, strategy, reveal_rule) -> Fraction:
@@ -755,8 +753,6 @@ def _check_strategy(spec: GameSpec, strategy) -> int:
             f = len(fresh)
             if fresh != tuple(range(t0, t0 + f)):
                 raise StrategyError(f"query {q} does not use consecutive fresh labels from {t0}", here)
-            if f > spec.n - t0:
-                raise StrategyError(f"query {q} opens {f} new boxes but only {spec.n - t0} remain", here)
             for box, child in entry.branches:
                 if box not in q:
                     raise StrategyError(f"branch key {box} outside query {q}", here)
@@ -851,19 +847,22 @@ def hider_strategy_value(
 ) -> tuple[Fraction, dict]:
     """Strongest searcher reply to a fully committed hider.
 
-    ``allocation_weights`` maps count tuples (or Allocations) to exact
-    probabilities summing to one.  Under the random variant reveals are
-    chance moves; under the adversary variant ``reveal_policy(remaining,
-    history, query)`` must return the reveal distribution whenever the query
-    covers several treasure-holding boxes.  Returns the exact value (an
-    upper-bound certificate for the game value) and the maximizing
-    deterministic searcher strategy.
+    ``allocation_weights`` maps placements, tuples of nonnegative int
+    counts per box, to exact probabilities summing to one; any other count
+    raises ValueError naming its placement.  Under the random variant
+    reveals are chance moves; under the adversary variant
+    ``reveal_policy(remaining, history, query)`` must return the reveal
+    distribution whenever the query covers several treasure-holding boxes.
+    Returns the exact value (an upper-bound certificate for the game value)
+    and the maximizing deterministic searcher strategy.
     """
     if spec.variant == Variant.COOPERATIVE:
         raise ValueError("the cooperative revealer is driven by the searcher, not the hider")
     weights: dict[tuple, Fraction] = {}
     for alloc, w in allocation_weights.items():
-        counts = alloc.counts if isinstance(alloc, Allocation) else tuple(alloc)
+        counts = tuple(alloc)
+        if not all(type(c) is int and c >= 0 for c in counts):
+            raise ValueError(f"allocation {counts} has a count that is not a nonnegative int")
         if len(counts) != spec.n or sum(counts) != spec.d:
             raise ValueError(f"allocation {counts} does not fit n={spec.n}, d={spec.d}")
         w = Fraction(w)
@@ -1026,4 +1025,4 @@ def searcher_plan_value(spec: GameSpec, behavior: dict) -> Fraction:
                 total += p * reveal_value(spec.variant, weighted)
         return total
 
-    return min(evaluate(a.counts, 0, ()) for a in enumerate_allocations(spec.n, spec.d))
+    return min(evaluate(counts, 0, ()) for counts in enumerate_allocations(spec.n, spec.d))

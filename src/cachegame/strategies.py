@@ -360,13 +360,11 @@ def from_json_dict(data: dict) -> StrategyTree:
     missing = [name for name in ("n", "d", "k", "root") if name not in data]
     if missing:
         raise ValueError(f"strategy JSON is missing field {missing[0]!r}")
-    sizes = []
     for name in ("n", "d", "k"):
-        try:
-            sizes.append(int(data[name]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"strategy JSON field {name!r} is not an integer: {exc}") from exc
-    return StrategyTree(*sizes, root=_node_from_json(data["root"], path=("root",)))
+        if type(data[name]) is not int:  # a JSON integer: no bool, float or string
+            raise ValueError(f"strategy JSON field {name!r} is not an integer: {data[name]!r}")
+    root = _node_from_json(data["root"], path=("root",))
+    return StrategyTree(data["n"], data["d"], data["k"], root=root)
 
 
 def _node_from_json(data, path):
@@ -383,7 +381,9 @@ def _node_from_json(data, path):
             prob = parse_rational(str(e["p"]))
             if not isinstance(e["query"], list):
                 raise ValueError("query is not a list")
-            query = tuple(int(b) for b in e["query"])
+            if any(type(b) is not int for b in e["query"]):
+                raise ValueError(f"query {e['query']} has a label that is not an integer")
+            query = tuple(e["query"])
             if not isinstance(e.get("branches", {}), dict):
                 raise ValueError("branches is not an object")
             branches = [(int(box), here + (box,), child) for box, child in e.get("branches", {}).items()]

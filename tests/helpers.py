@@ -55,8 +55,7 @@ def oracle_p_lambda(lam, n, d):
     """
     num = den = Fraction(0)
     m = len(lam)
-    for alloc in enumerate_allocations(n, d):
-        counts = alloc.counts
+    for counts in enumerate_allocations(n, d):
         orders = [
             p
             for p in permutations(range(n))
@@ -108,34 +107,31 @@ def complementary_slackness_holds(lp, sol):
     return True
 
 
-def reference_check_certificate(lp, sense, sol) -> bool:
+def reference_check_certificate(lp, sol) -> bool:
     """Reference oracle for ``lp.check_certificate``: the same rules,
     checked with Fraction arithmetic throughout.
 
     Verify ``sol`` from scratch in the original program's space.
 
-    Row multipliers (``dual``) must have the signs their senses allow: under
-    ``max``, and in every Farkas certificate, >= 0 on ``<=`` rows and <= 0
-    on ``>=`` rows; ``min`` flips both.  They combine the rows into
-    ``g.x <= value`` for every feasible ``x``.
+    Row multipliers (``dual``) must have the signs their senses allow, in an
+    optimum and in a Farkas certificate alike: >= 0 on ``<=`` rows and <= 0
+    on ``>=`` rows.  They combine the rows into ``g.x <= value`` for every
+    feasible ``x``.
 
     * OPTIMAL: ``primal`` is feasible; the reduced cost ``g - c`` is exactly
-      0 on a free variable and >= 0 (<= 0 under ``min``) on any other; the
-      primal objective, ``value`` and ``objective_value`` are equal.
+      0 on a free variable and >= 0 on any other; the primal objective,
+      ``value`` and ``objective_value`` are equal.
     * INFEASIBLE: ``g`` is 0 on free variables and >= 0 on the others, and
       ``value < 0``, so no point satisfies it.
 
-    Raises LPError on an unknown sense or status, and CertificateError on
-    any violation.
+    Raises LPError on an unknown status, and CertificateError on any
+    violation.
     """
-    if sense not in ("max", "min"):
-        raise LPError(f"sense must be 'max' or 'min', got {sense!r}")
-    orient = 1 if sense == "max" else -1
     if sol.status == OPTIMAL:
         _reference_check_point(lp, sol.primal)
         cost = lp.objective
     elif sol.status == INFEASIBLE:
-        orient, cost = 1, [_ZERO] * lp.num_vars
+        cost = [_ZERO] * lp.num_vars
     else:
         raise LPError(f"unknown status {sol.status!r}")
     y = sol.dual
@@ -147,14 +143,14 @@ def reference_check_certificate(lp, sense, sol) -> bool:
         if not y[i]:
             continue
         s = lp.senses[i]
-        if (s == LESS_EQUAL and orient * y[i] < 0) or (s == GREATER_EQUAL and orient * y[i] > 0):
+        if (s == LESS_EQUAL and y[i] < 0) or (s == GREATER_EQUAL and y[i] > 0):
             raise CertificateError(f"dual sign on row {i}")
         value += y[i] * lp.rhs[i]
         for j, v in row.items():
             g[j] += y[i] * v
     for j in range(lp.num_vars):
         reduced = g[j] - cost[j]
-        if reduced if j in lp.free else orient * reduced < 0:
+        if reduced if j in lp.free else reduced < 0:
             raise CertificateError(f"dual infeasibility at variable {j}")
     if sol.status == INFEASIBLE:
         if value >= 0:

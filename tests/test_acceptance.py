@@ -239,7 +239,7 @@ def criterion_10():
         program = random_bounded_lp(rng)
         sol = lpmod.solve_lp(program)
         assert sol.status == lpmod.OPTIMAL
-        lpmod.check_certificate(program, "max", sol)
+        lpmod.check_certificate(program, sol)
         assert complementary_slackness_holds(program, sol)
 
     rows = []

@@ -1,5 +1,7 @@
 import json
 import os
+import shutil
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -121,6 +123,9 @@ class TestVerifyCommand:
         ('{"n": 3, "d": 1, "k": 2, "root": {"mix": [{"p": "1", "query": 5}]}}', "root/mix[0]"),
         ('{"n": 3, "d": 1, "k": 2, "root": {"mix": [{"p": "1", "query": [0, 1], "branches": [1]}]}}',
          "root/mix[0]"),
+        ('{"n": 3.9, "d": 3, "k": 2, "root": {"mix": [{"p": "1", "query": [0.7, 1]}]}}', "field 'n'"),
+        ('{"n": true, "d": 1, "k": 1, "root": "end"}', "field 'n'"),
+        ('{"n": 3, "d": 3, "k": 2, "root": {"mix": [{"p": "1", "query": [0.7, 1]}]}}', "root/mix[0]"),
     ])
     def test_malformed_file_exit_2(self, capsys, tmp_path, content, where):
         path = tmp_path / "broken.json"
@@ -175,6 +180,21 @@ class TestSweepCommand:
     def test_empty_sweep_exits_cleanly(self, capsys):
         data = run_json(capsys, "sweep-accuracy", "--max-n", "0", "--max-d", "3", "--max-k", "2")
         assert data == {"rows": [], "findings": []}
+
+    @pytest.mark.parametrize("max_n,max_d,values,finding", [
+        (1, 1, {(1, 1, 1): "1/2"}, "threshold-conjecture violated at (1,1,1)"),
+        (1, 2, {(1, 1, 1): "1/2", (1, 2, 1): "1/1"},
+         "d-monotonicity violated between (1,1,1) and (1,2,1)"),
+        (2, 1, {(1, 1, 1): "1/1", (2, 1, 1): "1/3"},
+         "accuracy-monotonicity violated: (1,1,1) accurate but (2,1,1) is not"),
+    ])
+    def test_inconsistent_values_are_findings(self, capsys, monkeypatch, max_n, max_d, values, finding):
+        # Exact values never raise these findings, so the sweep is fed
+        # inconsistent ones through its cache lookup.
+        monkeypatch.setattr(cli, "_solve_cached", lambda args, n, d, k, variant: {"value": values[(n, d, k)]})
+        data = run_json(capsys, "sweep-accuracy", "--max-n", str(max_n), "--max-d", str(max_d),
+                        "--max-k", "1")
+        assert finding in data["findings"]
 
 
 class TestAccumulationCommand:
@@ -242,6 +262,34 @@ class TestFractionalCommands:
         assert code == 2
 
 
+def _entry_211(payload=None, value="1/2", **params):
+    """A cache entry for ``solve --n 2 --d 1 --k 1`` with ``params`` changed."""
+    return {
+        "params": {"n": 2, "d": 1, "k": 1, "variant": "adversary", "symmetry": True, "relaxed": False,
+                   **params},
+        "value": value,
+        "payload": {"value": value, "stats": {}} if payload is None else payload,
+        "tool_version": cli.__version__,
+    }
+
+
+NOT_AN_ENTRY = "is not a JSON object with a 'params' object"
+MALFORMED_ENTRIES = [
+    (content, NOT_AN_ENTRY) for content in ("not json", "5", "[]", "{}", '{"params": 5}')
+] + [
+    (json.dumps(_entry_211(**change)), f"has a malformed field {field!r}") for field, change in (
+        ("params.n", {"n": "x"}),
+        ("params.d", {"d": 1.0}),
+        ("params.k", {"k": True}),
+        ("params.variant", {"variant": "cooperative"}),
+        ("params.symmetry", {"symmetry": 1}),
+        ("params.relaxed", {"relaxed": None}),
+        ("value", {"value": 0.5}),
+        ("payload", {"payload": [1]}),
+        ("payload", {"payload": {"value": "1/2"}}),
+    )
+]
+
 SOLVE_332 = ("solve", "--n", "3", "--d", "3", "--k", "2")
 SOLVE_322 = ("solve", "--n", "3", "--d", "2", "--k", "2")
 
@@ -298,6 +346,36 @@ class TestCache:
         assert code == 4
         assert "MISMATCH (searcher_plan)" in out
         assert "1 cache entries failed recheck" in err
+
+    def test_hit_is_the_entry_for_the_request(self, capsys, tmp_path):
+        # (3,3,2)'s entry under (4,3,2)'s file name was served as (4,3,2)'s
+        # answer, and recheck passed it.
+        cache = tmp_path / "cache"
+        run_json(capsys, *SOLVE_332, "--cache", str(cache))
+        solve_432 = ("solve", "--n", "4", "--d", "3", "--k", "2", "--cache", str(cache))
+        run_json(capsys, *solve_432)
+        key_332 = cli._cache_key(3, 3, 2, "adversary", True, False)
+        key_432 = cli._cache_key(4, 3, 2, "adversary", True, False)
+        shutil.copy(cache / f"{key_332}.json", cache / f"{key_432}.json")
+        code, out, err = run(capsys, "recheck", "--cache", str(cache))
+        assert code == 4
+        line = next(line for line in out.splitlines() if line.startswith(key_432))
+        assert line.endswith(f"MISMATCH (file key, params give {key_332})")
+        assert "1 cache entries failed recheck" in err
+        data = run_json(capsys, *solve_432)
+        assert (data["n"], data["value"]) == (4, "2/5")
+        assert entries(cache)[f"{key_432}.json"]["params"]["n"] == 4  # replaced
+        assert run(capsys, "recheck", "--cache", str(cache))[0] == 0
+
+    def test_entry_mode_follows_the_umask(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        old = os.umask(0o022)
+        try:
+            run_json(capsys, *SOLVE_322, "--cache", str(cache))
+        finally:
+            os.umask(old)
+        (path,) = cache.glob("*.json")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
     def test_flags_key_separately(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -356,11 +434,9 @@ class TestCache:
         assert code == 2
         assert str(cache) in err
 
-    MALFORMED = ["not json", "5", "[]", "{}", '{"params": 5}']
-
-    @pytest.mark.parametrize("content", MALFORMED)
+    @pytest.mark.parametrize("content,message", MALFORMED_ENTRIES)
     @pytest.mark.parametrize("recheck", [False, True])
-    def test_malformed_entry_exits_2(self, capsys, tmp_path, content, recheck):
+    def test_malformed_entry_exits_2(self, capsys, tmp_path, content, message, recheck):
         # The key is the one ``solve --n 2 --d 1 --k 1`` looks up.
         cache = tmp_path / "cache"
         cache.mkdir()
@@ -369,9 +445,10 @@ class TestCache:
         argv = ("recheck",) if recheck else ("solve", "--n", "2", "--d", "1", "--k", "1")
         code, _, err = run(capsys, *argv, "--cache", str(cache))
         assert code == 2
-        assert f"error: cache entry {path} is not a JSON object with a 'params' object" in err
+        assert f"error: cache entry {path} {message}" in err
+        assert "Traceback" not in err
 
-    @pytest.mark.parametrize("content", MALFORMED)
+    @pytest.mark.parametrize("content", [content for content, _ in MALFORMED_ENTRIES])
     def test_malformed_entry_under_another_key(self, capsys, tmp_path, content):
         cache = tmp_path / "cache"
         cache.mkdir()

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from cachegame import (
-    Allocation,
     GameSpec,
     Variant,
     enumerate_allocations,
@@ -29,18 +28,18 @@ class TestEnumerateAllocations:
         assert len(enumerate_allocations(3, 3)) == 10
 
     def test_single_box(self):
-        assert enumerate_allocations(1, 5) == [Allocation((5,))]
+        assert enumerate_allocations(1, 5) == [(5,)]
 
     def test_4_3_contains(self):
         allocs = enumerate_allocations(4, 3)
         assert len(allocs) == 20
-        assert Allocation((2, 0, 1, 0)) in allocs
+        assert (2, 0, 1, 0) in allocs
 
     def test_zero_treasures(self):
-        assert enumerate_allocations(3, 0) == [Allocation((0, 0, 0))]
+        assert enumerate_allocations(3, 0) == [(0, 0, 0)]
 
     def test_lexicographic_and_unique(self):
-        allocs = [a.counts for a in enumerate_allocations(4, 3)]
+        allocs = enumerate_allocations(4, 3)
         assert allocs == sorted(allocs)
         assert len(set(allocs)) == len(allocs)
 
@@ -228,14 +227,6 @@ class TestTypes:
 
     def test_gamespec_variant_coercion(self):
         assert GameSpec(3, 3, 2, "random").variant is Variant.RANDOM
-
-    def test_allocation_validation(self):
-        with pytest.raises(ValueError):
-            Allocation((1, -1))
-
-    def test_json_forms(self):
-        assert Allocation((1, 0, 2)).to_json() == [1, 0, 2]
-        assert Allocation.from_json([1, 0, 2]) == Allocation((1, 0, 2))
 
 
 class TestPatterns:

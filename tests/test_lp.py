@@ -25,7 +25,7 @@ def test_single_cap():
     assert sol.status == lpmod.OPTIMAL
     assert sol.objective_value == Fraction(3, 7)
     assert sol.primal == (Fraction(3, 7),)
-    lpmod.check_certificate(p, "max", sol)
+    lpmod.check_certificate(p, sol)
 
 
 def test_shared_cap():
@@ -33,7 +33,7 @@ def test_shared_cap():
     p.add_constraint({0: 1, 1: 1}, lpmod.LESS_EQUAL, 1)
     sol = lpmod.solve_lp(p)
     assert sol.objective_value == 1
-    lpmod.check_certificate(p, "max", sol)
+    lpmod.check_certificate(p, sol)
 
 
 def test_infeasible_with_farkas():
@@ -52,20 +52,21 @@ def test_unbounded_objective_raises():
     p.add_constraint({1: 1}, lpmod.LESS_EQUAL, 5)
     with pytest.raises(lpmod.LPError, match="objective is unbounded"):
         lpmod.solve_lp(p)
-    assert _improving_ray_exists(p, "max")
+    assert _improving_ray_exists(p)
 
 
 def test_minimize_with_free_variable():
-    p = lpmod.LinearProgram(2, [1, 3])
+    # Minimize x0 + 3 x1 by maximizing its negation.
+    p = lpmod.LinearProgram(2, [-1, -3])
     p.set_free(0)
     p.add_constraint({0: 1, 1: 1}, lpmod.EQUAL, 4)
     p.add_constraint({0: 1}, lpmod.GREATER_EQUAL, -2)
-    sol = lpmod.solve_lp(p, "min")
+    sol = lpmod.solve_lp(p)
     assert sol.status == lpmod.OPTIMAL
     # x1 is the expensive coordinate: optimum sits at (4, 0).
-    assert sol.objective_value == Fraction(4)
+    assert sol.objective_value == Fraction(-4)
     assert sol.primal == (Fraction(4), Fraction(0))
-    lpmod.check_certificate(p, "min", sol)
+    lpmod.check_certificate(p, sol)
 
 
 def test_bounded_variables():
@@ -80,7 +81,7 @@ def test_bounded_variables():
     assert sol.status == lpmod.OPTIMAL
     assert sol.primal == (Fraction(3, 2), Fraction(2))
     assert sol.objective_value == Fraction(5)
-    lpmod.check_certificate(p, "max", sol)
+    lpmod.check_certificate(p, sol)
 
 
 def test_negative_rhs_sign_handling():
@@ -89,15 +90,15 @@ def test_negative_rhs_sign_handling():
     p.add_constraint({0: -1}, lpmod.LESS_EQUAL, -2)
     sol = lpmod.solve_lp(p)
     assert sol.objective_value == Fraction(-2)
-    lpmod.check_certificate(p, "max", sol)
+    lpmod.check_certificate(p, sol)
 
     p = lpmod.LinearProgram(2, [1, -1])
     p.set_free(0)
     p.add_constraint({0: 1, 1: -1}, lpmod.EQUAL, -3)
     p.add_constraint({0: -1}, lpmod.GREATER_EQUAL, -4)
-    sol = lpmod.solve_lp(p, "max")
+    sol = lpmod.solve_lp(p)
     assert sol.objective_value == Fraction(-3)
-    lpmod.check_certificate(p, "max", sol)
+    lpmod.check_certificate(p, sol)
 
 
 def test_textbook_corner():
@@ -107,17 +108,19 @@ def test_textbook_corner():
     sol = lpmod.solve_lp(p)
     assert sol.objective_value == Fraction(21)
     assert sol.primal == (Fraction(3), Fraction(3, 2))
-    lpmod.check_certificate(p, "max", sol)
+    lpmod.check_certificate(p, sol)
 
 
 def test_negative_bound_interval():
-    p = lpmod.LinearProgram(1, [1])
+    # Minimize x, that is maximize -x, over -7/2 <= x <= -1/3.
+    p = lpmod.LinearProgram(1, [-1])
     p.set_free(0)
     p.add_constraint({0: 1}, lpmod.GREATER_EQUAL, Fraction(-7, 2))
     p.add_constraint({0: 1}, lpmod.LESS_EQUAL, Fraction(-1, 3))
-    sol = lpmod.solve_lp(p, "min")
+    sol = lpmod.solve_lp(p)
     assert sol.primal == (Fraction(-7, 2),)
-    lpmod.check_certificate(p, "min", sol)
+    assert sol.objective_value == Fraction(7, 2)
+    lpmod.check_certificate(p, sol)
 
 
 def test_dimension_validation():
@@ -126,8 +129,6 @@ def test_dimension_validation():
         p.add_constraint({5: 1}, lpmod.LESS_EQUAL, 0)
     with pytest.raises(lpmod.LPError):
         p.add_constraint({0: 1}, "<<", 0)
-    with pytest.raises(lpmod.LPError):
-        lpmod.solve_lp(p, "maximize")
 
 
 @pytest.mark.parametrize("j", [-1, 2])
@@ -143,15 +144,6 @@ def test_out_of_range_column_is_rejected(edit, j):
     with pytest.raises(lpmod.LPError, match=f"column {j} out of range"):
         edit(p, j)
     assert p.objective == [1, 2] and p.free == set() and p.rows == []
-
-
-@pytest.mark.parametrize("sense", ["minimize", "Max", None])
-def test_check_certificate_rejects_an_unknown_sense(sense):
-    p = lpmod.LinearProgram(1, [1])
-    p.add_constraint({0: 1}, lpmod.LESS_EQUAL, 1)
-    sol = lpmod.solve_lp(p)
-    with pytest.raises(lpmod.LPError, match="sense must be 'max' or 'min'"):
-        lpmod.check_certificate(p, sense, sol)
 
 
 def test_add_constraint_coerces_and_drops_zeros():
@@ -181,7 +173,7 @@ def test_hundred_random_lps_certified():
         p = random_bounded_lp(rng)
         sol = lpmod.solve_lp(p)
         assert sol.status == lpmod.OPTIMAL
-        lpmod.check_certificate(p, "max", sol)
+        lpmod.check_certificate(p, sol)
         assert complementary_slackness_holds(p, sol)
 
 
@@ -193,7 +185,7 @@ def test_random_programs_pass_the_reference_check():
         p = random_bounded_lp(rng)
         sol = lpmod.solve_lp(p)
         assert sol.status == lpmod.OPTIMAL
-        assert reference_check_certificate(p, "max", sol)
+        assert reference_check_certificate(p, sol)
 
 
 def _beale():
@@ -209,7 +201,7 @@ def _assert_beale_optimum(p, sol):
     assert sol.status == lpmod.OPTIMAL
     assert sol.objective_value == Fraction(5, 4)
     assert sol.primal == (1, 0, 1, 0)
-    lpmod.check_certificate(p, "max", sol)
+    lpmod.check_certificate(p, sol)
     assert sol.phase1_pivots == 0 and sol.phase2_pivots == sol.pivots
     assert _same_in_both_forms(p) == sol
 
@@ -260,7 +252,7 @@ def test_pricing_outside_the_float_range():
     p.add_constraint({1: 1}, lpmod.LESS_EQUAL, 1)
     sol = _same_in_both_forms(p)
     assert sol.objective_value == 1 + 10**200 and sol.bland_fallback is True
-    assert lpmod.check_certificate(p, "max", sol)
+    assert lpmod.check_certificate(p, sol)
 
 
 def test_stall_guard_falls_back_to_bland(monkeypatch):
@@ -286,7 +278,7 @@ class TestCheckCertificateRejectsForgeries:
         half = Fraction(1, 2)
         forged = lpmod.LPSolution(lpmod.OPTIMAL, Fraction(5), (Fraction(5),), (half, half))
         with pytest.raises(lpmod.CertificateError, match="dual sign on row 0"):
-            lpmod.check_certificate(p, "max", forged)
+            lpmod.check_certificate(p, forged)
         assert lpmod.solve_lp(p).objective_value == 10
 
     def test_unpriced_point_of_a_shifted_variable(self):
@@ -297,7 +289,7 @@ class TestCheckCertificateRejectsForgeries:
         p.add_constraint({0: 1}, lpmod.GREATER_EQUAL, -5)
         forged = lpmod.LPSolution(lpmod.OPTIMAL, Fraction(0), (Fraction(0),), (Fraction(0),))
         with pytest.raises(lpmod.CertificateError, match="dual infeasibility at variable 0"):
-            lpmod.check_certificate(p, "max", forged)
+            lpmod.check_certificate(p, forged)
         assert lpmod.solve_lp(p).objective_value == 5
 
     def test_altered_objective_value(self):
@@ -305,9 +297,9 @@ class TestCheckCertificateRejectsForgeries:
         p.add_constraint({0: 6, 1: 4}, lpmod.LESS_EQUAL, 24)
         p.add_constraint({0: 1, 1: 2}, lpmod.LESS_EQUAL, 6)
         sol = lpmod.solve_lp(p)
-        lpmod.check_certificate(p, "max", sol)
+        lpmod.check_certificate(p, sol)
         with pytest.raises(lpmod.CertificateError, match="objective mismatch"):
-            lpmod.check_certificate(p, "max", replace(sol, objective_value=sol.objective_value + 1))
+            lpmod.check_certificate(p, replace(sol, objective_value=sol.objective_value + 1))
 
     def test_negative_point_of_a_nonnegative_variable(self):
         # max x + y with x + y <= 1: (-1, 2) meets the row and both
@@ -317,7 +309,7 @@ class TestCheckCertificateRejectsForgeries:
         sol = lpmod.solve_lp(p)
         forged = replace(sol, primal=(Fraction(-1), Fraction(2)))
         with pytest.raises(lpmod.CertificateError, match="point is negative at variable 0"):
-            lpmod.check_certificate(p, "max", forged)
+            lpmod.check_certificate(p, forged)
 
     @pytest.mark.parametrize("change,message", [
         ({"primal": None}, "point is missing"),
@@ -334,14 +326,14 @@ class TestCheckCertificateRejectsForgeries:
         p.add_constraint({0: 1}, lpmod.LESS_EQUAL, 1)
         sol = lpmod.solve_lp(p)
         with pytest.raises(lpmod.CertificateError, match=message):
-            lpmod.check_certificate(p, "max", replace(sol, **change))
+            lpmod.check_certificate(p, replace(sol, **change))
 
     def test_unknown_status(self):
         p = lpmod.LinearProgram(1, [1])
         p.add_constraint({0: 1}, lpmod.LESS_EQUAL, 1)
         sol = lpmod.solve_lp(p)
         with pytest.raises(lpmod.LPError, match="unknown status 'FEASIBLE'"):
-            lpmod.check_certificate(p, "max", replace(sol, status="FEASIBLE"))
+            lpmod.check_certificate(p, replace(sol, status="FEASIBLE"))
 
     def test_zero_farkas_multipliers(self):
         # x <= -1 over a nonnegative x is infeasible, and the multiplier 1
@@ -351,7 +343,7 @@ class TestCheckCertificateRejectsForgeries:
         sol = lpmod.solve_lp(p)
         assert sol.status == lpmod.INFEASIBLE and sol.dual == (Fraction(1),)
         with pytest.raises(lpmod.CertificateError, match="Farkas certificate has nonnegative value"):
-            lpmod.check_certificate(p, "max", replace(sol, dual=(Fraction(0),)))
+            lpmod.check_certificate(p, replace(sol, dual=(Fraction(0),)))
 
 
 def test_solve_lp_checks_the_mapping_back(monkeypatch):
@@ -359,8 +351,8 @@ def test_solve_lp_checks_the_mapping_back(monkeypatch):
     # gives the x >= 2 row of max -x a multiplier of the wrong sign.
     real = lpmod._original_duals
 
-    def unflipped(flip, y_internal, orient):
-        return real([1] * len(flip), y_internal, orient)
+    def unflipped(flip, y_internal):
+        return real([1] * len(flip), y_internal)
 
     p = lpmod.LinearProgram(1, [-1])
     p.add_constraint({0: -1}, lpmod.LESS_EQUAL, -2)
@@ -398,27 +390,26 @@ def _with_rows(p, objective, rhs):
     return q
 
 
-def _improving_ray_exists(p, sense):
+def _improving_ray_exists(p):
     """``p`` is feasible and its objective unbounded, as two certified
     solves show: ``p`` with no objective is optimal, and some direction r
-    of its recession cone has ``c.r`` of the improving sign, which the cap
-    ``c.r <= 1`` (``>= -1`` under ``min``) then holds at 1."""
+    of its recession cone has ``c.r > 0``, which the cap ``c.r <= 1`` then
+    holds at 1."""
     if lpmod.solve_lp(_with_rows(p, None, p.rhs)).status != lpmod.OPTIMAL:
         return False
-    orient = 1 if sense == "max" else -1
-    cone = _with_rows(p, [orient * c for c in p.objective], [0] * len(p.rows))
-    cone.add_constraint({j: orient * c for j, c in enumerate(p.objective)}, lpmod.LESS_EQUAL, 1)
+    cone = _with_rows(p, p.objective, [0] * len(p.rows))
+    cone.add_constraint(dict(enumerate(p.objective)), lpmod.LESS_EQUAL, 1)
     return lpmod.solve_lp(cone).objective_value == 1
 
 
-def _solved(p, sense):
+def _solved(p):
     """``solve_lp``'s answer, or None for an objective that is unbounded,
     checked so by ``_improving_ray_exists``."""
     try:
-        return lpmod.solve_lp(p, sense)
+        return lpmod.solve_lp(p)
     except lpmod.LPError as exc:
         assert str(exc) == "objective is unbounded"
-        assert _improving_ray_exists(p, sense)
+        assert _improving_ray_exists(p)
         return None
 
 
@@ -427,7 +418,7 @@ _coef = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 @st.composite
 def _small_programs(draw):
-    """Programs with Fraction data, every sense, right-hand sides of either
+    """Programs with Fraction data, every row sense, right-hand sides of either
     sign, and default, free, one-sided and boxed variables.  A variable
     with a finite bound other than ``x >= 0`` is free, and its bounds are
     rows after the drawn ones (lower before upper, by variable)."""
@@ -453,34 +444,32 @@ def _small_programs(draw):
         p.add_constraint(row, draw(st.sampled_from(lpmod._SENSES)), draw(_coef))
     for j, sense, b in bounds:
         p.add_constraint({j: 1}, sense, b)
-    return p, draw(st.sampled_from(["max", "min"]))
+    return p
 
 
 @settings(max_examples=300, deadline=None)
 @given(_small_programs())
-def test_random_programs_certified(case):
-    p, sense = case
-    sol = _solved(p, sense)
+def test_random_programs_certified(p):
+    sol = _solved(p)
     if sol is None:
         return
     assert sol.pivots == sol.phase1_pivots + sol.phase2_pivots
-    assert lpmod.check_certificate(p, sense, sol)
+    assert lpmod.check_certificate(p, sol)
     if sol.status == lpmod.INFEASIBLE:
         assert _farkas_holds(p, sol)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_small_programs())
-def test_negated_multiplier_is_rejected(case):
-    p, sense = case
-    sol = _solved(p, sense)
+def test_negated_multiplier_is_rejected(p):
+    sol = _solved(p)
     if sol is None or sol.status != lpmod.OPTIMAL:
         return
     for i, y in enumerate(sol.dual):
         if y and p.senses[i] != lpmod.EQUAL:
             dual = sol.dual[:i] + (-y,) + sol.dual[i + 1:]
             with pytest.raises(lpmod.CertificateError):
-                lpmod.check_certificate(p, sense, replace(sol, dual=dual))
+                lpmod.check_certificate(p, replace(sol, dual=dual))
 
 
 _NUDGES = (
@@ -504,25 +493,24 @@ def _nudged(sol):
             yield replace(sol, objective_value=nudge(sol.objective_value))
 
 
-def _verdict(check, p, sense, sol):
+def _verdict(check, p, sol):
     try:
-        return check(p, sense, sol)
+        return check(p, sol)
     except lpmod.CertificateError as exc:
         return str(exc)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_small_programs())
-def test_integer_check_agrees_with_the_fraction_oracle(case):
+def test_integer_check_agrees_with_the_fraction_oracle(p):
     # The integer check and the Fraction reference accept the same
     # certificates and reject the rest for the same first reason.
-    p, sense = case
-    sol = _solved(p, sense)
+    sol = _solved(p)
     if sol is None:
         return
     for forged in (sol, *_nudged(sol)):
-        expected = _verdict(reference_check_certificate, p, sense, forged)
-        assert _verdict(lpmod.check_certificate, p, sense, forged) == expected
+        expected = _verdict(reference_check_certificate, p, forged)
+        assert _verdict(lpmod.check_certificate, p, forged) == expected
 
 
 class TestCheckFeasible:
@@ -625,21 +613,21 @@ def test_seven_triple_system_feasible():
 # ---------------------------------------------------------------------------
 
 
-def _solved_in(form, p, sense):
+def _solved_in(form, p):
     """``solve_lp``'s answer with ``form`` forced, or the LPError text."""
     with mock.patch.object(lpmod, "_form", lambda std: form):
         try:
-            return lpmod.solve_lp(p, sense)
+            return lpmod.solve_lp(p)
         except lpmod.LPError as exc:
             return str(exc)
 
 
-def _same_in_both_forms(p, sense="max"):
+def _same_in_both_forms(p):
     """Solve ``p`` in both forms and require the same answer, every work
     counter included; only ``max_denominator_bits`` measures each form's own
     rows.  Returns the tableau's answer."""
-    tableau = _solved_in(lpmod._Tableau, p, sense)
-    revised = _solved_in(lpmod._Revised, p, sense)
+    tableau = _solved_in(lpmod._Tableau, p)
+    revised = _solved_in(lpmod._Revised, p)
     if isinstance(tableau, str):
         assert revised == tableau
     else:
@@ -656,29 +644,29 @@ def test_forms_agree_on_random_bounded_programs(seed):
 
 @settings(max_examples=200, deadline=None)
 @given(_small_programs())
-def test_forms_agree_on_programs_of_every_shape(case):
-    _same_in_both_forms(*case)
+def test_forms_agree_on_programs_of_every_shape(p):
+    _same_in_both_forms(p)
 
 
 def _sequence_form_program(n, d, k, variant=Variant.ADVERSARY):
-    """The game's sequence-form program and its sense."""
+    """The game's sequence-form program."""
     programs = []
     real = lpmod.solve_lp
 
-    def recording(p, sense="max"):
-        programs.append((p, sense))
-        return real(p, sense)
+    def recording(p):
+        programs.append(p)
+        return real(p)
 
     with mock.patch.object(lpmod, "solve_lp", recording):
         solver._solve_sequence_lp(build_tree(GameSpec(n, d, k, variant)))
-    ((p, sense),) = programs
-    return p, sense
+    (p,) = programs
+    return p
 
 
 @pytest.mark.parametrize("n,d,k,variant", [(3, 3, 2, Variant.ADVERSARY), (4, 3, 2, Variant.ADVERSARY),
                                            (4, 4, 2, Variant.RANDOM)])
 def test_forms_agree_on_sequence_form_programs(n, d, k, variant):
-    assert _same_in_both_forms(*_sequence_form_program(n, d, k, variant)).status == lpmod.OPTIMAL
+    assert _same_in_both_forms(_sequence_form_program(n, d, k, variant)).status == lpmod.OPTIMAL
 
 
 def _forms_picked(run):
@@ -720,14 +708,14 @@ def test_size_rule_sends_the_large_game_programs_to_the_revised_form(n, d, k, ro
 # ---------------------------------------------------------------------------
 
 
-def _same_as_the_full_scan(p, sense="max"):
+def _same_as_the_full_scan(p):
     """Solve ``p`` in each form with the incremental Devex pricing and with
     the full scan of ``reference_run_simplex``, and require the same answer,
     every counter and ``max_denominator_bits`` included."""
     for form in (lpmod._Tableau, lpmod._Revised):
         with mock.patch.object(lpmod._Tableau, "run_simplex", reference_run_simplex):
-            reference = _solved_in(form, p, sense)
-        assert _solved_in(form, p, sense) == reference
+            reference = _solved_in(form, p)
+        assert _solved_in(form, p) == reference
 
 
 @settings(max_examples=60, deadline=None)
@@ -738,16 +726,16 @@ def test_incremental_pricing_matches_the_full_scan_on_random_bounded_programs(se
 
 @settings(max_examples=150, deadline=None)
 @given(_small_programs())
-def test_incremental_pricing_matches_the_full_scan_on_programs_of_every_shape(case):
-    _same_as_the_full_scan(*case)
+def test_incremental_pricing_matches_the_full_scan_on_programs_of_every_shape(p):
+    _same_as_the_full_scan(p)
 
 
 @pytest.mark.parametrize("n,d,k", [(3, 3, 2), (4, 3, 2), (5, 3, 3)])
 def test_incremental_pricing_matches_the_full_scan_on_sequence_form_programs(n, d, k):
-    _same_as_the_full_scan(*_sequence_form_program(n, d, k))
+    _same_as_the_full_scan(_sequence_form_program(n, d, k))
 
 
-def _holders_checked(p, sense="max"):
+def _holders_checked(p):
     """Solve ``p`` in the revised form, checking after every pivot that
     ``holders[u]`` lists, each once, the rows whose basis-inverse part
     holds ``u``; returns the number of pivots checked."""
@@ -765,18 +753,18 @@ def _holders_checked(p, sense="max"):
         checked.append(r)
 
     with mock.patch.object(lpmod._Revised, "pivot", pivot):
-        _solved_in(lpmod._Revised, p, sense)
+        _solved_in(lpmod._Revised, p)
     return len(checked)
 
 
 def test_column_index_stays_exact_on_a_game_program():
-    assert _holders_checked(*_sequence_form_program(5, 3, 3)) == 134
+    assert _holders_checked(_sequence_form_program(5, 3, 3)) == 134
 
 
 @settings(max_examples=100, deadline=None)
 @given(_small_programs())
-def test_column_index_stays_exact_on_programs_of_every_shape(case):
-    _holders_checked(*case)
+def test_column_index_stays_exact_on_programs_of_every_shape(p):
+    _holders_checked(p)
 
 
 @settings(max_examples=50, deadline=None)

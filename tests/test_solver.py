@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 from math import factorial, lcm
@@ -555,8 +556,8 @@ class TestColumnGeneration:
         calls = []
         real = lpmod.solve_lp
 
-        def counted(program, sense="max"):
-            sol = real(program, sense)
+        def counted(program):
+            sol = real(program)
             calls.append((program, sol))
             return sol
 
@@ -782,6 +783,13 @@ class TestHiderStrategyValue:
             hider_strategy_value(GameSpec(3, 3, 2, RAN), {(3, 0, 0): Fraction(1, 2)})
         with pytest.raises(ValueError):
             hider_strategy_value(GameSpec(3, 3, 2, RAN), {(2, 0, 0): Fraction(1)})
+
+    @pytest.mark.parametrize("placement", [(4, -1, 0), (1, 1.0, 1), (1, True, 1), (1, "1", 1)])
+    def test_rejects_a_count_that_is_not_a_nonnegative_int(self, placement):
+        # (4, -1, 0) has n = 3 counts summing to d = 3, so only the count
+        # check stops it from certifying a value of 1.
+        with pytest.raises(ValueError, match=rf"allocation {re.escape(repr(placement))} has a count"):
+            hider_strategy_value(GameSpec(3, 3, 2, RAN), {placement: Fraction(1)})
 
     @pytest.mark.parametrize(
         "n,k,placement,dist,message",

@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from cachegame import (
-    Allocation,
     GameSpec,
     Variant,
     best_response_value,
@@ -259,12 +258,24 @@ class TestValidation:
         with pytest.raises(StrategyError, match=r"repeats a box \(at 0/0/0\)"):
             verify(spec, st.from_json_dict(plan([0, 0, 1])))
         response = best_response_value(spec, st.from_json_dict(plan([0, 1])))
-        assert response.allocation_values[Allocation((2, 1, 0))] == Fraction(4, 9)
+        assert response.allocation_values[(2, 1, 0)] == Fraction(4, 9)
 
     def test_cooperative_query_must_be_canonical(self):
         bad = st.StrategyTree(4, 2, 2, st.ask((0, 3), {0: st.ask((0, 1))}))
         with pytest.raises(StrategyError, match="fresh"):
             joint_verify_cooperative(GameSpec(4, 2, 2, COOP), bad, least_treasures_rule)
+
+    def test_negative_mix_probability_rejected(self):
+        # -1/2 and 3/2 sum to 1, so only the sign check stops this mix.
+        bad = st.StrategyTree(3, 1, 2, st.node(st.entry(Fraction(-1, 2), (0, 1)), st.entry(Fraction(3, 2), (0, 1))))
+        with pytest.raises(StrategyError, match=r"negative mix probability \(at 0\)"):
+            verify(GameSpec(3, 1, 2, ADV), bad)
+
+    @pytest.mark.parametrize("query", [(0, 3), (-1, 0)])
+    def test_query_outside_the_boxes_rejected(self, query):
+        bad = st.StrategyTree(3, 1, 2, st.ask(query))
+        with pytest.raises(StrategyError, match=r"query .* outside 0..n-1 \(at 0\)"):
+            verify(GameSpec(3, 1, 2, ADV), bad)
 
     def test_oversized_query_rejected(self):
         bad = st.StrategyTree(4, 2, 2, st.ask((0, 1, 2)))
@@ -297,6 +308,16 @@ class TestJsonFormat:
         ([], "strategy JSON must be an object"),
         ({"n": None, "d": 1, "k": 2, "root": "end"}, "field 'n' is not an integer"),
         ({"n": 3, "d": 1, "k": float("inf"), "root": "end"}, "field 'k' is not an integer"),
+        ({"n": 3.9, "d": 3, "k": 2, "root": {"mix": [{"p": "1", "query": [0.7, 1]}]}},
+         "field 'n' is not an integer: 3.9"),
+        ({"n": True, "d": 1, "k": 1, "root": "end"}, "field 'n' is not an integer: True"),
+        ({"n": 3, "d": "1", "k": 2, "root": "end"}, "field 'd' is not an integer: '1'"),
+        ({"n": 3, "d": 3, "k": 2, "root": {"mix": [{"p": "1", "query": [0.7, 1]}]}},
+         r"entry at root/mix\[0\]: query \[0.7, 1\] has a label that is not an integer"),
+        ({"n": 3, "d": 3, "k": 2, "root": {"mix": [{"p": "1", "query": [False, 1]}]}},
+         r"entry at root/mix\[0\]: query \[False, 1\] has a label that is not an integer"),
+        ({"n": 3, "d": 3, "k": 2, "root": {"mix": [{"p": "1", "query": ["0", 1]}]}},
+         r"entry at root/mix\[0\]: query \['0', 1\] has a label that is not an integer"),
         ({"n": 3, "d": 1, "k": 2, "root": {"mix": 5}}, "node at root must be"),
         ({"n": 3, "d": 1, "k": 2, "root": {"mix": [5]}}, r"entry at root/mix\[0\]: not an object"),
         ({"n": 3, "d": 1, "k": 2, "root": {"mix": [{"p": "1", "query": 5}]}},
