@@ -6,8 +6,9 @@ after the command name.  Machine output is JSON with rationals as "p/q"
 strings; --format table renders for humans, and --approx adds a clearly
 marked non-authoritative decimal column.  solve and sweep-accuracy also take
 --budget, --no-symmetry, --relaxed-queries and --cache DIR, a directory
-holding one JSON file per solved instance; recheck --cache DIR solves every
-entry there again.  Exit codes: 0 success, 2 invalid input, 3 node budget
+holding one JSON file per solved instance: the payload a hit prints and the
+tool version that wrote it.  recheck --cache DIR solves every entry's game
+there again.  Exit codes: 0 success, 2 invalid input, 3 node budget
 exceeded, 4 internal invariant breach.
 """
 
@@ -19,7 +20,6 @@ import json
 import os
 import sys
 import tempfile
-import time
 from fractions import Fraction
 
 from . import __version__
@@ -153,6 +153,9 @@ def _emit(args, payload: dict, table_rows=None) -> None:
 # ---------------------------------------------------------------------------
 
 
+GAME_FIELDS = ("n", "d", "k", "variant", "symmetry", "relaxed")
+
+
 def _cache_key(n, d, k, variant, symmetry, relaxed) -> str:
     blob = f"n={n};d={d};k={k};variant={variant};symmetry={symmetry};relaxed={relaxed}"
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -160,7 +163,8 @@ def _cache_key(n, d, k, variant, symmetry, relaxed) -> str:
 
 def _read_entry(path: str) -> dict | None:
     """The entry stored at ``path``, or None when there is none.  Raises
-    ValueError naming the file and the first malformed field its readers use."""
+    ValueError naming the file and the first malformed payload field its
+    readers use, or the reason the payload's game cannot be built."""
     try:
         with open(path) as fh:
             entry = json.load(fh)
@@ -168,23 +172,23 @@ def _read_entry(path: str) -> dict | None:
         return None
     except ValueError:  # not JSON, or not text
         entry = None
-    if not isinstance(entry, dict) or not isinstance(entry.get("params"), dict):
-        raise ValueError(f"cache entry {path} is not a JSON object with a 'params' object")
-    params, payload = entry["params"], entry.get("payload")
+    if not isinstance(entry, dict) or not isinstance(entry.get("payload"), dict):
+        raise ValueError(f"cache entry {path} is not a JSON object with a 'payload' object")
+    p = entry["payload"]
     fields = {
-        "params.n": type(params.get("n")) is int,
-        "params.d": type(params.get("d")) is int,
-        "params.k": type(params.get("k")) is int,
-        "params.variant": params.get("variant") in ("adversary", "random"),
-        "params.symmetry": type(params.get("symmetry")) is bool,
-        "params.relaxed": type(params.get("relaxed")) is bool,
-        "value": type(entry.get("value")) is str,
-        "payload": isinstance(payload, dict) and type(payload.get("value")) is str
-                   and isinstance(payload.get("stats"), dict),
+        **{name: type(p.get(name)) is int for name in ("n", "d", "k")},
+        "variant": p.get("variant") in ("adversary", "random"),
+        **{name: type(p.get(name)) is bool for name in ("symmetry", "relaxed")},
+        "value": type(p.get("value")) is str,
+        "stats": isinstance(p.get("stats"), dict),
     }
     bad = next((name for name, ok in fields.items() if not ok), None)
     if bad:
-        raise ValueError(f"cache entry {path} has a malformed field {bad!r}")
+        raise ValueError(f"cache entry {path} has a malformed field 'payload.{bad}'")
+    try:
+        GameSpec(p["n"], p["d"], p["k"], Variant(p["variant"]))
+    except ValueError as exc:
+        raise ValueError(f"cache entry {path} holds no valid game: {exc}") from None
     return entry
 
 
@@ -209,69 +213,52 @@ def _write_entry(path: str, entry: dict) -> None:
 
 def _solve_cached(args, n, d, k, variant) -> dict:
     """Solve through the result cache: hits skip recomputation entirely,
-    so interrupted sweeps resume where they stopped.  A hit is an entry
-    written by this version for these very params; any other entry is
-    solved again and replaced."""
-    symmetry, relaxed = not args.no_symmetry, args.relaxed_queries
-    params = {"n": n, "d": d, "k": k, "variant": variant.value,
-              "symmetry": symmetry, "relaxed": relaxed}
-    key = _cache_key(**params)
-    path = os.path.join(args.cache, f"{key}.json") if args.cache else None
+    so interrupted sweeps resume where they stopped.  An entry is the
+    payload a hit serves and the tool version that wrote it; a hit is an
+    entry of this version whose payload is the requested game, and any
+    other entry is solved again and replaced."""
+    game = {"n": n, "d": d, "k": k, "variant": variant.value,
+            "symmetry": not args.no_symmetry, "relaxed": args.relaxed_queries}
+    path = os.path.join(args.cache, f"{_cache_key(**game)}.json") if args.cache else None
     entry = _read_entry(path) if path else None
-    if entry is not None and entry["params"] == params and entry.get("tool_version") == __version__:
+    if (entry is not None and entry.get("tool_version") == __version__
+            and {f: entry["payload"][f] for f in GAME_FIELDS} == game):
         return entry["payload"]
-    result = solver.solve(GameSpec(n, d, k, variant), symmetry=symmetry,
-                          relaxed=relaxed, budget=args.budget)
-    payload = result.to_json_dict()
+    payload = solver.solve(GameSpec(n, d, k, variant), symmetry=game["symmetry"],
+                           relaxed=game["relaxed"], budget=args.budget).to_json_dict()
     if path:
-        _write_entry(path, {
-            "params": params,
-            "value": format_rational(result.value),
-            "stats": _without_wall_times(result.stats),
-            "payload": payload,
-            "tool_version": __version__,
-            "timestamp": int(time.time()),
-        })
+        _write_entry(path, {"payload": payload, "tool_version": __version__})
     return payload
-
-
-def _without_wall_times(stats: dict) -> dict:
-    return {k: v for k, v in stats.items() if not k.endswith("_seconds")}
 
 
 def _comparable(payload: dict) -> dict:
     """``payload`` as JSON gives it back, without the wall times."""
     payload = json.loads(json.dumps(payload))
-    return {**payload, "stats": _without_wall_times(payload.get("stats", {}))}
+    return {**payload, "stats": {k: v for k, v in payload["stats"].items() if not k.endswith("_seconds")}}
 
 
 def cmd_recheck(args) -> int:
-    """Solve every cached entry again.  An entry passes when its file is
-    named by the key of its params, and its stored value and the whole
-    payload a hit serves, wall times aside, equal the fresh solve's."""
-    entries = [(name[:-len(".json")], _read_entry(os.path.join(args.cache, name)))
-               for name in sorted(os.listdir(args.cache)) if name.endswith(".json")]
+    """Solve every cached entry's game again.  An entry passes when its
+    file is named by the key of its payload's game, and the whole payload
+    a hit serves, wall times aside, equals the fresh solve's."""
+    payloads = [(name[:-len(".json")], _read_entry(os.path.join(args.cache, name))["payload"])
+                for name in sorted(os.listdir(args.cache)) if name.endswith(".json")]
     bad = []
-    for key, entry in entries:
-        p = entry["params"]
-        result = solver.solve(
-            GameSpec(p["n"], p["d"], p["k"], Variant(p["variant"])),
-            symmetry=p["symmetry"], relaxed=p["relaxed"], budget=args.budget,
-        )
+    for key, p in payloads:
+        result = solver.solve(GameSpec(p["n"], p["d"], p["k"], Variant(p["variant"])),
+                              symmetry=p["symmetry"], relaxed=p["relaxed"], budget=args.budget)
         fresh = _comparable(result.to_json_dict())
-        served = _comparable(entry["payload"])
+        served = _comparable(p)
         differs = [name for name in sorted(served.keys() | fresh.keys())
                    if served.get(name) != fresh.get(name)]
-        if entry["value"] != fresh["value"]:
-            differs.insert(0, "stored value")
-        expected = _cache_key(p["n"], p["d"], p["k"], p["variant"], p["symmetry"], p["relaxed"])
+        expected = _cache_key(*(p[f] for f in GAME_FIELDS))
         if key != expected:
-            differs.insert(0, f"file key, params give {expected}")
+            differs.insert(0, f"file key, payload gives {expected}")
         status = f"MISMATCH ({', '.join(differs)})" if differs else "ok"
         if differs:
             bad.append(key)
-        print(f"{key}  {p['n']},{p['d']},{p['k']},{p['variant']}  stored={entry['value']}  "
-              f"payload={served.get('value')}  fresh={fresh['value']}  {status}")
+        print(f"{key}  {p['n']},{p['d']},{p['k']},{p['variant']}  "
+              f"served={p['value']}  fresh={fresh['value']}  {status}")
     if bad:
         print(f"error: {len(bad)} cache entries failed recheck", file=sys.stderr)
         return EXIT_INTERNAL
@@ -309,6 +296,10 @@ def cmd_verify(args) -> int:
                 tree = strategies.from_json_dict(json.load(fh))
             except RecursionError:
                 raise ValueError(f"strategy file {args.file} is nested too deeply to read") from None
+    for name in ("n", "d", "k"):
+        given, own = getattr(args, name), getattr(tree, name)
+        if given is not None and given != own:
+            raise ValueError(f"--{name} {given} does not match the strategy's {name}={own}")
     variant = Variant(args.variant)
     spec = GameSpec(tree.n, tree.d, tree.k, variant)
     if variant == Variant.COOPERATIVE:

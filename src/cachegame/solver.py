@@ -848,8 +848,8 @@ def hider_strategy_value(
     """Strongest searcher reply to a fully committed hider.
 
     ``allocation_weights`` maps placements, tuples of nonnegative int
-    counts per box, to exact probabilities summing to one; any other count
-    raises ValueError naming its placement.  Under the random variant
+    counts per box, to exact probabilities summing to one; any other key
+    raises ValueError naming it.  Under the random variant
     reveals are chance moves; under the adversary variant
     ``reveal_policy(remaining, history, query)`` must return the reveal
     distribution whenever the query covers several treasure-holding boxes.
@@ -859,10 +859,9 @@ def hider_strategy_value(
     if spec.variant == Variant.COOPERATIVE:
         raise ValueError("the cooperative revealer is driven by the searcher, not the hider")
     weights: dict[tuple, Fraction] = {}
-    for alloc, w in allocation_weights.items():
-        counts = tuple(alloc)
-        if not all(type(c) is int and c >= 0 for c in counts):
-            raise ValueError(f"allocation {counts} has a count that is not a nonnegative int")
+    for counts, w in allocation_weights.items():
+        if type(counts) is not tuple or not all(type(c) is int and c >= 0 for c in counts):
+            raise ValueError(f"allocation {counts!r} is not a tuple of nonnegative int counts")
         if len(counts) != spec.n or sum(counts) != spec.d:
             raise ValueError(f"allocation {counts} does not fit n={spec.n}, d={spec.d}")
         w = Fraction(w)

@@ -386,7 +386,11 @@ def _node_from_json(data, path):
             query = tuple(e["query"])
             if not isinstance(e.get("branches", {}), dict):
                 raise ValueError("branches is not an object")
-            branches = [(int(box), here + (box,), child) for box, child in e.get("branches", {}).items()]
+            branches = []
+            for box, child in e.get("branches", {}).items():
+                if str(int(box)) != box:  # "00", " 0", "+0" and "0_0" would all name box 0
+                    raise ValueError(f"branch key {box!r} is not a label in canonical decimal")
+                branches.append((int(box), here + (box,), child))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad mix entry at {'/'.join(map(str, here))}: {exc}") from exc
         entries.append(entry(prob, query, {box: _node_from_json(child, at) for box, at, child in branches}))

@@ -81,7 +81,7 @@ class TestSolveCommand:
                       "certificate_seconds", "behavior_seconds")
         assert all(stats[k] >= 0 for k in wall_times)
         (entry,) = entries(cache).values()
-        assert entry["stats"] == {k: v for k, v in stats.items() if k not in wall_times}
+        assert entry == {"payload": data, "tool_version": cli.__version__}  # wall times included
 
 
 class TestVerifyCommand:
@@ -126,6 +126,11 @@ class TestVerifyCommand:
         ('{"n": 3.9, "d": 3, "k": 2, "root": {"mix": [{"p": "1", "query": [0.7, 1]}]}}', "field 'n'"),
         ('{"n": true, "d": 1, "k": 1, "root": "end"}', "field 'n'"),
         ('{"n": 3, "d": 3, "k": 2, "root": {"mix": [{"p": "1", "query": [0.7, 1]}]}}', "root/mix[0]"),
+        # Both name box 0; read in either order, one branch silently replaced the other.
+        ('{"n":3,"d":2,"k":2,"root":{"mix":[{"p":"1","query":[0,1],"branches":'
+         '{"0":{"mix":[{"p":"1","query":[0,2]}]},"00":"end"}}]}}', "root/mix[0]: branch key '00'"),
+        ('{"n":3,"d":2,"k":2,"root":{"mix":[{"p":"1","query":[0,1],"branches":'
+         '{"00":"end","0":{"mix":[{"p":"1","query":[0,2]}]}}}]}}', "root/mix[0]: branch key '00'"),
     ])
     def test_malformed_file_exit_2(self, capsys, tmp_path, content, where):
         path = tmp_path / "broken.json"
@@ -143,6 +148,25 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--file", str(path))
         assert code == 2
         assert "nested too deeply" in err
+
+    @pytest.mark.parametrize("source,sizes,message", [
+        (("--family", "d2"), ("--n", "5", "--d", "7", "--k", "2"), "--n 5 does not match the strategy's n=3"),
+        (("--family", "fig432"), ("--n", "9"), "--n 9 does not match the strategy's n=4"),
+        (("--family", "fig432"), ("--d", "4"), "--d 4 does not match the strategy's d=3"),
+        (("--file",), ("--n", "5", "--d", "4", "--k", "3"), "--k 3 does not match the strategy's k=2"),
+    ])
+    def test_sizes_must_match_the_strategy(self, capsys, tmp_path, source, sizes, message):
+        # A value printed for these flags would be that of the strategy's
+        # own game, not of the game they name.
+        if source == ("--file",):
+            path = tmp_path / "strategy.json"
+            path.write_text(json.dumps(st.to_json_dict(st.fig542())))
+            source = ("--file", str(path))
+        code, out, err = run(capsys, "verify", *source, *sizes)
+        assert (code, out) == (2, "")
+        assert message in err
+        data = run_json(capsys, "verify", "--family", "fig432", "--n", "4", "--d", "3", "--k", "2")
+        assert data["value"] == "2/5"
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "fig432", "--file", "x.json")
@@ -262,31 +286,31 @@ class TestFractionalCommands:
         assert code == 2
 
 
-def _entry_211(payload=None, value="1/2", **params):
-    """A cache entry for ``solve --n 2 --d 1 --k 1`` with ``params`` changed."""
-    return {
-        "params": {"n": 2, "d": 1, "k": 1, "variant": "adversary", "symmetry": True, "relaxed": False,
-                   **params},
-        "value": value,
-        "payload": {"value": value, "stats": {}} if payload is None else payload,
-        "tool_version": cli.__version__,
-    }
+def _entry_211(**change):
+    """A cache entry for ``solve --n 2 --d 1 --k 1`` with payload fields changed."""
+    payload = {"n": 2, "d": 1, "k": 1, "variant": "adversary", "symmetry": True, "relaxed": False,
+               "value": "1/2", "stats": {}}
+    return {"payload": {**payload, **change}, "tool_version": cli.__version__}
 
 
-NOT_AN_ENTRY = "is not a JSON object with a 'params' object"
+NOT_AN_ENTRY = "is not a JSON object with a 'payload' object"
 MALFORMED_ENTRIES = [
-    (content, NOT_AN_ENTRY) for content in ("not json", "5", "[]", "{}", '{"params": 5}')
+    (content, NOT_AN_ENTRY) for content in ("not json", "5", "[]", "{}", '{"payload": 5}', '{"payload": [1]}')
 ] + [
     (json.dumps(_entry_211(**change)), f"has a malformed field {field!r}") for field, change in (
-        ("params.n", {"n": "x"}),
-        ("params.d", {"d": 1.0}),
-        ("params.k", {"k": True}),
-        ("params.variant", {"variant": "cooperative"}),
-        ("params.symmetry", {"symmetry": 1}),
-        ("params.relaxed", {"relaxed": None}),
-        ("value", {"value": 0.5}),
-        ("payload", {"payload": [1]}),
-        ("payload", {"payload": {"value": "1/2"}}),
+        ("payload.n", {"n": "x"}),
+        ("payload.d", {"d": 1.0}),
+        ("payload.k", {"k": True}),
+        ("payload.variant", {"variant": "cooperative"}),
+        ("payload.symmetry", {"symmetry": 1}),
+        ("payload.relaxed", {"relaxed": None}),
+        ("payload.value", {"value": 0.5}),
+        ("payload.stats", {"stats": None}),
+    )
+] + [
+    (json.dumps(_entry_211(**change)), f"holds no valid game: {message}") for change, message in (
+        ({"n": 0}, "need at least one box, got n=0"),
+        ({"k": 3}, "query size must satisfy 1 <= k <= n, got k=3, n=2"),
     )
 ]
 
@@ -301,8 +325,7 @@ class TestCache:
         run_json(capsys, *SOLVE_322, "--cache", str(cache))
         stored = entries(cache)
         assert len(stored) == 2
-        assert all(set(entry) == {"params", "value", "stats", "payload", "tool_version", "timestamp"}
-                   for entry in stored.values())
+        assert all(set(entry) == {"payload", "tool_version"} for entry in stored.values())
         code, out, _ = run(capsys, "recheck", "--cache", str(cache))
         assert code == 0
         assert [line.split()[0] + ".json" for line in out.splitlines()] == sorted(stored)
@@ -316,12 +339,13 @@ class TestCache:
         path.write_text(json.dumps(entry))
 
     def test_recheck_detects_corruption(self, capsys, tmp_path):
+        # The value and plans are intact, but a hit would serve wrong stats.
         cache = tmp_path / "cache"
         run_json(capsys, *SOLVE_322, "--cache", str(cache))
-        self._corrupt(cache, lambda entry: entry.update(value="1/2"))
+        self._corrupt(cache, lambda entry: entry["payload"]["stats"].update(pivots=-1))
         code, out, err = run(capsys, "recheck", "--cache", str(cache))
         assert code == 4
-        assert "MISMATCH" in out
+        assert out.rstrip().endswith("  MISMATCH (stats)")
 
     def test_recheck_detects_corrupted_payload(self, capsys, tmp_path):
         # A cache hit serves the payload, so its value must be rechecked too.
@@ -332,7 +356,7 @@ class TestCache:
         assert run_json(capsys, *argv)["value"] == "1/2"  # what a hit would serve
         code, out, err = run(capsys, "recheck", "--cache", str(cache))
         assert code == 4
-        assert f"stored={fresh}  payload=1/2  fresh={fresh}  MISMATCH" in out
+        assert out.rstrip().endswith(f"  served=1/2  fresh={fresh}  MISMATCH (value)")
         assert "1 cache entries failed recheck" in err
 
     def test_recheck_detects_corrupted_plan(self, capsys, tmp_path):
@@ -360,12 +384,53 @@ class TestCache:
         code, out, err = run(capsys, "recheck", "--cache", str(cache))
         assert code == 4
         line = next(line for line in out.splitlines() if line.startswith(key_432))
-        assert line.endswith(f"MISMATCH (file key, params give {key_332})")
+        assert line.endswith(f"MISMATCH (file key, payload gives {key_332})")
         assert "1 cache entries failed recheck" in err
         data = run_json(capsys, *solve_432)
         assert (data["n"], data["value"]) == (4, "2/5")
-        assert entries(cache)[f"{key_432}.json"]["params"]["n"] == 4  # replaced
+        assert entries(cache)[f"{key_432}.json"]["payload"]["n"] == 4  # replaced
         assert run(capsys, "recheck", "--cache", str(cache))[0] == 0
+
+    def test_payload_of_another_game_is_not_served(self, capsys, tmp_path):
+        # (4,3,2)'s payload in (3,3,2)'s entry, under (3,3,2)'s file name:
+        # a hit checked a copy of the game fields but served the payload, so
+        # solve printed (4,3,2)'s 2/5 as (3,3,2)'s value.
+        cache = tmp_path / "cache"
+        run_json(capsys, *SOLVE_332, "--cache", str(cache))
+        run_json(capsys, "solve", "--n", "4", "--d", "3", "--k", "2", "--cache", str(cache))
+        key_332 = cli._cache_key(3, 3, 2, "adversary", True, False)
+        key_432 = cli._cache_key(4, 3, 2, "adversary", True, False)
+        path_332 = cache / f"{key_332}.json"
+        entry = json.loads(path_332.read_text())
+        entry["payload"] = entries(cache)[f"{key_432}.json"]["payload"]
+        path_332.write_text(json.dumps(entry))
+        code, out, err = run(capsys, "recheck", "--cache", str(cache))
+        assert code == 4
+        line = next(line for line in out.splitlines() if line.startswith(key_332))
+        assert line.endswith(f"served=2/5  fresh=2/5  MISMATCH (file key, payload gives {key_432})")
+        data = run_json(capsys, *SOLVE_332, "--cache", str(cache))
+        assert (data["n"], data["value"]) == (3, "3/5")
+        assert entries(cache)[f"{key_332}.json"]["payload"] == data  # replaced
+        assert run(capsys, "recheck", "--cache", str(cache))[0] == 0
+
+    def test_entry_with_the_older_fields_is_read(self, capsys, tmp_path):
+        # Entries of this version once also held copies of the game fields,
+        # the value and the stats, and a timestamp.  A hit still serves the
+        # payload, and recheck still passes it.
+        cache = tmp_path / "cache"
+        argv = (*SOLVE_332, "--cache", str(cache))
+        _, first, _ = run(capsys, *argv)
+        (path,) = cache.glob("*.json")
+        entry = json.loads(path.read_text())
+        payload = entry["payload"]
+        entry.update(params={f: payload[f] for f in cli.GAME_FIELDS}, value=payload["value"],
+                     stats={k: v for k, v in payload["stats"].items() if not k.endswith("_seconds")},
+                     timestamp=1)
+        path.write_text(json.dumps(entry))
+        assert run(capsys, *argv) == (0, first, "")
+        assert json.loads(path.read_text()) == entry  # a hit, not a rewrite
+        code, out, _ = run(capsys, "recheck", "--cache", str(cache))
+        assert code == 0 and out.rstrip().endswith("  served=3/5  fresh=3/5  ok")
 
     def test_entry_mode_follows_the_umask(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -398,16 +463,13 @@ class TestCache:
         argv = (*SOLVE_332, "--cache", str(cache))
         run_json(capsys, *argv)
 
-        def wrong_value(entry):
-            entry["value"] = entry["payload"]["value"] = "1/2"
-
-        self._corrupt(cache, wrong_value)
+        self._corrupt(cache, lambda entry: entry["payload"].update(value="1/2"))
         assert run_json(capsys, *argv)["value"] == "1/2"  # same version: a hit
         self._corrupt(cache, lambda entry: entry.update(tool_version="0.0.0"))
         assert run_json(capsys, *argv)["value"] == "3/5"
         (entry,) = entries(cache).values()
         assert entry["tool_version"] == cli.__version__
-        assert entry["value"] == entry["payload"]["value"] == "3/5"
+        assert entry["payload"]["value"] == "3/5"
 
     def test_sweep_resumes_from_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -484,7 +546,7 @@ class TestCache:
                 proc.kill()
                 proc.wait()
         stored = entries(cache).values()
-        assert {(e["params"]["n"], e["params"]["d"]): e["value"] for e in stored} == instances
+        assert {(e["payload"]["n"], e["payload"]["d"]): e["payload"]["value"] for e in stored} == instances
         assert [p.name for p in cache.iterdir() if not p.name.endswith(".json")] == []
 
 

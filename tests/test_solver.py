@@ -784,11 +784,13 @@ class TestHiderStrategyValue:
         with pytest.raises(ValueError):
             hider_strategy_value(GameSpec(3, 3, 2, RAN), {(2, 0, 0): Fraction(1)})
 
-    @pytest.mark.parametrize("placement", [(4, -1, 0), (1, 1.0, 1), (1, True, 1), (1, "1", 1)])
+    @pytest.mark.parametrize("placement", [(4, -1, 0), (1, 1.0, 1), (1, True, 1), (1, "1", 1),
+                                           5, frozenset({0, 1, 2}), "111"])
     def test_rejects_a_count_that_is_not_a_nonnegative_int(self, placement):
         # (4, -1, 0) has n = 3 counts summing to d = 3, so only the count
-        # check stops it from certifying a value of 1.
-        with pytest.raises(ValueError, match=rf"allocation {re.escape(repr(placement))} has a count"):
+        # check stops it from certifying a value of 1.  A placement is a
+        # tuple: a set's counts come in no fixed box order.
+        with pytest.raises(ValueError, match=rf"allocation {re.escape(repr(placement))} is not a tuple of "):
             hider_strategy_value(GameSpec(3, 3, 2, RAN), {placement: Fraction(1)})
 
     @pytest.mark.parametrize(

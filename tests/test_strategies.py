@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from math import comb
 
@@ -328,6 +329,13 @@ class TestJsonFormat:
          r"entry at root/mix\[0\]: invalid literal"),
         ({"n": 3, "d": 2, "k": 2, "root": {"mix": [{"p": "1", "query": [0, 1], "branches": {"0": {"mix": [5]}}}]}},
          r"entry at root/mix\[0\]/0/mix\[0\]: not an object"),
+    ] + [
+        # Each of these keys would name box 0, and the later of two keys for
+        # one box would win silently.
+        ({"n": 3, "d": 2, "k": 2, "root": {"mix": [{"p": "1", "query": [0, 1], "branches": {
+            "0": {"mix": [{"p": "1", "query": [0, 2]}]}, key: "end"}}]}},
+         rf"entry at root/mix\[0\]: branch key {re.escape(repr(key))} is not a label in canonical decimal")
+        for key in ("00", " 0", "+0", "0_0", "0 ")
     ])
     def test_malformed_rejected_with_path(self, data, message):
         with pytest.raises(ValueError, match=message):
