@@ -161,6 +161,16 @@ def _cache_key(n, d, k, variant, symmetry, relaxed) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _is_rational(text) -> bool:
+    if type(text) is not str:
+        return False
+    try:
+        parse_rational(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_entry(path: str) -> dict | None:
     """The entry stored at ``path``, or None when there is none.  Raises
     ValueError naming the file and the first malformed payload field its
@@ -175,12 +185,15 @@ def _read_entry(path: str) -> dict | None:
     if not isinstance(entry, dict) or not isinstance(entry.get("payload"), dict):
         raise ValueError(f"cache entry {path} is not a JSON object with a 'payload' object")
     p = entry["payload"]
+    stats = p.get("stats")
     fields = {
         **{name: type(p.get(name)) is int for name in ("n", "d", "k")},
         "variant": p.get("variant") in ("adversary", "random"),
         **{name: type(p.get(name)) is bool for name in ("symmetry", "relaxed")},
-        "value": type(p.get("value")) is str,
-        "stats": isinstance(p.get("stats"), dict),
+        "value": _is_rational(p.get("value")),
+        "stats": isinstance(stats, dict),
+        **{f"stats.{name}": isinstance(stats, dict) and type(stats.get(name)) is int
+           for name in ("nodes", "lp_rows", "lp_cols", "pivots")},
     }
     bad = next((name for name, ok in fields.items() if not ok), None)
     if bad:

@@ -33,6 +33,12 @@ loses from the update itself (and a row that shrank is copied, to shed the
 slots its dict keeps for deleted entries), and Devex pricing scores anew
 only the columns of the expanded pivot row.
 
+A free variable the objective does not price (a game's information-set
+values) never has to leave the basis once it enters, since no sign bounds
+it.  So the row where such a column becomes basic drops out of the working
+rows: no later pivot reads or updates it, and once the simplex ends the
+column's value is read back off the row as it stood after its own pivot.
+
 The game programs are large and sparse, and most tableau updates touch
 structural entries that no later pivot reads; on tiny dense programs the
 on-demand reads cost more than they save.  So ``_form`` picks the form from
@@ -153,7 +159,9 @@ class LPSolution:
     ``max_denominator_bits`` is the bit length of the largest row
     denominator the engine held: the whole rows of the tableau, or only the
     basis-inverse rows of the revised form, so the same program reads a
-    different figure under each form.
+    different figure under each form.  ``dropped_rows`` counts the rows
+    that left the working rows once an unpriced free column became basic
+    there; both forms drop the same rows.
 
     ``phase1_seconds`` (driving artificials out included),
     ``phase2_seconds`` (reading the point and the duals included) and
@@ -172,6 +180,7 @@ class LPSolution:
     degenerate_pivots: int = 0
     bland_fallback: bool = False
     max_denominator_bits: int = 0
+    dropped_rows: int = 0
     phase1_seconds: float = field(default=0.0, compare=False)
     phase2_seconds: float = field(default=0.0, compare=False)
     certificate_seconds: float = field(default=0.0, compare=False)
@@ -186,10 +195,11 @@ class _Standard:
     """Expansion of a LinearProgram into equality standard form.
 
     Each free variable is split into a difference of nonnegatives, so the
-    whole program is rows over nonnegative columns.  Each row is
-    ``(nums, rhs, den)``: integer numerators of its columns and right-hand
-    side over ``den``, the lcm of its denominators, which leaves the row in
-    lowest terms.  The cost is a ``_Row`` in the same form.
+    whole program is rows over nonnegative columns; ``unpriced_free`` holds
+    both halves of each free variable the objective does not price.  Each
+    row is ``(nums, rhs, den)``: integer numerators of its columns and
+    right-hand side over ``den``, the lcm of its denominators, which leaves
+    the row in lowest terms.  The cost is a ``_Row`` in the same form.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -207,6 +217,7 @@ class _Standard:
         self.num_structural = len(self.col_var)
 
         self.cost = _Row(*self._expand({j: c for j, c in enumerate(lp.objective) if c}, _ZERO))
+        self.unpriced_free = {col for j in lp.free for col, _ in self.var_cols[j] if col not in self.cost.nums}
 
         self.rows = [self._expand(row, b) for row, b in zip(lp.rows, lp.rhs)]
         self.senses = lp.senses
@@ -307,7 +318,9 @@ class _Tableau:
 
     The driver reads the rows through ``column`` and ``expand`` only; the
     revised form overrides those two, and ``reindex``, which ``pivot``
-    calls to keep its column index."""
+    calls to keep its column index.  The live rows are those not in
+    ``dropped``: ``column`` reports only them, so a dropped row is never
+    again a ratio-test candidate or an elimination target."""
 
     def __init__(self, std: _Standard):
         self.std = std
@@ -323,6 +336,7 @@ class _Tableau:
         self.phase1_pivots = 0
         self.degenerate_pivots = 0
         self.bland_fallback = False
+        self.dropped: list[int] = []  # rows of basic unpriced free columns, in drop order
 
         for i, (nums, rhs, den) in enumerate(std.rows):
             sense = std.senses[i]
@@ -372,14 +386,18 @@ class _Tableau:
             "degenerate_pivots": self.degenerate_pivots,
             "bland_fallback": self.bland_fallback,
             "max_denominator_bits": self.max_den_bits,
+            "dropped_rows": len(self.dropped),
         }
 
     # -- the two reads the driver makes of a form --------------------------
 
     def column(self, col: int) -> tuple[dict[int, int], int]:
-        """The nonzero entries of column ``col`` as ``(entries, scale)``: row
-        ``i`` holds ``entries[i] / (rows[i].den·scale)``."""
-        return {i: a for i, row in enumerate(self.rows) if (a := row.nums.get(col))}, 1
+        """The nonzero entries of column ``col`` in the live rows as
+        ``(entries, scale)``: row ``i`` holds ``entries[i] / (rows[i].den·scale)``."""
+        entries = {i: a for i, row in enumerate(self.rows) if (a := row.nums.get(col))}
+        for r in self.dropped:
+            entries.pop(r, None)
+        return entries, 1
 
     def expand(self, row: _Row) -> _Row:
         """The whole tableau row of a row this form keeps: the row itself."""
@@ -430,10 +448,15 @@ class _Tableau:
                 bits = max(bits, row.den.bit_length())
         self.max_den_bits = max(self.max_den_bits, bits)
         self.basis[r] = col
+        if col in self.std.unpriced_free:
+            # The row drops out of the live rows, keeping the entries it
+            # has now, and out of the column index.
+            self.dropped.append(r)
+            self.reindex(r, [], list(self.rows[r].nums))
 
     def reindex(self, i: int, gained: list[int], lost: list[int]) -> None:
-        """Note the columns row ``i`` gained and lost in a pivot; the
-        tableau keeps no column index."""
+        """Note the columns row ``i`` gained and lost in a pivot (all of
+        them, as it drops out); the tableau keeps no column index."""
 
     def run_simplex(self, cost: _Row, barred: set[int]) -> _Row:
         """Maximize, returning the optimal reduced-cost row; raise LPError
@@ -560,7 +583,20 @@ class _Tableau:
         return out
 
     def primal_cols(self) -> dict[int, Fraction]:
-        return {self.basis[i]: Fraction(row.rhs, row.den) for i, row in enumerate(self.rows) if row.rhs}
+        """The nonzero basic values by column.  A dropped row's basic value
+        is read off the row as it stood after its own pivot, in reverse drop
+        order: each other column of that row was nonbasic then, so it is now
+        0, basic in a live row, or basic in a row dropped later and already
+        read."""
+        dropped = set(self.dropped)
+        values = {self.basis[i]: Fraction(row.rhs, row.den)
+                  for i, row in enumerate(self.rows) if row.rhs and i not in dropped}
+        for r in reversed(self.dropped):
+            row, b = self.expand(self.rows[r]), self.basis[r]
+            rest = sum((v * values[c] for c, v in row.nums.items() if c in values), _ZERO)
+            if value := (row.rhs - rest) / row.den:
+                values[b] = value
+        return values
 
 
 class _Revised(_Tableau):
@@ -568,7 +604,8 @@ class _Revised(_Tableau):
     entries the tableau keeps in the initial basis's slack and artificial
     columns) and its right-hand side.  A column ``B⁻¹A_q`` and a whole row
     ``B⁻¹_r A`` are computed on demand from the initial rows, so a pivot
-    updates no entry of a structural column."""
+    updates no entry of a structural column.  A dropped row leaves the
+    column index, so no column reads it again."""
 
     def __init__(self, std: _Standard):
         super().__init__(std)
@@ -591,7 +628,8 @@ class _Revised(_Tableau):
             rows.append(_Row({u: row.den // g}, row.rhs // g, row.den // g))
         self.rows = rows
         self.max_den_bits = max((row.den.bit_length() for row in rows), default=0)
-        # The rows that hold an entry in column u, kept exact by ``pivot``.
+        # The live rows that hold an entry in column u, kept exact by
+        # ``pivot``; a dropped row leaves every list.
         self.holders = {u: [i] for i, u in enumerate(self.basis)}
 
     def column(self, col: int) -> tuple[dict[int, int], int]:
@@ -609,7 +647,7 @@ class _Revised(_Tableau):
         """Keep ``holders`` exact as the driver's pivot updates row ``i``,
         from the columns the update itself reports: a pivot changes only
         the pivot row's columns of the rows it touches, and the pivot row
-        keeps its own."""
+        keeps its own until it drops out."""
         holders = self.holders
         for u in gained:
             holders[u].append(i)

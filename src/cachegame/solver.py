@@ -563,7 +563,7 @@ def _lp_stats(solved, assembly_seconds: float) -> dict:
     programs' rows."""
     stats = {"lp_rows": sum(len(p.rows) for p, _ in solved), "lp_cols": sum(p.num_vars for p, _ in solved),
              "assembly_seconds": assembly_seconds}
-    for key in ("pivots", "phase1_pivots", "phase2_pivots", "degenerate_pivots",
+    for key in ("pivots", "phase1_pivots", "phase2_pivots", "degenerate_pivots", "dropped_rows",
                 "phase1_seconds", "phase2_seconds", "certificate_seconds"):
         stats[key] = sum(getattr(sol, key) for _, sol in solved)
     stats["bland_fallback"] = any(sol.bland_fallback for _, sol in solved)

@@ -77,6 +77,7 @@ class TestSolveCommand:
         assert 0 <= stats["degenerate_pivots"] <= stats["pivots"]
         assert stats["bland_fallback"] is False
         assert stats["max_denominator_bits"] > 0
+        assert 0 < stats["dropped_rows"] <= stats["lp_rows"]  # the unpriced free rows that dropped out
         wall_times = ("build_seconds", "solve_seconds", "assembly_seconds", "phase1_seconds", "phase2_seconds",
                       "certificate_seconds", "behavior_seconds")
         assert all(stats[k] >= 0 for k in wall_times)
@@ -289,7 +290,7 @@ class TestFractionalCommands:
 def _entry_211(**change):
     """A cache entry for ``solve --n 2 --d 1 --k 1`` with payload fields changed."""
     payload = {"n": 2, "d": 1, "k": 1, "variant": "adversary", "symmetry": True, "relaxed": False,
-               "value": "1/2", "stats": {}}
+               "value": "1/2", "stats": {"nodes": 3, "lp_rows": 2, "lp_cols": 3, "pivots": 1}}
     return {"payload": {**payload, **change}, "tool_version": cli.__version__}
 
 
@@ -305,7 +306,13 @@ MALFORMED_ENTRIES = [
         ("payload.symmetry", {"symmetry": 1}),
         ("payload.relaxed", {"relaxed": None}),
         ("payload.value", {"value": 0.5}),
+        ("payload.value", {"value": "one half"}),
+        ("payload.value", {"value": "1/0"}),
         ("payload.stats", {"stats": None}),
+        ("payload.stats.nodes", {"stats": {}}),
+        ("payload.stats.lp_rows", {"stats": {"nodes": 3, "lp_rows": "2", "lp_cols": 3, "pivots": 1}}),
+        ("payload.stats.lp_cols", {"stats": {"nodes": 3, "lp_rows": 2, "lp_cols": 3.0, "pivots": 1}}),
+        ("payload.stats.pivots", {"stats": {"nodes": 3, "lp_rows": 2, "lp_cols": 3, "pivots": False}}),
     )
 ] + [
     (json.dumps(_entry_211(**change)), f"holds no valid game: {message}") for change, message in (
@@ -458,14 +465,15 @@ class TestCache:
         assert (path.read_text(), path.stat().st_mtime_ns) == before  # untouched on a hit
         assert [p.name for p in cache.iterdir()] == [path.name]
 
-    def test_entry_from_another_version_is_solved_again(self, capsys, tmp_path):
+    @pytest.mark.parametrize("version", ["0.0.0", "0.4.0"])  # 0.4.0: before dropped_rows
+    def test_entry_from_another_version_is_solved_again(self, capsys, tmp_path, version):
         cache = tmp_path / "cache"
         argv = (*SOLVE_332, "--cache", str(cache))
         run_json(capsys, *argv)
 
         self._corrupt(cache, lambda entry: entry["payload"].update(value="1/2"))
         assert run_json(capsys, *argv)["value"] == "1/2"  # same version: a hit
-        self._corrupt(cache, lambda entry: entry.update(tool_version="0.0.0"))
+        self._corrupt(cache, lambda entry: entry.update(tool_version=version))
         assert run_json(capsys, *argv)["value"] == "3/5"
         (entry,) = entries(cache).values()
         assert entry["tool_version"] == cli.__version__

@@ -737,8 +737,8 @@ def test_incremental_pricing_matches_the_full_scan_on_sequence_form_programs(n, 
 
 def _holders_checked(p):
     """Solve ``p`` in the revised form, checking after every pivot that
-    ``holders[u]`` lists, each once, the rows whose basis-inverse part
-    holds ``u``; returns the number of pivots checked."""
+    ``holders[u]`` lists, each once, the live rows whose basis-inverse part
+    holds ``u``, and no dropped row; returns the number of pivots checked."""
     real = lpmod._Revised.pivot
     checked = []
 
@@ -746,10 +746,12 @@ def _holders_checked(p):
         real(self, r, col, column)
         expected = {}
         for i, row in enumerate(self.rows):
-            for u in row.nums:
-                expected.setdefault(u, []).append(i)
+            if i not in self.dropped:
+                for u in row.nums:
+                    expected.setdefault(u, []).append(i)
         assert set(expected) <= set(self.holders)
         assert {u: sorted(rows) for u, rows in self.holders.items()} == {u: expected.get(u, []) for u in self.holders}
+        assert not set(self.dropped) & {i for rows in self.holders.values() for i in rows}
         checked.append(r)
 
     with mock.patch.object(lpmod._Revised, "pivot", pivot):
@@ -771,3 +773,126 @@ def test_column_index_stays_exact_on_programs_of_every_shape(p):
 @given(st.integers(0, 2**32))
 def test_column_index_stays_exact_on_random_bounded_programs(seed):
     _holders_checked(random_bounded_lp(random.Random(seed)))
+
+
+# ---------------------------------------------------------------------------
+# Rows of basic unpriced free columns drop out.
+# ---------------------------------------------------------------------------
+
+
+def _drops_kept(form, p):
+    """Solve ``p`` in ``form``, checking after every pivot that each
+    unpriced free column that became basic is still basic in its row, that
+    the row is dropped, in drop order, and that it holds what it held after
+    its own pivot; returns the number of rows dropped."""
+    real = lpmod._Tableau.pivot
+    held = {}  # row -> (its free basic column, its numerators, its right-hand side)
+
+    def pivot(self, r, col, column):
+        assert r not in held  # a dropped row is never a pivot row again
+        real(self, r, col, column)
+        if col in self.std.unpriced_free:
+            held[r] = (col, dict(self.rows[r].nums), self.rows[r].rhs)
+        assert self.dropped == list(held)
+        for i, (c, nums, rhs) in held.items():
+            assert (self.basis[i], self.rows[i].nums, self.rows[i].rhs) == (c, nums, rhs)
+
+    with mock.patch.object(lpmod._Tableau, "pivot", pivot):
+        sol = _solved_in(form, p)
+    if not isinstance(sol, str):
+        assert sol.dropped_rows == len(held)
+    return len(held)
+
+
+@pytest.mark.parametrize("form", [lpmod._Tableau, lpmod._Revised])
+@pytest.mark.parametrize("n,d,k", [(4, 3, 2), (5, 3, 3)])
+def test_a_basic_unpriced_free_column_keeps_its_row_on_game_programs(form, n, d, k):
+    assert _drops_kept(form, _sequence_form_program(n, d, k)) > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_programs())
+def test_a_basic_unpriced_free_column_keeps_its_row_on_programs_of_every_shape(p):
+    for form in (lpmod._Tableau, lpmod._Revised):
+        _drops_kept(form, p)
+
+
+def test_priced_free_columns_keep_their_rows_live():
+    # The margin t of a feasibility program is free and priced.
+    p = lpmod.LinearProgram(2, [0, 1])
+    p.set_free(1)
+    p.add_constraint({0: 1, 1: 1}, lpmod.LESS_EQUAL, 2)
+    p.add_constraint({1: 1}, lpmod.LESS_EQUAL, 1)
+    sol = _same_in_both_forms(p)
+    assert (sol.objective_value, sol.dropped_rows) == (1, 0)
+
+
+def test_a_dropped_row_is_read_after_the_rows_dropped_later():
+    # max z  s.t.  2x + y = 4,  y - z = 1,  z <= 5,  x and y free.  Phase 1
+    # brings x in at row 0 first, a row that still holds y, and then y at
+    # row 1, so reading row 0 needs the y that row 1, dropped later, gives.
+    p = lpmod.LinearProgram(3, [0, 0, 1])
+    p.set_free(0)
+    p.set_free(1)
+    p.add_constraint({0: 2, 1: 1}, lpmod.EQUAL, 4)
+    p.add_constraint({1: 1, 2: -1}, lpmod.EQUAL, 1)
+    p.add_constraint({2: 1}, lpmod.LESS_EQUAL, 5)
+    real = lpmod._Tableau.pivot
+    for form in (lpmod._Tableau, lpmod._Revised):
+        drops = []
+
+        def pivot(self, r, col, column):
+            real(self, r, col, column)
+            if self.dropped[-1:] == [r]:
+                drops.append((r, col, sorted(self.expand(self.rows[r]).nums)))
+
+        with mock.patch.object(lpmod._Tableau, "pivot", pivot):
+            sol = _solved_in(form, p)
+        assert [(r, col) for r, col, _ in drops] == [(0, 0), (1, 2)]  # x+ then y+ (x, y split in two)
+        assert 2 in drops[0][2]
+        assert sol.status == lpmod.OPTIMAL
+        assert (sol.objective_value, sol.primal, sol.dropped_rows) == (5, (-1, 6, 5), 2)
+
+
+def _solved_without_drops(form, p):
+    """``_solved_in`` with no column counted as unpriced free, so no row drops."""
+    real = lpmod._Standard.__init__
+
+    def init(self, lp):
+        real(self, lp)
+        self.unpriced_free = set()
+
+    with mock.patch.object(lpmod._Standard, "__init__", init):
+        return _solved_in(form, p)
+
+
+def _pivots_of(solve, form, p):
+    """``solve(form, p)`` and the ``(row, column)`` of each of its pivots."""
+    real = lpmod._Tableau.pivot
+    pivots = []
+
+    def pivot(self, r, col, column):
+        pivots.append((r, col))
+        real(self, r, col, column)
+
+    with mock.patch.object(lpmod._Tableau, "pivot", pivot):
+        return solve(form, p), pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_programs())
+def test_drops_change_no_answer(p):
+    # The same status and value as with no drops, a certified answer, and
+    # the whole answer but the dropped count and the denominators wherever
+    # the pivots are the same.
+    for form in (lpmod._Tableau, lpmod._Revised):
+        sol, pivots = _pivots_of(_solved_in, form, p)
+        plain, plain_pivots = _pivots_of(_solved_without_drops, form, p)
+        if isinstance(sol, str) or isinstance(plain, str):
+            assert sol == plain
+            continue
+        assert plain.dropped_rows == 0
+        assert (sol.status, sol.objective_value) == (plain.status, plain.objective_value)
+        assert lpmod.check_certificate(p, sol)
+        if pivots == plain_pivots:
+            assert replace(sol, dropped_rows=0, max_denominator_bits=0) == replace(plain, max_denominator_bits=0)
