@@ -7,9 +7,9 @@ strings; --format table renders for humans, and --approx adds a clearly
 marked non-authoritative decimal column.  solve and sweep-accuracy also take
 --budget, --no-symmetry, --relaxed-queries and --cache DIR, a directory
 holding one JSON file per solved instance: the payload a hit prints and the
-tool version that wrote it.  recheck --cache DIR solves every entry's game
-there again.  Exit codes: 0 success, 2 invalid input, 3 node budget
-exceeded, 4 internal invariant breach.
+tool version that wrote it.  recheck --cache DIR solves every entry of this
+version there again and names the others as stale.  Exit codes: 0 success,
+2 invalid input, 3 node budget exceeded, 4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import __version__
@@ -156,9 +155,14 @@ def _emit(args, payload: dict, table_rows=None) -> None:
 GAME_FIELDS = ("n", "d", "k", "variant", "symmetry", "relaxed")
 
 
-def _cache_key(n, d, k, variant, symmetry, relaxed) -> str:
-    blob = f"n={n};d={d};k={k};variant={variant};symmetry={symmetry};relaxed={relaxed}"
+def _cache_key(*game) -> str:
+    blob = ";".join(f"{name}={value}" for name, value in zip(GAME_FIELDS, game, strict=True))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _serves(entry: dict, game: dict) -> bool:
+    """Whether ``entry`` may serve a hit on ``game``: this version wrote it for ``game``."""
+    return entry.get("tool_version") == __version__ and all(entry["payload"][f] == game[f] for f in GAME_FIELDS)
 
 
 def _is_rational(text) -> bool:
@@ -209,14 +213,12 @@ def _write_entry(path: str, entry: dict) -> None:
     """Replace ``path`` atomically, so a reader sees the old entry or the new one."""
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cachegame-")
+    tmp = os.path.join(directory, f".cachegame-{os.urandom(8).hex()}")
+    # Created as open() would, so the umask alone sets the entry's mode.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(entry, fh, indent=1, sort_keys=True)
-        # mkstemp makes the file 0600; give the entry the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -227,15 +229,12 @@ def _write_entry(path: str, entry: dict) -> None:
 def _solve_cached(args, n, d, k, variant) -> dict:
     """Solve through the result cache: hits skip recomputation entirely,
     so interrupted sweeps resume where they stopped.  An entry is the
-    payload a hit serves and the tool version that wrote it; a hit is an
-    entry of this version whose payload is the requested game, and any
-    other entry is solved again and replaced."""
-    game = {"n": n, "d": d, "k": k, "variant": variant.value,
-            "symmetry": not args.no_symmetry, "relaxed": args.relaxed_queries}
-    path = os.path.join(args.cache, f"{_cache_key(**game)}.json") if args.cache else None
+    payload a hit serves and the tool version that wrote it; an entry that
+    ``_serves`` rejects is solved again and replaced."""
+    game = dict(zip(GAME_FIELDS, (n, d, k, variant.value, not args.no_symmetry, args.relaxed_queries)))
+    path = os.path.join(args.cache, f"{_cache_key(*game.values())}.json") if args.cache else None
     entry = _read_entry(path) if path else None
-    if (entry is not None and entry.get("tool_version") == __version__
-            and {f: entry["payload"][f] for f in GAME_FIELDS} == game):
+    if entry is not None and _serves(entry, game):
         return entry["payload"]
     payload = solver.solve(GameSpec(n, d, k, variant), symmetry=game["symmetry"],
                            relaxed=game["relaxed"], budget=args.budget).to_json_dict()
@@ -253,11 +252,17 @@ def _comparable(payload: dict) -> dict:
 def cmd_recheck(args) -> int:
     """Solve every cached entry's game again.  An entry passes when its
     file is named by the key of its payload's game, and the whole payload
-    a hit serves, wall times aside, equals the fresh solve's."""
-    payloads = [(name[:-len(".json")], _read_entry(os.path.join(args.cache, name))["payload"])
-                for name in sorted(os.listdir(args.cache)) if name.endswith(".json")]
+    a hit serves, wall times aside, equals the fresh solve's.  An entry of
+    another tool version is never served: it is reported stale, unsolved."""
+    stored = [(name[:-len(".json")], _read_entry(os.path.join(args.cache, name)))
+              for name in sorted(os.listdir(args.cache)) if name.endswith(".json")]
     bad = []
-    for key, p in payloads:
+    for key, entry in stored:
+        p = entry["payload"]
+        where = f"{key}  {p['n']},{p['d']},{p['k']},{p['variant']}"
+        if not _serves(entry, p):  # it names its own game, so another version wrote it
+            print(f"{where}  stale (tool_version {entry.get('tool_version')})")
+            continue
         result = solver.solve(GameSpec(p["n"], p["d"], p["k"], Variant(p["variant"])),
                               symmetry=p["symmetry"], relaxed=p["relaxed"], budget=args.budget)
         fresh = _comparable(result.to_json_dict())
@@ -270,8 +275,7 @@ def cmd_recheck(args) -> int:
         status = f"MISMATCH ({', '.join(differs)})" if differs else "ok"
         if differs:
             bad.append(key)
-        print(f"{key}  {p['n']},{p['d']},{p['k']},{p['variant']}  "
-              f"served={p['value']}  fresh={fresh['value']}  {status}")
+        print(f"{where}  served={p['value']}  fresh={fresh['value']}  {status}")
     if bad:
         print(f"error: {len(bad)} cache entries failed recheck", file=sys.stderr)
         return EXIT_INTERNAL

@@ -687,10 +687,10 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
 # Programs with at least this many rows run in the revised form.  Measured
 # crossover, best of five interleaved in-process solves per program: the
-# tableau is 1.1-1.5x faster on every program below 24 rows (accumulation
-# programs and column-generation masters among them), the forms trade
-# places from 24 to 38 rows (0.86-2.2x), and the revised form is 1.2-2.3x
-# faster on every program from 54 rows up.
+# tableau is 1.01-1.34x faster on every program of 3 to 13 rows (accumulation
+# programs, column-generation masters, small adversary games), the forms
+# trade places from 26 to 36 rows (revised over tableau time 0.80-1.12), and
+# the revised form is 1.08-2.6x faster on every program from 54 rows up.
 _REVISED_MIN_ROWS = 40
 
 

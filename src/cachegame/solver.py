@@ -90,11 +90,12 @@ class GameTree:
 
 def build_tree(
     spec: GameSpec,
-    symmetry_reduction: bool = True,
-    relaxed_queries: bool = False,
+    symmetry: bool = True,
+    relaxed: bool = False,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> GameTree:
-    """Sequence form of the game for ``spec``.
+    """Sequence form of the game for ``spec``, over first-touch canonical
+    labels if ``symmetry``, with queries of 1 to ``k`` boxes if ``relaxed``.
 
     Raises ``BudgetExceededError`` once the nodes counted pass ``budget``.
     Cooperative play is a joint searcher/revealer problem, not a zero-sum
@@ -105,9 +106,9 @@ def build_tree(
     if budget < 1:
         raise ValueError("node budget must be positive")
     sf = _SequenceForm(factorial(spec.n) * _reveal_lcm(spec) ** spec.d)
-    build = _build_reduced if symmetry_reduction else _build_full
-    nodes = build(spec, relaxed_queries, budget, sf)
-    return GameTree(spec, symmetry_reduction, relaxed_queries, nodes, sf)
+    build = _build_reduced if symmetry else _build_full
+    nodes = build(spec, relaxed, budget, sf)
+    return GameTree(spec, symmetry, relaxed, nodes, sf)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +134,10 @@ class _SequenceForm:
     A walk passes ``at = (searcher sequence id, hider sequence id, chance
     probability)`` down its recursion in place of tree nodes.
 
-    ``infosets[(player, key)]`` is the ``_Infoset`` record of each
-    information set, in the order of first visit; ``after[player][s]``
-    lists the records of the player's sets reached by sequence ``s``.
+    ``infosets[player][key]`` is the ``_Infoset`` record of each of the
+    player's information sets, in the order of first visit; ids count the
+    sets of both players in that order.  ``after[player][s]`` lists the
+    records of the player's sets reached by sequence ``s``.
     ``seq_list[player][s]`` is sequence ``s`` as a tuple of ``(infoset id,
     label)`` pairs, made once per sequence for the solve's output.
     ``payoff[h][s]`` is the win probability of the sequence pair ``(s, h)``
@@ -146,7 +148,7 @@ class _SequenceForm:
 
     def __init__(self, denominator: int):
         self.seq_list = {SEARCHER: [()], HIDER: [()]}
-        self.infosets: dict[tuple, _Infoset] = {}
+        self.infosets: dict[str, dict[object, _Infoset]] = {SEARCHER: {}, HIDER: {}}
         self.after: dict[str, dict[int, list[_Infoset]]] = {SEARCHER: {}, HIDER: {}}
         self.denominator = denominator
         self.payoff: dict[int, dict[int, int]] = {}
@@ -160,9 +162,10 @@ class _SequenceForm:
         each action's subgame before taking the next numbers the sequences
         depth-first; column order drives the simplex's tie-breaks.
         """
-        info = self.infosets.get((player, key))
+        sets = self.infosets[player]
+        info = sets.get(key)
         if info is None:
-            info = self.infosets[(player, key)] = _Infoset(len(self.infosets), parent, labels, [])
+            info = sets[key] = _Infoset(sum(map(len, self.infosets.values())), parent, labels, [])
             self.after[player].setdefault(parent, []).append(info)
         elif info.parent != parent:
             raise SolverError(f"perfect recall violated at information set {(player, key)}")
@@ -195,8 +198,9 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
 
     ``roots`` yields ``(state, hider sequence)`` per root choice.
     ``moves(state)`` is None where the searcher has won.  Otherwise it is
-    ``(labels, options)``: the searcher's action labels at ``state`` and,
-    per action in the same order, ``(action, chance_nodes, total, draws)``.
+    ``(labels, options)``: the searcher's action labels at ``state`` and an
+    iterable, read one action at a time, of ``(action, chance_nodes, total,
+    draws)`` per action in the same order.
     ``chance_nodes`` is 1 if chance draws before the reveal, else 0.  Each
     draw is ``(ways, reveals)``, the draw's probability being the integer
     ``ways`` over the integer ``total``, and each reveal ``(weight, box,
@@ -213,7 +217,7 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
     ``_reveal_lcm``.  Otherwise only a draw whose reveal count is not 1 is a
     reveal node: a loss, or a decision of the hider that ``hider_infoset(root
     state, observations, action)`` names.  The budget is checked as counts
-    grow.
+    grow; as every option adds a node, no more than ``budget`` are read.
 
     The walk then follows every path, registering in ``sf`` as it goes; a
     path's probability is an integer over ``sf.denominator``.
@@ -298,19 +302,17 @@ def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm) -
     num_queries = sum(comb(n, size) for size in _query_sizes(k, relaxed))
     if placements > budget or num_queries > budget:
         raise BudgetExceededError(budget, max(placements, num_queries))
-    queries = [
-        tuple(q) for size in _query_sizes(k, relaxed) for q in combinations(range(n), size)
-    ]
+    queries = [q for size in _query_sizes(k, relaxed) for q in combinations(range(n), size)]
 
     def moves(state):
         remaining, found = state
         if found == d:
             return None
-        return queries, [
+        return queries, (
             (q, 0, 1, [(1, [(w, b, b, (take(remaining, b, n)[0], found + 1))
                             for b, w in reveals(remaining, q, spec.variant)])])
             for q in queries
-        ]
+        )
 
     roots = (((counts, 0), h_seq)
              for counts, h_seq in sf.decide(HIDER, ("root",), 0, enumerate_allocations(n, d)))
@@ -349,9 +351,10 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
         if t0 not in actions_at:
             # Each action needs a node, so budget + 1 of them overflow it.
             actions_at[t0] = list(islice(_canonical_actions(t0, n - t0, k, relaxed), budget + 1))
-        actions = actions_at[t0]
-        options = []
-        listed = 0
+        return actions_at[t0], options(touched, untouched, found, actions_at[t0])
+
+    def options(touched, untouched, found, actions):
+        t0 = len(touched)
         for action in actions:
             known, f = action
             q = known + tuple(range(t0, t0 + f))
@@ -363,11 +366,7 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
                     after, l = take(counts, b, t0)
                     outs.append((w, b, l, (after, rest, found + 1)))
                 draws.append((ways, outs))
-            options.append((action, int(f > 0), perm(len(untouched), f), draws))
-            listed += int(f > 0) + len(draws)  # at most the nodes below the state
-            if listed > budget:
-                raise BudgetExceededError(budget, listed)
-        return actions, options
+            yield action, int(f > 0), perm(len(untouched), f), draws
 
     # Reveal decisions are singleton information sets: the hider knows his
     # placement and sees every query, so each decision point on a path is
@@ -447,17 +446,16 @@ def _solve_sequence_lp(tree: GameTree) -> SolveResult:
     start = time.perf_counter()
     sf = tree.sf
     n_sseq = len(sf.seq_list[SEARCHER])
-    hider_sets = [info for (player, _), info in sf.infosets.items() if player == HIDER]
-    q_col = {info.id: col for col, info in enumerate(hider_sets, n_sseq + 1)}  # q_0 is column n_sseq
+    # q_0 is column n_sseq, then one column per hider information set.
+    q_col = {info.id: col for col, info in enumerate(sf.infosets[HIDER].values(), n_sseq + 1)}
     program = lpmod.LinearProgram(n_sseq + 1 + len(q_col))
     for col in range(n_sseq, program.num_vars):
         program.set_free(col)
     program.set_objective(n_sseq, ONE)
 
     program.add_constraint({0: ONE}, lpmod.EQUAL, ONE)
-    for (player, _), info in sf.infosets.items():
-        if player == SEARCHER:
-            program.add_constraint({**dict.fromkeys(info.sids, ONE), info.parent: -ONE}, lpmod.EQUAL, ZERO)
+    for info in sf.infosets[SEARCHER].values():
+        program.add_constraint({**dict.fromkeys(info.sids, ONE), info.parent: -ONE}, lpmod.EQUAL, ZERO)
 
     rows = []
     for h_seq, seq in enumerate(sf.seq_list[HIDER]):
@@ -579,13 +577,12 @@ def _result(tree: GameTree, start: float, value, searcher_plan, hider_plan, lp_s
     if not ZERO <= value <= ONE:
         raise SolverError(f"game value {value} outside [0, 1]")
     _check_realization_plan(hider_plan, sf)
-    hider_infosets = sum(player == HIDER for player, _ in sf.infosets)
     stats = {
         "nodes": tree.num_nodes,
         "searcher_sequences": len(sf.seq_list[SEARCHER]),
         "hider_sequences": len(sf.seq_list[HIDER]),
-        "searcher_infosets": len(sf.infosets) - hider_infosets,
-        "hider_infosets": hider_infosets,
+        "searcher_infosets": len(sf.infosets[SEARCHER]),
+        "hider_infosets": len(sf.infosets[HIDER]),
         **lp_stats,
     }
     behavior = time.perf_counter()
@@ -605,24 +602,22 @@ def _check_realization_plan(plan: dict, sf) -> None:
     plan."""
     if plan.get(0, ZERO) != ONE:
         raise SolverError("hider plan root weight is not 1")
-    for (player, _), info in sf.infosets.items():
-        if player == HIDER:
-            weights = [plan.get(sid, ZERO) for sid in info.sids]
-            if any(w < 0 for w in weights):
-                raise SolverError("negative realization weight")
-            if sum(weights) != plan.get(info.parent, ZERO):
-                raise SolverError("hider plan violates flow conservation")
+    for info in sf.infosets[HIDER].values():
+        weights = [plan.get(sid, ZERO) for sid in info.sids]
+        if any(w < 0 for w in weights):
+            raise SolverError("negative realization weight")
+        if sum(weights) != plan.get(info.parent, ZERO):
+            raise SolverError("hider plan violates flow conservation")
 
 
 def _behavior(sf, player, plan) -> dict:
     """Per-infoset action distributions from a realization plan, sequence
     id -> weight."""
     out = {}
-    for (p, key), info in sf.infosets.items():
-        if p == player:
-            parent_weight = plan.get(info.parent)
-            out[key] = [(label, plan[sid] / parent_weight) for label, sid in zip(info.labels, info.sids)
-                        if plan.get(sid)] if parent_weight else []
+    for key, info in sf.infosets[player].items():
+        parent_weight = plan.get(info.parent)
+        out[key] = [(label, plan[sid] / parent_weight) for label, sid in zip(info.labels, info.sids)
+                    if plan.get(sid)] if parent_weight else []
     return out
 
 
@@ -637,7 +632,7 @@ def solve(
     the wall time of ``build_tree`` as ``build_seconds``; ``solve_seconds``
     is the time of ``solve_tree``."""
     start = time.perf_counter()
-    tree = build_tree(spec, symmetry_reduction=symmetry, relaxed_queries=relaxed, budget=budget)
+    tree = build_tree(spec, symmetry=symmetry, relaxed=relaxed, budget=budget)
     build_seconds = time.perf_counter() - start
     result = solve_tree(tree)
     result.stats["build_seconds"] = build_seconds

@@ -41,7 +41,7 @@ def fig432_ending_early() -> st.StrategyTree:
 @lru_cache(maxsize=None)
 def sequence_lp_cached(n, d, k, variant=Variant.ADVERSARY, symmetry=True, relaxed=False):
     """The game solved as one sequence-form LP, whatever its variant."""
-    tree = build_tree(GameSpec(n, d, k, variant), symmetry_reduction=symmetry, relaxed_queries=relaxed)
+    tree = build_tree(GameSpec(n, d, k, variant), symmetry=symmetry, relaxed=relaxed)
     return _solve_sequence_lp(tree)
 
 

@@ -479,6 +479,43 @@ class TestCache:
         assert entry["tool_version"] == cli.__version__
         assert entry["payload"]["value"] == "3/5"
 
+    def test_recheck_reports_an_entry_of_another_version_as_stale(self, capsys, tmp_path, monkeypatch):
+        # solve never serves such an entry, so recheck does not fail on it,
+        # and it does not solve it either.
+        cache = tmp_path / "cache"
+        run_json(capsys, *SOLVE_322, "--cache", str(cache))
+        run_json(capsys, *SOLVE_332, "--cache", str(cache))
+        stale = cache / f"{cli._cache_key(3, 3, 2, 'adversary', True, False)}.json"
+        entry = json.loads(stale.read_text())
+        entry["tool_version"] = "0.4.0"
+        del entry["payload"]["stats"]["dropped_rows"]
+        stale.write_text(json.dumps(entry))
+        solved = []
+        real = cli.solver.solve
+        monkeypatch.setattr(cli.solver, "solve", lambda spec, **kw: solved.append(spec) or real(spec, **kw))
+        code, out, err = run(capsys, "recheck", "--cache", str(cache))
+        assert code == 0, err
+        lines = dict(line.split("  ", 1) for line in out.splitlines())
+        assert lines.pop(stale.stem) == "3,3,2,adversary  stale (tool_version 0.4.0)"
+        (current,) = lines.values()
+        assert current.startswith("3,2,2,adversary") and current.endswith("  ok")
+        assert [(s.n, s.d, s.k) for s in solved] == [(3, 2, 2)]
+
+    def test_cache_keys_keep_their_values(self):
+        # Existing cache files are found under these names.
+        assert cli._cache_key(3, 3, 2, "adversary", True, False) == "a41aaad1725a48d6"
+        assert cli._cache_key(5, 5, 2, "random", True, False) == "0648db3d3e1a3637"
+
+    def test_cached_solve_leaves_the_umask_alone(self, capsys, tmp_path, monkeypatch):
+        # Setting the umask, even to read it, changes it for every thread.
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        cache = tmp_path / "cache"
+        assert run_json(capsys, *SOLVE_322, "--cache", str(cache))["value"] == "2/3"
+        assert [p.name for p in cache.iterdir() if not p.name.endswith(".json")] == []
+
     def test_sweep_resumes_from_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         sweep = ("sweep-accuracy", "--max-d", "2", "--max-k", "2", "--cache", str(cache))

@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, lcm
 
 import pytest
@@ -55,19 +56,19 @@ ADV, RAN = Variant.ADVERSARY, Variant.RANDOM
 
 def _sequence(sf, player, infoset, label):
     """Id of the sequence that plays ``label`` at ``infoset``."""
-    info = sf.infosets[(player, infoset)]
+    info = sf.infosets[player][infoset]
     return info.sids[info.labels.index(label)]
 
 
 class TestBuildTree:
     def test_full_root_has_all_placements(self):
-        sf = build_tree(GameSpec(3, 3, 2, ADV), symmetry_reduction=False).sf
-        assert len(sf.infosets[(HIDER, ("root",))].labels) == 10
+        sf = build_tree(GameSpec(3, 3, 2, ADV), symmetry=False).sf
+        assert len(sf.infosets[HIDER][("root",)].labels) == 10
 
     def test_full_random_chance_weights(self):
         # Query (0, 1) on placement (2, 1, 0): box 0 pays with 2/3, box 1
         # with 1/3.  Every later reveal on the two lines below is forced.
-        sf = build_tree(GameSpec(3, 3, 2, RAN), symmetry_reduction=False).sf
+        sf = build_tree(GameSpec(3, 3, 2, RAN), symmetry=False).sf
         hider = _sequence(sf, HIDER, ("root",), (2, 1, 0))
         first = ((0, 1), 0), ((0, 2), 0)
         second = ((0, 1), 1), ((0, 2), 0)
@@ -95,8 +96,8 @@ class TestBuildTree:
     @pytest.mark.parametrize("variant", [ADV, RAN])
     def test_first_infoset_reduction(self, variant):
         for symmetry, first_moves in ((False, 6), (True, 1)):
-            sf = build_tree(GameSpec(4, 3, 2, variant), symmetry_reduction=symmetry).sf
-            assert len(sf.infosets[(SEARCHER, ())].labels) == first_moves
+            sf = build_tree(GameSpec(4, 3, 2, variant), symmetry=symmetry).sf
+            assert len(sf.infosets[SEARCHER][()].labels) == first_moves
 
     def test_infoset_with_differing_action_sets_rejected(self):
         sf = _SequenceForm(1)
@@ -128,12 +129,12 @@ class TestBuildTree:
         # sequence form.  Left to the cycle collector, each dropped build of
         # the full (4,3,2) game (about 0.7 MB) outlives its call.
         spec = GameSpec(4, 3, 2, variant)
-        build_tree(spec, symmetry_reduction=False)
+        build_tree(spec, symmetry=False)
         gc.collect()
         tracemalloc.start()
         try:
             for _ in range(3):
-                build_tree(spec, symmetry_reduction=False)
+                build_tree(spec, symmetry=False)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -150,7 +151,7 @@ class TestBuildTree:
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            build_tree(GameSpec(3, 3, 2, variant), symmetry_reduction=symmetry)
+            build_tree(GameSpec(3, 3, 2, variant), symmetry=symmetry)
             gc.collect()
             garbage = list(gc.garbage)
         finally:
@@ -182,7 +183,7 @@ class TestBuildTree:
     @pytest.mark.parametrize("symmetry", [True, False])
     def test_random_budget_rejection_reports_estimate(self, symmetry):
         with pytest.raises(BudgetExceededError) as err:
-            build_tree(GameSpec(6, 4, 3, RAN), symmetry_reduction=symmetry, budget=50)
+            build_tree(GameSpec(6, 4, 3, RAN), symmetry=symmetry, budget=50)
         assert err.value.estimate > 50
 
     @pytest.mark.parametrize("variant", [ADV, RAN])
@@ -244,6 +245,14 @@ class TestWalk:
         with pytest.raises(BudgetExceededError) as err:
             self.walk(game)
         assert err.value.estimate == 202
+
+    def test_budget_stops_an_endless_listing(self):
+        # Options are read one at a time, and each adds a chance node and a
+        # losing draw, so the walk stops an endless listing by its count.
+        game = {"root": (["a"], repeat(("a", 1, 1, [(1, [])])))}
+        with pytest.raises(BudgetExceededError) as err:
+            self.walk(game)
+        assert err.value.estimate > 100
 
 
 # Sizes of the solved trees and programs: (nodes, lp_rows, lp_cols, pivots,
@@ -512,8 +521,8 @@ class TestRealizationPlanCheck:
     def test_weight_moved_to_another_set_breaks_flow(self):
         # Move the heaviest root choice's weight onto a reveal decision.
         sf, plan = self._solved()
-        root = sf.infosets[(HIDER, ("root",))]
-        reveal = next(info for (player, _), info in sf.infosets.items() if player == HIDER and info is not root)
+        root = sf.infosets[HIDER][("root",)]
+        reveal = next(info for info in sf.infosets[HIDER].values() if info is not root)
         h = max(root.sids, key=lambda sid: plan.get(sid, 0))
         moved = {**plan, h: Fraction(0), reveal.sids[0]: plan.get(reveal.sids[0], 0) + plan[h]}
         with pytest.raises(SolverError, match="flow conservation"):
@@ -544,7 +553,7 @@ class TestColumnGeneration:
     @pytest.mark.parametrize("symmetry", [True, False])
     def test_best_response_to_the_hider_plan_is_the_value(self, symmetry):
         # The upper half of the certificate, recomputed from the result.
-        tree = build_tree(GameSpec(4, 2, 2, RAN), symmetry_reduction=symmetry)
+        tree = build_tree(GameSpec(4, 2, 2, RAN), symmetry=symmetry)
         result = solve_tree(tree)
         ids = {seq: h for h, seq in enumerate(tree.sf.seq_list[HIDER])}
         y = {ids[seq]: w for seq, w in result.hider_plan.items() if seq}
