@@ -178,7 +178,10 @@ def _is_rational(text) -> bool:
 def _read_entry(path: str) -> dict | None:
     """The entry stored at ``path``, or None when there is none.  Raises
     ValueError naming the file and the first malformed payload field its
-    readers use, or the reason the payload's game cannot be built."""
+    readers use, or the reason the payload's game cannot be built.  Every
+    entry's game fields are checked, since ``recheck``'s stale line prints
+    them; the rest of the payload only in an entry of this version, as an
+    entry of another, which may hold another layout, is never served."""
     try:
         with open(path) as fh:
             entry = json.load(fh)
@@ -189,16 +192,19 @@ def _read_entry(path: str) -> dict | None:
     if not isinstance(entry, dict) or not isinstance(entry.get("payload"), dict):
         raise ValueError(f"cache entry {path} is not a JSON object with a 'payload' object")
     p = entry["payload"]
-    stats = p.get("stats")
     fields = {
         **{name: type(p.get(name)) is int for name in ("n", "d", "k")},
         "variant": p.get("variant") in ("adversary", "random"),
         **{name: type(p.get(name)) is bool for name in ("symmetry", "relaxed")},
-        "value": _is_rational(p.get("value")),
-        "stats": isinstance(stats, dict),
-        **{f"stats.{name}": isinstance(stats, dict) and type(stats.get(name)) is int
-           for name in ("nodes", "lp_rows", "lp_cols", "pivots")},
     }
+    if entry.get("tool_version") == __version__:
+        stats = p.get("stats")
+        fields.update({
+            "value": _is_rational(p.get("value")),
+            "stats": isinstance(stats, dict),
+            **{f"stats.{name}": isinstance(stats, dict) and type(stats.get(name)) is int
+               for name in ("nodes", "lp_rows", "lp_cols", "pivots")},
+        })
     bad = next((name for name, ok in fields.items() if not ok), None)
     if bad:
         raise ValueError(f"cache entry {path} has a malformed field 'payload.{bad}'")

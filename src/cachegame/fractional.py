@@ -211,4 +211,5 @@ def reachable_records(n: int, d: int) -> list[YoungState]:
             rec(lam, last, left - last)
 
     rec((), d, d)
+    del rec  # it refers to itself, so only the cycle collector would free it and ``out``
     return out

@@ -9,10 +9,10 @@ There is one pricing rule, Devex: the column with the largest squared
 reduced cost over a float reference weight enters, and once zero-step
 pivots persist a stall guard switches to Bland's rule, which guarantees
 termination.  The weights only pick the entering column; no float reaches
-a row, a value or a certificate.  The caller's Fraction rows become integer
-numerators over one lcm denominator per row once, in the standard form, and
-everything after that up to the answer runs in integers.  Variables are
-nonnegative or free; a finite bound is a row.
+a row, a value or a certificate.  The form's constructor reads the caller's
+program: its Fraction rows become integer numerators over one lcm
+denominator per row once, and everything after that up to the answer runs
+in integers.  Variables are nonnegative or free; a finite bound is a row.
 
 One driver runs the simplex in either of two forms.  They make the same
 pivots and return the same solution, but for ``max_denominator_bits``,
@@ -23,8 +23,8 @@ which each form measures on the rows it keeps:
 * the revised form (``_Revised``) keeps each row's basis-inverse part
   only, the entries the tableau keeps in the initial basis's slack and
   artificial columns.  The entering column ``B⁻¹A_q`` and the pivot row
-  ``B⁻¹_r A`` are computed from the standard form's rows when the driver
-  reads them, so a pivot updates no structural entry.
+  ``B⁻¹_r A`` are computed from the initial rows when the driver reads
+  them, so a pivot updates no structural entry.
 
 A pivot costs what it changes.  It changes only the pivot row's columns of
 the rows it touches, so an update that keeps a row's denominator reduces
@@ -46,7 +46,7 @@ the number of rows alone.
 
 Before ``solve_lp`` returns, ``check_certificate`` verifies the answer
 against the caller's own rows, which it converts to integers itself, so the
-mapping back from the internal standard form is checked too:
+mapping back from the form's split columns and flipped rows is checked too:
 
 * ``OPTIMAL``  -- a feasible point, row multipliers of the signs their
   senses allow, dual-feasible reduced costs, and equal primal objective,
@@ -66,6 +66,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
+from .rational import ONE, ZERO
+
 LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
@@ -73,9 +75,6 @@ _SENSES = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # The stall guard switches to Bland's rule once more than this many times
 # (columns + rows) pivots in a row make no progress.
@@ -107,7 +106,7 @@ class LinearProgram:
             raise LPError("negative variable count")
         self.num_vars = num_vars
         if objective is None:
-            objective = [_ZERO] * num_vars
+            objective = [ZERO] * num_vars
         self.objective = [_rational(c) for c in objective]
         if len(self.objective) != num_vars:
             raise LPError("objective length does not match variable count")
@@ -187,61 +186,8 @@ class LPSolution:
 
 
 # ---------------------------------------------------------------------------
-# Internal standard form:  max c.x,  A x = b,  x >= 0,  b >= 0.
+# The forms:  max c.x,  A x = b,  x >= 0,  b >= 0,  over split columns.
 # ---------------------------------------------------------------------------
-
-
-class _Standard:
-    """Expansion of a LinearProgram into equality standard form.
-
-    Each free variable is split into a difference of nonnegatives, so the
-    whole program is rows over nonnegative columns; ``unpriced_free`` holds
-    both halves of each free variable the objective does not price.  Each
-    row is ``(nums, rhs, den)``: integer numerators of its columns and
-    right-hand side over ``den``, the lcm of its denominators, which leaves
-    the row in lowest terms.  The cost is a ``_Row`` in the same form.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        self.var_cols: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
-        self.col_var: list[tuple[int, int]] = []  # col -> (var, sign)
-        for j in range(lp.num_vars):
-            col = len(self.col_var)
-            self.col_var.append((j, 1))
-            if j in lp.free:
-                self.col_var.append((j, -1))
-                self.var_cols.append([(col, 1), (col + 1, -1)])
-            else:
-                self.var_cols.append([(col, 1)])
-        self.num_structural = len(self.col_var)
-
-        self.cost = _Row(*self._expand({j: c for j, c in enumerate(lp.objective) if c}, _ZERO))
-        self.unpriced_free = {col for j in lp.free for col, _ in self.var_cols[j] if col not in self.cost.nums}
-
-        self.rows = [self._expand(row, b) for row, b in zip(lp.rows, lp.rhs)]
-        self.senses = lp.senses
-        self.num_rows = len(self.rows)
-
-    def _expand(self, row: dict[int, Fraction], rhs: Fraction) -> tuple[dict[int, int], int, int]:
-        """``row`` and ``rhs`` over the split columns as ``(nums, rhs, den)``."""
-        den = lcm(rhs.denominator, *(v.denominator for v in row.values()))
-        nums: dict[int, int] = {}
-        for j, value in row.items():
-            num = value.numerator * (den // value.denominator)
-            for col, s in self.var_cols[j]:
-                nums[col] = s * num
-        return nums, rhs.numerator * (den // rhs.denominator), den
-
-    def structural_point(self, cols: dict[int, Fraction]) -> tuple[Fraction, ...]:
-        """Collapse split columns back into original-variable values."""
-        x = [_ZERO] * self.lp.num_vars
-        for col, value in cols.items():
-            if col >= self.num_structural:
-                continue
-            j, s = self.col_var[col]
-            x[j] += s * value
-        return tuple(x)
 
 
 class _Row:
@@ -316,39 +262,53 @@ class _Tableau:
     """Sparse tableau of fraction-free integer rows with explicit
     slack/artificial bookkeeping, and the simplex driver both forms run.
 
+    The constructor reads the caller's program.  Each free variable is
+    split into a difference of nonnegative columns, so the whole program is
+    rows over nonnegative columns; ``unpriced_free`` holds both halves of
+    each free variable the objective does not price.  Each row goes over
+    the lcm of its denominators, which leaves it in lowest terms, is
+    negated (``flip``) if its right-hand side is negative, and gains its
+    slack, surplus or artificial column.  The cost is a ``_Row`` in the
+    same form.
+
     The driver reads the rows through ``column`` and ``expand`` only; the
     revised form overrides those two, and ``reindex``, which ``pivot``
     calls to keep its column index.  The live rows are those not in
     ``dropped``: ``column`` reports only them, so a dropped row is never
     again a ratio-test candidate or an elimination target."""
 
-    def __init__(self, std: _Standard):
-        self.std = std
-        m = std.num_rows
+    def __init__(self, lp: LinearProgram):
+        self.num_cols = 0
+        self.var_cols: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
+        for j in range(lp.num_vars):
+            cols = [(self._new_col(), 1)]
+            if j in lp.free:
+                cols.append((self._new_col(), -1))
+            self.var_cols.append(cols)
+        self.cost = self._expand({j: c for j, c in enumerate(lp.objective) if c}, ZERO)
+        self.unpriced_free = {col for j in lp.free for col, _ in self.var_cols[j] if col not in self.cost.nums}
+
+        m = len(lp.rows)
         self.rows: list[_Row] = []
         self.flip: list[int] = []
         self.basis: list[int] = [-1] * m
         self.unit_col: list[int] = [-1] * m  # initial +/-1 column of each row
         self.unit_sign: list[int] = [0] * m
         self.artificial: set[int] = set()
-        self.num_cols = std.num_structural
         self.pivots = 0
         self.phase1_pivots = 0
         self.degenerate_pivots = 0
         self.bland_fallback = False
         self.dropped: list[int] = []  # rows of basic unpriced free columns, in drop order
 
-        for i, (nums, rhs, den) in enumerate(std.rows):
-            sense = std.senses[i]
+        for i, (row, b, sense) in enumerate(zip(lp.rows, lp.rhs, lp.senses)):
             flip = 1
-            if rhs < 0:
+            if b < 0:
                 flip = -1
-                rhs = -rhs
-                nums = {c: -v for c, v in nums.items()}
                 sense = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[sense]
-            else:
-                nums = dict(nums)
             self.flip.append(flip)
+            row = self._expand(row, b, flip)
+            nums, den = row.nums, row.den
             # A slack or artificial coefficient of 1 is ``den`` over ``den``.
             if sense == LESS_EQUAL:
                 slack = self._new_col()
@@ -369,8 +329,19 @@ class _Tableau:
                 self.artificial.add(art)
                 self.basis[i] = art
                 self.unit_col[i], self.unit_sign[i] = art, 1
-            self.rows.append(_Row(nums, rhs, den))
+            self.rows.append(row)
         self.max_den_bits = max((row.den.bit_length() for row in self.rows), default=0)
+
+    def _expand(self, row: dict[int, Fraction], rhs: Fraction, sign: int = 1) -> _Row:
+        """``sign`` times ``row`` and ``rhs`` over the split columns, put
+        over the lcm of their denominators."""
+        den = lcm(rhs.denominator, *(v.denominator for v in row.values()))
+        nums: dict[int, int] = {}
+        for j, value in row.items():
+            num = sign * value.numerator * (den // value.denominator)
+            for col, s in self.var_cols[j]:
+                nums[col] = s * num
+        return _Row(nums, sign * rhs.numerator * (den // rhs.denominator), den)
 
     def _new_col(self) -> int:
         col = self.num_cols
@@ -448,7 +419,7 @@ class _Tableau:
                 bits = max(bits, row.den.bit_length())
         self.max_den_bits = max(self.max_den_bits, bits)
         self.basis[r] = col
-        if col in self.std.unpriced_free:
+        if col in self.unpriced_free:
             # The row drops out of the live rows, keeping the entries it
             # has now, and out of the column index.
             self.dropped.append(r)
@@ -573,30 +544,37 @@ class _Tableau:
                 if stall > _STALL_FACTOR * (self.num_cols + len(self.rows)):
                     bland = self.bland_fallback = True
 
-    def duals(self, red: _Row, cost: _Row) -> list[Fraction]:
-        """Row prices y of the internal rows, read off the unit columns."""
+    def duals(self, red: _Row, cost: _Row) -> tuple[Fraction, ...]:
+        """Multipliers of the caller's rows, read off the unit columns: each
+        row's price undoes its row's sign ``flip``."""
         out = []
-        for col, sign in zip(self.unit_col, self.unit_sign):
+        for col, sign, flip in zip(self.unit_col, self.unit_sign, self.flip):
             # r = c - y_i * sign  =>  y_i = (c - r) / sign
             c_minus_r = cost.nums.get(col, 0) * red.den - red.nums.get(col, 0) * cost.den
-            out.append(Fraction(sign * c_minus_r, cost.den * red.den))
-        return out
+            out.append(Fraction(flip * sign * c_minus_r, cost.den * red.den))
+        return tuple(out)
 
-    def primal_cols(self) -> dict[int, Fraction]:
-        """The nonzero basic values by column.  A dropped row's basic value
-        is read off the row as it stood after its own pivot, in reverse drop
-        order: each other column of that row was nonbasic then, so it is now
-        0, basic in a live row, or basic in a row dropped later and already
-        read."""
+    def structural_point(self) -> tuple[Fraction, ...]:
+        """The caller's variables at the basic solution, each the value of
+        its column less that of its negative half.  A dropped row's basic
+        value is read off the row as it stood after its own pivot, in
+        reverse drop order: each other column of that row was nonbasic then,
+        so it is now 0, basic in a live row, or basic in a row dropped later
+        and already read."""
         dropped = set(self.dropped)
         values = {self.basis[i]: Fraction(row.rhs, row.den)
                   for i, row in enumerate(self.rows) if row.rhs and i not in dropped}
         for r in reversed(self.dropped):
             row, b = self.expand(self.rows[r]), self.basis[r]
-            rest = sum((v * values[c] for c, v in row.nums.items() if c in values), _ZERO)
+            rest = sum((v * values[c] for c, v in row.nums.items() if c in values), ZERO)
             if value := (row.rhs - rest) / row.den:
                 values[b] = value
-        return values
+        x = [ZERO] * len(self.var_cols)
+        for j, cols in enumerate(self.var_cols):
+            for col, s in cols:
+                if col in values:
+                    x[j] += s * values[col]
+        return tuple(x)
 
 
 class _Revised(_Tableau):
@@ -607,8 +585,8 @@ class _Revised(_Tableau):
     updates no entry of a structural column.  A dropped row leaves the
     column index, so no column reads it again."""
 
-    def __init__(self, std: _Standard):
-        super().__init__(std)
+    def __init__(self, lp: LinearProgram):
+        super().__init__(lp)
         # The initial row whose basic column is u, by u; each column as
         # (scale, [(u, weight)]): its entries over the lcm of their rows'
         # denominators, each named by its row's initial basic column.
@@ -694,14 +672,13 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 _REVISED_MIN_ROWS = 40
 
 
-def _form(std: _Standard) -> type[_Tableau]:
-    """The form that solves ``std``, picked from its size alone."""
-    return _Revised if std.num_rows >= _REVISED_MIN_ROWS else _Tableau
+def _form(lp: LinearProgram) -> type[_Tableau]:
+    """The form that solves ``lp``, picked from its size alone."""
+    return _Revised if len(lp.rows) >= _REVISED_MIN_ROWS else _Tableau
 
 
 def _simplex(lp: LinearProgram) -> LPSolution:
-    std = _Standard(lp)
-    tab = _form(std)(std)
+    tab = _form(lp)(lp)
 
     # Phase 1: drive artificials to zero (bounded: the objective is <= 0).
     start = time.perf_counter()
@@ -712,32 +689,26 @@ def _simplex(lp: LinearProgram) -> LPSolution:
         # Right-hand sides stay >= 0, so the artificials sum to a positive
         # value exactly when one of them is basic at a positive level.
         if any(row.rhs for row, b in zip(tab.rows, tab.basis) if b in tab.artificial):
-            dual = _original_duals(tab.flip, tab.duals(red, cost1))
+            dual = tab.duals(red, cost1)
             return LPSolution(INFEASIBLE, None, None, dual, **tab.counters(),
                               phase1_seconds=time.perf_counter() - start)
         _pivot_out_artificials(tab)
         tab.phase1_pivots = tab.pivots
 
     phase2 = time.perf_counter()
-    red = tab.run_simplex(std.cost, barred=tab.artificial)
+    red = tab.run_simplex(tab.cost, barred=tab.artificial)
     return LPSolution(
         status=OPTIMAL,
         # The reduced-cost row's right-hand side is minus the objective c.x;
         # check_certificate compares this value with c.x at the returned
         # point and with the dual objective.
         objective_value=Fraction(-red.rhs, red.den),
-        primal=std.structural_point(tab.primal_cols()),
-        dual=_original_duals(tab.flip, tab.duals(red, std.cost)),
+        primal=tab.structural_point(),
+        dual=tab.duals(red, tab.cost),
         **tab.counters(),
         phase1_seconds=phase2 - start,
         phase2_seconds=time.perf_counter() - phase2,
     )
-
-
-def _original_duals(flip, y_internal) -> tuple[Fraction, ...]:
-    """Multipliers of the caller's rows from internal row multipliers
-    ``y_internal``: each undoes its row's sign ``flip``."""
-    return tuple(f * y for f, y in zip(flip, y_internal))
 
 
 def _validate(lp: LinearProgram) -> None:
@@ -793,7 +764,7 @@ def check_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
         _check_point(lp, rows, sol.primal)
         cost = lp.objective
     elif sol.status == INFEASIBLE:
-        cost = [_ZERO] * lp.num_vars
+        cost = [ZERO] * lp.num_vars
     else:
         raise LPError(f"unknown status {sol.status!r}")
     y = sol.dual
@@ -896,17 +867,17 @@ def check_feasible(num_vars: int, constraints) -> FeasibilityResult:
     t_col = num_vars
     lp = LinearProgram(num_vars + 1)
     lp.set_free(t_col)
-    lp.set_objective(t_col, _ONE)
+    lp.set_objective(t_col, ONE)
     for coeffs, sense, rhs in constraints:
         if t_col in coeffs:  # the margin's column is not the caller's
             raise LPError(f"column {t_col} out of range")
         if sense == STRICT_LESS:
-            lp.add_constraint({**coeffs, t_col: _ONE}, LESS_EQUAL, rhs)
+            lp.add_constraint({**coeffs, t_col: ONE}, LESS_EQUAL, rhs)
         elif sense == STRICT_GREATER:
-            lp.add_constraint({**coeffs, t_col: -_ONE}, GREATER_EQUAL, rhs)
+            lp.add_constraint({**coeffs, t_col: -ONE}, GREATER_EQUAL, rhs)
         else:
             lp.add_constraint(coeffs, sense, rhs)
-    cap = lp.add_constraint({t_col: _ONE}, LESS_EQUAL, _ONE)  # keeps the margin objective bounded
+    cap = lp.add_constraint({t_col: ONE}, LESS_EQUAL, ONE)  # keeps the margin objective bounded
 
     sol = solve_lp(lp)
     if sol.status == INFEASIBLE:

@@ -432,8 +432,8 @@ def solve_tree(tree: GameTree) -> SolveResult:
 
     A random-revealer game, whose hider moves only at the root, is solved by
     column generation and certified by a best-response sandwich; any other
-    by the sequence-form LP, certified by strong duality.  Either way the
-    hider plan must pass as an exact realization plan.
+    by the sequence-form LP, certified by strong duality.  Either way both
+    plans must pass as exact realization plans.
     """
     if tree.spec.variant == Variant.RANDOM:
         return _solve_column_generation(tree)
@@ -571,12 +571,12 @@ def _lp_stats(solved, assembly_seconds: float) -> dict:
 
 def _result(tree: GameTree, start: float, value, searcher_plan, hider_plan, lp_stats: dict) -> SolveResult:
     """The result of a solve begun at ``start``, once its value lies in
-    [0, 1] and its hider plan passes as a realization plan.  The plans map
-    sequence ids to weights; the result keys them by sequence tuple."""
+    [0, 1] and both plans pass as realization plans (``_behavior``).  The
+    plans map sequence ids to weights; the result keys them by sequence
+    tuple."""
     sf = tree.sf
     if not ZERO <= value <= ONE:
         raise SolverError(f"game value {value} outside [0, 1]")
-    _check_realization_plan(hider_plan, sf)
     stats = {
         "nodes": tree.num_nodes,
         "searcher_sequences": len(sf.seq_list[SEARCHER]),
@@ -597,27 +597,22 @@ def _result(tree: GameTree, start: float, value, searcher_plan, hider_plan, lp_s
                        searcher_behavior, hider_behavior)
 
 
-def _check_realization_plan(plan: dict, sf) -> None:
-    """The hider plan, sequence id -> weight, must be an exact realization
-    plan."""
-    if plan.get(0, ZERO) != ONE:
-        raise SolverError("hider plan root weight is not 1")
-    for info in sf.infosets[HIDER].values():
-        weights = [plan.get(sid, ZERO) for sid in info.sids]
-        if any(w < 0 for w in weights):
-            raise SolverError("negative realization weight")
-        if sum(weights) != plan.get(info.parent, ZERO):
-            raise SolverError("hider plan violates flow conservation")
-
-
 def _behavior(sf, player, plan) -> dict:
-    """Per-infoset action distributions from a realization plan, sequence
-    id -> weight."""
+    """Per-infoset action distributions from ``player``'s realization plan,
+    sequence id -> weight, which must be exact: root weight 1, no negative
+    weight, and each information set's weights summing to its parent's."""
+    if plan.get(0, ZERO) != ONE:
+        raise SolverError(f"{player} plan root weight is not 1")
     out = {}
     for key, info in sf.infosets[player].items():
-        parent_weight = plan.get(info.parent)
-        out[key] = [(label, plan[sid] / parent_weight) for label, sid in zip(info.labels, info.sids)
-                    if plan.get(sid)] if parent_weight else []
+        played = [(label, w) for label, sid in zip(info.labels, info.sids) if (w := plan.get(sid))]
+        if any(w < 0 for _, w in played):
+            raise SolverError("negative realization weight")
+        parent_weight = plan.get(info.parent, ZERO)
+        if sum(w for _, w in played) != parent_weight:
+            raise SolverError(f"{player} plan violates flow conservation")
+        # Under a parent of weight 0 nothing is played, so no division.
+        out[key] = [(label, w / parent_weight) for label, w in played]
     return out
 
 

@@ -298,6 +298,7 @@ def family_infinite_d(n: int, d: int, k: int) -> StrategyTree:
         return result
 
     first_branches = {0: make(k, 0, 1)} if d > 1 else {}
+    del make  # it refers to itself, so only the cycle collector would free it and ``memo``
     root = ask(tuple(range(k)), first_branches)
     return StrategyTree(n, d, k, root)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cachegame import GameSpec, Variant, cli
+from cachegame import lp as lpmod
 from cachegame import strategies as st
 from cachegame.rational import format_rational
 from helpers import fig432_ending_early
@@ -55,6 +56,15 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "--n", "3", "--d", "0", "--k", "2")
         assert code == 2
         assert "treasure" in err
+
+    def test_certificate_failure_exits_4(self, capsys, monkeypatch):
+        def solve(*args, **kwargs):
+            raise lpmod.CertificateError("dual sign on row 0")
+
+        monkeypatch.setattr(cli.solver, "solve", solve)
+        code, out, err = run(capsys, "solve", "--n", "2", "--d", "1", "--k", "1")
+        assert (code, out) == (4, "")
+        assert "internal error: dual sign on row 0" in err
 
     def test_budget_exit_3(self, capsys):
         code, _, err = run(capsys, "solve", "--n", "30", "--d", "6", "--k", "5",
@@ -500,6 +510,40 @@ class TestCache:
         (current,) = lines.values()
         assert current.startswith("3,2,2,adversary") and current.endswith("  ok")
         assert [(s.n, s.d, s.k) for s in solved] == [(3, 2, 2)]
+
+    def test_an_entry_of_an_older_layout_is_stale_not_malformed(self, capsys, tmp_path):
+        # Only the game fields of an entry another version wrote are read:
+        # recheck reports it stale, and solve solves it again.
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / f"{cli._cache_key(2, 1, 1, 'adversary', True, False)}.json"
+        entry = _entry_211()
+        entry["tool_version"] = "0.1.0"
+        del entry["payload"]["stats"]["pivots"]
+        path.write_text(json.dumps(entry))
+        code, out, err = run(capsys, "recheck", "--cache", str(cache))
+        assert (code, err) == (0, "")
+        assert out == f"{path.stem}  2,1,1,adversary  stale (tool_version 0.1.0)\n"
+        assert run_json(capsys, "solve", "--n", "2", "--d", "1", "--k", "1",
+                        "--cache", str(cache))["value"] == "1/2"
+        assert json.loads(path.read_text())["tool_version"] == cli.__version__
+        # A game field that does not read still stops both commands.
+        entry["payload"]["n"] = "x"
+        path.write_text(json.dumps(entry))
+        for argv in (("recheck",), ("solve", "--n", "2", "--d", "1", "--k", "1")):
+            code, _, err = run(capsys, *argv, "--cache", str(cache))
+            assert code == 2
+            assert f"error: cache entry {path} has a malformed field 'payload.n'" in err
+
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", dump)
+        cache = tmp_path / "cache"
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_entry(str(cache / "entry.json"), _entry_211())
+        assert list(cache.iterdir()) == []
 
     def test_cache_keys_keep_their_values(self):
         # Existing cache files are found under these names.

@@ -349,14 +349,14 @@ class TestCheckCertificateRejectsForgeries:
 def test_solve_lp_checks_the_mapping_back(monkeypatch):
     # Dropping the row flips from the mapping back to the caller's rows
     # gives the x >= 2 row of max -x a multiplier of the wrong sign.
-    real = lpmod._original_duals
+    real = lpmod._Tableau.duals
 
-    def unflipped(flip, y_internal):
-        return real([1] * len(flip), y_internal)
+    def unflipped(self, red, cost):
+        return tuple(f * y for f, y in zip(self.flip, real(self, red, cost)))
 
     p = lpmod.LinearProgram(1, [-1])
     p.add_constraint({0: -1}, lpmod.LESS_EQUAL, -2)
-    monkeypatch.setattr(lpmod, "_original_duals", unflipped)
+    monkeypatch.setattr(lpmod._Tableau, "duals", unflipped)
     with pytest.raises(lpmod.CertificateError, match="dual sign on row 0"):
         lpmod.solve_lp(p)
 
@@ -615,7 +615,7 @@ def test_seven_triple_system_feasible():
 
 def _solved_in(form, p):
     """``solve_lp``'s answer with ``form`` forced, or the LPError text."""
-    with mock.patch.object(lpmod, "_form", lambda std: form):
+    with mock.patch.object(lpmod, "_form", lambda lp: form):
         try:
             return lpmod.solve_lp(p)
         except lpmod.LPError as exc:
@@ -674,8 +674,8 @@ def _forms_picked(run):
     picked = []
     real = lpmod._form
 
-    def recording(std):
-        picked.append((std.num_rows, real(std)))
+    def recording(lp):
+        picked.append((len(lp.rows), real(lp)))
         return picked[-1][1]
 
     with mock.patch.object(lpmod, "_form", recording):
@@ -791,7 +791,7 @@ def _drops_kept(form, p):
     def pivot(self, r, col, column):
         assert r not in held  # a dropped row is never a pivot row again
         real(self, r, col, column)
-        if col in self.std.unpriced_free:
+        if col in self.unpriced_free:
             held[r] = (col, dict(self.rows[r].nums), self.rows[r].rhs)
         assert self.dropped == list(held)
         for i, (c, nums, rhs) in held.items():
@@ -856,13 +856,13 @@ def test_a_dropped_row_is_read_after_the_rows_dropped_later():
 
 def _solved_without_drops(form, p):
     """``_solved_in`` with no column counted as unpriced free, so no row drops."""
-    real = lpmod._Standard.__init__
+    real = lpmod._Tableau.__init__
 
     def init(self, lp):
         real(self, lp)
         self.unpriced_free = set()
 
-    with mock.patch.object(lpmod._Standard, "__init__", init):
+    with mock.patch.object(lpmod._Tableau, "__init__", init):
         return _solved_in(form, p)
 
 

@@ -26,13 +26,14 @@ from cachegame import (
 )
 from cachegame import lp as lpmod
 from cachegame import solver
+from cachegame.fractional import reachable_records
 from cachegame.solver import (
     HIDER,
     SEARCHER,
     SolverError,
     _SequenceForm,
+    _behavior,
     _best_response,
-    _check_realization_plan,
     _check_strategy,
     _pattern_values,
     _solve_sequence_lp,
@@ -52,6 +53,24 @@ from cachegame.strategies import (
 from helpers import reference_pattern_values, sequence_lp_cached, solve_cached
 
 ADV, RAN = Variant.ADVERSARY, Variant.RANDOM
+
+
+def _cyclic_garbage(run) -> list:
+    """What ``run()`` leaves that only the cycle collector would free: with
+    the collector off, DEBUG_SAVEALL keeps it in ``gc.garbage``."""
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 def _sequence(sf, player, infoset, label):
@@ -143,23 +162,8 @@ class TestBuildTree:
     @pytest.mark.parametrize("variant", [ADV, RAN])
     @pytest.mark.parametrize("symmetry", [True, False])
     def test_build_leaves_no_cyclic_garbage(self, symmetry, variant):
-        # With the collector off, every object a build leaves behind must be
-        # freed by reference counting: DEBUG_SAVEALL keeps whatever only the
-        # cycle collector would find, such as the walk's listing memo.
-        gc.collect()
-        enabled, flags = gc.isenabled(), gc.get_debug()
-        gc.disable()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            build_tree(GameSpec(3, 3, 2, variant), symmetry=symmetry)
-            gc.collect()
-            garbage = list(gc.garbage)
-        finally:
-            gc.set_debug(flags)
-            gc.garbage.clear()
-            if enabled:
-                gc.enable()
-        assert garbage == []
+        # Nothing a build leaves, such as the walk's listing memo, needs the cycle collector.
+        assert _cyclic_garbage(lambda: build_tree(GameSpec(3, 3, 2, variant), symmetry=symmetry)) == []
 
     def test_random_build_peak_memory(self):
         # One merged listing per state keeps this build's peak near 8 MB.
@@ -505,18 +509,18 @@ class TestRealizationPlanCheck:
 
     def test_solved_plan_passes(self):
         sf, plan = self._solved()
-        _check_realization_plan(plan, sf)
+        _behavior(sf, HIDER, plan)
 
     def test_root_weight_must_be_one(self):
         sf, plan = self._solved()
         with pytest.raises(SolverError, match="root weight is not 1"):
-            _check_realization_plan({**plan, 0: Fraction(1, 2)}, sf)
+            _behavior(sf, HIDER, {**plan, 0: Fraction(1, 2)})
 
     def test_negative_weight(self):
         sf, plan = self._solved()
         h = next(h for h in plan if h)
         with pytest.raises(SolverError, match="negative realization weight"):
-            _check_realization_plan({**plan, h: -plan[h]}, sf)
+            _behavior(sf, HIDER, {**plan, h: -plan[h]})
 
     def test_weight_moved_to_another_set_breaks_flow(self):
         # Move the heaviest root choice's weight onto a reveal decision.
@@ -526,7 +530,22 @@ class TestRealizationPlanCheck:
         h = max(root.sids, key=lambda sid: plan.get(sid, 0))
         moved = {**plan, h: Fraction(0), reveal.sids[0]: plan.get(reveal.sids[0], 0) + plan[h]}
         with pytest.raises(SolverError, match="flow conservation"):
-            _check_realization_plan(moved, sf)
+            _behavior(sf, HIDER, moved)
+
+    def test_a_corrupted_searcher_weight_fails_the_result(self):
+        # Halve the weight of a searcher sequence past the root: the flow
+        # into or out of it no longer balances.
+        tree = build_tree(GameSpec(3, 3, 2, ADV))
+        result = solve_tree(tree)
+        plans = []
+        for player, plan in ((SEARCHER, result.searcher_plan), (HIDER, result.hider_plan)):
+            ids = {seq: i for i, seq in enumerate(tree.sf.seq_list[player])}
+            plans.append({ids[seq]: w for seq, w in plan.items()})
+        searcher_plan, hider_plan = plans
+        s = next(s for s, w in searcher_plan.items() if s and w)
+        corrupted = {**searcher_plan, s: searcher_plan[s] / 2}
+        with pytest.raises(SolverError, match="searcher plan violates flow conservation"):
+            solver._result(tree, 0.0, result.value, corrupted, hider_plan, {})
 
 
 # Random games small enough for the monolithic LP, on both builders,
@@ -645,24 +664,14 @@ class TestBestResponse:
         assert held < 1_000_000
 
     def test_evaluation_leaves_no_cyclic_garbage(self):
-        # With the collector off, every object one call leaves behind must
-        # be freed by reference counting: DEBUG_SAVEALL keeps whatever only
-        # the cycle collector would find.
         spec, tree = GameSpec(5, 8, 2, ADV), family_infinite_d(5, 8, 2)
-        gc.collect()
-        enabled, flags = gc.isenabled(), gc.get_debug()
-        gc.disable()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            best_response_value(spec, tree)
-            gc.collect()
-            garbage = list(gc.garbage)
-        finally:
-            gc.set_debug(flags)
-            gc.garbage.clear()
-            if enabled:
-                gc.enable()
-        assert garbage == []
+        assert _cyclic_garbage(lambda: best_response_value(spec, tree)) == []
+
+    @pytest.mark.parametrize("run", [lambda: family_infinite_d(6, 8, 2), lambda: reachable_records(4, 3)],
+                             ids=["family_infinite_d", "reachable_records"])
+    def test_recursive_builders_leave_no_cyclic_garbage(self, run):
+        # Each recursive helper refers to itself, and to its memo or output.
+        assert _cyclic_garbage(run) == []
 
     def test_worst_allocation_is_a_witness(self):
         # A deliberately weak 3-box plan: open {0,1}, then wander off.
