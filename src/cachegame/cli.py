@@ -4,7 +4,8 @@ Commands: solve, verify, sweep-accuracy, accumulation, plambda,
 fractional-check, recheck.  Each command takes only the flags it reads,
 after the command name.  Machine output is JSON with rationals as "p/q"
 strings; --format table renders for humans, and --approx adds a clearly
-marked non-authoritative decimal column.  solve and sweep-accuracy also take
+marked non-authoritative decimal column.  sweep-accuracy prints one JSON
+line of progress per instance on stderr.  solve and sweep-accuracy also take
 --budget, --no-symmetry, --relaxed-queries and --cache DIR, a directory
 holding one JSON file per solved instance: the payload a hit prints and the
 tool version that wrote it.  recheck --cache DIR solves every entry of this
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from . import __version__
@@ -349,11 +351,14 @@ def cmd_sweep_accuracy(args) -> int:
     for n in range(1, args.max_n + 1):
         for d in range(1, args.max_d + 1):
             for k in range(1, min(args.max_k, n) + 1):
+                start = time.perf_counter()
                 try:
                     payload = _solve_cached(args, n, d, k, Variant.ADVERSARY)
                 except solver.BudgetExceededError:
                     rows.append({"n": n, "d": d, "k": k, "skipped": "budget"})
+                    _progress(start, rows[-1])
                     continue
+                _progress(start, {"n": n, "d": d, "k": k, "value": payload["value"]})
                 value = parse_rational(payload["value"])
                 bound = upper_bound_combinatorial(n, d, k)
                 accurate = value == bound
@@ -388,6 +393,12 @@ def cmd_sweep_accuracy(args) -> int:
     ] + [("finding", f, None) for f in sorted(set(findings))]
     _emit(args, payload, table)
     return EXIT_OK
+
+
+def _progress(start: float, fields: dict) -> None:
+    """One JSON line on stderr for an instance begun at ``start``."""
+    line = {**fields, "seconds": round(time.perf_counter() - start, 6)}
+    print(json.dumps(line), file=sys.stderr, flush=True)
 
 
 def cmd_accumulation(args) -> int:

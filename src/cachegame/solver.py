@@ -12,14 +12,15 @@ labels by uniform draws without replacement.  Both games have the same
 value; the reduced one is exponentially smaller.
 
 Both builders hand their rules to one walk (``_walk``), which lists each
-state's moves once and follows every path, registering sequences and wins
-as it goes.  Under the random revealer the listing merges each action's
-chance outcomes into one forced reveal per (observed label, next state);
-under the adversary revealer a reveal among several is the hider's
-decision.  ``GameTree.num_nodes`` is the extensive form's node count,
-summed once per state in the listing rather than counted node by node.
-Payoffs are integers over one game denominator; a Fraction is made only
-for an LP row entry.
+state's moves once and follows every path but a forced reveal into a won
+state, registering sequences and wins as it goes; the listing adds up an
+action's forced wins, and the walk pays them in one sum.  Under the random
+revealer the listing merges each action's chance outcomes into one forced
+reveal per (observed label, next state); under the adversary revealer a
+reveal among several is the hider's decision.  ``GameTree.num_nodes`` is
+the extensive form's node count, summed once per state in the listing
+rather than counted node by node.  Payoffs are integers over one game
+denominator; a Fraction is made only for an LP row entry.
 
 The sequence form holds one ``_Infoset`` record per information set (its
 parent sequence, its labels and the ids of the sequences playing them),
@@ -40,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count, islice, repeat
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 from typing import NamedTuple
 
 from . import lp as lpmod
@@ -154,13 +155,14 @@ class _SequenceForm:
         self.payoff: dict[int, dict[int, int]] = {}
 
     def decide(self, player, key, parent: int, labels: list):
-        """Yield ``(label, sequence id)`` for each action of ``player`` at
+        """``(label, sequence id)`` for each action of ``player`` at
         information set ``key``, reached by the player's sequence
         ``parent``.
 
         Ids are handed out one action at a time, so a builder that walks
         each action's subgame before taking the next numbers the sequences
-        depth-first; column order drives the simplex's tie-breaks.
+        depth-first; column order drives the simplex's tie-breaks.  A set
+        that has all its ids returns them at once.
         """
         sets = self.infosets[player]
         info = sets.get(key)
@@ -171,19 +173,19 @@ class _SequenceForm:
             raise SolverError(f"perfect recall violated at information set {(player, key)}")
         elif labels != info.labels:
             raise SolverError(f"information set {(player, key)} reached with differing action sets")
-        seqs, sids = self.seq_list[player], info.sids
-        for i, label in enumerate(labels):
+        if len(info.sids) == len(labels):
+            return zip(labels, info.sids)
+        return self._hand_out(self.seq_list[player], info)
+
+    @staticmethod
+    def _hand_out(seqs: list, info: _Infoset):
+        """Yield ``info``'s actions, giving each its id as it is reached."""
+        sids = info.sids
+        for i, label in enumerate(info.labels):
             if i == len(sids):
                 sids.append(len(seqs))
-                seqs.append(seqs[parent] + ((info.id, label),))
+                seqs.append(seqs[info.parent] + ((info.id, label),))
             yield label, sids[i]
-
-    def win(self, at) -> None:
-        """Add the searcher's win, reached with probability ``at[2]`` over
-        ``denominator``, to the payoff of its sequence pair."""
-        s_seq, h_seq, prob = at
-        row = self.payoff.setdefault(h_seq, {})
-        row[s_seq] = row.get(s_seq, 0) + prob
 
 
 def _reveal_lcm(spec: GameSpec) -> int:
@@ -218,13 +220,20 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
     reveal node: a loss, or a decision of the hider that ``hider_infoset(root
     state, observations, action)`` names.  The budget is checked as counts
     grow; as every option adds a node, no more than ``budget`` are read.
+    An option is listed as ``(action, total, won, won_gcd, draws)``: a draw
+    whose one reveal wins is left out of ``draws`` and adds its ``ways`` to
+    ``won`` and to the gcd ``won_gcd``.
 
-    The walk then follows every path, registering in ``sf`` as it goes; a
-    path's probability is an integer over ``sf.denominator``.
+    The walk then follows every path that does not end in a forced win,
+    registering in ``sf`` as it goes; a path's probability is an integer
+    over ``sf.denominator``.  An action's forced wins add to its payoff in
+    one sum, each still on the denominator: ``total`` divides every
+    ``prob ways`` exactly when it divides ``prob won_gcd``.
     """
     merge = spec.variant == Variant.RANDOM
     L = _reveal_lcm(spec)
     memo: dict = {}
+    off_denominator = f"path probability is not a multiple of 1/{sf.denominator}"
 
     def listing(state):
         listed = memo.get(state)
@@ -251,21 +260,36 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
                 raise BudgetExceededError(budget, nodes)
             if merge:
                 total, draws = total * L, [(num, [(None, None, *key)]) for key, num in weights.items()]
-            kept.append((action, total, draws))
+            won = won_gcd = 0
+            walked = []
+            for ways, outs in draws:
+                if len(outs) == 1 and memo[outs[0][3]][1] is None:
+                    won, won_gcd = won + ways, gcd(won_gcd, ways)
+                else:
+                    walked.append((ways, outs))
+            kept.append((action, total, won, won_gcd, walked))
         listed = memo[state] = (nodes, labels, kept)
         return listed
 
+    def credit(h_seq, s_seq, p):
+        row = sf.payoff.setdefault(h_seq, {})
+        row[s_seq] = row.get(s_seq, 0) + p
+
     def node(root, state, obs, at):
         _, labels, options = memo[state]
-        if labels is None:
-            sf.win(at)
-            return
         s_seq, h_seq, prob = at
-        for (action, total, draws), (_, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, labels)):
+        if labels is None:
+            credit(h_seq, s_seq, prob)
+            return
+        for (action, total, won, won_gcd, draws), (_, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, labels)):
+            if won:
+                if prob * won_gcd % total:
+                    raise SolverError(off_denominator)
+                credit(h_seq, sid, prob * won // total)
             for ways, outs in draws:
                 p, rest = divmod(prob * ways, total)
                 if rest:
-                    raise SolverError(f"path probability is not a multiple of 1/{sf.denominator}")
+                    raise SolverError(off_denominator)
                 if len(outs) == 1:
                     picks = [(None, h_seq)]
                 else:

@@ -212,6 +212,38 @@ class TestSweepCommand:
         assert len(data["rows"]) == 15
         assert all("value" in r for r in data["rows"] if "skipped" not in r)
 
+    def test_progress_lines_leave_stdout_alone(self, capsys):
+        sweep = ("sweep-accuracy", "--max-n", "2", "--max-d", "3", "--max-k", "2", "--budget", "20")
+        code, out, err = run(capsys, *sweep, "--format", "table")
+        assert code == 0
+        assert out == (
+            "(1,1,1)  value=1/1 bound=1/1 accurate=True\n"
+            "(1,2,1)  value=1/1 bound=1/1 accurate=True\n"
+            "(1,3,1)  value=1/1 bound=1/1 accurate=True\n"
+            "(2,1,1)  value=1/2 bound=1/2 accurate=True\n"
+            "(2,1,2)  value=1/1 bound=1/1 accurate=True\n"
+            "(2,2,1)  value=1/3 bound=1/3 accurate=True\n"
+            "(2,2,2)  value=1/1 bound=4/3 accurate=False\n"
+            "(2,3,1)  budget\n"
+            "(2,3,2)  budget\n"
+        )
+        progress = [json.loads(line) for line in err.splitlines()]
+        assert all(type(line.pop("seconds")) is float for line in progress)
+        assert progress == [
+            {"n": 1, "d": 1, "k": 1, "value": "1/1"},
+            {"n": 1, "d": 2, "k": 1, "value": "1/1"},
+            {"n": 1, "d": 3, "k": 1, "value": "1/1"},
+            {"n": 2, "d": 1, "k": 1, "value": "1/2"},
+            {"n": 2, "d": 1, "k": 2, "value": "1/1"},
+            {"n": 2, "d": 2, "k": 1, "value": "1/3"},
+            {"n": 2, "d": 2, "k": 2, "value": "1/1"},
+            {"n": 2, "d": 3, "k": 1, "skipped": "budget"},
+            {"n": 2, "d": 3, "k": 2, "skipped": "budget"},
+        ]
+        code, out, err = run(capsys, *sweep)
+        assert code == 0 and len(err.splitlines()) == 9
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
     def test_empty_sweep_exits_cleanly(self, capsys):
         data = run_json(capsys, "sweep-accuracy", "--max-n", "0", "--max-d", "3", "--max-k", "2")
         assert data == {"rows": [], "findings": []}

@@ -258,6 +258,84 @@ class TestWalk:
             self.walk(game)
         assert err.value.estimate > 100
 
+    def test_each_forced_win_stays_on_the_denominator(self):
+        # Each draw's reveal wins, at 1/3 and 2/3: both off the denominator
+        # 1, though together they make 1.
+        game = {"root": (["a"], [("a", 1, 3, [(1, [(1, 0, 0, "x")]), (2, [(1, 1, 1, "y")])])])}
+        with pytest.raises(SolverError, match="not a multiple of 1/1"):
+            solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], None, _SequenceForm(1), 100)
+
+    def test_hider_decision_between_two_wins(self):
+        # One draw with two reveals, both into won states: the hider's
+        # choice, each of his sequences paid by the searcher's action.
+        game = {"root": (["a"], [("a", 0, 1, [(1, [(1, 0, 0, "x"), (1, 1, 1, "y")])])])}
+        sf = _SequenceForm(1)
+        nodes = solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], lambda *_: "reveal", sf, 100)
+        assert nodes == 5  # the hider's root, the searcher, the reveal and two wins
+        a = _sequence(sf, SEARCHER, (), "a")
+        x, y = (_sequence(sf, HIDER, "reveal", box) for box in (0, 1))
+        assert sf.seq_list[HIDER] == [(), ((1, 0),), ((1, 1),)]
+        assert sf.payoff == {x: {a: 1}, y: {a: 1}}
+
+
+# The sequence forms of the ``solve`` and ``wide`` games and of two full
+# games: nodes, (searcher, hider) sequences, (searcher, hider) information
+# sets, payoff entries and, in id order, each hider sequence's payoff total
+# over ``sf.denominator``.  A walk that drops or double-counts a forced win
+# moves the totals.
+SEQUENCE_FORMS = [
+    # n, d, k, variant, symmetry
+    ((5, 3, 3, ADV, True), 4711, (180, 151), (20, 74), 1387, (
+        0, 1584, 1890, 144, 36, 36, 24, 24, 132, 144, 36, 36, 24, 24, 132, 36, 36, 36, 36, 36, 36, 36, 36,
+        132, 144, 36, 36, 24, 24, 132, 144, 36, 36, 24, 24, 144, 36, 36, 24, 24, 132, 36, 36, 36, 36, 36, 36,
+        36, 36, 132, 144, 36, 36, 24, 24, 36, 36, 36, 36, 36, 36, 36, 36, 648, 288, 72, 72, 48, 48, 288, 72,
+        72, 48, 48, 288, 72, 72, 48, 48, 612, 72, 72, 72, 72, 72, 72, 72, 72, 612, 72, 72, 72, 72, 72, 72, 72,
+        72, 612, 72, 72, 72, 72, 72, 72, 72, 72, 612, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72,
+        612, 72, 72, 72, 72, 72, 72, 72, 72, 612, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72,
+        72, 72, 72, 72, 72
+    )),
+    ((5, 4, 2, ADV, True), 15764, (792, 308), (95, 152), 2906, (
+        0, 720, 1728, 144, 18, 18, 36, 12, 12, 30, 90, 84, 18, 18, 60, 24, 24, 18, 18, 90, 144, 18, 18, 36,
+        12, 12, 30, 84, 18, 18, 60, 24, 24, 18, 18, 2304, 288, 36, 36, 60, 72, 24, 24, 288, 36, 36, 60, 72,
+        24, 24, 48, 48, 48, 48, 120, 168, 36, 36, 36, 36, 48, 48, 48, 48, 120, 168, 36, 36, 36, 36, 2304, 432,
+        16, 16, 16, 16, 56, 12, 12, 56, 12, 12, 16, 16, 56, 12, 12, 56, 12, 12, 16, 16, 80, 12, 12, 80, 12,
+        12, 368, 56, 12, 12, 40, 16, 16, 12, 12, 96, 16, 16, 96, 16, 16, 16, 16, 16, 16, 120, 16, 16, 120, 16,
+        16, 16, 16, 16, 16, 16, 16, 368, 56, 12, 12, 40, 16, 16, 12, 12, 432, 16, 16, 16, 16, 56, 12, 12, 56,
+        12, 12, 16, 16, 56, 12, 12, 56, 12, 12, 16, 16, 80, 12, 12, 80, 12, 12, 384, 16, 16, 16, 16, 12, 12,
+        40, 56, 12, 12, 384, 16, 16, 16, 16, 12, 12, 40, 56, 12, 12, 96, 16, 16, 64, 16, 16, 64, 96, 16, 16,
+        16, 16, 16, 16, 16, 16, 96, 16, 16, 96, 16, 16, 16, 16, 16, 16, 120, 16, 16, 120, 16, 16, 16, 16, 16,
+        16, 16, 16, 96, 16, 16, 64, 16, 16, 64, 96, 16, 16, 16, 16, 16, 16, 16, 16, 1152, 2592, 576, 96, 96,
+        576, 96, 96, 96, 96, 96, 96, 96, 96, 720, 96, 96, 720, 96, 96, 96, 96, 96, 96, 2592, 576, 96, 96, 576,
+        96, 96, 96, 96, 96, 96, 96, 96, 720, 96, 96, 720, 96, 96, 96, 96, 96, 96, 576, 96, 96, 576, 96, 96,
+        96, 96, 96, 96, 576, 96, 96, 576, 96, 96, 96, 96, 96, 96
+    )),
+    ((4, 4, 2, RAN, True), 9391, (480, 6), (83, 1), 735, (
+        0, 3483648, 11342592, 15676416, 21966336, 26873856
+    )),
+    ((10, 3, 4, RAN, True), 295776, (2542, 4), (49, 1), 4227, (0, 54240399360, 121439969280, 168142625280)),
+    ((3, 3, 2, ADV, False), 527, (130, 65), (43, 28), 216, (
+        0, 48, 48, 12, 12, 24, 24, 12, 12, 48, 12, 12, 24, 12, 12, 24, 48, 48, 24, 24, 12, 12, 12, 12, 0, 24,
+        12, 12, 24, 12, 12, 24, 12, 12, 24, 12, 12, 24, 12, 12, 24, 12, 12, 48, 24, 24, 12, 12, 12, 12, 48,
+        12, 12, 24, 12, 12, 24, 48, 24, 12, 12, 24, 12, 12, 48
+    )),
+    ((3, 3, 2, RAN, False), 833, (130, 11), (43, 1), 216, (
+        0, 10368, 19872, 19872, 10368, 19872, 23328, 19872, 19872, 19872, 10368
+    )),
+]
+
+
+class TestSequenceForm:
+    @pytest.mark.parametrize("case,nodes,sequences,infosets,entries,totals", SEQUENCE_FORMS)
+    def test_pinned_sequence_form(self, case, nodes, sequences, infosets, entries, totals):
+        *game, symmetry = case
+        tree = build_tree(GameSpec(*game), symmetry=symmetry)
+        sf = tree.sf
+        assert tree.num_nodes == nodes
+        assert (len(sf.seq_list[SEARCHER]), len(sf.seq_list[HIDER])) == sequences
+        assert (len(sf.infosets[SEARCHER]), len(sf.infosets[HIDER])) == infosets
+        assert sum(map(len, sf.payoff.values())) == entries
+        assert tuple(sum(sf.payoff.get(h, {}).values()) for h in range(sequences[1])) == totals
+
 
 # Sizes of the solved trees and programs: (nodes, lp_rows, lp_cols, pivots,
 # searcher_sequences, hider_sequences, searcher_infosets, hider_infosets).
