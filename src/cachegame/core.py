@@ -29,8 +29,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 
-from .rational import ONE
-
 
 class Variant(str, Enum):
     ADVERSARY = "adversary"
@@ -93,29 +91,27 @@ def enumerate_allocations(n: int, d: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def reveals(counts, q, variant: Variant) -> list[tuple[int, Fraction]]:
-    """Possible reveals for query ``q``: ``(box, weight)`` pairs.
-
-    Under ``RANDOM`` the weights are the exact reveal probabilities,
-    proportional to the treasures each box contributes to the query (they
-    sum to one).  Under ``ADVERSARY``/``COOPERATIVE`` the choosing agent is a
-    player, so every treasure-holding box is listed with marker weight 1.
-    An empty list means the query found nothing: terminal loss.
-    """
-    positive = [b for b in q if counts[b] > 0]
-    if variant == Variant.RANDOM and len(positive) > 1:
-        total = sum(counts[b] for b in positive)
-        return [(b, Fraction(counts[b], total)) for b in positive]
-    return [(b, ONE) for b in positive]
+def reveals(counts, q) -> list[tuple[int, int]]:
+    """Possible reveals for query ``q``: each treasure-holding box of ``q``
+    with its treasure count, as ``(box, treasures)`` pairs of ints.  Under
+    ``RANDOM`` a box surrenders with probability ``treasures / total``,
+    ``total`` being the treasures the query covers; otherwise a player picks
+    among the listed boxes.  An empty list means the query found nothing:
+    terminal loss."""
+    return [(b, c) for b in q if (c := counts[b])]
 
 
-def reveal_value(variant: Variant, weighted):
-    """Value of a query from the ``(weight, value)`` pair of each reveal:
-    the expectation under ``RANDOM``, otherwise the minimum (the hider's
-    choice; a cooperative caller passes only the agreed reveal).  Integer
-    weights and values give an integer."""
+def reveal_value(variant: Variant, weighted, L: int):
+    """Value of a query times ``L`` from the ``(treasures, value)`` pair of
+    each reveal: under ``RANDOM`` the expectation, ``sum(c v) (L // total)``,
+    exact as the treasure total (at most ``d``) divides ``L = lcm(1..d)``;
+    otherwise the minimum (the hider's choice; a cooperative caller passes
+    only the agreed reveal), with ``L = 1``."""
     if variant == Variant.RANDOM:
-        return sum(w * v for w, v in weighted)
+        num = total = 0
+        for c, v in weighted:
+            num, total = num + c * v, total + c
+        return num * (L // total)
     return min(v for _, v in weighted)
 
 

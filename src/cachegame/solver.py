@@ -205,9 +205,9 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
     draws)`` per action in the same order.
     ``chance_nodes`` is 1 if chance draws before the reveal, else 0.  Each
     draw is ``(ways, reveals)``, the draw's probability being the integer
-    ``ways`` over the integer ``total``, and each reveal ``(weight, box,
-    label, next state)``: the box that surrenders, with its chance weight
-    under ``RANDOM``, the label the searcher observes, and the state after.
+    ``ways`` over the integer ``total``, and each reveal ``(treasures, box,
+    label, next state)``: the box that surrenders and its treasure count
+    from ``reveals``, the label the searcher observes, and the state after.
     A draw with no reveals is a loss.
 
     A state is listed once, as ``(nodes, labels, options)``.  ``nodes``
@@ -215,14 +215,15 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
     its reveal nodes and the subgame after every reveal of every draw.
     Under ``RANDOM`` every draw is a reveal node, a loss included, and an
     action's draws merge into one forced reveal per (observed label, next
-    state) of weight ``sum(ways w L)`` over ``total L``, ``L`` from
+    state) of weight ``sum(ways c (L // t))`` over ``total L``, the box
+    holding ``c`` of the query's ``t`` treasures and ``L`` from
     ``_reveal_lcm``.  Otherwise only a draw whose reveal count is not 1 is a
     reveal node: a loss, or a decision of the hider that ``hider_infoset(root
     state, observations, action)`` names.  The budget is checked as counts
     grow; as every option adds a node, no more than ``budget`` are read.
     An option is listed as ``(action, total, won, won_gcd, draws)``: a draw
-    whose one reveal wins is left out of ``draws`` and adds its ``ways`` to
-    ``won`` and to the gcd ``won_gcd``.
+    (merged reveal) whose one reveal wins is left out of ``draws`` and adds
+    its ``ways`` (weight) to ``won`` and to the gcd ``won_gcd``.
 
     The walk then follows every path that does not end in a forced win,
     registering in ``sf`` as it goes; a path's probability is an integer
@@ -247,27 +248,25 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
         nodes, kept = 1, []
         for action, chance_nodes, total, draws in options:
             nodes += chance_nodes + (len(draws) if merge else sum(len(outs) != 1 for _, outs in draws))
-            weights: dict = {}  # (label, next state) -> probability times total L
+            won_weights, weights = {}, {}  # (label, next state) -> probability times total L, won or not
             for ways, outs in draws:
-                for w, _, label, after in outs:
+                share = L // sum(c for c, *_ in outs) if merge and outs else 0
+                for c, _, label, after in outs:
                     if nodes > budget:
                         raise BudgetExceededError(budget, nodes)
                     nodes += listing(after)[0]
                     if merge:
-                        key = label, after
-                        weights[key] = weights.get(key, 0) + ways * w.numerator * (L // w.denominator)
+                        into = won_weights if memo[after][1] is None else weights
+                        into[label, after] = into.get((label, after), 0) + ways * c * share
             if nodes > budget:
                 raise BudgetExceededError(budget, nodes)
             if merge:
-                total, draws = total * L, [(num, [(None, None, *key)]) for key, num in weights.items()]
-            won = won_gcd = 0
-            walked = []
-            for ways, outs in draws:
-                if len(outs) == 1 and memo[outs[0][3]][1] is None:
-                    won, won_gcd = won + ways, gcd(won_gcd, ways)
-                else:
-                    walked.append((ways, outs))
-            kept.append((action, total, won, won_gcd, walked))
+                won = list(won_weights.values())
+                total, walked = total * L, [(num, [(None, None, *key)]) for key, num in weights.items()]
+            else:
+                won = [ways for ways, outs in draws if len(outs) == 1 and memo[outs[0][3]][1] is None]
+                walked = [(ways, outs) for ways, outs in draws if len(outs) != 1 or memo[outs[0][3]][1] is not None]
+            kept.append((action, total, sum(won), gcd(*won), walked))
         listed = memo[state] = (nodes, labels, kept)
         return listed
 
@@ -333,8 +332,8 @@ def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm) -
         if found == d:
             return None
         return queries, (
-            (q, 0, 1, [(1, [(w, b, b, (take(remaining, b, n)[0], found + 1))
-                            for b, w in reveals(remaining, q, spec.variant)])])
+            (q, 0, 1, [(1, [(c, b, b, (take(remaining, b, n)[0], found + 1))
+                            for b, c in reveals(remaining, q)])])
             for q in queries
         )
 
@@ -386,9 +385,9 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
             for draw, ways, rest in fresh_draws(untouched, f):
                 counts = touched + draw
                 outs = []
-                for b, w in reveals(counts, q, spec.variant):
+                for b, c in reveals(counts, q):
                     after, l = take(counts, b, t0)
-                    outs.append((w, b, l, (after, rest, found + 1)))
+                    outs.append((c, b, l, (after, rest, found + 1)))
                 draws.append((ways, outs))
             yield action, int(f > 0), perm(len(untouched), f), draws
 
@@ -786,67 +785,73 @@ def _pattern_values(spec: GameSpec, root, mix_lcm: int, reveal_rule=None) -> dic
     pattern, played through a uniform relabeling of the boxes.
 
     Without ``reveal_rule`` the reveal is chance's under ``RANDOM`` and the
-    hider's (worst case) otherwise; with it, the rule picks the reveal.
+    hider's (worst case) otherwise; with it, the rule picks the reveal and
+    states carry their observation history.
 
     As in ``_SequenceForm``, values are integers: a state with ``found``
     treasures found and ``u`` untouched labels is worth its integer over
     ``D(found, u) = (L M)^(d - found) u!``, with ``L`` from ``_reveal_lcm``
-    and ``M = mix_lcm``, the lcm of the mix denominators.  A
-    win is ``u!``, a missing branch 0.  A query drawing ``f`` fresh labels
-    has ``ways`` over ``perm(u, f)``, and ``D(found, u) = L M perm(u, f)
-    D(found + 1, u - f)``: reveal weights enter as ``w L``, mix
-    probabilities as ``p M``, and one Fraction is made per pattern.
+    and ``M = mix_lcm``, the lcm of the mix denominators.  A win is ``u!``,
+    a missing branch 0.  A query drawing ``f`` fresh labels has ``ways``
+    over ``perm(u, f)``, and ``D(found, u) = L M perm(u, f) D(found + 1,
+    u - f)``: ``reveal_value`` scales a query's reveals by ``L``, mix
+    probabilities enter as ``p M``, and one Fraction is made per pattern.
+    A node's plan (``p M``, query, branches and fresh-label count per entry)
+    is made once per touched count ``t0`` at which it is reached; wins, ends
+    and memo hits are settled at the call site, with no call.
     """
     memo: dict = {}
+    plans: dict = {}
     d, variant = spec.d, spec.variant
     L = _reveal_lcm(spec)
+    wins = [factorial(u) for u in range(spec.n + 1)]
 
     def value(node, touched, untouched, found, history):
-        if found == d:
-            return factorial(len(untouched))
-        if node is None:
-            return 0
-        key = (id(node), touched, untouched, history)
-        if key in memo:
-            return memo[key]
         t0 = len(touched)
-        total = 0
-        for entry in node.mix:
-            if not entry.prob:
-                continue
-            q = entry.query
-            branches = dict(entry.branches)
+        plan = plans.get((id(node), t0))
+        if plan is None:
+            plan = plans[id(node), t0] = [(e.prob.numerator * (mix_lcm // e.prob.denominator), e.query,
+                                           dict(e.branches), sum(l >= t0 for l in e.query)) for e in node.mix if e.prob]
+        total, found = 0, found + 1  # treasures found after this node's query
+        for p, q, branches, f in plan:
             entry_value = 0
-            for draw, ways, rest in fresh_draws(untouched, sum(1 for l in q if l >= t0)):
+            for draw, ways, rest in fresh_draws(untouched, f):
                 counts = touched + draw
-                outs = reveals(counts, q, variant)
+                outs = reveals(counts, q)
                 if not outs:
                     continue
                 if reveal_rule is not None:
-                    outs = [(_rule_choice(reveal_rule, counts, q, outs, history), ONE)]
+                    outs = [_rule_choice(reveal_rule, counts, q, outs, history)]
                 weighted = []
-                for b, w in outs:
+                for b, c in outs:
                     after, l = take(counts, b, t0)
-                    observed = history if reveal_rule is None else history + ((q, l),)
-                    # A missing branch and an explicit end both mean the searcher stops here.
-                    child = value(branches.get(l), after, rest, found + 1, observed)
-                    weighted.append((w.numerator * (L // w.denominator), child))
-                entry_value += ways * reveal_value(variant, weighted)
-            total += entry.prob.numerator * (mix_lcm // entry.prob.denominator) * entry_value
-        memo[key] = total
+                    child = branches.get(l)
+                    if found == d:
+                        v = wins[len(rest)]
+                    elif child is None:  # a missing branch or an explicit end: the searcher stops
+                        v = 0
+                    else:
+                        observed = history if reveal_rule is None else history + ((q, l),)
+                        v = memo.get((id(child), after, rest, observed))
+                        if v is None:
+                            v = value(child, after, rest, found, observed)
+                    weighted.append((c, v))
+                entry_value += ways * reveal_value(variant, weighted, L)
+            total += p * entry_value
+        memo[id(node), touched, untouched, history] = total
         return total
 
     scale = (L * mix_lcm) ** d * factorial(spec.n)
-    values = {pat: Fraction(value(root, (), pat, 0, ()), scale) for pat in patterns(d, spec.n)}
+    values = {pat: Fraction(value(root, (), pat, 0, ()) if root else 0, scale) for pat in patterns(d, spec.n)}
     del value  # it refers to itself, so only the cycle collector would free it and ``memo``
     return values
 
 
-def _rule_choice(reveal_rule, counts, q, outs, history) -> int:
+def _rule_choice(reveal_rule, counts, q, outs, history) -> tuple[int, int]:
     choice = reveal_rule({l: counts[l] for l in q}, list(history))
     if choice not in {b for b, _ in outs}:
         raise ValueError(f"reveal rule returned {choice!r}, not a treasure-holding queried box")
-    return choice
+    return choice, counts[choice]
 
 
 # ---------------------------------------------------------------------------
@@ -891,9 +896,10 @@ def hider_strategy_value(
     queries = list(combinations(range(spec.n), spec.k))
 
     def reveal_dist(counts, history, q):
-        outs = reveals(counts, q, spec.variant)
+        outs = reveals(counts, q)
+        total = sum(c for _, c in outs)
         if spec.variant == Variant.RANDOM or len(outs) < 2:
-            return outs
+            return [(b, Fraction(c, total)) for b, c in outs]
         dist = [(b, Fraction(p)) for b, p in reveal_policy(counts, history, q)]
         if sum(p for _, p in dist) != ONE or any(p < 0 for _, p in dist):
             raise ValueError(f"reveal policy returned an invalid distribution {dist}")
@@ -1023,19 +1029,17 @@ def searcher_plan_value(spec: GameSpec, behavior: dict) -> Fraction:
     """
     if spec.variant == Variant.COOPERATIVE:
         raise ValueError("cooperative play has no adversarial best response")
+    L = _reveal_lcm(spec)
 
     def evaluate(remaining, found, obs):
         if found == spec.d:
             return ONE
         total = ZERO
         for q, p in behavior.get(obs) or ():
-            outs = reveals(remaining, q, spec.variant)
+            outs = reveals(remaining, q)
             if p and outs:
-                weighted = [
-                    (w, evaluate(take(remaining, b, spec.n)[0], found + 1, obs + ((q, b),)))
-                    for b, w in outs
-                ]
-                total += p * reveal_value(spec.variant, weighted)
+                weighted = [(c, evaluate(take(remaining, b, spec.n)[0], found + 1, obs + ((q, b),))) for b, c in outs]
+                total += p * reveal_value(spec.variant, weighted, L) / L
         return total
 
     return min(evaluate(counts, 0, ()) for counts in enumerate_allocations(spec.n, spec.d))

@@ -8,7 +8,7 @@ import random
 
 from cachegame import GameSpec, Variant, accumulation, build_tree, solve
 from cachegame import strategies as st
-from cachegame.core import enumerate_allocations, patterns, reveals, take
+from cachegame.core import enumerate_allocations, patterns, take
 from cachegame.rational import ONE, ZERO
 from cachegame.solver import _rule_choice, _solve_sequence_lp
 from cachegame import lp as lpmod
@@ -353,11 +353,11 @@ def reference_pattern_values(spec: GameSpec, root, reveal_rule=None) -> dict:
             entry_value = ZERO
             for draw, prob, rest in _reference_fresh_draws(untouched, sum(1 for l in q if l >= t0)):
                 counts = touched + draw
-                outs = reveals(counts, q, variant)
+                outs = _reference_reveals(counts, q, variant)
                 if not outs:
                     continue
                 if reveal_rule is not None:
-                    outs = [(_rule_choice(reveal_rule, counts, q, outs, history), ONE)]
+                    outs = [(_rule_choice(reveal_rule, counts, q, outs, history)[0], ONE)]
                 weighted = []
                 for b, w in outs:
                     after, l = take(counts, b, t0)
@@ -370,6 +370,22 @@ def reference_pattern_values(spec: GameSpec, root, reveal_rule=None) -> dict:
         return total
 
     return {pat: value(root, (), pat, 0, ()) for pat in patterns(d, spec.n)}
+
+
+def _reference_reveals(counts, q, variant: Variant) -> list[tuple[int, Fraction]]:
+    """Possible reveals for query ``q``: ``(box, weight)`` pairs.
+
+    Under ``RANDOM`` the weights are the exact reveal probabilities,
+    proportional to the treasures each box contributes to the query (they
+    sum to one).  Under ``ADVERSARY``/``COOPERATIVE`` the choosing agent is a
+    player, so every treasure-holding box is listed with marker weight 1.
+    An empty list means the query found nothing: terminal loss.
+    """
+    positive = [b for b in q if counts[b] > 0]
+    if variant == Variant.RANDOM and len(positive) > 1:
+        total = sum(counts[b] for b in positive)
+        return [(b, Fraction(counts[b], total)) for b in positive]
+    return [(b, ONE) for b in positive]
 
 
 def _reference_reveal_value(variant: Variant, weighted) -> Fraction:

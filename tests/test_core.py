@@ -20,7 +20,8 @@ from cachegame.core import (
     reveals,
     take,
 )
-from helpers import _reference_fresh_draws
+from cachegame.strategies import joint_verify_cooperative, least_treasures_rule, single_query, verify
+from helpers import _reference_fresh_draws, _reference_reveals
 
 
 class TestEnumerateAllocations:
@@ -50,42 +51,58 @@ class TestEnumerateAllocations:
 
 
 class TestLegalReveals:
-    """``reveals``: the boxes a query may take a treasure from."""
+    """``reveals``: each treasure-holding box a query may take a treasure
+    from, with its treasure count as a plain int."""
 
-    def test_random_two_one(self):
-        got = reveals((2, 1, 0), (0, 1), Variant.RANDOM)
-        assert got == [(0, Fraction(2, 3)), (1, Fraction(1, 3))]
+    def test_two_one(self):
+        got = reveals((2, 1, 0), (0, 1))
+        assert got == [(0, 2), (1, 1)]
+        assert all(type(b) is int and type(c) is int for b, c in got)
 
-    def test_random_even(self):
-        got = reveals((1, 0, 1), (0, 2), Variant.RANDOM)
-        assert got == [(0, Fraction(1, 2)), (2, Fraction(1, 2))]
+    def test_even(self):
+        assert reveals((1, 0, 1), (0, 2)) == [(0, 1), (2, 1)]
 
     def test_empty_query_loses(self):
-        for variant in Variant:
-            assert reveals((0, 0, 3), (0, 1), variant) == []
-
-    def test_adversary_markers(self):
-        got = reveals((2, 1, 0), (0, 1), Variant.ADVERSARY)
-        assert got == [(0, Fraction(1)), (1, Fraction(1))]
+        assert reveals((0, 0, 3), (0, 1)) == []
+        assert reveals((0, 0, 3), ()) == []
+        # Every variant reads this one listing: one query of a box drawn
+        # uniformly finds the single treasure with probability 1/3 and
+        # otherwise lists nothing, a loss.
+        tree = single_query(3, 1, 1)
+        for variant in (Variant.ADVERSARY, Variant.RANDOM):
+            assert verify(GameSpec(3, 1, 1, variant), tree) == Fraction(1, 3)
+        cooperative = GameSpec(3, 1, 1, Variant.COOPERATIVE)
+        assert joint_verify_cooperative(cooperative, tree, least_treasures_rule) == Fraction(1, 3)
 
     @pytest.mark.parametrize("counts", [(2, 1, 0), (1, 1, 1), (3, 0, 0), (0, 2, 2)])
-    def test_random_weights_sum_to_one(self, counts):
+    def test_random_probabilities_sum_to_one(self, counts):
         for q in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-            got = reveals(counts, q, Variant.RANDOM)
+            got = reveals(counts, q)
+            assert all(type(c) is int and c > 0 for _, c in got)
             if got:
-                assert sum(w for _, w in got) == 1
+                total = sum(c for _, c in got)
+                assert sum(Fraction(c, total) for _, c in got) == 1
+                # ``c / total`` is the Fraction reveal weight of the random revealer.
+                assert [(b, Fraction(c, total)) for b, c in got] == [
+                    (b, Fraction(w)) for b, w in _reference_reveals(counts, q, Variant.RANDOM)
+                ]
 
     def test_reveal_value_combines_by_variant(self):
-        weighted = [(Fraction(2, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 4))]
-        assert reveal_value(Variant.RANDOM, weighted) == Fraction(5, 12)
-        assert reveal_value(Variant.ADVERSARY, weighted) == Fraction(1, 4)
-        # The same reveals as integers over one denominator per level: weights
-        # over 3, values over 4.  The sum stays an int, over 3 * 4.
-        integer = [(2, 2), (1, 1)]
-        assert reveal_value(Variant.RANDOM, integer) == 5
-        assert type(reveal_value(Variant.RANDOM, integer)) is int
-        assert Fraction(reveal_value(Variant.RANDOM, integer), 3 * 4) == Fraction(5, 12)
-        assert reveal_value(Variant.ADVERSARY, integer) == 1
+        # Two reveals holding 2 and 1 treasures, so with probabilities 2/3
+        # and 1/3, into states worth 1/2 and 1/4: the query is worth 5/12.
+        weighted = [(2, Fraction(1, 2)), (1, Fraction(1, 4))]
+        for L in (3, 6, 12, 60):  # a multiple of the treasure total 3, as lcm(1..d) is for d >= 3
+            assert reveal_value(Variant.RANDOM, weighted, L) == Fraction(5 * L, 12)
+        assert reveal_value(Variant.ADVERSARY, weighted, 1) == Fraction(1, 4)
+        # The same values as integers over 12: the result is 5 L, over 12.
+        integer = [(2, 6), (1, 3)]
+        for L in (3, 6, 12, 60):
+            got = reveal_value(Variant.RANDOM, integer, L)
+            assert type(got) is int
+            assert got == 5 * L
+            assert Fraction(got, 12 * L) == Fraction(5, 12)
+        assert reveal_value(Variant.ADVERSARY, integer, 1) == 3
+        assert type(reveal_value(Variant.ADVERSARY, integer, 1)) is int
 
 
 class TestApplyMove:

@@ -849,6 +849,18 @@ class TestPatternValuesAgainstReference:
     def test_builtin_families(self, name, params, case):
         self._assert_matches(builtin_family(name, **params), case)
 
+    @pytest.mark.parametrize("case", sorted(_REVEAL_CASES))
+    def test_node_reached_at_two_touched_counts(self, case):
+        # ``shared`` is one object, reached with labels 0..2 touched after
+        # ``(0, 2)`` and with 0..1 touched after ``(0, 1)``: its query label
+        # 2 is known in the first place and fresh in the second.  A plan
+        # cached per node alone would count the fresh labels of one place
+        # in the other.
+        shared = ask((0, 2), {0: ask((0, 1)), 2: ask((1, 2))})
+        middle = node(entry(Fraction(1, 2), (0, 2), {0: shared}), entry(Fraction(1, 2), (0, 1), {0: shared}))
+        tree = StrategyTree(4, 4, 2, ask((0, 1), {0: middle}))
+        self._assert_matches(tree, case)
+
 
 class TestHiderStrategyValue:
     def test_random_table(self):
