@@ -83,7 +83,8 @@ def enumerate_allocations(n: int, d: int) -> list[tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # Rules of play: every tree builder and strategy evaluator applies them
-# through these functions.  A state is a count vector.  Over concrete boxes
+# through ``outcomes``, which lists a query's reveals and the state after
+# each, and ``fresh_draws``.  A state is a count vector.  Over concrete boxes
 # it holds the treasures left per box.  In first-touch canonical labels the
 # touched labels 0..t0-1 keep their counts in touch order, and the counts of
 # the other boxes wait in a weakly decreasing ``untouched`` pool: a query
@@ -91,45 +92,28 @@ def enumerate_allocations(n: int, d: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def reveals(counts, q) -> list[tuple[int, int]]:
-    """Possible reveals for query ``q``: each treasure-holding box of ``q``
-    with its treasure count, as ``(box, treasures)`` pairs of ints.  Under
-    ``RANDOM`` a box surrenders with probability ``treasures / total``,
-    ``total`` being the treasures the query covers; otherwise a player picks
-    among the listed boxes.  An empty list means the query found nothing:
-    terminal loss."""
-    return [(b, c) for b in q if (c := counts[b])]
-
-
-def reveal_value(variant: Variant, weighted, L: int):
-    """Value of a query times ``L`` from the ``(treasures, value)`` pair of
-    each reveal: under ``RANDOM`` the expectation, ``sum(c v) (L // total)``,
-    exact as the treasure total (at most ``d``) divides ``L = lcm(1..d)``;
-    otherwise the minimum (the hider's choice; a cooperative caller passes
-    only the agreed reveal), with ``L = 1``."""
-    if variant == Variant.RANDOM:
-        num = total = 0
-        for c, v in weighted:
-            num, total = num + c * v, total + c
-        return num * (L // total)
-    return min(v for _, v in weighted)
-
-
-def take(counts: tuple[int, ...], label: int, t0: int) -> tuple[tuple[int, ...], int]:
-    """Counts after ``label`` surrenders one treasure, and the label it keeps.
+def outcomes(counts: tuple[int, ...], q, t0: int) -> list:
+    """What query ``q`` can reveal: each treasure-holding box of ``q`` as
+    ``(box, treasures, label, after)``, ints but for ``after``, the count
+    vector once the box has surrendered one treasure.  Under ``RANDOM`` a
+    box surrenders with probability ``treasures / total``, ``total`` being
+    the treasures the query covers; otherwise a player picks among the
+    listed boxes.  An empty list means the query found nothing: terminal
+    loss.
 
     Labels from ``t0`` on are fresh, and a reveal from one takes the lowest
-    fresh label ``t0``, so the two swap counts first.  Callers over concrete
-    boxes pass ``t0 = len(counts)``.  Taking from an empty box raises.
+    fresh label ``t0``: the two swap counts in ``after``, and ``label`` is
+    ``t0``.  A known label keeps its place.  Callers over concrete boxes
+    pass ``t0 = len(counts)``.
     """
-    lst = list(counts)
-    if label >= t0:
-        lst[t0], lst[label] = lst[label], lst[t0]
-        label = t0
-    if lst[label] <= 0:
-        raise ValueError(f"label {label} holds no treasure in {counts}")
-    lst[label] -= 1
-    return tuple(lst), label
+    out = []
+    for b in q:
+        c = counts[b]
+        if c:
+            label, after = b if b < t0 else t0, list(counts)  # a fresh box pays into label t0
+            after[b], after[label] = after[label], c - 1
+            out.append((b, c, label, tuple(after)))
+    return out
 
 
 @cache

@@ -50,10 +50,8 @@ from .core import (
     Variant,
     enumerate_allocations,
     fresh_draws,
+    outcomes,
     patterns,
-    reveal_value,
-    reveals,
-    take,
     upper_bound_combinatorial,
 )
 from .rational import ONE, ZERO, format_rational
@@ -207,8 +205,8 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
     draw is ``(ways, reveals)``, the draw's probability being the integer
     ``ways`` over the integer ``total``, and each reveal ``(treasures, box,
     label, next state)``: the box that surrenders and its treasure count
-    from ``reveals``, the label the searcher observes, and the state after.
-    A draw with no reveals is a loss.
+    from ``core.outcomes``, the label the searcher observes, and the state
+    after.  A draw with no reveals is a loss.
 
     A state is listed once, as ``(nodes, labels, options)``.  ``nodes``
     counts its subgame: the state's node and, per action, its chance node,
@@ -332,8 +330,7 @@ def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm) -
         if found == d:
             return None
         return queries, (
-            (q, 0, 1, [(1, [(c, b, b, (take(remaining, b, n)[0], found + 1))
-                            for b, c in reveals(remaining, q)])])
+            (q, 0, 1, [(1, [(c, b, b, (after, found + 1)) for b, c, _, after in outcomes(remaining, q, n)])])
             for q in queries
         )
 
@@ -383,11 +380,9 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
             q = known + tuple(range(t0, t0 + f))
             draws = []
             for draw, ways, rest in fresh_draws(untouched, f):
-                counts = touched + draw
-                outs = []
-                for b, c in reveals(counts, q):
-                    after, l = take(counts, b, t0)
-                    outs.append((c, b, l, (after, rest, found + 1)))
+                outs = outcomes(touched + draw, q, t0)
+                if outs:  # most draws of a wide game find nothing, and need no rewrite
+                    outs = [(c, b, l, (after, rest, found + 1)) for b, c, l, after in outs]
                 draws.append((ways, outs))
             yield action, int(f > 0), perm(len(untouched), f), draws
 
@@ -794,17 +789,21 @@ def _pattern_values(spec: GameSpec, root, mix_lcm: int, reveal_rule=None) -> dic
     and ``M = mix_lcm``, the lcm of the mix denominators.  A win is ``u!``,
     a missing branch 0.  A query drawing ``f`` fresh labels has ``ways``
     over ``perm(u, f)``, and ``D(found, u) = L M perm(u, f) D(found + 1,
-    u - f)``: ``reveal_value`` scales a query's reveals by ``L``, mix
-    probabilities enter as ``p M``, and one Fraction is made per pattern.
-    A node's plan (``p M``, query, branches and fresh-label count per entry)
-    is made once per touched count ``t0`` at which it is reached; wins, ends
-    and memo hits are settled at the call site, with no call.
+    u - f)``: a query's reveals from ``core.outcomes`` combine in place,
+    into ``sum(c v) (L // total)`` under ``RANDOM`` and a running minimum
+    otherwise, mix probabilities enter as ``p M``, and one Fraction is made
+    per pattern.
+    A query that makes the ``d``-th find is worth ``u! L`` per draw without
+    visiting its reveals.  A node's plan (``p M``, query, branches and
+    fresh-label count per entry) is made once per touched count ``t0`` at
+    which it is reached; ends and memo hits are settled at the call site,
+    with no call.
     """
     memo: dict = {}
     plans: dict = {}
-    d, variant = spec.d, spec.variant
+    d, chance = spec.d, spec.variant == Variant.RANDOM
     L = _reveal_lcm(spec)
-    wins = [factorial(u) for u in range(spec.n + 1)]
+    wins = [factorial(u) * L for u in range(spec.n + 1)]
 
     def value(node, touched, untouched, found, history):
         t0 = len(touched)
@@ -817,26 +816,29 @@ def _pattern_values(spec: GameSpec, root, mix_lcm: int, reveal_rule=None) -> dic
             entry_value = 0
             for draw, ways, rest in fresh_draws(untouched, f):
                 counts = touched + draw
-                outs = reveals(counts, q)
+                outs = outcomes(counts, q, t0)
                 if not outs:
                     continue
                 if reveal_rule is not None:
                     outs = [_rule_choice(reveal_rule, counts, q, outs, history)]
-                weighted = []
-                for b, c in outs:
-                    after, l = take(counts, b, t0)
+                if found == d:
+                    entry_value += ways * wins[len(rest)]
+                    continue
+                num, weight, low = 0, 0, None
+                for _, c, l, after in outs:
                     child = branches.get(l)
-                    if found == d:
-                        v = wins[len(rest)]
-                    elif child is None:  # a missing branch or an explicit end: the searcher stops
+                    if child is None:  # a missing branch or an explicit end: the searcher stops
                         v = 0
                     else:
                         observed = history if reveal_rule is None else history + ((q, l),)
                         v = memo.get((id(child), after, rest, observed))
                         if v is None:
                             v = value(child, after, rest, found, observed)
-                    weighted.append((c, v))
-                entry_value += ways * reveal_value(variant, weighted, L)
+                    if chance:
+                        num, weight = num + c * v, weight + c
+                    elif low is None or v < low:
+                        low = v
+                entry_value += ways * (num * (L // weight) if chance else low)
             total += p * entry_value
         memo[id(node), touched, untouched, history] = total
         return total
@@ -847,11 +849,13 @@ def _pattern_values(spec: GameSpec, root, mix_lcm: int, reveal_rule=None) -> dic
     return values
 
 
-def _rule_choice(reveal_rule, counts, q, outs, history) -> tuple[int, int]:
+def _rule_choice(reveal_rule, counts, q, outs, history):
+    """The entry of ``outs`` (led by its box) that ``reveal_rule`` picks."""
     choice = reveal_rule({l: counts[l] for l in q}, list(history))
-    if choice not in {b for b, _ in outs}:
-        raise ValueError(f"reveal rule returned {choice!r}, not a treasure-holding queried box")
-    return choice, counts[choice]
+    for out in outs if type(choice) is int else ():
+        if out[0] == choice:
+            return out
+    raise ValueError(f"reveal rule returned {choice!r}, not a treasure-holding queried box")
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +875,8 @@ def hider_strategy_value(
     raises ValueError naming it.  Under the random variant
     reveals are chance moves; under the adversary variant
     ``reveal_policy(remaining, history, query)`` must return the reveal
-    distribution whenever the query covers several treasure-holding boxes.
+    distribution, ``(int box, probability)`` pairs, whenever the query
+    covers several treasure-holding boxes.
     Returns the exact value (an upper-bound certificate for the game value)
     and the maximizing deterministic searcher strategy.
     """
@@ -896,17 +901,18 @@ def hider_strategy_value(
     queries = list(combinations(range(spec.n), spec.k))
 
     def reveal_dist(counts, history, q):
-        outs = reveals(counts, q)
-        total = sum(c for _, c in outs)
+        """``(box, probability, counts after)`` per reveal of ``q``."""
+        outs = outcomes(counts, q, spec.n)
+        total = sum(c for _, c, _, _ in outs)
         if spec.variant == Variant.RANDOM or len(outs) < 2:
-            return [(b, Fraction(c, total)) for b, c in outs]
+            return [(b, Fraction(c, total), after) for b, c, _, after in outs]
         dist = [(b, Fraction(p)) for b, p in reveal_policy(counts, history, q)]
-        if sum(p for _, p in dist) != ONE or any(p < 0 for _, p in dist):
+        if sum(p for _, p in dist) != ONE or any(p < 0 or type(b) is not int for b, p in dist):
             raise ValueError(f"reveal policy returned an invalid distribution {dist}")
-        holders = {b for b, _ in outs}
-        if any(b not in holders for b, p in dist if p):
+        afters = {b: after for b, _, _, after in outs}
+        if any(b not in afters for b, p in dist if p):
             raise ValueError("reveal policy placed weight on an empty or unqueried box")
-        return dist
+        return [(b, p, afters[b]) for b, p in dist if p]
 
     def value(mass: dict, found: int, history) -> tuple[Fraction, dict]:
         """``mass`` maps each placement still in play to its remaining
@@ -918,9 +924,8 @@ def hider_strategy_value(
         for q in queries:
             branch_mass: dict[int, dict] = {}
             for alloc, (counts, w) in mass.items():
-                for b, p in reveal_dist(counts, history, q):
-                    if w * p:
-                        branch_mass.setdefault(b, {})[alloc] = (take(counts, b, spec.n)[0], w * p)
+                for b, p, after in reveal_dist(counts, history, q):
+                    branch_mass.setdefault(b, {})[alloc] = (after, w * p)
             total = ZERO
             plans = {}
             for b, sub in sorted(branch_mass.items()):
@@ -932,7 +937,9 @@ def hider_strategy_value(
                 best_plan = {"query": list(q), "branches": plans}
         return best, best_plan
 
-    return value({alloc: (alloc, w) for alloc, w in weights.items()}, 0, ())
+    result = value({alloc: (alloc, w) for alloc, w in weights.items()}, 0, ())
+    del value  # it refers to itself, so only the cycle collector would free it
+    return result
 
 
 def _forced_only_policy(counts, history, q):
@@ -1029,17 +1036,21 @@ def searcher_plan_value(spec: GameSpec, behavior: dict) -> Fraction:
     """
     if spec.variant == Variant.COOPERATIVE:
         raise ValueError("cooperative play has no adversarial best response")
-    L = _reveal_lcm(spec)
+    chance = spec.variant == Variant.RANDOM
 
     def evaluate(remaining, found, obs):
         if found == spec.d:
             return ONE
         total = ZERO
         for q, p in behavior.get(obs) or ():
-            outs = reveals(remaining, q)
-            if p and outs:
-                weighted = [(c, evaluate(take(remaining, b, spec.n)[0], found + 1, obs + ((q, b),))) for b, c in outs]
-                total += p * reveal_value(spec.variant, weighted, L) / L
+            outs = outcomes(remaining, q, spec.n) if p else ()
+            values = [evaluate(after, found + 1, obs + ((q, b),)) for b, _, _, after in outs]
+            if chance and outs:
+                total += p * sum(c * v for (_, c, _, _), v in zip(outs, values)) / sum(c for _, c, _, _ in outs)
+            elif outs:
+                total += p * min(values)
         return total
 
-    return min(evaluate(counts, 0, ()) for counts in enumerate_allocations(spec.n, spec.d))
+    value = min(evaluate(counts, 0, ()) for counts in enumerate_allocations(spec.n, spec.d))
+    del evaluate  # it refers to itself, so only the cycle collector would free it
+    return value

@@ -8,7 +8,7 @@ import random
 
 from cachegame import GameSpec, Variant, accumulation, build_tree, solve
 from cachegame import strategies as st
-from cachegame.core import enumerate_allocations, patterns, take
+from cachegame.core import enumerate_allocations, patterns
 from cachegame.rational import ONE, ZERO
 from cachegame.solver import _rule_choice, _solve_sequence_lp
 from cachegame import lp as lpmod
@@ -360,7 +360,7 @@ def reference_pattern_values(spec: GameSpec, root, reveal_rule=None) -> dict:
                     outs = [(_rule_choice(reveal_rule, counts, q, outs, history)[0], ONE)]
                 weighted = []
                 for b, w in outs:
-                    after, l = take(counts, b, t0)
+                    after, l = _reference_take(counts, b, t0)
                     observed = history if reveal_rule is None else history + ((q, l),)
                     # A missing branch and an explicit end both mean the searcher stops here.
                     weighted.append((w, value(branches.get(l), after, rest, found + 1, observed)))
@@ -386,6 +386,23 @@ def _reference_reveals(counts, q, variant: Variant) -> list[tuple[int, Fraction]
         total = sum(counts[b] for b in positive)
         return [(b, Fraction(counts[b], total)) for b in positive]
     return [(b, ONE) for b in positive]
+
+
+def _reference_take(counts: tuple[int, ...], label: int, t0: int) -> tuple[tuple[int, ...], int]:
+    """Counts after ``label`` surrenders one treasure, and the label it keeps.
+
+    Labels from ``t0`` on are fresh, and a reveal from one takes the lowest
+    fresh label ``t0``, so the two swap counts first.  Callers over concrete
+    boxes pass ``t0 = len(counts)``.  Taking from an empty box raises.
+    """
+    lst = list(counts)
+    if label >= t0:
+        lst[t0], lst[label] = lst[label], lst[t0]
+        label = t0
+    if lst[label] <= 0:
+        raise ValueError(f"label {label} holds no treasure in {counts}")
+    lst[label] -= 1
+    return tuple(lst), label
 
 
 def _reference_reveal_value(variant: Variant, weighted) -> Fraction:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,13 +16,11 @@ from cachegame.core import (
     fresh_draws,
     partitions,
     pattern_multiplicity,
+    outcomes,
     patterns,
-    reveal_value,
-    reveals,
-    take,
 )
 from cachegame.strategies import joint_verify_cooperative, least_treasures_rule, single_query, verify
-from helpers import _reference_fresh_draws, _reference_reveals
+from helpers import _reference_fresh_draws, _reference_reveals, _reference_take
 
 
 class TestEnumerateAllocations:
@@ -51,20 +50,21 @@ class TestEnumerateAllocations:
 
 
 class TestLegalReveals:
-    """``reveals``: each treasure-holding box a query may take a treasure
+    """``outcomes``: each treasure-holding box a query may take a treasure
     from, with its treasure count as a plain int."""
 
     def test_two_one(self):
-        got = reveals((2, 1, 0), (0, 1))
-        assert got == [(0, 2), (1, 1)]
-        assert all(type(b) is int and type(c) is int for b, c in got)
+        got = outcomes((2, 1, 0), (0, 1), 3)
+        assert [(b, c) for b, c, _, _ in got] == [(0, 2), (1, 1)]
+        assert all(type(b) is int and type(c) is int and type(l) is int for b, c, l, _ in got)
 
     def test_even(self):
-        assert reveals((1, 0, 1), (0, 2)) == [(0, 1), (2, 1)]
+        assert [(b, c) for b, c, _, _ in outcomes((1, 0, 1), (0, 2), 3)] == [(0, 1), (2, 1)]
 
     def test_empty_query_loses(self):
-        assert reveals((0, 0, 3), (0, 1)) == []
-        assert reveals((0, 0, 3), ()) == []
+        assert outcomes((0, 0, 3), (0, 1), 3) == []
+        assert outcomes((0, 0, 3), (), 3) == []
+        assert outcomes((0, 0, 3), (), 0) == []
         # Every variant reads this one listing: one query of a box drawn
         # uniformly finds the single treasure with probability 1/3 and
         # otherwise lists nothing, a loss.
@@ -77,69 +77,91 @@ class TestLegalReveals:
     @pytest.mark.parametrize("counts", [(2, 1, 0), (1, 1, 1), (3, 0, 0), (0, 2, 2)])
     def test_random_probabilities_sum_to_one(self, counts):
         for q in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-            got = reveals(counts, q)
-            assert all(type(c) is int and c > 0 for _, c in got)
+            got = outcomes(counts, q, 3)
+            assert all(type(c) is int and c > 0 for _, c, _, _ in got)
             if got:
-                total = sum(c for _, c in got)
-                assert sum(Fraction(c, total) for _, c in got) == 1
+                total = sum(c for _, c, _, _ in got)
+                assert sum(Fraction(c, total) for _, c, _, _ in got) == 1
                 # ``c / total`` is the Fraction reveal weight of the random revealer.
-                assert [(b, Fraction(c, total)) for b, c in got] == [
+                assert [(b, Fraction(c, total)) for b, c, _, _ in got] == [
                     (b, Fraction(w)) for b, w in _reference_reveals(counts, q, Variant.RANDOM)
                 ]
 
-    def test_reveal_value_combines_by_variant(self):
-        # Two reveals holding 2 and 1 treasures, so with probabilities 2/3
-        # and 1/3, into states worth 1/2 and 1/4: the query is worth 5/12.
-        weighted = [(2, Fraction(1, 2)), (1, Fraction(1, 4))]
-        for L in (3, 6, 12, 60):  # a multiple of the treasure total 3, as lcm(1..d) is for d >= 3
-            assert reveal_value(Variant.RANDOM, weighted, L) == Fraction(5 * L, 12)
-        assert reveal_value(Variant.ADVERSARY, weighted, 1) == Fraction(1, 4)
-        # The same values as integers over 12: the result is 5 L, over 12.
-        integer = [(2, 6), (1, 3)]
-        for L in (3, 6, 12, 60):
-            got = reveal_value(Variant.RANDOM, integer, L)
-            assert type(got) is int
-            assert got == 5 * L
-            assert Fraction(got, 12 * L) == Fraction(5, 12)
-        assert reveal_value(Variant.ADVERSARY, integer, 1) == 3
-        assert type(reveal_value(Variant.ADVERSARY, integer, 1)) is int
+    @pytest.mark.parametrize("t0", range(5))
+    def test_no_empty_box_is_listed(self, t0):
+        counts = (0, 2, 0, 1)
+        got = outcomes(counts, (0, 1, 2, 3), t0)
+        assert [b for b, *_ in got] == [1, 3]
+        assert all(counts[b] == c > 0 for b, c, _, _ in got)
+
+    def test_matches_the_reference_take(self):
+        # Every count vector with n <= 4 boxes and d <= 3 treasures, every
+        # query over its boxes and every count of touched labels t0: the
+        # listing is the reference reveals, each followed by the reference
+        # take.
+        cases = 0
+        for n in range(1, 5):
+            queries = [q for size in range(n + 1) for q in combinations(range(n), size)]
+            for d in range(4):
+                for counts in enumerate_allocations(n, d):
+                    for q in queries:
+                        for t0 in range(n + 1):
+                            want = []
+                            for b, _ in _reference_reveals(counts, q, Variant.ADVERSARY):
+                                after, label = _reference_take(counts, b, t0)
+                                want.append((b, counts[b], label, after))
+                            assert outcomes(counts, q, t0) == want
+                            cases += 1
+        assert cases == 3576  # sum over n of 2^n queries, n + 1 values of t0, C(n+3, 3) vectors
 
 
 class TestApplyMove:
-    """``take``: one treasure leaves the revealed box."""
+    """``outcomes``: one treasure leaves the revealed box."""
+
+    @staticmethod
+    def after(counts, box, t0):
+        (label, state), = [(l, after) for b, _, l, after in outcomes(counts, (box,), t0)]
+        return state, label
 
     def test_decrement(self):
-        assert take((2, 0, 1), 0, 3) == ((1, 0, 1), 0)
+        assert self.after((2, 0, 1), 0, 3) == ((1, 0, 1), 0)
 
     def test_terminal_win(self):
-        assert take((1, 0, 0), 0, 3) == ((0, 0, 0), 0)
+        assert self.after((1, 0, 0), 0, 3) == ((0, 0, 0), 0)
 
     def test_third_box(self):
-        assert take((0, 1, 1), 2, 3) == ((0, 1, 0), 2)
+        assert self.after((0, 1, 1), 2, 3) == ((0, 1, 0), 2)
 
     def test_pure(self):
         counts = (2, 0, 1)
-        assert take(counts, 0, 3) == take(counts, 0, 3)
+        assert outcomes(counts, (0, 2), 3) == outcomes(counts, (0, 2), 3)
         assert counts == (2, 0, 1)
 
-    def test_rejects_empty_box(self):
-        with pytest.raises(ValueError):
-            take((0, 1, 1), 0, 3)
+    def test_concrete_boxes_keep_their_labels(self):
+        # Over concrete boxes t0 = len(counts): every label is known.
+        got = outcomes((1, 2, 0, 3), (0, 1, 2, 3), 4)
+        assert got == [(0, 1, 0, (0, 2, 0, 3)), (1, 2, 1, (1, 1, 0, 3)), (3, 3, 3, (1, 2, 0, 2))]
 
     def test_known_label_keeps_its_place(self):
         # Labels below t0 were touched before: no relabeling.
-        assert take((2, 1, 3, 1), 1, 2) == ((2, 0, 3, 1), 1)
+        assert self.after((2, 1, 3, 1), 1, 2) == ((2, 0, 3, 1), 1)
 
     def test_fresh_reveal_takes_the_lowest_fresh_label(self):
         # Label 3 is fresh (t0 = 2): it swaps with label 2, then pays.
-        assert take((2, 0, 1, 3), 3, 2) == ((2, 0, 2, 1), 2)
-        assert take((2, 0, 1, 3), 2, 2) == ((2, 0, 0, 3), 2)
+        assert self.after((2, 0, 1, 3), 3, 2) == ((2, 0, 2, 1), 2)
+        # Both fresh labels of one query pay into label t0.
+        assert [l for _, _, l, _ in outcomes((2, 0, 1, 3), (2, 3), 2)] == [2, 2]
+
+    def test_reveal_at_label_t0(self):
+        # The lowest fresh label itself pays without a swap.
+        assert self.after((2, 0, 1, 3), 2, 2) == ((2, 0, 0, 3), 2)
+        assert self.after((2, 0, 1, 3), 0, 0) == ((1, 0, 1, 3), 0)
 
     def test_conservation(self):
         counts, d = (1, 0, 2), 3
         for found, (label, t0) in enumerate([(2, 1), (1, 2), (0, 3)], start=1):
             before = sorted(counts)
-            counts, _ = take(counts, label, t0)
+            counts, _ = self.after(counts, label, t0)
             assert sum(counts) + found == d
             changed = [a - b for a, b in zip(before, sorted(counts)) if a != b]
             assert changed == [1]  # as a multiset, exactly one count fell by one

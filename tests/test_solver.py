@@ -745,8 +745,17 @@ class TestBestResponse:
         spec, tree = GameSpec(5, 8, 2, ADV), family_infinite_d(5, 8, 2)
         assert _cyclic_garbage(lambda: best_response_value(spec, tree)) == []
 
-    @pytest.mark.parametrize("run", [lambda: family_infinite_d(6, 8, 2), lambda: reachable_records(4, 3)],
-                             ids=["family_infinite_d", "reachable_records"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: family_infinite_d(6, 8, 2),
+            lambda: reachable_records(4, 3),
+            lambda: hider_strategy_value(GameSpec(3, 3, 2, RAN), optimal_hider_332(RAN)[0]),
+            lambda: searcher_plan_value(GameSpec(3, 3, 2, ADV),
+                                        solve_cached(3, 3, 2, ADV, symmetry=False).searcher_behavior),
+        ],
+        ids=["family_infinite_d", "reachable_records", "hider_strategy_value", "searcher_plan_value"],
+    )
     def test_recursive_builders_leave_no_cyclic_garbage(self, run):
         # Each recursive helper refers to itself, and to its memo or output.
         assert _cyclic_garbage(run) == []
@@ -914,6 +923,18 @@ class TestHiderStrategyValue:
         spec = GameSpec(n, sum(placement), k, ADV)
         with pytest.raises(ValueError, match=message):
             hider_strategy_value(spec, {placement: Fraction(1)}, lambda counts, history, q: dist)
+
+    @pytest.mark.parametrize("cast", [lambda b: 1.0 if b == 1 else b, lambda b: True if b == 1 else b],
+                             ids=["float", "bool"])
+    def test_rejects_a_policy_box_that_is_not_an_int(self, cast):
+        # 1.0 and True both equal box 1, but a box is named by an int.
+        weights, policy = optimal_hider_332(ADV)
+
+        def cast_policy(remaining, history, query):
+            return [(cast(b), p) for b, p in policy(remaining, history, query)]
+
+        with pytest.raises(ValueError, match=r"reveal policy returned an invalid distribution \[\("):
+            hider_strategy_value(GameSpec(3, 3, 2, ADV), weights, cast_policy)
 
     def test_adversary_needs_policy_only_when_choices_arise(self):
         # All treasures in one box never offer a choice.

@@ -203,6 +203,16 @@ class TestCooperative:
         with pytest.raises(ValueError):
             joint_cooperative_value(GameSpec(3, 3, 2, COOP), tree, broken)
 
+    @pytest.mark.parametrize("cast", [lambda b: 1.0 if b == 1 else b, lambda b: True if b == 1 else b],
+                             ids=["float", "bool"])
+    def test_rule_must_return_an_int_label(self, cast):
+        # 1.0 and True both equal label 1, but a label is an int.
+        def rule(counts, history):
+            return cast(least_treasures_rule(counts, history))
+
+        with pytest.raises(ValueError, match=r"reveal rule returned (1\.0|True), not a treasure-holding queried box"):
+            joint_verify_cooperative(GameSpec(3, 3, 2, COOP), family_332(COOP), rule)
+
     def test_cooperative_between_random_and_first_query_cap(self):
         coop_value = joint_verify_cooperative(
             GameSpec(3, 3, 2, COOP), family_332(COOP), least_treasures_rule
