@@ -14,11 +14,11 @@ value; the reduced one is exponentially smaller.
 Both builders hand their rules to one walk (``_walk``), which lists each
 state's moves once and follows every path but a forced reveal into a won
 state, registering sequences and wins as it goes; the listing adds up an
-action's forced wins, and the walk pays them in one sum.  Under the random
-revealer the listing merges each action's chance outcomes into one forced
-reveal per (observed label, next state); under the adversary revealer a
-reveal among several is the hider's decision.  ``GameTree.num_nodes`` is
-the extensive form's node count, summed once per state in the listing
+action's forced wins, and the walk pays them in one sum.  A reveal is forced
+when chance picks it or when it is the only one of its draw, and an action's
+forced reveals merge into one per (observed label, next state), walked once;
+the hider decides only at a draw with several reveals.  ``GameTree.num_nodes``
+is the extensive form's node count, summed once per state in the listing
 rather than counted node by node.  Payoffs are integers over one game
 denominator; a Fraction is made only for an LP row entry.
 
@@ -210,26 +210,27 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
 
     A state is listed once, as ``(nodes, labels, options)``.  ``nodes``
     counts its subgame: the state's node and, per action, its chance node,
-    its reveal nodes and the subgame after every reveal of every draw.
-    Under ``RANDOM`` every draw is a reveal node, a loss included, and an
-    action's draws merge into one forced reveal per (observed label, next
-    state) of weight ``sum(ways c (L // t))`` over ``total L``, the box
-    holding ``c`` of the query's ``t`` treasures and ``L`` from
-    ``_reveal_lcm``.  Otherwise only a draw whose reveal count is not 1 is a
-    reveal node: a loss, or a decision of the hider that ``hider_infoset(root
-    state, observations, action)`` names.  The budget is checked as counts
-    grow; as every option adds a node, no more than ``budget`` are read.
-    An option is listed as ``(action, total, won, won_gcd, draws)``: a draw
-    (merged reveal) whose one reveal wins is left out of ``draws`` and adds
-    its ``ways`` (weight) to ``won`` and to the gcd ``won_gcd``.
+    its reveal nodes (every draw under ``RANDOM``, else each draw whose
+    reveal count is not 1) and the subgame after every reveal of every draw;
+    the budget is checked as it grows, and as every option adds a node, no
+    more than ``budget`` are read.  A reveal is forced when chance picks it
+    or when it is the only one of its draw; an action's forced reveals merge
+    into one per (label, next state) of weight ``sum(ways c L // t)`` over
+    ``total L`` (``c`` of the draw's ``t`` treasures in the box, ``L`` from
+    ``_reveal_lcm``).  Any other draw with reveals is the hider's decision,
+    named by ``hider_infoset(root state, observations, action)``, of weight
+    ``ways L``, in its draw's place; a merged reveal takes its first draw's.
+    An option is listed as ``(action, total L, won, won_gcd, walked)``:
+    ``walked`` holds ``(weight, reveals)`` per decision or merged reveal,
+    save one into a won state, whose weight adds to ``won`` and ``won_gcd``.
 
     The walk then follows every path that does not end in a forced win,
     registering in ``sf`` as it goes; a path's probability is an integer
     over ``sf.denominator``.  An action's forced wins add to its payoff in
     one sum, each still on the denominator: ``total`` divides every
-    ``prob ways`` exactly when it divides ``prob won_gcd``.
+    ``prob weight`` exactly when it divides ``prob won_gcd``.
     """
-    merge = spec.variant == Variant.RANDOM
+    chance = spec.variant == Variant.RANDOM
     L = _reveal_lcm(spec)
     memo: dict = {}
     off_denominator = f"path probability is not a multiple of 1/{sf.denominator}"
@@ -245,26 +246,26 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
         labels, options = game
         nodes, kept = 1, []
         for action, chance_nodes, total, draws in options:
-            nodes += chance_nodes + (len(draws) if merge else sum(len(outs) != 1 for _, outs in draws))
-            won_weights, weights = {}, {}  # (label, next state) -> probability times total L, won or not
-            for ways, outs in draws:
-                share = L // sum(c for c, *_ in outs) if merge and outs else 0
-                for c, _, label, after in outs:
+            nodes += chance_nodes
+            won, walked = {}, {}  # (label, next state) of a forced reveal, or a decision's draw -> weight
+            for i, (ways, outs) in enumerate(draws):
+                nodes += chance or len(outs) != 1
+                for _, _, _, after in outs:
                     if nodes > budget:
                         raise BudgetExceededError(budget, nodes)
                     nodes += listing(after)[0]
-                    if merge:
-                        into = won_weights if memo[after][1] is None else weights
-                        into[label, after] = into.get((label, after), 0) + ways * c * share
+                if not chance and len(outs) > 1:
+                    walked[i] = ways * L
+                elif outs:
+                    share, t = ways * L, sum(c for c, *_ in outs)
+                    for c, _, label, after in outs:
+                        into = won if memo[after][1] is None else walked
+                        into[label, after] = into.get((label, after), 0) + share * c // t
             if nodes > budget:
                 raise BudgetExceededError(budget, nodes)
-            if merge:
-                won = list(won_weights.values())
-                total, walked = total * L, [(num, [(None, None, *key)]) for key, num in weights.items()]
-            else:
-                won = [ways for ways, outs in draws if len(outs) == 1 and memo[outs[0][3]][1] is None]
-                walked = [(ways, outs) for ways, outs in draws if len(outs) != 1 or memo[outs[0][3]][1] is not None]
-            kept.append((action, total, sum(won), gcd(*won), walked))
+            won = list(won.values())
+            walked = [(w, draws[key][1] if type(key) is int else [(None, None, *key)]) for key, w in walked.items()]
+            kept.append((action, total * L, sum(won), gcd(*won), walked))
         listed = memo[state] = (nodes, labels, kept)
         return listed
 
@@ -283,15 +284,12 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
                 if prob * won_gcd % total:
                     raise SolverError(off_denominator)
                 credit(h_seq, sid, prob * won // total)
-            for ways, outs in draws:
-                p, rest = divmod(prob * ways, total)
+            for weight, outs in draws:
+                p, rest = divmod(prob * weight, total)
                 if rest:
                     raise SolverError(off_denominator)
-                if len(outs) == 1:
-                    picks = [(None, h_seq)]
-                else:
-                    boxes = [box for _, box, _, _ in outs]
-                    picks = sf.decide(HIDER, hider_infoset(root, obs, action), h_seq, boxes) if boxes else ()
+                picks = [(None, h_seq)] if len(outs) == 1 else sf.decide(
+                    HIDER, hider_infoset(root, obs, action), h_seq, [box for _, box, _, _ in outs])
                 for (_, _, label, after), (_, h) in zip(outs, picks):
                     node(root, after, obs + ((action, label),), (sid, h, p))
 
@@ -388,10 +386,10 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
 
     # Reveal decisions are singleton information sets: the hider knows his
     # placement and sees every query, so each decision point on a path is
-    # distinguishable to him.  (Distinct chance draws can reach post-reveal
-    # states that only differ by the searcher's private relabeling; that
-    # difference is payoff-irrelevant, and sharing a key across them would
-    # break perfect recall.)
+    # distinguishable to him.  Draws that reach post-reveal states differing
+    # only by the searcher's private relabeling keep their own keys (sharing
+    # one would break perfect recall), but the walk makes the decisions below
+    # a forced reveal merged across draws once.
     serial = count(1)
     roots = ((((), pat, 0), h_seq) for pat, h_seq in sf.decide(HIDER, ("root",), 0, patterns(d, n)))
     return _walk(spec, moves, roots, lambda *_: ("reveal", next(serial)), sf, budget)
@@ -875,8 +873,8 @@ def hider_strategy_value(
     raises ValueError naming it.  Under the random variant
     reveals are chance moves; under the adversary variant
     ``reveal_policy(remaining, history, query)`` must return the reveal
-    distribution, ``(int box, probability)`` pairs, whenever the query
-    covers several treasure-holding boxes.
+    distribution, ``(int box, probability)`` pairs with no box twice,
+    whenever the query covers several treasure-holding boxes.
     Returns the exact value (an upper-bound certificate for the game value)
     and the maximizing deterministic searcher strategy.
     """
@@ -909,6 +907,8 @@ def hider_strategy_value(
         dist = [(b, Fraction(p)) for b, p in reveal_policy(counts, history, q)]
         if sum(p for _, p in dist) != ONE or any(p < 0 or type(b) is not int for b, p in dist):
             raise ValueError(f"reveal policy returned an invalid distribution {dist}")
+        if twice := [b for i, (b, _) in enumerate(dist) if b in dict(dist[:i])]:  # branch mass is kept per box
+            raise ValueError(f"reveal policy returned an invalid distribution {dist}: box {twice[0]} is named twice")
         afters = {b: after for b, _, _, after in outs}
         if any(b not in afters for b, p in dist if p):
             raise ValueError("reveal policy placed weight on an empty or unqueried box")

@@ -507,7 +507,8 @@ class TestCache:
         assert (path.read_text(), path.stat().st_mtime_ns) == before  # untouched on a hit
         assert [p.name for p in cache.iterdir()] == [path.name]
 
-    @pytest.mark.parametrize("version", ["0.0.0", "0.4.0"])  # 0.4.0: before dropped_rows
+    # 0.4.0: before dropped_rows; 0.5.0: before the adversary's forced reveals merged
+    @pytest.mark.parametrize("version", ["0.0.0", "0.4.0", "0.5.0"])
     def test_entry_from_another_version_is_solved_again(self, capsys, tmp_path, version):
         cache = tmp_path / "cache"
         argv = (*SOLVE_332, "--cache", str(cache))

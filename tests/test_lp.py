@@ -697,7 +697,7 @@ def test_size_rule_keeps_the_tiny_programs_on_the_tableau():
     assert {form for _, form in picked} == {lpmod._Tableau}
 
 
-@pytest.mark.parametrize("n,d,k,rows", [(5, 3, 3, 172), (5, 4, 2, 404)])
+@pytest.mark.parametrize("n,d,k,rows", [(5, 3, 3, 144), (5, 4, 2, 320)])
 def test_size_rule_sends_the_large_game_programs_to_the_revised_form(n, d, k, rows):
     picked = _forms_picked(lambda: solver.solve(GameSpec(n, d, k, Variant.ADVERSARY)))
     assert picked == [(rows, lpmod._Revised)]
@@ -760,7 +760,7 @@ def _holders_checked(p):
 
 
 def test_column_index_stays_exact_on_a_game_program():
-    assert _holders_checked(_sequence_form_program(5, 3, 3)) == 134
+    assert _holders_checked(_sequence_form_program(5, 3, 3)) == 124
 
 
 @settings(max_examples=100, deadline=None)

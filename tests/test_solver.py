@@ -3,7 +3,7 @@ import json
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from math import factorial, lcm
 
 import pytest
@@ -219,8 +219,9 @@ class TestBuildTree:
 
 class TestWalk:
     """Toy games in the ``moves`` format of ``solver._walk`` that reach its
-    own checks under the random revealer, where each action's chance
-    outcomes merge into one forced reveal per (label, next state)."""
+    own checks.  A reveal is forced when chance picks it or when it is the
+    only one of its draw, and each action's forced reveals merge into one
+    per (label, next state)."""
 
     @staticmethod
     def walk(game):
@@ -277,6 +278,32 @@ class TestWalk:
         assert sf.seq_list[HIDER] == [(), ((1, 0),), ((1, 1),)]
         assert sf.payoff == {x: {a: 1}, y: {a: 1}}
 
+    def test_adversary_forced_reveals_into_one_state_walk_it_once(self):
+        # Two draws whose only reveals both pay into label 0 and reach "x",
+        # where the hider chooses: "x" is walked once, so the hider has one
+        # decision below it, not one per draw.  The node count is still the
+        # extensive form's, with "x" counted under each draw.
+        game = {
+            "root": (["a"], [("a", 1, 2, [(1, [(1, 0, 0, "x")]), (1, [(1, 1, 0, "x")])])]),
+            "x": (["b"], [("b", 0, 1, [(1, [(1, 0, 0, "won"), (1, 1, 1, "won")])])]),
+        }
+        sf = _SequenceForm(2)
+        serial = count(1)
+        nodes = solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)],
+                             lambda *_: ("reveal", next(serial)), sf, 100)
+        assert nodes == 11  # the hider's root, root, its chance node, and x's 4 nodes under each draw
+        assert list(sf.infosets[HIDER]) == [("reveal", 1)]
+        b = _sequence(sf, SEARCHER, (("a", 0),), "b")
+        assert sf.payoff == {_sequence(sf, HIDER, ("reveal", 1), box): {b: 2} for box in (0, 1)}
+
+    def test_adversary_forced_box_of_two_treasures_credits_its_ways(self):
+        # The only reveal of the first draw comes from a box holding 2
+        # treasures and wins: a weight of ways c L // t = 1, not ways (L // t) = 0.
+        game = {"root": (["a"], [("a", 1, 2, [(1, [(2, 0, 0, "won")]), (1, [])])])}
+        sf = _SequenceForm(2)
+        solver._walk(GameSpec(2, 2, 1, ADV), game.get, [("root", 0)], None, sf, 100)
+        assert sf.payoff == {0: {_sequence(sf, SEARCHER, (), "a"): 1}}
+
 
 # The sequence forms of the ``solve`` and ``wide`` games and of two full
 # games: nodes, (searcher, hider) sequences, (searcher, hider) information
@@ -285,29 +312,25 @@ class TestWalk:
 # moves the totals.
 SEQUENCE_FORMS = [
     # n, d, k, variant, symmetry
-    ((5, 3, 3, ADV, True), 4711, (180, 151), (20, 74), 1387, (
-        0, 1584, 1890, 144, 36, 36, 24, 24, 132, 144, 36, 36, 24, 24, 132, 36, 36, 36, 36, 36, 36, 36, 36,
-        132, 144, 36, 36, 24, 24, 132, 144, 36, 36, 24, 24, 144, 36, 36, 24, 24, 132, 36, 36, 36, 36, 36, 36,
-        36, 36, 132, 144, 36, 36, 24, 24, 36, 36, 36, 36, 36, 36, 36, 36, 648, 288, 72, 72, 48, 48, 288, 72,
-        72, 48, 48, 288, 72, 72, 48, 48, 612, 72, 72, 72, 72, 72, 72, 72, 72, 612, 72, 72, 72, 72, 72, 72, 72,
-        72, 612, 72, 72, 72, 72, 72, 72, 72, 72, 612, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72,
-        612, 72, 72, 72, 72, 72, 72, 72, 72, 612, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72,
-        72, 72, 72, 72, 72
+    ((5, 3, 3, ADV, True), 4711, (180, 123), (20, 60), 1219, (
+        0, 1584, 1890, 144, 36, 36, 24, 24, 132, 144, 36, 36, 24, 24, 132, 108, 108, 108, 108, 108, 108, 108,
+        108, 132, 144, 36, 36, 24, 24, 132, 144, 36, 36, 24, 24, 144, 36, 36, 24, 24, 132, 132, 144, 36, 36,
+        24, 24, 648, 288, 72, 72, 48, 48, 288, 72, 72, 48, 48, 288, 72, 72, 48, 48, 612, 72, 72, 72, 72, 72,
+        72, 72, 72, 612, 72, 72, 72, 72, 72, 72, 72, 72, 612, 72, 72, 72, 72, 72, 72, 72, 72, 612, 72, 72, 72,
+        72, 72, 72, 72, 72, 216, 216, 216, 216, 216, 216, 612, 72, 72, 72, 72, 72, 72, 72, 72, 612, 72, 72,
+        72, 72, 72, 72, 72, 72
     )),
-    ((5, 4, 2, ADV, True), 15764, (792, 308), (95, 152), 2906, (
-        0, 720, 1728, 144, 18, 18, 36, 12, 12, 30, 90, 84, 18, 18, 60, 24, 24, 18, 18, 90, 144, 18, 18, 36,
-        12, 12, 30, 84, 18, 18, 60, 24, 24, 18, 18, 2304, 288, 36, 36, 60, 72, 24, 24, 288, 36, 36, 60, 72,
-        24, 24, 48, 48, 48, 48, 120, 168, 36, 36, 36, 36, 48, 48, 48, 48, 120, 168, 36, 36, 36, 36, 2304, 432,
-        16, 16, 16, 16, 56, 12, 12, 56, 12, 12, 16, 16, 56, 12, 12, 56, 12, 12, 16, 16, 80, 12, 12, 80, 12,
-        12, 368, 56, 12, 12, 40, 16, 16, 12, 12, 96, 16, 16, 96, 16, 16, 16, 16, 16, 16, 120, 16, 16, 120, 16,
-        16, 16, 16, 16, 16, 16, 16, 368, 56, 12, 12, 40, 16, 16, 12, 12, 432, 16, 16, 16, 16, 56, 12, 12, 56,
-        12, 12, 16, 16, 56, 12, 12, 56, 12, 12, 16, 16, 80, 12, 12, 80, 12, 12, 384, 16, 16, 16, 16, 12, 12,
-        40, 56, 12, 12, 384, 16, 16, 16, 16, 12, 12, 40, 56, 12, 12, 96, 16, 16, 64, 16, 16, 64, 96, 16, 16,
-        16, 16, 16, 16, 16, 16, 96, 16, 16, 96, 16, 16, 16, 16, 16, 16, 120, 16, 16, 120, 16, 16, 16, 16, 16,
-        16, 16, 16, 96, 16, 16, 64, 16, 16, 64, 96, 16, 16, 16, 16, 16, 16, 16, 16, 1152, 2592, 576, 96, 96,
-        576, 96, 96, 96, 96, 96, 96, 96, 96, 720, 96, 96, 720, 96, 96, 96, 96, 96, 96, 2592, 576, 96, 96, 576,
-        96, 96, 96, 96, 96, 96, 96, 96, 720, 96, 96, 720, 96, 96, 96, 96, 96, 96, 576, 96, 96, 576, 96, 96,
-        96, 96, 96, 96, 576, 96, 96, 576, 96, 96, 96, 96, 96, 96
+    ((5, 4, 2, ADV, True), 15764, (792, 224), (95, 110), 2362, (
+        0, 720, 1728, 144, 18, 18, 36, 12, 12, 30, 90, 168, 36, 36, 120, 48, 48, 36, 36, 90, 144, 18, 18, 36,
+        12, 12, 30, 2304, 288, 36, 36, 60, 72, 24, 24, 288, 36, 36, 60, 72, 24, 24, 192, 192, 240, 336, 72,
+        72, 72, 72, 2304, 432, 32, 32, 56, 12, 12, 56, 12, 12, 16, 16, 56, 12, 12, 56, 12, 12, 16, 16, 80, 12,
+        12, 80, 12, 12, 368, 56, 12, 12, 40, 16, 16, 12, 12, 192, 32, 32, 192, 32, 32, 64, 64, 240, 32, 32,
+        240, 32, 32, 32, 32, 32, 32, 32, 32, 368, 56, 12, 12, 40, 16, 16, 12, 12, 432, 32, 32, 56, 12, 12, 56,
+        12, 12, 16, 16, 56, 12, 12, 56, 12, 12, 16, 16, 80, 12, 12, 80, 12, 12, 384, 32, 32, 12, 12, 40, 56,
+        12, 12, 384, 32, 32, 12, 12, 40, 56, 12, 12, 192, 32, 32, 128, 64, 64, 128, 192, 32, 32, 32, 32, 32,
+        32, 1152, 2592, 576, 96, 96, 576, 96, 96, 192, 192, 96, 96, 720, 96, 96, 720, 96, 96, 96, 96, 96, 96,
+        2592, 576, 96, 96, 576, 96, 96, 192, 192, 96, 96, 720, 96, 96, 720, 96, 96, 96, 96, 96, 96, 1152, 192,
+        192, 1152, 192, 192, 192, 192, 192, 192
     )),
     ((4, 4, 2, RAN, True), 9391, (480, 6), (83, 1), 735, (
         0, 3483648, 11342592, 15676416, 21966336, 26873856
@@ -353,11 +376,11 @@ STATS_KEYS = (
 )
 SOLVE_STATS = [
     # n, d, k, variant, symmetry, relaxed
-    ((3, 3, 2, ADV, True, False), (227, 31, 34, 27, 23, 22, 8, 10)),
+    ((3, 3, 2, ADV, True, False), (227, 29, 33, 26, 23, 20, 8, 9)),
     ((3, 3, 2, ADV, False, False), (527, 109, 159, 180, 130, 65, 43, 28)),
     ((3, 3, 2, RAN, True, False), (329, 13, 25, 16, 23, 4, 8, 1)),
     ((3, 3, 2, RAN, False, False), (833, 55, 132, 100, 130, 11, 43, 1)),
-    ((4, 3, 2, ADV, True, False), (638, 36, 57, 25, 44, 26, 9, 12)),
+    ((4, 3, 2, ADV, True, False), (638, 32, 55, 24, 44, 22, 9, 10)),
     ((4, 3, 2, RAN, True, False), (866, 14, 46, 19, 44, 4, 9, 1)),
     ((3, 2, 2, ADV, True, True), (90, 9, 16, 11, 13, 5, 3, 2)),
     ((3, 2, 2, ADV, False, True), (211, 24, 66, 34, 61, 13, 10, 4)),
@@ -383,8 +406,8 @@ LADDER_STATS = [
 # The benchmark's ``solve`` workload's adversary programs, in the same keys:
 # their pivot counts are the ones Devex pricing brought down.
 SOLVE_WORKLOAD_STATS = [
-    ((5, 3, 3, ADV), (4711, 172, 255, 134, 120, 15)),
-    ((5, 4, 2, ADV), (15764, 404, 945, 289, 283, 11)),
+    ((5, 3, 3, ADV), (4711, 144, 241, 124, 109, 16)),
+    ((5, 4, 2, ADV), (15764, 320, 903, 258, 252, 9)),
 ]
 
 
@@ -507,6 +530,7 @@ class TestSolverInvariants:
             (3, 3, 2, RAN),
             (4, 2, 2, ADV),
             (4, 2, 2, RAN),
+            (5, 3, 2, ADV),  # its reduced game merges forced reveals
         ],
     )
     def test_symmetry_reduction_preserves_value(self, n, d, k, variant):
@@ -917,6 +941,8 @@ class TestHiderStrategyValue:
             (3, 2, (1, 1, 1), [(0, Fraction(3, 2)), (1, Fraction(-1, 2))], "invalid distribution"),
             (3, 2, (1, 1, 1), [(0, Fraction(1, 2)), (2, Fraction(1, 2))], "empty or unqueried"),
             (3, 3, (1, 1, 0), [(0, Fraction(1, 2)), (2, Fraction(1, 2))], "empty or unqueried"),
+            # Naming box 0 twice once kept only the second half, certifying 1/2 where the value is 1.
+            (3, 3, (1, 1, 0), [(0, Fraction(1, 2)), (0, Fraction(1, 2))], "invalid distribution .*box 0 is named twice"),
         ],
     )
     def test_rejects_bad_reveal_policy(self, n, k, placement, dist, message):
