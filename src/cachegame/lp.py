@@ -39,6 +39,14 @@ it.  So the row where such a column becomes basic drops out of the working
 rows: no later pivot reads or updates it, and once the simplex ends the
 column's value is read back off the row as it stood after its own pivot.
 
+So phase 2 starts by bringing each such column in, in column order, at
+the row the ratio test picks (by its negative half if the first has no
+positive live entry), before Devex prices anything: a crash basis (Bixby
+1992).  Their rows drop while the basis-inverse rows are still sparse,
+where Devex would bring the columns in one at a time between its costly
+pivots, so later pivots update fewer and sparser rows.  The pivots may
+rise (124 to 135 at the ``(5,3,3)`` adversary program) as the time falls.
+
 The game programs are large and sparse, and most tableau updates touch
 structural entries that no later pivot reads; on tiny dense programs the
 on-demand reads cost more than they save.  So ``_form`` picks the form from
@@ -152,7 +160,8 @@ class LPSolution:
     None.
 
     ``pivots`` is the total of ``phase1_pivots`` (driving artificials out
-    included) and ``phase2_pivots``.  ``degenerate_pivots`` counts pivots
+    included) and ``phase2_pivots`` (the entry of the unpriced free columns
+    before Devex pricing included).  ``degenerate_pivots`` counts pivots
     with a zero step, ``bland_fallback`` tells whether Devex pricing
     stalled and switched to Bland's rule, and
     ``max_denominator_bits`` is the bit length of the largest row
@@ -163,7 +172,8 @@ class LPSolution:
     there; both forms drop the same rows.
 
     ``phase1_seconds`` (driving artificials out included),
-    ``phase2_seconds`` (reading the point and the duals included) and
+    ``phase2_seconds`` (the entry of the unpriced free columns, and reading
+    the point and the duals, included) and
     ``certificate_seconds`` are the wall times of the two phases and of
     ``check_certificate``.  They are left out of equality: two solutions
     with the same answer and counters are equal.
@@ -425,6 +435,26 @@ class _Tableau:
             self.dropped.append(r)
             self.reindex(r, [], list(self.rows[r].nums))
 
+    def ratio_test(self, column) -> int | None:
+        """The row where a column read as ``column`` enters: among the live
+        rows with a positive entry, the least ratio rhs/a (the row
+        denominator and the column's scale cancel), compared by
+        cross-multiplication.  Ties go to the lowest basic column, so the
+        rows' order does not matter.  None if no entry is positive."""
+        rows, basis = self.rows, self.basis
+        leave = None
+        for i, a in column[0].items():
+            if a <= 0:
+                continue
+            row_rhs = rows[i].rhs
+            if leave is None:
+                leave, lead_rhs, lead_a = i, row_rhs, a
+                continue
+            lhs, rhs = row_rhs * lead_a, lead_rhs * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave, lead_rhs, lead_a = i, row_rhs, a
+        return leave
+
     def reindex(self, i: int, gained: list[int], lost: list[int]) -> None:
         """Note the columns row ``i`` gained and lost in a pivot (all of
         them, as it drops out); the tableau keeps no column index."""
@@ -455,7 +485,6 @@ class _Tableau:
         they reach the top, and the heap is rebuilt from the live scores
         once they outnumber them."""
         red = self.reduced_costs(cost)
-        rows = self.rows
         weights = [1.0] * self.num_cols
         scores: dict[int, float] = {}  # eligible column -> d_j² / w_j
         heap: list[tuple[float, int]] = []  # (-score, column), stale entries too
@@ -500,26 +529,13 @@ class _Tableau:
                         entering = c
             if entering is None:
                 return red
-            # Ratio rhs/a per row (the row denominator and the column's
-            # scale cancel), compared by cross-multiplication.  Ties go to
-            # the lowest basic column, so the rows' order does not matter.
             column = self.column(entering)
-            leave = None
-            for i, a in column[0].items():
-                if a <= 0:
-                    continue
-                row_rhs = rows[i].rhs
-                if leave is None:
-                    leave, lead_rhs, lead_a = i, row_rhs, a
-                    continue
-                lhs, rhs = row_rhs * lead_a, lead_rhs * a
-                if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
-                    leave, lead_rhs, lead_a = i, row_rhs, a
+            leave = self.ratio_test(column)
             if leave is None:
                 raise LPError("objective is unbounded")
             leaving = self.basis[leave]
             self.pivot(leave, entering, column)
-            prow = self.expand(rows[leave])
+            prow = self.expand(self.rows[leave])
             red.eliminate(red.nums[entering], 1, prow)
             if not bland:
                 # The pivot row now holds x_j = α_rj / α_rq, and 1 / α_rq in
@@ -540,7 +556,7 @@ class _Tableau:
                 # to Bland's rule, restoring the termination guarantee.  The
                 # objective moves by red[entering] * ratio with red > 0, so a
                 # pivot makes no progress exactly when its ratio is zero.
-                stall = 0 if lead_rhs else stall + 1
+                stall = 0 if prow.rhs else stall + 1
                 if stall > _STALL_FACTOR * (self.num_cols + len(self.rows)):
                     bland = self.bland_fallback = True
 
@@ -652,8 +668,10 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     Both phases price by Devex and switch to Bland's rule if zero-step
     pivots persist (``bland_fallback``): the game programs are heavily
     degenerate, and Devex leaves fewer of those pivots than the largest
-    reduced cost, which makes far fewer than pure Bland pricing.  Raises
-    LPError if the objective is unbounded.
+    reduced cost, which makes far fewer than pure Bland pricing.  Phase 2
+    first brings each free variable the objective does not price into the
+    basis by the ratio test, and counts those pivots and their time as its
+    own.  Raises LPError if the objective is unbounded.
     """
     _validate(lp)
     sol = _simplex(lp)
@@ -696,6 +714,7 @@ def _simplex(lp: LinearProgram) -> LPSolution:
         tab.phase1_pivots = tab.pivots
 
     phase2 = time.perf_counter()
+    _enter_unpriced_free(tab)
     red = tab.run_simplex(tab.cost, barred=tab.artificial)
     return LPSolution(
         status=OPTIMAL,
@@ -726,6 +745,22 @@ def _pivot_out_artificials(tab: _Tableau) -> None:
         if pivot_col is not None:
             tab.pivot(i, pivot_col, tab.column(pivot_col))
         # Otherwise the row is redundant; the artificial stays basic at 0.
+
+
+def _enter_unpriced_free(tab: _Tableau) -> None:
+    """Bring each unpriced free variable into the basis, in column order:
+    its first half enters at the row the ratio test picks, or else its
+    other half, and a variable with a positive live entry in neither half
+    (one already basic, for one) stays out.  Each entry drops its row."""
+    for cols in tab.var_cols:
+        if cols[0][0] not in tab.unpriced_free:
+            continue
+        for col, _ in cols:
+            column = tab.column(col)
+            r = tab.ratio_test(column)
+            if r is not None:
+                tab.pivot(r, col, column)
+                break
 
 
 # ---------------------------------------------------------------------------

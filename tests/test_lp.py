@@ -760,7 +760,7 @@ def _holders_checked(p):
 
 
 def test_column_index_stays_exact_on_a_game_program():
-    assert _holders_checked(_sequence_form_program(5, 3, 3)) == 124
+    assert _holders_checked(_sequence_form_program(5, 3, 3)) == 135
 
 
 @settings(max_examples=100, deadline=None)
@@ -854,8 +854,72 @@ def test_a_dropped_row_is_read_after_the_rows_dropped_later():
         assert (sol.objective_value, sol.primal, sol.dropped_rows) == (5, (-1, 6, 5), 2)
 
 
+def _phase2_start(form, p):
+    """Solve ``p`` in ``form`` and return, as Devex phase 2 starts, each
+    unpriced free variable's halves as ``(row where it is basic or None,
+    its entries in the live rows)``, and the dropped rows."""
+    real = lpmod._Tableau.run_simplex
+    seen = []
+
+    def run_simplex(self, cost, barred):
+        if cost is self.cost:
+            halves = [
+                [(self.basis.index(col) if col in self.basis else None, self.column(col)[0]) for col, _ in cols]
+                for cols in self.var_cols if cols[0][0] in self.unpriced_free
+            ]
+            seen.append((halves, list(self.dropped)))
+        return real(self, cost, barred)
+
+    with mock.patch.object(lpmod._Tableau, "run_simplex", run_simplex):
+        sol = _solved_in(form, p)
+    assert lpmod.check_certificate(p, sol)
+    (start,) = seen
+    return start
+
+
+@pytest.mark.parametrize("form", [lpmod._Tableau, lpmod._Revised])
+def test_phase2_starts_with_every_enterable_unpriced_free_variable_basic(form):
+    halves, dropped = _phase2_start(form, _sequence_form_program(5, 3, 3))
+    for variable in halves:
+        basic = [r for r, _ in variable if r is not None]
+        if basic:
+            (r,) = basic
+            assert r in dropped
+        else:
+            # Neither half has a positive live entry: both columns are 0
+            # there, since one half is the other negated.
+            assert not any(entries for _, entries in variable)
+    assert sum(r is not None for variable in halves for r, _ in variable) == len(dropped) > 0
+
+
+@pytest.mark.parametrize("form", [lpmod._Tableau, lpmod._Revised])
+def test_an_unpriced_free_variable_enters_by_its_other_half(form):
+    # max y  s.t.  y + z = 2,  -x - y <= 1,  x free.  Phase 1 brings y in
+    # at row 0, which leaves row 1 as -x + z <= 3: x's first half has only
+    # that -1, and its second half enters at row 1.
+    p = lpmod.LinearProgram(3, [0, 1, 0])
+    p.set_free(0)
+    p.add_constraint({1: 1, 2: 1}, lpmod.EQUAL, 2)
+    p.add_constraint({0: -1, 1: -1}, lpmod.LESS_EQUAL, 1)
+    real = lpmod._enter_unpriced_free
+    after_phase1 = []
+
+    def enter(tab):
+        after_phase1.append(tab.column(0))
+        real(tab)
+
+    with mock.patch.object(lpmod, "_enter_unpriced_free", enter):
+        ((first, second),), dropped = _phase2_start(form, p)
+    ((entries, _),) = after_phase1
+    assert list(entries) == [1] and entries[1] < 0
+    assert (first[0], second[0], dropped) == (None, 1, [1])
+    sol = _same_in_both_forms(p)
+    assert (sol.objective_value, sol.primal, sol.dropped_rows) == (2, (-3, 2, 0), 1)
+
+
 def _solved_without_drops(form, p):
-    """``_solved_in`` with no column counted as unpriced free, so no row drops."""
+    """``_solved_in`` with no column counted as unpriced free, so no row
+    drops and no column enters before Devex phase 2."""
     real = lpmod._Tableau.__init__
 
     def init(self, lp):
