@@ -164,29 +164,24 @@ def fractional_step_distribution(spec: FractionalSpec, state: YoungState) -> lis
 def per_step_discovery_check(
     spec: FractionalSpec, state: YoungState, target: str
 ) -> tuple[Fraction, Fraction]:
-    """Both sides of the key coverage identity for one step.
+    """Both sides of the key coverage identity for one step, the left read
+    off the branches ``fractional_step_distribution`` returns.
 
     ``target="current"``: probability the next query contains the box that
-    just paid, versus k times the single-box repeat probability.
-    ``target="fresh"``: expected coverage of new boxes, versus k times the
-    single-box switch probability.  Equality of the two sides is exactly
-    what makes the mixed plan a k-fold speedup of the single-box plan.
+    just paid (the mass of the repeat branches), versus k times the
+    single-box repeat probability.
+    ``target="fresh"``: expected coverage of new boxes (each branch's fresh
+    box count times its probability), versus k times the single-box switch
+    probability.  Equality of the two sides is exactly what makes the mixed
+    plan a k-fold speedup of the single-box plan.
     """
-    base = _check_step_preconditions(spec, state)
-    p = spec.p
-    fl, ce = spec.floor_k, spec.ceil_k
-    p_fl = fl * base
-    p_ce = ce * base
+    branches = fractional_step_distribution(spec, state)
+    base = p_lambda(state)
     if target == "current":
-        lhs = p * p_fl + (1 - p) * p_ce
+        lhs = sum(prob for (repeat, _), prob in branches if repeat)
         rhs = spec.k * base
     elif target == "fresh":
-        lhs = (
-            (fl - 1) * p * p_fl
-            + fl * p * (1 - p_fl)
-            + (ce - 1) * (1 - p) * p_ce
-            + ce * (1 - p) * (1 - p_ce)
-        )
+        lhs = sum(fresh * prob for (_, fresh), prob in branches)
         rhs = spec.k * (1 - base)
     else:
         raise ValueError(f"target must be 'current' or 'fresh', got {target!r}")

@@ -33,19 +33,21 @@ loses from the update itself (and a row that shrank is copied, to shed the
 slots its dict keeps for deleted entries), and Devex pricing scores anew
 only the columns of the expanded pivot row.
 
-A free variable the objective does not price (a game's information-set
-values) never has to leave the basis once it enters, since no sign bounds
-it.  So the row where such a column becomes basic drops out of the working
-rows: no later pivot reads or updates it, and once the simplex ends the
-column's value is read back off the row as it stood after its own pivot.
+Each of the caller's variables is one column.  A free column enters in
+the direction its reduced cost gives and, since no sign bounds it, never
+leaves once basic: the ratio test skips its row.  Where a free column the
+objective does not price (a game's information-set values) becomes basic,
+its row drops out of the working rows: no later pivot reads or updates
+it, and once the simplex ends the column's value is read back off the row
+as it stood after its own pivot.
 
 So phase 2 starts by bringing each such column in, in column order, at
-the row the ratio test picks (by its negative half if the first has no
-positive live entry), before Devex prices anything: a crash basis (Bixby
-1992).  Their rows drop while the basis-inverse rows are still sparse,
-where Devex would bring the columns in one at a time between its costly
-pivots, so later pivots update fewer and sparser rows.  The pivots may
-rise (124 to 135 at the ``(5,3,3)`` adversary program) as the time falls.
+the row the ratio test picks (decreasing if no live row bounds it
+increasing), before Devex prices anything: a crash basis (Bixby 1992).
+Their rows drop while the basis-inverse rows are still sparse, where Devex
+would bring the columns in one at a time between its costly pivots, so
+later pivots update fewer and sparser rows.  The pivots may rise (124 to
+135 at the ``(5,3,3)`` adversary program) as the time falls.
 
 The game programs are large and sparse, and most tableau updates touch
 structural entries that no later pivot reads; on tiny dense programs the
@@ -54,7 +56,7 @@ the number of rows alone.
 
 Before ``solve_lp`` returns, ``check_certificate`` verifies the answer
 against the caller's own rows, which it converts to integers itself, so the
-mapping back from the form's split columns and flipped rows is checked too:
+mapping back from the form's flipped rows and dropped rows is checked too:
 
 * ``OPTIMAL``  -- a feasible point, row multipliers of the signs their
   senses allow, dual-feasible reduced costs, and equal primal objective,
@@ -196,7 +198,8 @@ class LPSolution:
 
 
 # ---------------------------------------------------------------------------
-# The forms:  max c.x,  A x = b,  x >= 0,  b >= 0,  over split columns.
+# The forms:  max c.x,  A x = b,  x >= 0 outside the free columns,  b >= 0
+# in the rows whose basic column is not free.
 # ---------------------------------------------------------------------------
 
 
@@ -215,6 +218,14 @@ class _Row:
 
     def __init__(self, nums: dict[int, int], rhs: int, den: int):
         self.nums, self.rhs, self.den = nums, rhs, den
+
+    @classmethod
+    def over_lcm(cls, row: dict[int, Fraction], rhs: Fraction, sign: int = 1) -> _Row:
+        """``sign`` times a caller's ``row`` and ``rhs``, put over the lcm
+        of their denominators (which leaves them in lowest terms)."""
+        den = lcm(rhs.denominator, *(v.denominator for v in row.values()))
+        nums = {j: sign * v.numerator * (den // v.denominator) for j, v in row.items()}
+        return cls(nums, sign * rhs.numerator * (den // rhs.denominator), den)
 
     def make_unit(self, p: int, scale: int) -> None:
         """Divide the row by its pivot-column entry ``p / (den·scale)``,
@@ -272,14 +283,13 @@ class _Tableau:
     """Sparse tableau of fraction-free integer rows with explicit
     slack/artificial bookkeeping, and the simplex driver both forms run.
 
-    The constructor reads the caller's program.  Each free variable is
-    split into a difference of nonnegative columns, so the whole program is
-    rows over nonnegative columns; ``unpriced_free`` holds both halves of
-    each free variable the objective does not price.  Each row goes over
-    the lcm of its denominators, which leaves it in lowest terms, is
+    The constructor reads the caller's program.  Column ``j`` is the
+    caller's variable ``j``, free if it is in ``free``; ``unpriced_free``
+    holds the free columns the objective does not price.  Each row goes
+    over the lcm of its denominators, which leaves it in lowest terms, is
     negated (``flip``) if its right-hand side is negative, and gains its
-    slack, surplus or artificial column.  The cost is a ``_Row`` in the
-    same form.
+    slack, surplus or artificial column after the caller's columns.  The
+    cost is a ``_Row`` in the same form.
 
     The driver reads the rows through ``column`` and ``expand`` only; the
     revised form overrides those two, and ``reindex``, which ``pivot``
@@ -288,15 +298,10 @@ class _Tableau:
     again a ratio-test candidate or an elimination target."""
 
     def __init__(self, lp: LinearProgram):
-        self.num_cols = 0
-        self.var_cols: list[list[tuple[int, int]]] = []  # var -> [(col, sign)]
-        for j in range(lp.num_vars):
-            cols = [(self._new_col(), 1)]
-            if j in lp.free:
-                cols.append((self._new_col(), -1))
-            self.var_cols.append(cols)
-        self.cost = self._expand({j: c for j, c in enumerate(lp.objective) if c}, ZERO)
-        self.unpriced_free = {col for j in lp.free for col, _ in self.var_cols[j] if col not in self.cost.nums}
+        self.num_vars = self.num_cols = lp.num_vars
+        self.free = set(lp.free)
+        self.cost = _Row.over_lcm({j: c for j, c in enumerate(lp.objective) if c}, ZERO)
+        self.unpriced_free = {j for j in lp.free if j not in self.cost.nums}
 
         m = len(lp.rows)
         self.rows: list[_Row] = []
@@ -317,7 +322,7 @@ class _Tableau:
                 flip = -1
                 sense = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[sense]
             self.flip.append(flip)
-            row = self._expand(row, b, flip)
+            row = _Row.over_lcm(row, b, flip)
             nums, den = row.nums, row.den
             # A slack or artificial coefficient of 1 is ``den`` over ``den``.
             if sense == LESS_EQUAL:
@@ -341,17 +346,6 @@ class _Tableau:
                 self.unit_col[i], self.unit_sign[i] = art, 1
             self.rows.append(row)
         self.max_den_bits = max((row.den.bit_length() for row in self.rows), default=0)
-
-    def _expand(self, row: dict[int, Fraction], rhs: Fraction, sign: int = 1) -> _Row:
-        """``sign`` times ``row`` and ``rhs`` over the split columns, put
-        over the lcm of their denominators."""
-        den = lcm(rhs.denominator, *(v.denominator for v in row.values()))
-        nums: dict[int, int] = {}
-        for j, value in row.items():
-            num = sign * value.numerator * (den // value.denominator)
-            for col, s in self.var_cols[j]:
-                nums[col] = s * num
-        return _Row(nums, sign * rhs.numerator * (den // rhs.denominator), den)
 
     def _new_col(self) -> int:
         col = self.num_cols
@@ -435,16 +429,19 @@ class _Tableau:
             self.dropped.append(r)
             self.reindex(r, [], list(self.rows[r].nums))
 
-    def ratio_test(self, column) -> int | None:
-        """The row where a column read as ``column`` enters: among the live
-        rows with a positive entry, the least ratio rhs/a (the row
-        denominator and the column's scale cancel), compared by
-        cross-multiplication.  Ties go to the lowest basic column, so the
-        rows' order does not matter.  None if no entry is positive."""
-        rows, basis = self.rows, self.basis
+    def ratio_test(self, column, sign: int = 1) -> int | None:
+        """The row where a column read as ``column`` enters, increasing if
+        ``sign`` is 1 and decreasing if it is -1: among the live rows whose
+        basic column is not free and whose entry has the sign of ``sign``,
+        the least ratio rhs/|a| (the row denominator and the column's scale
+        cancel), compared by cross-multiplication.  Ties go to the lowest
+        basic column, so the rows' order does not matter.  None if there is
+        no such row."""
+        rows, basis, free = self.rows, self.basis, self.free
+        entries = column[0] if sign > 0 else {i: -a for i, a in column[0].items()}
         leave = None
-        for i, a in column[0].items():
-            if a <= 0:
+        for i, a in entries.items():
+            if a <= 0 or basis[i] in free:
                 continue
             row_rhs = rows[i].rhs
             if leave is None:
@@ -463,15 +460,17 @@ class _Tableau:
         """Maximize, returning the optimal reduced-cost row; raise LPError
         if the objective is unbounded.
 
-        Devex pricing (Harris 1973): the eligible column with the largest
-        ``d_j² / w_j`` enters, lowest column first on ties, where ``d_j`` is
-        its reduced cost and ``w_j`` a float reference weight, 1 for every
-        column at each call.  After a pivot on ``(r, q)`` each column ``j``
-        of the pivot row takes ``max(w_j, x_j²·w_q)`` with
-        ``x_j = α_rj / α_rq``, and the leaving column ``max(w_q / α_rq², 1)``.
-        Each ``d_j`` and ``x_j`` is one correctly rounded division of two
-        integers, so it depends on the rational value alone and both forms
-        price alike.  Floats only pick the entering column: the ratio test,
+        A column outside ``barred`` is eligible if its reduced cost ``d_j``
+        is positive, or nonzero for a free column, which enters increasing
+        or decreasing as the sign of ``d_j`` says.  Devex pricing (Harris
+        1973): the eligible column with the largest ``d_j² / w_j`` enters,
+        lowest column first on ties, where ``w_j`` is a float reference
+        weight, 1 for every column at each call.  After a pivot on
+        ``(r, q)`` each column ``j`` of the pivot row takes
+        ``max(w_j, x_j²·w_q)`` with ``x_j = α_rj / α_rq``, and the leaving
+        column ``max(w_q / α_rq², 1)``.  Each ``d_j`` and ``x_j`` is one
+        correctly rounded division of two integers, so it depends on the
+        rational value alone and both forms price alike.  Floats only pick the entering column: the ratio test,
         the stall guard, the pivot and the answer are exact.  A ratio of
         2**1024 or more has no float, and a nan score (inf / inf) has no
         order; Bland's rule then finishes the phase, as it does once
@@ -485,6 +484,7 @@ class _Tableau:
         they reach the top, and the heap is rebuilt from the live scores
         once they outnumber them."""
         red = self.reduced_costs(cost)
+        free = self.free
         weights = [1.0] * self.num_cols
         scores: dict[int, float] = {}  # eligible column -> d_j² / w_j
         heap: list[tuple[float, int]] = []  # (-score, column), stale entries too
@@ -494,7 +494,7 @@ class _Tableau:
             nums, den = red.nums, red.den
             for c in cols:
                 v = nums.get(c, 0)
-                if v <= 0 or c in barred:
+                if (v <= 0 and (not v or c not in free)) or c in barred:
                     scores.pop(c, None)
                     continue
                 d = v / den
@@ -523,14 +523,14 @@ class _Tableau:
                     entering = heap[0][1]
             else:
                 for c, v in red.nums.items():
-                    if c in barred or v <= 0:
+                    if (v <= 0 and (not v or c not in free)) or c in barred:
                         continue
                     if entering is None or c < entering:
                         entering = c
             if entering is None:
                 return red
             column = self.column(entering)
-            leave = self.ratio_test(column)
+            leave = self.ratio_test(column, 1 if red.nums[entering] > 0 else -1)
             if leave is None:
                 raise LPError("objective is unbounded")
             leaving = self.basis[leave]
@@ -554,8 +554,8 @@ class _Tableau:
                     bland = self.bland_fallback = True
                 # Degeneracy guard: persistent zero-progress pivots switch
                 # to Bland's rule, restoring the termination guarantee.  The
-                # objective moves by red[entering] * ratio with red > 0, so a
-                # pivot makes no progress exactly when its ratio is zero.
+                # objective moves by |red[entering]| times the step, so a
+                # pivot makes no progress exactly when its step is zero.
                 stall = 0 if prow.rhs else stall + 1
                 if stall > _STALL_FACTOR * (self.num_cols + len(self.rows)):
                     bland = self.bland_fallback = True
@@ -571,9 +571,8 @@ class _Tableau:
         return tuple(out)
 
     def structural_point(self) -> tuple[Fraction, ...]:
-        """The caller's variables at the basic solution, each the value of
-        its column less that of its negative half.  A dropped row's basic
-        value is read off the row as it stood after its own pivot, in
+        """The caller's variables at the basic solution.  A dropped row's
+        basic value is read off the row as it stood after its own pivot, in
         reverse drop order: each other column of that row was nonbasic then,
         so it is now 0, basic in a live row, or basic in a row dropped later
         and already read."""
@@ -585,12 +584,7 @@ class _Tableau:
             rest = sum((v * values[c] for c, v in row.nums.items() if c in values), ZERO)
             if value := (row.rhs - rest) / row.den:
                 values[b] = value
-        x = [ZERO] * len(self.var_cols)
-        for j, cols in enumerate(self.var_cols):
-            for col, s in cols:
-                if col in values:
-                    x[j] += s * values[col]
-        return tuple(x)
+        return tuple(values.get(j, ZERO) for j in range(self.num_vars))
 
 
 class _Revised(_Tableau):
@@ -704,8 +698,9 @@ def _simplex(lp: LinearProgram) -> LPSolution:
         cost1 = _Row({c: -1 for c in tab.artificial}, 0, 1)
         red = tab.run_simplex(cost1, barred=set())
         tab.phase1_pivots = tab.pivots
-        # Right-hand sides stay >= 0, so the artificials sum to a positive
-        # value exactly when one of them is basic at a positive level.
+        # An artificial column is not free, so its row's right-hand side
+        # stays >= 0, and the artificials sum to a positive value exactly
+        # when one of them is basic at a positive level.
         if any(row.rhs for row, b in zip(tab.rows, tab.basis) if b in tab.artificial):
             dual = tab.duals(red, cost1)
             return LPSolution(INFEASIBLE, None, None, dual, **tab.counters(),
@@ -748,19 +743,17 @@ def _pivot_out_artificials(tab: _Tableau) -> None:
 
 
 def _enter_unpriced_free(tab: _Tableau) -> None:
-    """Bring each unpriced free variable into the basis, in column order:
-    its first half enters at the row the ratio test picks, or else its
-    other half, and a variable with a positive live entry in neither half
-    (one already basic, for one) stays out.  Each entry drops its row."""
-    for cols in tab.var_cols:
-        if cols[0][0] not in tab.unpriced_free:
-            continue
-        for col, _ in cols:
-            column = tab.column(col)
-            r = tab.ratio_test(column)
-            if r is not None:
-                tab.pivot(r, col, column)
-                break
+    """Bring each unpriced free column into the basis, in column order:
+    increasing at the row the ratio test picks, or else decreasing, and a
+    column that no live row bounds either way (one already basic, for one)
+    stays out.  Each entry drops its row."""
+    for col in sorted(tab.unpriced_free):
+        column = tab.column(col)
+        r = tab.ratio_test(column)
+        if r is None:
+            r = tab.ratio_test(column, -1)
+        if r is not None:
+            tab.pivot(r, col, column)
 
 
 # ---------------------------------------------------------------------------

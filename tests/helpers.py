@@ -182,10 +182,12 @@ def reference_run_simplex(self, cost, barred):
     Maximize, returning the optimal reduced-cost row; raise LPError
     if the objective is unbounded.
 
-    Devex pricing (Harris 1973): the eligible column with the largest
-    ``d_j² / w_j`` enters, lowest column first on ties, where ``d_j`` is
-    its reduced cost and ``w_j`` a float reference weight, 1 for every
-    column at each call.  After a pivot on ``(r, q)`` each column ``j``
+    A column outside ``barred`` is eligible if its reduced cost ``d_j`` is
+    positive, or nonzero for a free column, which enters increasing or
+    decreasing as the sign of ``d_j`` says.  Devex pricing (Harris 1973):
+    the eligible column with the largest ``d_j² / w_j`` enters, lowest
+    column first on ties, where ``w_j`` is a float reference weight, 1 for
+    every column at each call.  After a pivot on ``(r, q)`` each column ``j``
     of the pivot row takes ``max(w_j, x_j²·w_q)`` with
     ``x_j = α_rj / α_rq``, and the leaving column ``max(w_q / α_rq², 1)``.
     A ratio of 2**1024 or more has no float; Bland's rule then finishes
@@ -195,6 +197,10 @@ def reference_run_simplex(self, cost, barred):
     the programs this oracle is compared on price no nan."""
     red = self.reduced_costs(cost)
     rows = self.rows
+
+    def eligible(c, v):
+        return (v > 0 or (v < 0 and c in self.free)) and c not in barred
+
     weights = [1.0] * self.num_cols
     bland = False
     stall = -1  # the first pivot has no earlier objective value to repeat
@@ -204,7 +210,7 @@ def reference_run_simplex(self, cost, barred):
             den = red.den
             try:
                 for c, v in red.nums.items():
-                    if v <= 0 or c in barred:
+                    if not eligible(c, v):
                         continue
                     d = v / den
                     score = d * d / weights[c]
@@ -217,19 +223,23 @@ def reference_run_simplex(self, cost, barred):
                 bland = self.bland_fallback = True
         if bland:
             for c, v in red.nums.items():
-                if c in barred or v <= 0:
+                if not eligible(c, v):
                     continue
                 if entering is None or c < entering:
                     entering = c
         if entering is None:
             return red
-        # Ratio rhs/a per row (the row denominator and the column's
-        # scale cancel), compared by cross-multiplication.  Ties go to
-        # the lowest basic column, so the rows' order does not matter.
+        # Ratio rhs/|a| per row whose entry has the sign of the direction
+        # (the row denominator and the column's scale cancel), compared by
+        # cross-multiplication, over the rows whose basic column is not
+        # free.  Ties go to the lowest basic column, so the rows' order
+        # does not matter.
         column = self.column(entering)
+        sign = 1 if red.nums[entering] > 0 else -1
         leave = None
         for i, a in column[0].items():
-            if a <= 0:
+            a *= sign
+            if a <= 0 or self.basis[i] in self.free:
                 continue
             row_rhs = rows[i].rhs
             if leave is None:

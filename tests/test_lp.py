@@ -817,6 +817,66 @@ def test_a_basic_unpriced_free_column_keeps_its_row_on_programs_of_every_shape(p
         _drops_kept(form, p)
 
 
+def _no_free_column_leaves(form, p):
+    """Solve ``p`` in ``form``, checking that no pivot's leaving column is
+    free; returns the answer and the ``(row, column)`` of each pivot."""
+    real = lpmod._Tableau.pivot
+    pivots = []
+
+    def pivot(self, r, col, column):
+        assert self.basis[r] not in self.free
+        pivots.append((r, col))
+        real(self, r, col, column)
+
+    with mock.patch.object(lpmod._Tableau, "pivot", pivot):
+        return _solved_in(form, p), pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_programs())
+def test_no_free_column_leaves_on_programs_of_every_shape(p):
+    for form in (lpmod._Tableau, lpmod._Revised):
+        _no_free_column_leaves(form, p)
+
+
+@pytest.mark.parametrize("form", [lpmod._Tableau, lpmod._Revised])
+@pytest.mark.parametrize("n,d,k", [(3, 3, 2), (4, 3, 2), (5, 3, 3)])
+def test_no_free_column_leaves_on_game_programs(form, n, d, k):
+    sol, pivots = _no_free_column_leaves(form, _sequence_form_program(n, d, k))
+    assert sol.status == lpmod.OPTIMAL and pivots
+
+
+def test_no_free_column_leaves_on_accumulation_programs():
+    # The margin t of each feasibility program is free and priced.
+    programs = []
+    real = lpmod.solve_lp
+
+    def recording(p):
+        programs.append(p)
+        return real(p)
+
+    with mock.patch.object(lpmod, "solve_lp", recording):
+        for n, k, d in [(5, 3, 2), (6, 3, 2)]:
+            accumulation.max_losing_subsets_exact(accumulation.AccumulationSpec(n, k, Fraction(d)))
+    assert len(programs) == 11 + 28
+    for p in programs:
+        for form in (lpmod._Tableau, lpmod._Revised):
+            _no_free_column_leaves(form, p)
+
+
+def test_a_priced_free_column_stays_basic_at_a_negative_value():
+    # max t  s.t.  t <= -1,  t free.  The row flips to -t >= 1, and phase 1
+    # brings t in decreasing, basic at -1, where it stays.
+    p = lpmod.LinearProgram(1, [1])
+    p.set_free(0)
+    p.add_constraint({0: 1}, lpmod.LESS_EQUAL, -1)
+    for form in (lpmod._Tableau, lpmod._Revised):
+        sol, pivots = _no_free_column_leaves(form, p)
+        assert pivots == [(0, 0)]
+        assert (sol.status, sol.objective_value, sol.primal, sol.dual) == (lpmod.OPTIMAL, -1, (-1,), (1,))
+        assert lpmod.check_certificate(p, sol)
+
+
 def test_priced_free_columns_keep_their_rows_live():
     # The margin t of a feasibility program is free and priced.
     p = lpmod.LinearProgram(2, [0, 1])
@@ -848,26 +908,26 @@ def test_a_dropped_row_is_read_after_the_rows_dropped_later():
 
         with mock.patch.object(lpmod._Tableau, "pivot", pivot):
             sol = _solved_in(form, p)
-        assert [(r, col) for r, col, _ in drops] == [(0, 0), (1, 2)]  # x+ then y+ (x, y split in two)
-        assert 2 in drops[0][2]
+        assert [(r, col) for r, col, _ in drops] == [(0, 0), (1, 1)]  # x, then y
+        assert 1 in drops[0][2]
         assert sol.status == lpmod.OPTIMAL
         assert (sol.objective_value, sol.primal, sol.dropped_rows) == (5, (-1, 6, 5), 2)
 
 
 def _phase2_start(form, p):
     """Solve ``p`` in ``form`` and return, as Devex phase 2 starts, each
-    unpriced free variable's halves as ``(row where it is basic or None,
-    its entries in the live rows)``, and the dropped rows."""
+    unpriced free column as ``(column, row where it is basic or None, its
+    entries in the live rows)``, and the dropped rows."""
     real = lpmod._Tableau.run_simplex
     seen = []
 
     def run_simplex(self, cost, barred):
         if cost is self.cost:
-            halves = [
-                [(self.basis.index(col) if col in self.basis else None, self.column(col)[0]) for col, _ in cols]
-                for cols in self.var_cols if cols[0][0] in self.unpriced_free
+            columns = [
+                (col, self.basis.index(col) if col in self.basis else None, self.column(col)[0])
+                for col in sorted(self.unpriced_free)
             ]
-            seen.append((halves, list(self.dropped)))
+            seen.append((columns, list(self.dropped)))
         return real(self, cost, barred)
 
     with mock.patch.object(lpmod._Tableau, "run_simplex", run_simplex):
@@ -879,24 +939,23 @@ def _phase2_start(form, p):
 
 @pytest.mark.parametrize("form", [lpmod._Tableau, lpmod._Revised])
 def test_phase2_starts_with_every_enterable_unpriced_free_variable_basic(form):
-    halves, dropped = _phase2_start(form, _sequence_form_program(5, 3, 3))
-    for variable in halves:
-        basic = [r for r, _ in variable if r is not None]
-        if basic:
-            (r,) = basic
+    columns, dropped = _phase2_start(form, _sequence_form_program(5, 3, 3))
+    for _, r, entries in columns:
+        if r is not None:
             assert r in dropped
         else:
-            # Neither half has a positive live entry: both columns are 0
-            # there, since one half is the other negated.
-            assert not any(entries for _, entries in variable)
-    assert sum(r is not None for variable in halves for r, _ in variable) == len(dropped) > 0
+            # No live entry of either sign, so it could enter in neither
+            # direction.
+            assert not entries
+    assert sum(r is not None for _, r, _ in columns) == len(dropped) > 0
 
 
 @pytest.mark.parametrize("form", [lpmod._Tableau, lpmod._Revised])
-def test_an_unpriced_free_variable_enters_by_its_other_half(form):
+def test_an_unpriced_free_variable_enters_decreasing(form):
     # max y  s.t.  y + z = 2,  -x - y <= 1,  x free.  Phase 1 brings y in
-    # at row 0, which leaves row 1 as -x + z <= 3: x's first half has only
-    # that -1, and its second half enters at row 1.
+    # at row 0, which leaves row 1 as -x + z <= 3: x's column has only
+    # that -1, so no row bounds x increasing, and it enters decreasing at
+    # row 1.
     p = lpmod.LinearProgram(3, [0, 1, 0])
     p.set_free(0)
     p.add_constraint({1: 1, 2: 1}, lpmod.EQUAL, 2)
@@ -909,10 +968,10 @@ def test_an_unpriced_free_variable_enters_by_its_other_half(form):
         real(tab)
 
     with mock.patch.object(lpmod, "_enter_unpriced_free", enter):
-        ((first, second),), dropped = _phase2_start(form, p)
+        ((col, r, _),), dropped = _phase2_start(form, p)
     ((entries, _),) = after_phase1
     assert list(entries) == [1] and entries[1] < 0
-    assert (first[0], second[0], dropped) == (None, 1, [1])
+    assert (col, r, dropped) == (0, 1, [1])
     sol = _same_in_both_forms(p)
     assert (sol.objective_value, sol.primal, sol.dropped_rows) == (2, (-3, 2, 0), 1)
 
