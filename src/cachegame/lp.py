@@ -49,6 +49,18 @@ would bring the columns in one at a time between its costly pivots, so
 later pivots update fewer and sparser rows.  The pivots may rise (124 to
 135 at the ``(5,3,3)`` adversary program) as the time falls.
 
+Once those columns are in, if any row has dropped, the revised form
+restarts from its own rows: a reinversion of its explicit inverse at the
+crash basis (the refactorization of Forrest and Tomlin 1972, done once).
+Each row's expansion over every column becomes that row's initial row,
+keyed by its basic column, and each basis-inverse part becomes that
+column alone.  Before it, every live part still carries entries in the
+dropped rows' initial basic columns, so each later pivot would update rows
+longer than the expanded rows themselves.  Every value the driver reads is
+the same rational after the restart, so the pivots are the same.
+Restarting again every few dozen or hundred pivots measured slower, so it
+restarts once.
+
 The game programs are large and sparse, and most tableau updates touch
 structural entries that no later pivot reads; on tiny dense programs the
 on-demand reads cost more than they save.  So ``_form`` picks the form from
@@ -167,9 +179,10 @@ class LPSolution:
     with a zero step, ``bland_fallback`` tells whether Devex pricing
     stalled and switched to Bland's rule, and
     ``max_denominator_bits`` is the bit length of the largest row
-    denominator the engine held: the whole rows of the tableau, or only the
-    basis-inverse rows of the revised form, so the same program reads a
-    different figure under each form.  ``dropped_rows`` counts the rows
+    denominator the engine held: the whole rows of the tableau, or the
+    basis-inverse rows of the revised form and the initial rows it starts
+    and restarts from, so the same program reads a different figure under
+    each form.  ``dropped_rows`` counts the rows
     that left the working rows once an unpriced free column became basic
     there; both forms drop the same rows.
 
@@ -456,6 +469,10 @@ class _Tableau:
         """Note the columns row ``i`` gained and lost in a pivot (all of
         them, as it drops out); the tableau keeps no column index."""
 
+    def restart(self, rows: list[_Row]) -> None:
+        """Start every row afresh from ``rows``, row ``i`` over every column;
+        the tableau keeps them already."""
+
     def run_simplex(self, cost: _Row, barred: set[int]) -> _Row:
         """Maximize, returning the optimal reduced-cost row; raise LPError
         if the objective is unbounded.
@@ -588,37 +605,63 @@ class _Tableau:
 
 
 class _Revised(_Tableau):
-    """The revised form: each row keeps only its basis-inverse part (the
+    """The revised form: each row keeps only its basis-inverse part and its
+    right-hand side.  The part holds the row's multipliers of the initial
+    rows, each named by its initial row's basic column: at first the
     entries the tableau keeps in the initial basis's slack and artificial
-    columns) and its right-hand side.  A column ``B⁻¹A_q`` and a whole row
-    ``B⁻¹_r A`` are computed on demand from the initial rows, so a pivot
-    updates no entry of a structural column.  A dropped row leaves the
-    column index, so no column reads it again."""
+    columns.  A column ``B⁻¹A_q`` and a whole row ``B⁻¹_r A`` are computed
+    on demand from the initial rows, so a pivot updates no entry of a
+    structural column.  A dropped row leaves the column index, so no column
+    reads it again.
+
+    ``restart`` builds the form from given initial rows: the constructor
+    starts it from the program's own, and once the hider's values are in
+    and rows have dropped, the driver restarts it from the expanded rows,
+    so each row's part is again its basic column alone."""
 
     def __init__(self, lp: LinearProgram):
         super().__init__(lp)
-        # The initial row whose basic column is u, by u; each column as
-        # (scale, [(u, weight)]): its entries over the lcm of their rows'
-        # denominators, each named by its row's initial basic column.
-        self.initial = {u: (row.nums, row.den) for u, row in zip(self.basis, self.rows)}
+        self.restart(self.rows)
+
+    def restart(self, rows: list[_Row]) -> None:
+        """Start every row afresh from ``rows``, where ``rows[i]`` is row
+        ``i`` over every column: it becomes the initial row keyed by its
+        basic column ``basis[i]``, which holds 1 in it, and row ``i``'s
+        basis-inverse part becomes that column alone.  Every value stays the
+        same rational.  The column index is built from the live rows only;
+        a dropped row is still read through ``expand``."""
+        self.cols = self.holders = None  # release the old index first
+        # The initial row whose basic column is u, by u, in lowest terms
+        # (row i keeps the right-hand side), and row i's part: that row, once.
+        self.initial, self.rows = {}, []
+        for u, row in zip(self.basis, rows):
+            nums, den = row.nums, row.den
+            if den != 1 and (g := gcd(den, *nums.values())) != 1:
+                nums, den = {c: v // g for c, v in nums.items()}, den // g
+            self.initial[u] = nums, den
+            g = gcd(row.den, row.rhs)
+            self.rows.append(_Row({u: row.den // g}, row.rhs // g, row.den // g))
+        self.max_den_bits = max([self.max_den_bits, *(den.bit_length() for _, den in self.initial.values()),
+                                 *(row.den.bit_length() for row in self.rows)])
+        # Each column as (scale, [(u, weight)]): its entries in the live
+        # initial rows over the lcm of their denominators, each named by its
+        # row's key; and the live rows that hold an entry in column u, kept
+        # exact by ``pivot`` (a dropped row leaves every list).
+        dropped = set(self.dropped)
+        live = [(i, u) for i, u in enumerate(self.basis) if i not in dropped]
         scales = [1] * self.num_cols
-        for nums, den in self.initial.values():
-            for c in nums:
-                scales[c] = lcm(scales[c], den)
+        for _, u in live:
+            nums, den = self.initial[u]
+            if den != 1:
+                for c in nums:
+                    scales[c] = lcm(scales[c], den)
         self.cols = [(scale, []) for scale in scales]
-        for u, (nums, den) in self.initial.items():
+        for _, u in live:
+            nums, den = self.initial[u]
             for c, v in nums.items():
                 scale, weights = self.cols[c]
                 weights.append((u, v * (scale // den)))
-        rows = []
-        for u, row in zip(self.basis, self.rows):
-            g = gcd(row.den, row.rhs)
-            rows.append(_Row({u: row.den // g}, row.rhs // g, row.den // g))
-        self.rows = rows
-        self.max_den_bits = max((row.den.bit_length() for row in rows), default=0)
-        # The live rows that hold an entry in column u, kept exact by
-        # ``pivot``; a dropped row leaves every list.
-        self.holders = {u: [i] for i, u in enumerate(self.basis)}
+        self.holders = {u: [i] for i, u in live}
 
     def column(self, col: int) -> tuple[dict[int, int], int]:
         """``B⁻¹A_col``: each row's basis-inverse part times the column,
@@ -710,6 +753,10 @@ def _simplex(lp: LinearProgram) -> LPSolution:
 
     phase2 = time.perf_counter()
     _enter_unpriced_free(tab)
+    if tab.dropped:
+        # The live rows' basis-inverse parts still hold entries under the
+        # dropped rows' keys; each row starts again from its expansion.
+        tab.restart([tab.expand(row) for row in tab.rows])
     red = tab.run_simplex(tab.cost, barred=tab.artificial)
     return LPSolution(
         status=OPTIMAL,

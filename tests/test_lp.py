@@ -664,7 +664,7 @@ def _sequence_form_program(n, d, k, variant=Variant.ADVERSARY):
 
 
 @pytest.mark.parametrize("n,d,k,variant", [(3, 3, 2, Variant.ADVERSARY), (4, 3, 2, Variant.ADVERSARY),
-                                           (4, 4, 2, Variant.RANDOM)])
+                                           (5, 3, 3, Variant.ADVERSARY), (4, 4, 2, Variant.RANDOM)])
 def test_forms_agree_on_sequence_form_programs(n, d, k, variant):
     assert _same_in_both_forms(_sequence_form_program(n, d, k, variant)).status == lpmod.OPTIMAL
 
@@ -780,22 +780,29 @@ def test_column_index_stays_exact_on_random_bounded_programs(seed):
 # ---------------------------------------------------------------------------
 
 
+def _row_values(tab, i):
+    """Row ``i`` of ``tab`` over every column, and its right-hand side, as
+    exact rationals."""
+    full = tab.expand(tab.rows[i])
+    return {c: Fraction(v, full.den) for c, v in full.nums.items()}, Fraction(full.rhs, full.den)
+
+
 def _drops_kept(form, p):
     """Solve ``p`` in ``form``, checking after every pivot that each
     unpriced free column that became basic is still basic in its row, that
-    the row is dropped, in drop order, and that it holds what it held after
-    its own pivot; returns the number of rows dropped."""
+    the row is dropped, in drop order, and that it holds the values it held
+    after its own pivot; returns the number of rows dropped."""
     real = lpmod._Tableau.pivot
-    held = {}  # row -> (its free basic column, its numerators, its right-hand side)
+    held = {}  # row -> (its free basic column, its values, its right-hand side)
 
     def pivot(self, r, col, column):
         assert r not in held  # a dropped row is never a pivot row again
         real(self, r, col, column)
         if col in self.unpriced_free:
-            held[r] = (col, dict(self.rows[r].nums), self.rows[r].rhs)
+            held[r] = (col, *_row_values(self, r))
         assert self.dropped == list(held)
-        for i, (c, nums, rhs) in held.items():
-            assert (self.basis[i], self.rows[i].nums, self.rows[i].rhs) == (c, nums, rhs)
+        for i, (c, values, rhs) in held.items():
+            assert (self.basis[i], *_row_values(self, i)) == (c, values, rhs)
 
     with mock.patch.object(lpmod._Tableau, "pivot", pivot):
         sol = _solved_in(form, p)
@@ -815,6 +822,67 @@ def test_a_basic_unpriced_free_column_keeps_its_row_on_game_programs(form, n, d,
 def test_a_basic_unpriced_free_column_keeps_its_row_on_programs_of_every_shape(p):
     for form in (lpmod._Tableau, lpmod._Revised):
         _drops_kept(form, p)
+
+
+def _restarts_checked(p):
+    """Solve ``p`` in the revised form, checking at each restart after the
+    constructor's that every row's values and right-hand side, and every
+    column the driver reads, are the same rationals after it as before, and
+    that each row's basis-inverse part is then its basic column alone, the
+    column index listing the live rows only.  Returns the answer and, for
+    each of those restarts, the number of rows dropped by then."""
+    real = lpmod._Revised.restart
+    restarts = []
+
+    def column_values(tab, c):
+        entries, scale = tab.column(c)
+        return {i: Fraction(a, tab.rows[i].den * scale) for i, a in entries.items()}
+
+    def restart(self, rows):
+        if not hasattr(self, "initial"):  # the constructor's start
+            return real(self, rows)
+        before = [_row_values(self, i) for i in range(len(self.rows))]
+        columns = [column_values(self, c) for c in range(self.num_cols)]
+        real(self, rows)
+        assert [_row_values(self, i) for i in range(len(self.rows))] == before
+        assert [column_values(self, c) for c in range(self.num_cols)] == columns
+        assert [set(row.nums) for row in self.rows] == [{u} for u in self.basis]
+        live = [i for i in range(len(self.rows)) if i not in self.dropped]
+        assert self.holders == {self.basis[i]: [i] for i in live}
+        restarts.append(len(self.dropped))
+
+    with mock.patch.object(lpmod._Revised, "restart", restart):
+        sol = _solved_in(lpmod._Revised, p)
+    return sol, restarts
+
+
+@pytest.mark.parametrize("n,d,k,variant", [(4, 3, 2, Variant.ADVERSARY), (5, 3, 3, Variant.ADVERSARY),
+                                           (4, 4, 2, Variant.RANDOM)])
+def test_the_restart_changes_no_value_on_game_programs(n, d, k, variant):
+    sol, restarts = _restarts_checked(_sequence_form_program(n, d, k, variant))
+    assert sol.status == lpmod.OPTIMAL and restarts == [sol.dropped_rows] and sol.dropped_rows > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_programs())
+def test_the_revised_form_restarts_once_exactly_when_rows_dropped(p):
+    sol, restarts = _restarts_checked(p)
+    if isinstance(sol, str):  # unbounded in phase 2, after any restart
+        assert len(restarts) <= 1
+    else:  # an infeasible program stops before phase 2
+        assert restarts == ([sol.dropped_rows] if sol.status == lpmod.OPTIMAL and sol.dropped_rows else [])
+
+
+def test_a_revised_program_with_no_dropped_row_never_restarts():
+    # The margin t of a feasibility program is free and priced, so its
+    # row stays live; and a program with no free column drops no row.
+    p = lpmod.LinearProgram(2, [0, 1])
+    p.set_free(1)
+    p.add_constraint({0: 1, 1: 1}, lpmod.LESS_EQUAL, 2)
+    p.add_constraint({1: 1}, lpmod.LESS_EQUAL, 1)
+    for program in [p] + [random_bounded_lp(random.Random(seed)) for seed in range(20)]:
+        sol, restarts = _restarts_checked(program)
+        assert (sol.status, sol.dropped_rows, restarts) == (lpmod.OPTIMAL, 0, [])
 
 
 def _no_free_column_leaves(form, p):
