@@ -33,7 +33,9 @@ class YoungState:
     d: int
 
     def __post_init__(self) -> None:
-        lam = tuple(int(x) for x in self.lam)
+        lam = tuple(self.lam)
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in lam):
+            raise ValueError(f"record entries must be integers, got {lam}")
         object.__setattr__(self, "lam", lam)
         if any(x < 1 for x in lam):
             raise ValueError(f"record entries must be positive, got {lam}")

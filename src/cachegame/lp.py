@@ -22,9 +22,11 @@ which each form measures on the rows it keeps:
   updates each row that has an entry in the entering column;
 * the revised form (``_Revised``) keeps each row's basis-inverse part
   only, the entries the tableau keeps in the initial basis's slack and
-  artificial columns.  The entering column ``B⁻¹A_q`` and the pivot row
-  ``B⁻¹_r A`` are computed from the initial rows when the driver reads
-  them, so a pivot updates no structural entry.
+  artificial columns, over the row's own denominator.  Its initial rows
+  are primitive integer vectors with no denominator, so the entering
+  column ``B⁻¹A_q`` and the pivot row ``B⁻¹_r A``, computed from them when
+  the driver reads them, are over each row's own denominator too, and a
+  pivot updates no structural entry.
 
 A pivot costs what it changes.  It changes only the pivot row's columns of
 the rows it touches, so an update that keeps a row's denominator reduces
@@ -52,14 +54,14 @@ later pivots update fewer and sparser rows.  The pivots may rise (124 to
 Once those columns are in, if any row has dropped, the revised form
 restarts from its own rows: a reinversion of its explicit inverse at the
 crash basis (the refactorization of Forrest and Tomlin 1972, done once).
-Each row's expansion over every column becomes that row's initial row,
-keyed by its basic column, and each basis-inverse part becomes that
-column alone.  Before it, every live part still carries entries in the
-dropped rows' initial basic columns, so each later pivot would update rows
-longer than the expanded rows themselves.  Every value the driver reads is
-the same rational after the restart, so the pivots are the same.
-Restarting again every few dozen or hundred pivots measured slower, so it
-restarts once.
+Each row's expansion over every column, divided by its numerators' gcd
+``g``, becomes that row's initial row, keyed by its basic column, and each
+basis-inverse part becomes that column alone at ``g``.  Before it, every
+live part still carries entries in the dropped rows' initial basic
+columns, so each later pivot would update rows longer than the expanded
+rows themselves.  Every value the driver reads is the same rational after
+the restart, so the pivots are the same.  Restarting again every few
+dozen or hundred pivots measured slower, so it restarts once.
 
 The game programs are large and sparse, and most tableau updates touch
 structural entries that no later pivot reads; on tiny dense programs the
@@ -180,8 +182,8 @@ class LPSolution:
     stalled and switched to Bland's rule, and
     ``max_denominator_bits`` is the bit length of the largest row
     denominator the engine held: the whole rows of the tableau, or the
-    basis-inverse rows of the revised form and the initial rows it starts
-    and restarts from, so the same program reads a different figure under
+    basis-inverse rows of the revised form (its initial rows have no
+    denominator), so the same program reads a different figure under
     each form.  ``dropped_rows`` counts the rows
     that left the working rows once an unpriced free column became basic
     there; both forms drop the same rows.
@@ -240,13 +242,10 @@ class _Row:
         nums = {j: sign * v.numerator * (den // v.denominator) for j, v in row.items()}
         return cls(nums, sign * rhs.numerator * (den // rhs.denominator), den)
 
-    def make_unit(self, p: int, scale: int) -> None:
-        """Divide the row by its pivot-column entry ``p / (den·scale)``,
-        which becomes 1."""
+    def make_unit(self, p: int) -> None:
+        """Divide the row by its pivot-column entry ``p / den``, which
+        becomes 1."""
         nums, rhs = self.nums, self.rhs
-        if scale != 1:
-            nums = {c: v * scale for c, v in nums.items()}
-            rhs *= scale
         g = gcd(p, rhs, *nums.values())
         g = g if p > 0 else -g
         if g != 1:
@@ -254,18 +253,17 @@ class _Row:
             rhs //= g
         self.nums, self.rhs, self.den = nums, rhs, p // g
 
-    def eliminate(self, f: int, scale: int, prow: _Row) -> tuple[list[int], list[int]]:
+    def eliminate(self, f: int, prow: _Row) -> tuple[list[int], list[int]]:
         """Subtract the multiple of ``prow`` (a unit in the pivot column)
-        that clears this row's pivot-column entry ``f / (den·scale)``:
-        ``(row·P − (f/g)·prow) / (den·P)`` with ``g = gcd(f, prow.den·scale)``
-        and ``P = prow.den·scale / g``, in plain integers.  Only ``prow``'s
+        that clears this row's pivot-column entry ``f / den``:
+        ``(row·P − (f/g)·prow) / (den·P)`` with ``g = gcd(f, prow.den)``
+        and ``P = prow.den / g``, in plain integers.  Only ``prow``'s
         columns change, so with ``P = 1`` the row keeps its denominator and
         is not reduced; otherwise it is rescaled anyway and put in lowest
         terms.  Returns the columns the row gained (it had no entry there)
         and lost (its entry cancelled)."""
-        pden = prow.den * scale
-        g = gcd(f, pden)
-        f, p = f // g, pden // g
+        g = gcd(f, prow.den)
+        f, p = f // g, prow.den // g
         nums = {c: v * p for c, v in self.nums.items()} if p != 1 else self.nums
         gained, lost = [], []
         for c, v in prow.nums.items():
@@ -379,13 +377,13 @@ class _Tableau:
 
     # -- the two reads the driver makes of a form --------------------------
 
-    def column(self, col: int) -> tuple[dict[int, int], int]:
-        """The nonzero entries of column ``col`` in the live rows as
-        ``(entries, scale)``: row ``i`` holds ``entries[i] / (rows[i].den·scale)``."""
+    def column(self, col: int) -> dict[int, int]:
+        """The nonzero entries of column ``col`` in the live rows: row ``i``
+        holds ``entries[i] / rows[i].den``."""
         entries = {i: a for i, row in enumerate(self.rows) if (a := row.nums.get(col))}
         for r in self.dropped:
             entries.pop(r, None)
-        return entries, 1
+        return entries
 
     def expand(self, row: _Row) -> _Row:
         """The whole tableau row of a row this form keeps: the row itself."""
@@ -399,34 +397,33 @@ class _Tableau:
         It need not be in lowest terms; like any row, an update that changes
         its denominator puts it there."""
         priced = [(cost.nums[b], row) for b, row in zip(self.basis, self.rows) if b in cost.nums]
-        scale = lcm(*(row.den for _, row in priced))
+        den = lcm(*(row.den for _, row in priced))
         minus: dict[int, int] = {}  # minus the priced rows' cost-weighted sum
         value = 0
         for cb, row in priced:
-            f = cb * (scale // row.den)
+            f = cb * (den // row.den)
             value -= f * row.rhs
             for c, v in row.nums.items():
                 minus[c] = minus.get(c, 0) - f * v
-        minus = self.expand(_Row(minus, value, scale))
+        minus = self.expand(_Row(minus, value, den))
         red = minus.nums
         for c, v in cost.nums.items():
             red[c] = red.get(c, 0) + v * minus.den
         return _Row({c: v for c, v in red.items() if v}, minus.rhs, cost.den * minus.den)
 
-    def pivot(self, r: int, col: int, column) -> None:
+    def pivot(self, r: int, col: int, column: dict[int, int]) -> None:
         """Bring ``col``, read as ``column``, into the basis at row ``r``."""
-        entries, scale = column
         self.pivots += 1
         prow = self.rows[r]
         if not prow.rhs:
             self.degenerate_pivots += 1
-        prow.make_unit(entries[r], scale)
+        prow.make_unit(column[r])
         bits = prow.den.bit_length()
         rows = self.rows
-        for i, f in entries.items():
+        for i, f in column.items():
             if i != r:
                 row = rows[i]
-                gained, lost = row.eliminate(f, scale, prow)
+                gained, lost = row.eliminate(f, prow)
                 if gained or lost:
                     self.reindex(i, gained, lost)
                     if len(lost) > len(gained):
@@ -442,16 +439,15 @@ class _Tableau:
             self.dropped.append(r)
             self.reindex(r, [], list(self.rows[r].nums))
 
-    def ratio_test(self, column, sign: int = 1) -> int | None:
+    def ratio_test(self, column: dict[int, int], sign: int = 1) -> int | None:
         """The row where a column read as ``column`` enters, increasing if
         ``sign`` is 1 and decreasing if it is -1: among the live rows whose
         basic column is not free and whose entry has the sign of ``sign``,
-        the least ratio rhs/|a| (the row denominator and the column's scale
-        cancel), compared by cross-multiplication.  Ties go to the lowest
-        basic column, so the rows' order does not matter.  None if there is
-        no such row."""
+        the least ratio rhs/|a| (the row denominator cancels), compared by
+        cross-multiplication.  Ties go to the lowest basic column, so the
+        rows' order does not matter.  None if there is no such row."""
         rows, basis, free = self.rows, self.basis, self.free
-        entries = column[0] if sign > 0 else {i: -a for i, a in column[0].items()}
+        entries = column if sign > 0 else {i: -a for i, a in column.items()}
         leave = None
         for i, a in entries.items():
             if a <= 0 or basis[i] in free:
@@ -553,7 +549,7 @@ class _Tableau:
             leaving = self.basis[leave]
             self.pivot(leave, entering, column)
             prow = self.expand(self.rows[leave])
-            red.eliminate(red.nums[entering], 1, prow)
+            red.eliminate(red.nums[entering], prow)
             if not bland:
                 # The pivot row now holds x_j = α_rj / α_rq, and 1 / α_rq in
                 # the leaving column.
@@ -607,17 +603,17 @@ class _Tableau:
 class _Revised(_Tableau):
     """The revised form: each row keeps only its basis-inverse part and its
     right-hand side.  The part holds the row's multipliers of the initial
-    rows, each named by its initial row's basic column: at first the
-    entries the tableau keeps in the initial basis's slack and artificial
-    columns.  A column ``B⁻¹A_q`` and a whole row ``B⁻¹_r A`` are computed
-    on demand from the initial rows, so a pivot updates no entry of a
-    structural column.  A dropped row leaves the column index, so no column
-    reads it again.
+    rows, each named by its initial row's basic column, over the row's own
+    denominator; an initial row is a primitive integer vector (its entries'
+    gcd is 1) with no denominator.  A column ``B⁻¹A_q`` and a whole row
+    ``B⁻¹_r A`` are computed on demand from the initial rows, so a pivot
+    updates no entry of a structural column.  A dropped row leaves the
+    column index, so no column reads it again.
 
-    ``restart`` builds the form from given initial rows: the constructor
-    starts it from the program's own, and once the hider's values are in
-    and rows have dropped, the driver restarts it from the expanded rows,
-    so each row's part is again its basic column alone."""
+    ``restart`` builds the form from given rows: the constructor starts it
+    from the program's own, and once the hider's values are in and rows
+    have dropped, the driver restarts it from the expanded rows, so each
+    row's part is again its basic column alone."""
 
     def __init__(self, lp: LinearProgram):
         super().__init__(lp)
@@ -625,54 +621,41 @@ class _Revised(_Tableau):
 
     def restart(self, rows: list[_Row]) -> None:
         """Start every row afresh from ``rows``, where ``rows[i]`` is row
-        ``i`` over every column: it becomes the initial row keyed by its
-        basic column ``basis[i]``, which holds 1 in it, and row ``i``'s
-        basis-inverse part becomes that column alone.  Every value stays the
-        same rational.  The column index is built from the live rows only;
-        a dropped row is still read through ``expand``."""
+        ``i`` over every column.  Its numerators divided by their gcd ``g``
+        become the initial row keyed by its basic column ``u = basis[i]``,
+        and row ``i``'s basis-inverse part becomes ``{u: g}`` over the row's
+        denominator, so every value stays the same rational.  The column
+        index is built from the live rows only; a dropped row is still read
+        through ``expand``."""
         self.cols = self.holders = None  # release the old index first
-        # The initial row whose basic column is u, by u, in lowest terms
-        # (row i keeps the right-hand side), and row i's part: that row, once.
         self.initial, self.rows = {}, []
         for u, row in zip(self.basis, rows):
-            nums, den = row.nums, row.den
-            if den != 1 and (g := gcd(den, *nums.values())) != 1:
-                nums, den = {c: v // g for c, v in nums.items()}, den // g
-            self.initial[u] = nums, den
-            g = gcd(row.den, row.rhs)
-            self.rows.append(_Row({u: row.den // g}, row.rhs // g, row.den // g))
-        self.max_den_bits = max([self.max_den_bits, *(den.bit_length() for _, den in self.initial.values()),
-                                 *(row.den.bit_length() for row in self.rows)])
-        # Each column as (scale, [(u, weight)]): its entries in the live
-        # initial rows over the lcm of their denominators, each named by its
-        # row's key; and the live rows that hold an entry in column u, kept
-        # exact by ``pivot`` (a dropped row leaves every list).
+            g = gcd(*row.nums.values())
+            self.initial[u] = {c: v // g for c, v in row.nums.items()} if g != 1 else row.nums
+            h = gcd(g, row.rhs, row.den)
+            self.rows.append(_Row({u: g // h}, row.rhs // h, row.den // h))
+        self.max_den_bits = max([self.max_den_bits, *(row.den.bit_length() for row in self.rows)])
+        # Each column as [(u, entry)]: its entries in the live initial rows,
+        # each named by its row's key; and the live rows that hold an entry
+        # in column u, kept exact by ``pivot`` (a dropped row leaves every list).
         dropped = set(self.dropped)
         live = [(i, u) for i, u in enumerate(self.basis) if i not in dropped]
-        scales = [1] * self.num_cols
+        self.cols = [[] for _ in range(self.num_cols)]
         for _, u in live:
-            nums, den = self.initial[u]
-            if den != 1:
-                for c in nums:
-                    scales[c] = lcm(scales[c], den)
-        self.cols = [(scale, []) for scale in scales]
-        for _, u in live:
-            nums, den = self.initial[u]
-            for c, v in nums.items():
-                scale, weights = self.cols[c]
-                weights.append((u, v * (scale // den)))
+            for c, v in self.initial[u].items():
+                self.cols[c].append((u, v))
         self.holders = {u: [i] for i, u in live}
 
-    def column(self, col: int) -> tuple[dict[int, int], int]:
-        """``B⁻¹A_col``: each row's basis-inverse part times the column,
-        read from the rows that hold an entry where the column has one."""
-        scale, weights = self.cols[col]
+    def column(self, col: int) -> dict[int, int]:
+        """``B⁻¹A_col`` over each row's own denominator: each row's
+        basis-inverse part times the column, read from the rows that hold an
+        entry where the column has one."""
         rows = self.rows
         entries: dict[int, int] = {}
-        for u, w in weights:
+        for u, a in self.cols[col]:
             for i in self.holders[u]:
-                entries[i] = entries.get(i, 0) + rows[i].nums[u] * w
-        return {i: a for i, a in entries.items() if a}, scale
+                entries[i] = entries.get(i, 0) + rows[i].nums[u] * a
+        return {i: a for i, a in entries.items() if a}
 
     def reindex(self, i: int, gained: list[int], lost: list[int]) -> None:
         """Keep ``holders`` exact as the driver's pivot updates row ``i``,
@@ -687,16 +670,13 @@ class _Revised(_Tableau):
 
     def expand(self, row: _Row) -> _Row:
         """``row`` over every column, ``B⁻¹_r A``: its basis-inverse part
-        times the initial rows."""
+        times the initial rows, over the row's own denominator."""
         initial = self.initial
-        scale = lcm(*(initial[u][1] for u in row.nums))
         full: dict[int, int] = {}
         for u, v in row.nums.items():
-            nums, den = initial[u]
-            f = v * (scale // den)
-            for c, a in nums.items():
-                full[c] = full.get(c, 0) + f * a
-        return _Row({c: v for c, v in full.items() if v}, row.rhs * scale, row.den * scale)
+            for c, a in initial[u].items():
+                full[c] = full.get(c, 0) + v * a
+        return _Row({c: v for c, v in full.items() if v}, row.rhs, row.den)
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:

@@ -230,14 +230,13 @@ def reference_run_simplex(self, cost, barred):
         if entering is None:
             return red
         # Ratio rhs/|a| per row whose entry has the sign of the direction
-        # (the row denominator and the column's scale cancel), compared by
-        # cross-multiplication, over the rows whose basic column is not
-        # free.  Ties go to the lowest basic column, so the rows' order
-        # does not matter.
+        # (the row denominator cancels), compared by cross-multiplication,
+        # over the rows whose basic column is not free.  Ties go to the
+        # lowest basic column, so the rows' order does not matter.
         column = self.column(entering)
         sign = 1 if red.nums[entering] > 0 else -1
         leave = None
-        for i, a in column[0].items():
+        for i, a in column.items():
             a *= sign
             if a <= 0 or self.basis[i] in self.free:
                 continue
@@ -253,7 +252,7 @@ def reference_run_simplex(self, cost, barred):
         leaving = self.basis[leave]
         self.pivot(leave, entering, column)
         prow = self.expand(rows[leave])
-        red.eliminate(red.nums[entering], 1, prow)
+        red.eliminate(red.nums[entering], prow)
         if not bland:
             # The pivot row now holds x_j = α_rj / α_rq, and 1 / α_rq in
             # the leaving column.

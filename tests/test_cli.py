@@ -509,8 +509,9 @@ class TestCache:
 
     # 0.4.0: before dropped_rows; 0.5.0: before the adversary's forced reveals
     # merged; 0.6.0: before phase 2 brought the unpriced free columns in first;
-    # 0.7.0: before the revised form restarted from its own rows
-    @pytest.mark.parametrize("version", ["0.0.0", "0.4.0", "0.5.0", "0.6.0", "0.7.0"])
+    # 0.7.0: before the revised form restarted from its own rows; 0.8.0:
+    # before the revised form's initial rows became integer vectors
+    @pytest.mark.parametrize("version", ["0.0.0", "0.4.0", "0.5.0", "0.6.0", "0.7.0", "0.8.0"])
     def test_entry_from_another_version_is_solved_again(self, capsys, tmp_path, version):
         cache = tmp_path / "cache"
         argv = (*SOLVE_332, "--cache", str(cache))

@@ -53,6 +53,12 @@ class TestPLambda:
         with pytest.raises(ValueError):
             fr.YoungState((1, 1, 1), 2, 3)  # more boxes than n
 
+    @pytest.mark.parametrize("lam", [(1.5,), (2, 1.0), (True,), (2, "1"), (Fraction(3, 2),)])
+    def test_rejects_a_record_entry_that_is_not_an_integer(self, lam):
+        # An entry is never truncated into another record: (1.5,) is not (1,).
+        with pytest.raises(ValueError, match="integers"):
+            fr.YoungState(lam, 3, 3)
+
     def test_probability_range_exhaustive(self):
         for n in range(1, 9):
             for d in range(1, 6):

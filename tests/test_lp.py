@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -825,28 +826,39 @@ def test_a_basic_unpriced_free_column_keeps_its_row_on_programs_of_every_shape(p
 
 
 def _restarts_checked(p):
-    """Solve ``p`` in the revised form, checking at each restart after the
-    constructor's that every row's values and right-hand side, and every
-    column the driver reads, are the same rationals after it as before, and
-    that each row's basis-inverse part is then its basic column alone, the
-    column index listing the live rows only.  Returns the answer and, for
-    each of those restarts, the number of rows dropped by then."""
+    """Solve ``p`` in the revised form, checking after every restart that
+    each initial row is a primitive integer vector and each row's
+    basis-inverse part is its basic column alone at a positive weight; and
+    at each restart after the constructor's that every row's values and
+    right-hand side, and every column the driver reads, are the same
+    rationals after it as before, the column index listing the live rows
+    only.  Returns the answer and, for each of those restarts, the number of
+    rows dropped by then."""
     real = lpmod._Revised.restart
     restarts = []
 
     def column_values(tab, c):
-        entries, scale = tab.column(c)
-        return {i: Fraction(a, tab.rows[i].den * scale) for i, a in entries.items()}
+        return {i: Fraction(a, tab.rows[i].den) for i, a in tab.column(c).items()}
+
+    def integer_rows(tab):
+        for nums in tab.initial.values():
+            assert all(type(v) is int for v in nums.values()) and gcd(*nums.values()) == 1
+        for u, row in zip(tab.basis, tab.rows):
+            ((key, w),) = row.nums.items()
+            assert key == u and w > 0
 
     def restart(self, rows):
         if not hasattr(self, "initial"):  # the constructor's start
-            return real(self, rows)
+            real(self, rows)
+            integer_rows(self)
+            return
         before = [_row_values(self, i) for i in range(len(self.rows))]
         columns = [column_values(self, c) for c in range(self.num_cols)]
         real(self, rows)
         assert [_row_values(self, i) for i in range(len(self.rows))] == before
         assert [column_values(self, c) for c in range(self.num_cols)] == columns
         assert [set(row.nums) for row in self.rows] == [{u} for u in self.basis]
+        integer_rows(self)
         live = [i for i in range(len(self.rows)) if i not in self.dropped]
         assert self.holders == {self.basis[i]: [i] for i in live}
         restarts.append(len(self.dropped))
@@ -992,7 +1004,7 @@ def _phase2_start(form, p):
     def run_simplex(self, cost, barred):
         if cost is self.cost:
             columns = [
-                (col, self.basis.index(col) if col in self.basis else None, self.column(col)[0])
+                (col, self.basis.index(col) if col in self.basis else None, self.column(col))
                 for col in sorted(self.unpriced_free)
             ]
             seen.append((columns, list(self.dropped)))
@@ -1037,7 +1049,7 @@ def test_an_unpriced_free_variable_enters_decreasing(form):
 
     with mock.patch.object(lpmod, "_enter_unpriced_free", enter):
         ((col, r, _),), dropped = _phase2_start(form, p)
-    ((entries, _),) = after_phase1
+    (entries,) = after_phase1
     assert list(entries) == [1] and entries[1] < 0
     assert (col, r, dropped) == (0, 1, [1])
     sol = _same_in_both_forms(p)
