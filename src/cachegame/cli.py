@@ -55,49 +55,52 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cachegame", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text, *parents):
-        return sub.add_parser(name, help=help_text, parents=parents)
+    def add_command(name, handler, help_text, *parents):
+        command = sub.add_parser(name, help=help_text, parents=parents)
+        command.set_defaults(handler=handler)
+        return command
 
-    s = add_command("solve", "exact game value and optimal plans", output, game)
+    s = add_command("solve", cmd_solve, "exact game value and optimal plans", output, game)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--variant", choices=("adversary", "random"), default="adversary")
 
-    v = add_command("verify", "worst-case value of a strategy tree", output)
-    v.add_argument("--family", help="built-in family name")
-    v.add_argument("--file", help="strategy JSON file")
+    v = add_command("verify", cmd_verify, "worst-case value of a strategy tree", output)
+    source = v.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", help="built-in family name")
+    source.add_argument("--file", help="strategy JSON file")
     v.add_argument("--n", type=int)
     v.add_argument("--d", type=int)
     v.add_argument("--k", type=int)
     v.add_argument("--variant", choices=("adversary", "random", "cooperative"),
                    default="adversary")
 
-    w = add_command("sweep-accuracy", "compare solved values to the combinatorial bound",
-                    output, game)
+    w = add_command("sweep-accuracy", cmd_sweep_accuracy,
+                    "compare solved values to the combinatorial bound", output, game)
     w.add_argument("--max-n", type=int, required=True)
     w.add_argument("--max-d", type=int, required=True)
     w.add_argument("--max-k", type=int, required=True)
 
-    a = add_command("accumulation", "one-turn accumulation game analysis", output)
+    a = add_command("accumulation", cmd_accumulation, "one-turn accumulation game analysis", output)
     a.add_argument("--n", type=int, required=True)
     a.add_argument("--k", type=int, required=True)
     a.add_argument("--d", type=str, required=True, help='gold total, e.g. "5/3"')
     a.add_argument("--mode", choices=("evaluate", "ruckle", "exact"), required=True)
     a.add_argument("--dist", help='comma-separated amounts for --mode evaluate, e.g. "1/5,1/5,..."')
 
-    y = add_command("plambda", "repeat-probability of the single-box plan", output)
+    y = add_command("plambda", cmd_plambda, "repeat-probability of the single-box plan", output)
     y.add_argument("--n", type=int, required=True)
     y.add_argument("--d", type=int, required=True)
     y.add_argument("--lam", type=str, required=True, help='record, e.g. "2,1"')
 
-    f = add_command("fractional-check", "per-step identities of the mixed plan", output)
+    f = add_command("fractional-check", cmd_fractional_check, "per-step identities of the mixed plan", output)
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--d", type=int, required=True)
     f.add_argument("--k", type=str, required=True, help='rational query size, e.g. "3/2"')
     f.add_argument("--lam", type=str, required=True)
 
-    r = add_command("recheck", "solve every cached entry again; fail on any mismatch", budget)
+    r = add_command("recheck", cmd_recheck, "solve every cached entry again; fail on any mismatch", budget)
     r.add_argument("--cache", metavar="DIR", required=True, help="result cache directory")
     return p
 
@@ -109,16 +112,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
-        handler = {
-            "solve": cmd_solve,
-            "verify": cmd_verify,
-            "sweep-accuracy": cmd_sweep_accuracy,
-            "accumulation": cmd_accumulation,
-            "plambda": cmd_plambda,
-            "fractional-check": cmd_fractional_check,
-            "recheck": cmd_recheck,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except solver.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -310,9 +304,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if bool(args.family) == bool(args.file):
-        raise ValueError("give exactly one of --family or --file")
-    if args.family:
+    if args.family is not None:
         params = {k: v for k, v in (("n", args.n), ("d", args.d), ("k", args.k)) if v is not None}
         tree = strategies.builtin_family(args.family, **params)
     else:

@@ -1,4 +1,4 @@
-"""Game objects, rules of play, and closed-form bounds.
+"""Game objects, rules of play, strategy trees, and closed-form bounds.
 
 The multiple caching game: a hider distributes ``d`` indistinguishable
 treasures among ``n`` boxes, then a searcher repeatedly names a set of ``k``
@@ -17,7 +17,8 @@ covers several:
   advance.
 
 A placement, like every state of play, is a plain tuple of counts:
-``counts[i]`` treasures sit in box ``i``.
+``counts[i]`` treasures sit in box ``i``.  The searcher's strategy trees
+(``StrategyTree``) are defined here too, in the labels of the rules of play.
 """
 
 from __future__ import annotations
@@ -136,13 +137,43 @@ def fresh_draws(untouched: tuple[int, ...], f: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Searcher strategy trees, in first-touch canonical labels: box 0 is the
+# first box the searcher ever touches, and a reveal from a box no earlier
+# query touched gives it the lowest unused label.  A node mixes over
+# queries; each query branches on the label that surrendered a treasure.  A
+# missing branch ends the plan on that line (the searcher resigns), which
+# can only lower the verified value.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MixEntry:
+    prob: Fraction
+    query: tuple[int, ...]
+    branches: tuple  # ((box, StrategyNode | None), ...) sorted by box; None = end
+
+
+@dataclass(frozen=True)
+class StrategyNode:
+    mix: tuple[MixEntry, ...]
+
+
+@dataclass(frozen=True)
+class StrategyTree:
+    n: int
+    d: int
+    k: int
+    root: StrategyNode
+
+
+# ---------------------------------------------------------------------------
 # Closed-form bounds on the searcher's winning probability.
 # ---------------------------------------------------------------------------
 
 
 def upper_bound_combinatorial(n: int, d: int, k: int) -> Fraction:
     """k^d / C(n+d-1, d): no searcher beats this against a uniform hider."""
-    _check_params(n, d, k)
+    GameSpec(n, d, k)  # rejects an invalid game
     return Fraction(k**d, math.comb(n + d - 1, d))
 
 
@@ -170,11 +201,6 @@ def lower_bound_infinite_d(n: int, k: int) -> Fraction:
     for i in range(k, n):
         value *= 1 - Fraction(math.comb(i - 1, k - 1), denom)
     return value
-
-
-def _check_params(n: int, d: int, k: int) -> None:
-    if n < 1 or d < 1 or not 1 <= k <= n:
-        raise ValueError(f"invalid game parameters n={n}, d={d}, k={k}")
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,8 @@ on-demand reads cost more than they save.  So ``_form`` picks the form from
 the number of rows alone.
 
 Before ``solve_lp`` returns, ``check_certificate`` verifies the answer
-against the caller's own rows, which it converts to integers itself, so the
-mapping back from the form's flipped rows and dropped rows is checked too:
+against the caller's own rows, read as the form's constructor reads them, so
+the mapping back from the form's flipped rows and dropped rows is checked too:
 
 * ``OPTIMAL``  -- a feasible point, row multipliers of the signs their
   senses allow, dual-feasible reduced costs, and equal primal objective,
@@ -802,19 +802,15 @@ def check_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     * INFEASIBLE: ``g`` is 0 on free variables and >= 0 on the others, and
       ``value < 0``, so no point satisfies it.
 
-    The check runs in integers: each of ``lp``'s rows is converted here to
-    numerators over the lcm of its denominators, a point goes over one
-    common denominator, and so do the row multipliers.  Fractions appear
-    only where a cost does.
+    The check runs in integers: each of ``lp``'s own rows, not the form's
+    flipped ones, is read with ``_Row.over_lcm`` as the form's constructor
+    reads it, a point goes over one common denominator, and so do the row
+    multipliers.  Fractions appear only where a cost does.
 
     Raises LPError on an unknown status, and CertificateError on any
     violation, a malformed ``sol`` included.
     """
-    rows = []  # row i as (nums, rhs, den): a_ij = nums[j] / den, b_i = rhs / den
-    for row, b in zip(lp.rows, lp.rhs):
-        den = lcm(b.denominator, *(v.denominator for v in row.values()))
-        nums = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-        rows.append((nums, b.numerator * (den // b.denominator), den))
+    rows = [_Row.over_lcm(row, b) for row, b in zip(lp.rows, lp.rhs)]
     if sol.status == OPTIMAL:
         _check_point(lp, rows, sol.primal)
         cost = lp.objective
@@ -829,20 +825,20 @@ def check_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
         raise CertificateError(f"{len(y)} row multipliers for {len(lp.rows)} rows")
     # g and value over one denominator z: row i enters as z_i = z * y_i / den_i.
     z = _common_denominator(
-        (yi.denominator * den for yi, (_, _, den) in zip(y, rows) if yi), "row multipliers"
+        (yi.denominator * row.den for yi, row in zip(y, rows) if yi), "row multipliers"
     )
     g = [0] * lp.num_vars
     value = 0
-    for i, (nums, rhs, den) in enumerate(rows):
+    for i, row in enumerate(rows):
         num = y[i].numerator
         if not num:
             continue
         s = lp.senses[i]
         if (s == LESS_EQUAL and num < 0) or (s == GREATER_EQUAL and num > 0):
             raise CertificateError(f"dual sign on row {i}")
-        zi = num * (z // (y[i].denominator * den))
-        value += zi * rhs
-        for j, v in nums.items():
+        zi = num * (z // (y[i].denominator * row.den))
+        value += zi * row.rhs
+        for j, v in row.nums.items():
             g[j] += zi * v
     for j, c in enumerate(cost):
         reduced = g[j] * c.denominator - c.numerator * z if c else g[j]  # sign of (g_j - c_j)
@@ -860,15 +856,15 @@ def check_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
 def _check_point(lp: LinearProgram, rows, x) -> None:
     """Raise unless ``x`` meets every row and is nonnegative outside the
     free variables.  ``rows`` are ``lp``'s rows as ``check_certificate``
-    converts them; ``x`` goes over one denominator."""
+    reads them, ``_Row``s; ``x`` goes over one denominator."""
     if x is None:
         raise CertificateError("point is missing")
     if len(x) != lp.num_vars:
         raise CertificateError(f"point has {len(x)} entries for {lp.num_vars} variables")
     d = _common_denominator((v.denominator for v in x), "point")
     xs = [v.numerator * (d // v.denominator) for v in x]
-    for i, (nums, rhs, _) in enumerate(rows):
-        gap = sum(v * xs[j] for j, v in nums.items()) - rhs * d
+    for i, row in enumerate(rows):
+        gap = sum(v * xs[j] for j, v in row.nums.items()) - row.rhs * d
         if (gap > 0) if lp.senses[i] == LESS_EQUAL else (gap < 0) if lp.senses[i] == GREATER_EQUAL else gap:
             raise CertificateError(f"point violates row {i}")
     for j, v in enumerate(xs):

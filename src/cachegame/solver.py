@@ -47,6 +47,7 @@ from typing import NamedTuple
 from . import lp as lpmod
 from .core import (
     GameSpec,
+    StrategyTree,
     Variant,
     enumerate_allocations,
     fresh_draws,
@@ -723,8 +724,6 @@ def _check_strategy(spec: GameSpec, strategy) -> int:
     count after a query is the count before it plus the query's fresh
     labels, whatever chance draws, so it is fixed along each path.
     """
-    from .strategies import StrategyTree  # local import avoids a cycle
-
     if not isinstance(strategy, StrategyTree):
         raise StrategyError("expected a StrategyTree")
     if (strategy.n, strategy.d, strategy.k) != (spec.n, spec.d, spec.k):
@@ -874,7 +873,8 @@ def hider_strategy_value(
     reveals are chance moves; under the adversary variant
     ``reveal_policy(remaining, history, query)`` must return the reveal
     distribution, ``(int box, probability)`` pairs with no box twice,
-    whenever the query covers several treasure-holding boxes.
+    whenever the query covers several treasure-holding boxes; with no
+    policy, such a choice raises ValueError.
     Returns the exact value (an upper-bound certificate for the game value)
     and the maximizing deterministic searcher strategy.
     """
@@ -893,8 +893,6 @@ def hider_strategy_value(
             weights[counts] = weights.get(counts, ZERO) + w
     if sum(weights.values()) != ONE:
         raise ValueError("allocation weights must sum to 1")
-    if spec.variant == Variant.ADVERSARY and reveal_policy is None:
-        reveal_policy = _forced_only_policy
 
     queries = list(combinations(range(spec.n), spec.k))
 
@@ -904,6 +902,8 @@ def hider_strategy_value(
         total = sum(c for _, c, _, _ in outs)
         if spec.variant == Variant.RANDOM or len(outs) < 2:
             return [(b, Fraction(c, total), after) for b, c, _, after in outs]
+        if reveal_policy is None:
+            raise ValueError("the committed hider reached a reveal choice but no reveal policy was given")
         dist = [(b, Fraction(p)) for b, p in reveal_policy(counts, history, q)]
         if sum(p for _, p in dist) != ONE or any(p < 0 or type(b) is not int for b, p in dist):
             raise ValueError(f"reveal policy returned an invalid distribution {dist}")
@@ -942,12 +942,6 @@ def hider_strategy_value(
     return result
 
 
-def _forced_only_policy(counts, history, q):
-    raise ValueError(
-        "the committed hider reached a reveal choice but no reveal policy was given"
-    )
-
-
 def optimal_hider_332(
     variant: Variant | str,
     q3: Fraction = Fraction(1, 2),
@@ -961,8 +955,8 @@ def optimal_hider_332(
     revealer and (3/10, 1/10, 6/10) under the adversary, spread uniformly
     inside each class.  Against the random revealer no policy is needed
     (reveals are chance) and the value cap is exactly 12/19.  Against the
-    adversary the policy surrenders from the lighter box of a fresh 2+1
-    split with probability 1/2, re-surrenders from the box that just paid
+    adversary the policy makes the first reveal by a fair coin between the
+    two queried boxes, re-surrenders from the box that just paid
     with probability q3 (if its partner was queried before) or 1/2 (if
     not), and in the all-separate class favors the previously queried box
     with probability q4; the cap is 3/5 for any q3, q4 in [0, 1].
@@ -985,19 +979,13 @@ def optimal_hider_332(
     if variant == Variant.RANDOM:
         return weights, None
 
-    q1 = q2 = Fraction(1, 2)
-
     def policy(remaining, history, query):
         positive = [b for b in query if remaining[b] > 0]
         if len(positive) != 2:
             raise ValueError(f"unexpected reveal choice among {positive}")
         a, b = positive
-        ca, cb = remaining[a], remaining[b]
-        if not history:
-            if ca == cb:
-                return [(a, Fraction(1, 2)), (b, Fraction(1, 2))]
-            light, heavy = (a, b) if ca < cb else (b, a)
-            return [(light, q2), (heavy, 1 - q2)]
+        if not history:  # a fair coin, whether the two boxes hold equal counts or not
+            return [(a, Fraction(1, 2)), (b, Fraction(1, 2))]
         # One treasure already surrendered; a two-way choice here means
         # both queried boxes hold exactly one treasure.
         initial = list(remaining)
@@ -1016,7 +1004,7 @@ def optimal_hider_332(
         other = b if prev == a else a
         if other in queried_before:
             return [(prev, q3), (other, 1 - q3)]
-        return [(prev, q1), (other, 1 - q1)]
+        return [(prev, Fraction(1, 2)), (other, Fraction(1, 2))]
 
     return weights, policy
 

@@ -1,11 +1,8 @@
-"""Searcher strategy trees: description format, exact verifier, built-ins.
+"""Searcher strategy trees: built-in families, the JSON wire format, verification.
 
-A strategy tree is written in first-touch canonical labels: box 0 is the
-first box the searcher ever touches, and when a reveal comes from a box no
-earlier query touched, that box takes the lowest unused label.  A node mixes
-over queries; each query branches on the label that surrendered a treasure.
-A missing branch means the plan simply stops there (the searcher resigns on
-that line), which can only lower the verified value.
+``core`` defines the tree types (``StrategyTree``, ``StrategyNode``,
+``MixEntry``); this module builds, parses and names trees, and ``solver``
+evaluates them.
 
 Verification symmetrizes implicitly: the tree is evaluated as if the boxes
 had been uniformly shuffled before play, by orbit-counting draws over count
@@ -14,32 +11,12 @@ patterns rather than by enumerating the n! relabelings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import GameSpec, Variant
+from . import solver  # called through the module, so a wrapper set on it is reached
+from .core import GameSpec, MixEntry, StrategyNode, StrategyTree, Variant
 from .rational import format_rational, parse_rational
-
-
-@dataclass(frozen=True)
-class MixEntry:
-    prob: Fraction
-    query: tuple[int, ...]
-    branches: tuple  # ((box, StrategyNode | None), ...) sorted by box; None = end
-
-
-@dataclass(frozen=True)
-class StrategyNode:
-    mix: tuple[MixEntry, ...]
-
-
-@dataclass(frozen=True)
-class StrategyTree:
-    n: int
-    d: int
-    k: int
-    root: StrategyNode
 
 
 def node(*entries) -> StrategyNode:
@@ -67,18 +44,14 @@ def verify(spec: GameSpec, strategy: StrategyTree) -> Fraction:
     under the adversary variant) after uniform-shuffle symmetrization.
     Cooperative specs need a reveal rule; see ``joint_verify_cooperative``.
     """
-    from .solver import best_response_value
-
-    return best_response_value(spec, strategy).value
+    return solver.best_response_value(spec, strategy).value
 
 
 def joint_verify_cooperative(spec: GameSpec, strategy: StrategyTree, reveal_rule) -> Fraction:
     """Worst-case win probability when the revealer plays ``reveal_rule``."""
-    from .solver import joint_cooperative_value
-
     if spec.variant != Variant.COOPERATIVE:
         raise ValueError("joint verification is for the cooperative variant")
-    return joint_cooperative_value(spec, strategy, reveal_rule)
+    return solver.joint_cooperative_value(spec, strategy, reveal_rule)
 
 
 def least_treasures_rule(counts_in_query: dict, history) -> int:

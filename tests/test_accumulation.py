@@ -257,3 +257,17 @@ class TestEvaluate:
     def test_total_mismatch_rejected(self):
         with pytest.raises(ValueError, match="totals"):
             ac.evaluate_distribution(spec(3, 2, F(2)), ac.GoldDistribution((F(1), 0, 0)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ac.GoldDistribution((F(1), F(-1, 2))), "negative gold amount"),
+    (lambda: spec(3, 4, 1), "need 1 <= k <= n, got k=4, n=3"),
+    (lambda: spec(3, 2, 0), "gold total must be positive"),
+    (lambda: ac.count_winning_subsets(ac.GoldDistribution((F(1), F(1))), 0), "need 1 <= k <= n, got k=0, n=2"),
+    (lambda: ac.mms_probability([F(1)], 2), "need 1 <= k <= n, got k=2, n=1"),
+    (lambda: ac.evaluate_distribution(spec(3, 2, 2), ac.GoldDistribution((F(1), F(1)))),
+     "distribution has 2 boxes, spec has 3"),
+])
+def test_invalid_input_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

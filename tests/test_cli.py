@@ -179,9 +179,14 @@ class TestVerifyCommand:
         data = run_json(capsys, "verify", "--family", "fig432", "--n", "4", "--d", "3", "--k", "2")
         assert data["value"] == "2/5"
 
-    def test_needs_exactly_one_source(self, capsys):
-        code, _, _ = run(capsys, "verify", "--family", "fig432", "--file", "x.json")
-        assert code == 2
+    @pytest.mark.parametrize("source,message", [
+        ((), "one of the arguments --family --file is required"),
+        (("--family", "fig432", "--file", "x.json"), "argument --file: not allowed with argument --family"),
+    ])
+    def test_needs_exactly_one_source(self, capsys, source, message):
+        code, out, err = run(capsys, "verify", *source)
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
 
 
 class TestSweepCommand:

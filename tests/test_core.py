@@ -268,6 +268,20 @@ class TestTypes:
         assert GameSpec(3, 3, 2, "random").variant is Variant.RANDOM
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: enumerate_allocations(0, 1), "need at least one box, got n=0"),
+    (lambda: enumerate_allocations(2, -1), "negative treasure count d=-1"),
+    (lambda: upper_bound_first_query(3, 4), "need 1 <= k <= n, got k=4, n=3"),
+    (lambda: lower_bound_infinite_d(3, 1), "need 2 <= k <= n, got k=1, n=3"),
+    (lambda: pattern_multiplicity((1, 1, 1), 2), "needs more than 2 boxes"),
+    (lambda: upper_bound_combinatorial(3, 0, 2), "need at least one treasure, got d=0"),
+    (lambda: upper_bound_combinatorial(3, 2, 4), "query size must satisfy 1 <= k <= n"),
+])
+def test_invalid_input_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestPatterns:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("d", range(0, 6))

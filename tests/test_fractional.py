@@ -171,3 +171,18 @@ class TestDiscoveryIdentities:
                         assert lhs == rhs
                     checked += 1
         assert checked > 30  # the sweep genuinely covers states
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: fr.scaled_repeat_probability(fr.YoungState((1,), 4, 2), 0), fr.PreconditionError,
+     "scale must be a positive integer, got 0"),
+    (lambda: fr.FractionalSpec(3, 0, 1), ValueError, "need d >= 1, got d=0"),
+    (lambda: fr.fractional_step_distribution(fr.FractionalSpec(10, 2, F(2)), fr.YoungState((1,), 12, 2)),
+     ValueError, "record and spec disagree on n or d"),
+    # n = 6 >= d * ceil(k) = 6, but 2 * p_lambda = 2 * 9/14 > 1.
+    (lambda: fr.fractional_step_distribution(fr.FractionalSpec(6, 3, F(2)), fr.YoungState((1,), 6, 3)),
+     fr.PreconditionError, r"ceil\(k\)\*p_lambda <= 1 fails: 2\*9/14 > 1"),
+])
+def test_invalid_input_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -147,6 +147,27 @@ def test_out_of_range_column_is_rejected(edit, j):
     assert p.objective == [1, 2] and p.free == set() and p.rows == []
 
 
+def _edited(edit) -> lpmod.LinearProgram:
+    """A small program whose lists or free set ``edit`` puts out of step."""
+    p = lpmod.LinearProgram(2, [1, 1])
+    p.add_constraint({0: 1, 1: 1}, lpmod.LESS_EQUAL, 1)
+    edit(p)
+    return p
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: lpmod.LinearProgram(-1), "negative variable count"),
+    (lambda: lpmod.LinearProgram(2, [1]), "objective length does not match variable count"),
+    (lambda: lpmod.solve_lp(_edited(lambda p: p.rows.append({0: Fraction(1)}))), "row bookkeeping out of sync"),
+    (lambda: lpmod.solve_lp(_edited(lambda p: p.senses.append(lpmod.EQUAL))), "row bookkeeping out of sync"),
+    (lambda: lpmod.solve_lp(_edited(lambda p: p.rhs.pop())), "row bookkeeping out of sync"),
+    (lambda: lpmod.solve_lp(_edited(lambda p: p.free.add(2))), "column bookkeeping out of sync"),
+], ids=["negative_count", "short_objective", "extra_row", "extra_sense", "missing_rhs", "free_out_of_range"])
+def test_malformed_program_is_rejected(call, message):
+    with pytest.raises(lpmod.LPError, match=message):
+        call()
+
+
 def test_add_constraint_coerces_and_drops_zeros():
     p = lpmod.LinearProgram(3)
     assert p.add_constraint({0: 0, 1: 2, 2: Fraction(1, 3)}, lpmod.EQUAL, 1) == 0

@@ -31,6 +31,7 @@ from cachegame.solver import (
     HIDER,
     SEARCHER,
     SolverError,
+    StrategyError,
     _SequenceForm,
     _behavior,
     _best_response,
@@ -970,6 +971,27 @@ class TestHiderStrategyValue:
         # All treasures in one box never offer a choice.
         value, _ = hider_strategy_value(GameSpec(3, 3, 2, ADV), {(3, 0, 0): Fraction(1)})
         assert value == 1  # the searcher simply drills the known box
+        # One treasure per box does, at the first query.
+        with pytest.raises(ValueError, match="reached a reveal choice but no reveal policy was given"):
+            hider_strategy_value(GameSpec(3, 3, 2, ADV), {(1, 1, 1): Fraction(1)})
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: build_tree(GameSpec(3, 3, 2), budget=0), ValueError, "node budget must be positive"),
+    (lambda: best_response_value(GameSpec(4, 3, 2, Variant.COOPERATIVE), fig432()), ValueError,
+     "use joint_verify_cooperative"),
+    (lambda: best_response_value(GameSpec(4, 3, 2), object()), StrategyError, "expected a StrategyTree"),
+    (lambda: hider_strategy_value(GameSpec(3, 3, 2, Variant.COOPERATIVE), {(3, 0, 0): Fraction(1)}), ValueError,
+     "driven by the searcher"),
+    (lambda: hider_strategy_value(GameSpec(3, 3, 2, RAN), {(3, 0, 0): Fraction(3, 2), (0, 3, 0): Fraction(-1, 2)}),
+     ValueError, "negative allocation weight"),
+    (lambda: searcher_plan_value(GameSpec(3, 3, 2, Variant.COOPERATIVE), {}), ValueError,
+     "no adversarial best response"),
+    (lambda: optimal_hider_332("cooperative"), ValueError, "no committed hiding table"),
+])
+def test_invalid_input_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestResultSerialization:

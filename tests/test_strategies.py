@@ -1,10 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import cachegame
+from cachegame import core, solver
 from cachegame import (
     GameSpec,
     Variant,
@@ -292,6 +298,55 @@ class TestValidation:
         bad = st.StrategyTree(4, 2, 2, st.ask((0, 1, 2)))
         with pytest.raises(StrategyError, match="larger"):
             verify(GameSpec(4, 2, 2, ADV), bad)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: joint_verify_cooperative(GameSpec(4, 3, 2, ADV), fig432(), least_treasures_rule),
+     "joint verification is for the cooperative variant"),
+    (lambda: least_treasures_rule({0: 0}, []), "no queried box holds a treasure"),
+    (lambda: family_d2(0), "k must be positive"),
+    (lambda: family_d3(0), "k must be positive"),
+    (lambda: family_infinite_d(3, 2, 4), "k cannot exceed n"),
+    (lambda: family_infinite_d(3, 0, 2), "d must be positive"),
+])
+def test_invalid_input_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+class TestTreeTypesLiveInCore:
+    def test_one_class_under_every_import_path(self):
+        for name in ("StrategyTree", "StrategyNode", "MixEntry"):
+            assert getattr(st, name) is getattr(core, name)
+        assert cachegame.StrategyTree is core.StrategyTree
+
+    def test_strategies_imports_first_in_a_fresh_interpreter(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(st.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        code = ("import cachegame.strategies as s, cachegame.core as c; "
+                "assert s.StrategyTree is c.StrategyTree and s.MixEntry is c.MixEntry; print(s.verify("
+                "c.GameSpec(4, 3, 2), s.fig432()))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "2/5\n", "")
+
+    @pytest.mark.parametrize("attr,call,value", [
+        ("best_response_value", lambda: verify(GameSpec(4, 3, 2, ADV), fig432()), Fraction(2, 5)),
+        ("joint_cooperative_value",
+         lambda: joint_verify_cooperative(GameSpec(3, 3, 2, COOP), family_332(COOP), least_treasures_rule),
+         Fraction(2, 3)),
+    ])
+    def test_verifiers_reach_the_solvers_current_evaluator(self, monkeypatch, attr, call, value):
+        # perfbench's traced run wraps solver.best_response_value in place,
+        # so verify must look it up on the module at each call.
+        original, calls = getattr(solver, attr), []
+
+        def wrapped(spec, *args):
+            calls.append(spec)
+            return original(spec, *args)
+
+        monkeypatch.setattr(solver, attr, wrapped)
+        assert call() == value
+        assert len(calls) == 1
 
 
 class TestJsonFormat:
