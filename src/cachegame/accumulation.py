@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from . import lp as lpmod
-from .rational import ONE, ZERO, format_rational
+from .rational import ZERO, format_rational
 
 MAX_EXACT_BOXES = 8  # the family enumeration is exponential in C(n, k)
 
@@ -165,12 +165,12 @@ def max_losing_subsets_exact(spec: AccumulationSpec) -> tuple[int, GoldDistribut
 def _feasible_family(n, d, min_win, max_lose) -> lpmod.FeasibilityResult:
     constraints = []
     for j in range(n - 1):
-        constraints.append(({j: ONE, j + 1: -ONE}, lpmod.GREATER_EQUAL, ZERO))
-    constraints.append(({j: ONE for j in range(n)}, lpmod.EQUAL, d))
+        constraints.append(({j: 1, j + 1: -1}, lpmod.GREATER_EQUAL, 0))
+    constraints.append((dict.fromkeys(range(n), 1), lpmod.EQUAL, d))
     for s in min_win:
-        constraints.append(({j: ONE for j in s}, lpmod.GREATER_EQUAL, ONE))
+        constraints.append((dict.fromkeys(s, 1), lpmod.GREATER_EQUAL, 1))
     for s in max_lose:
-        constraints.append(({j: ONE for j in s}, lpmod.STRICT_LESS, ONE))
+        constraints.append((dict.fromkeys(s, 1), lpmod.STRICT_LESS, 1))
     return lpmod.check_feasible(n, constraints)
 
 

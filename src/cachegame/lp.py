@@ -9,10 +9,10 @@ There is one pricing rule, Devex: the column with the largest squared
 reduced cost over a float reference weight enters, and once zero-step
 pivots persist a stall guard switches to Bland's rule, which guarantees
 termination.  The weights only pick the entering column; no float reaches
-a row, a value or a certificate.  The form's constructor reads the caller's
-program: its Fraction rows become integer numerators over one lcm
-denominator per row once, and everything after that up to the answer runs
-in integers.  Variables are nonnegative or free; a finite bound is a row.
+a row, a value or a certificate.  The program stores each row in that
+form, in lowest terms, as the caller adds it; the form's constructor and
+the certificate read it as stored, so everything up to the answer runs in
+integers.  Variables are nonnegative or free; a finite bound is a row.
 
 One driver runs the simplex in either of two forms.  They make the same
 pivots and return the same solution, but for ``max_denominator_bits``,
@@ -69,8 +69,8 @@ on-demand reads cost more than they save.  So ``_form`` picks the form from
 the number of rows alone.
 
 Before ``solve_lp`` returns, ``check_certificate`` verifies the answer
-against the caller's own rows, read as the form's constructor reads them, so
-the mapping back from the form's flipped rows and dropped rows is checked too:
+against the caller's own rows as the program stores them, so the mapping
+back from the form's flipped rows and dropped rows is checked too:
 
 * ``OPTIMAL``  -- a feasible point, row multipliers of the signs their
   senses allow, dual-feasible reduced costs, and equal primal objective,
@@ -121,8 +121,9 @@ class LinearProgram:
     """max  c.x  subject to rows ``a.x (<=|=|>=) b``.
 
     Every variable is nonnegative unless ``set_free`` puts it in ``free``; a
-    finite bound is written as a row.  All coefficients are coerced to
-    Fraction on entry.  To minimize ``c.x``, maximize ``-c.x``.
+    finite bound is written as a row.  Row ``i`` is stored in lowest terms:
+    integer numerators ``rows[i]`` (zeros left out) and ``rhs[i]`` over a
+    positive ``dens[i]``.  To minimize ``c.x``, maximize ``-c.x``.
     """
 
     def __init__(self, num_vars: int, objective=None):
@@ -134,9 +135,10 @@ class LinearProgram:
         self.objective = [_rational(c) for c in objective]
         if len(self.objective) != num_vars:
             raise LPError("objective length does not match variable count")
-        self.rows: list[dict[int, Fraction]] = []
+        self.rows: list[dict[int, int]] = []
         self.senses: list[str] = []
-        self.rhs: list[Fraction] = []
+        self.rhs: list[int] = []
+        self.dens: list[int] = []
         self.free: set[int] = set()
 
     def _column(self, j: int) -> int:
@@ -151,19 +153,28 @@ class LinearProgram:
         """Let variable ``j`` take any sign."""
         self.free.add(self._column(j))
 
-    def add_constraint(self, coeffs: dict, sense: str, rhs) -> int:
-        """Add one row; ``coeffs`` is a dict from column to coefficient."""
+    def add_constraint(self, coeffs: dict, sense: str, rhs, den: int = 1) -> int:
+        """Add one row; ``coeffs`` is a dict from column to coefficient, each
+        read over ``den`` as ``rhs`` is.  Ints need one gcd to be in lowest
+        terms; any other row goes over its Fractions' lcm first."""
         if sense not in _SENSES:
             raise LPError(f"unknown sense {sense!r}")
-        row: dict[int, Fraction] = {}
-        for j, value in coeffs.items():
+        if type(den) is not int or den < 1:
+            raise LPError(f"row denominator {den!r} is not a positive int")
+        for j in coeffs:
             self._column(j)
-            value = _rational(value)
-            if value:
-                row[j] = value
-        self.rows.append(row)
+        if type(rhs) is not int or any(type(v) is not int for v in coeffs.values()):
+            row = _Row.over_lcm({j: _rational(v) for j, v in coeffs.items()}, _rational(rhs))
+            coeffs, rhs, den = row.nums, row.rhs, row.den * den
+        nums = {j: v for j, v in coeffs.items() if v}
+        g = gcd(den, rhs, *nums.values())
+        if g != 1:
+            nums = {j: v // g for j, v in nums.items()}
+            rhs, den = rhs // g, den // g
+        self.rows.append(nums)
         self.senses.append(sense)
-        self.rhs.append(_rational(rhs))
+        self.rhs.append(rhs)
+        self.dens.append(den)
         return len(self.rows) - 1
 
 
@@ -235,12 +246,12 @@ class _Row:
         self.nums, self.rhs, self.den = nums, rhs, den
 
     @classmethod
-    def over_lcm(cls, row: dict[int, Fraction], rhs: Fraction, sign: int = 1) -> _Row:
-        """``sign`` times a caller's ``row`` and ``rhs``, put over the lcm
-        of their denominators (which leaves them in lowest terms)."""
+    def over_lcm(cls, row: dict[int, Fraction], rhs: Fraction) -> _Row:
+        """A row of Fractions and its ``rhs``, put over the lcm of their
+        denominators (which leaves them in lowest terms)."""
         den = lcm(rhs.denominator, *(v.denominator for v in row.values()))
-        nums = {j: sign * v.numerator * (den // v.denominator) for j, v in row.items()}
-        return cls(nums, sign * rhs.numerator * (den // rhs.denominator), den)
+        nums = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        return cls(nums, rhs.numerator * (den // rhs.denominator), den)
 
     def make_unit(self, p: int) -> None:
         """Divide the row by its pivot-column entry ``p / den``, which
@@ -296,11 +307,11 @@ class _Tableau:
 
     The constructor reads the caller's program.  Column ``j`` is the
     caller's variable ``j``, free if it is in ``free``; ``unpriced_free``
-    holds the free columns the objective does not price.  Each row goes
-    over the lcm of its denominators, which leaves it in lowest terms, is
-    negated (``flip``) if its right-hand side is negative, and gains its
-    slack, surplus or artificial column after the caller's columns.  The
-    cost is a ``_Row`` in the same form.
+    holds the free columns the objective does not price.  Each row is a
+    copy of the caller's stored row, already in lowest terms, negated
+    (``flip``) if its right-hand side is negative, and gains its slack,
+    surplus or artificial column after the caller's columns.  The cost is
+    the objective put over the lcm of its denominators, a ``_Row`` too.
 
     The driver reads the rows through ``column`` and ``expand`` only; the
     revised form overrides those two, and ``reindex``, which ``pivot``
@@ -327,14 +338,14 @@ class _Tableau:
         self.bland_fallback = False
         self.dropped: list[int] = []  # rows of basic unpriced free columns, in drop order
 
-        for i, (row, b, sense) in enumerate(zip(lp.rows, lp.rhs, lp.senses)):
+        for i, (row, b, den, sense) in enumerate(zip(lp.rows, lp.rhs, lp.dens, lp.senses)):
             flip = 1
             if b < 0:
                 flip = -1
                 sense = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[sense]
             self.flip.append(flip)
-            row = _Row.over_lcm(row, b, flip)
-            nums, den = row.nums, row.den
+            nums = {j: -v for j, v in row.items()} if b < 0 else dict(row)  # copied: pivots update rows in place
+            row = _Row(nums, flip * b, den)
             # A slack or artificial coefficient of 1 is ``den`` over ``den``.
             if sense == LESS_EQUAL:
                 slack = self._new_col()
@@ -753,7 +764,7 @@ def _simplex(lp: LinearProgram) -> LPSolution:
 
 
 def _validate(lp: LinearProgram) -> None:
-    if not (len(lp.rows) == len(lp.senses) == len(lp.rhs)):
+    if not (len(lp.rows) == len(lp.senses) == len(lp.rhs) == len(lp.dens)):
         raise LPError("row bookkeeping out of sync")
     if len(lp.objective) != lp.num_vars or any(not 0 <= j < lp.num_vars for j in lp.free):
         raise LPError("column bookkeeping out of sync")
@@ -802,15 +813,15 @@ def check_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     * INFEASIBLE: ``g`` is 0 on free variables and >= 0 on the others, and
       ``value < 0``, so no point satisfies it.
 
-    The check runs in integers: each of ``lp``'s own rows, not the form's
-    flipped ones, is read with ``_Row.over_lcm`` as the form's constructor
-    reads it, a point goes over one common denominator, and so do the row
-    multipliers.  Fractions appear only where a cost does.
+    The check runs in integers: it reads ``lp``'s own stored rows, not the
+    form's flipped ones, each wrapped as a ``_Row`` without a copy; a point
+    goes over one common denominator, and so do the row multipliers.
+    Fractions appear only where a cost does.
 
     Raises LPError on an unknown status, and CertificateError on any
     violation, a malformed ``sol`` included.
     """
-    rows = [_Row.over_lcm(row, b) for row, b in zip(lp.rows, lp.rhs)]
+    rows = [_Row(row, b, den) for row, b, den in zip(lp.rows, lp.rhs, lp.dens)]
     if sol.status == OPTIMAL:
         _check_point(lp, rows, sol.primal)
         cost = lp.objective
@@ -923,12 +934,12 @@ def check_feasible(num_vars: int, constraints) -> FeasibilityResult:
         if t_col in coeffs:  # the margin's column is not the caller's
             raise LPError(f"column {t_col} out of range")
         if sense == STRICT_LESS:
-            lp.add_constraint({**coeffs, t_col: ONE}, LESS_EQUAL, rhs)
+            lp.add_constraint({**coeffs, t_col: 1}, LESS_EQUAL, rhs)
         elif sense == STRICT_GREATER:
-            lp.add_constraint({**coeffs, t_col: -ONE}, GREATER_EQUAL, rhs)
+            lp.add_constraint({**coeffs, t_col: -1}, GREATER_EQUAL, rhs)
         else:
             lp.add_constraint(coeffs, sense, rhs)
-    cap = lp.add_constraint({t_col: ONE}, LESS_EQUAL, ONE)  # keeps the margin objective bounded
+    cap = lp.add_constraint({t_col: 1}, LESS_EQUAL, 1)  # keeps the margin objective bounded
 
     sol = solve_lp(lp)
     if sol.status == INFEASIBLE:

@@ -20,7 +20,7 @@ forced reveals merge into one per (observed label, next state), walked once;
 the hider decides only at a draw with several reveals.  ``GameTree.num_nodes``
 is the extensive form's node count, summed once per state in the listing
 rather than counted node by node.  Payoffs are integers over one game
-denominator; a Fraction is made only for an LP row entry.
+denominator, and the LP rows are written in those integers.
 
 The sequence form holds one ``_Infoset`` record per information set (its
 parent sequence, its labels and the ids of the sequences playing them),
@@ -470,18 +470,19 @@ def _solve_sequence_lp(tree: GameTree) -> SolveResult:
         program.set_free(col)
     program.set_objective(n_sseq, ONE)
 
-    program.add_constraint({0: ONE}, lpmod.EQUAL, ONE)
+    program.add_constraint({0: 1}, lpmod.EQUAL, 1)
     for info in sf.infosets[SEARCHER].values():
-        program.add_constraint({**dict.fromkeys(info.sids, ONE), info.parent: -ONE}, lpmod.EQUAL, ZERO)
+        program.add_constraint({**dict.fromkeys(info.sids, 1), info.parent: -1}, lpmod.EQUAL, 0)
 
+    den = sf.denominator  # each hider row is written in integers over it
     rows = []
     for h_seq, seq in enumerate(sf.seq_list[HIDER]):
-        row = {q_col[seq[-1][0]] if seq else n_sseq: ONE}  # the value of the set h_seq extends, or q_0
+        row = {q_col[seq[-1][0]] if seq else n_sseq: den}  # the value of the set h_seq extends, or q_0
         for info in sf.after[HIDER].get(h_seq, ()):
-            row[q_col[info.id]] = -ONE
+            row[q_col[info.id]] = -den
         for s_seq, w in sf.payoff.get(h_seq, {}).items():
-            row[s_seq] = Fraction(-w, sf.denominator)  # each searcher sequence once per row
-        rows.append(program.add_constraint(row, lpmod.LESS_EQUAL, ZERO))
+            row[s_seq] = -w  # each searcher sequence once per row
+        rows.append(program.add_constraint(row, lpmod.LESS_EQUAL, 0, den))
 
     assembly_seconds = time.perf_counter() - start
     sol = lpmod.solve_lp(program)
@@ -526,9 +527,9 @@ def _solve_column_generation(tree: GameTree) -> SolveResult:
         program.set_free(v)
         program.set_objective(v, ONE)
         for h in hider:
-            program.add_constraint({v: ONE, **{i: Fraction(-col[h], den) for i, col in enumerate(columns)}},
-                                   lpmod.LESS_EQUAL, ZERO)
-        program.add_constraint(dict.fromkeys(range(v), ONE), lpmod.EQUAL, ONE)
+            program.add_constraint({v: den, **{i: -col[h] for i, col in enumerate(columns)}},
+                                   lpmod.LESS_EQUAL, 0, den)
+        program.add_constraint(dict.fromkeys(range(v), 1), lpmod.EQUAL, 1)
         assembly_seconds += time.perf_counter() - assembly
         sol = lpmod.solve_lp(program)
         solved.append((program, sol))

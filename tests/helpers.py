@@ -89,15 +89,24 @@ def random_bounded_lp(rng: random.Random):
     return lp
 
 
+def fraction_rows(lp):
+    """``lp``'s stored rows read as Fractions: one ``(row, rhs)`` per row,
+    with ``row[j] = Fraction(rows[i][j], dens[i])`` and ``rhs =
+    Fraction(rhs[i], dens[i])``."""
+    return [({j: Fraction(v, den) for j, v in row.items()}, Fraction(b, den))
+            for row, b, den in zip(lp.rows, lp.rhs, lp.dens)]
+
+
 def complementary_slackness_holds(lp, sol):
     """Exact complementary slackness of an optimal primal/dual pair."""
     x, y = sol.primal, sol.dual
-    for i, row in enumerate(lp.rows):
-        slack = lp.rhs[i] - sum(v * x[j] for j, v in row.items())
+    rows = fraction_rows(lp)
+    for i, (row, b) in enumerate(rows):
+        slack = b - sum(v * x[j] for j, v in row.items())
         if y[i] * slack != 0:
             return False
     rho = [-lp.objective[j] for j in range(lp.num_vars)]
-    for i, row in enumerate(lp.rows):
+    for i, (row, _) in enumerate(rows):
         if y[i]:
             for j, v in row.items():
                 rho[j] += y[i] * v
@@ -139,13 +148,13 @@ def reference_check_certificate(lp, sol) -> bool:
         raise CertificateError(f"{len(y)} row multipliers for {len(lp.rows)} rows")
     g = [_ZERO] * lp.num_vars
     value = _ZERO
-    for i, row in enumerate(lp.rows):
+    for i, (row, b) in enumerate(fraction_rows(lp)):
         if not y[i]:
             continue
         s = lp.senses[i]
         if (s == LESS_EQUAL and y[i] < 0) or (s == GREATER_EQUAL and y[i] > 0):
             raise CertificateError(f"dual sign on row {i}")
-        value += y[i] * lp.rhs[i]
+        value += y[i] * b
         for j, v in row.items():
             g[j] += y[i] * v
     for j in range(lp.num_vars):
@@ -165,8 +174,8 @@ def _reference_check_point(lp, x) -> None:
     free variables."""
     if len(x) != lp.num_vars:
         raise CertificateError(f"point has {len(x)} entries for {lp.num_vars} variables")
-    for i, row in enumerate(lp.rows):
-        gap = sum(v * x[j] for j, v in row.items()) - lp.rhs[i]
+    for i, (row, b) in enumerate(fraction_rows(lp)):
+        gap = sum(v * x[j] for j, v in row.items()) - b
         if (gap > 0) if lp.senses[i] == LESS_EQUAL else (gap < 0) if lp.senses[i] == GREATER_EQUAL else gap:
             raise CertificateError(f"point violates row {i}")
     for j in range(lp.num_vars):

@@ -1,4 +1,5 @@
 import random
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -13,6 +14,7 @@ from cachegame import GameSpec, Variant, accumulation, build_tree, solver
 from cachegame import lp as lpmod
 from helpers import (
     complementary_slackness_holds,
+    fraction_rows,
     random_bounded_lp,
     reference_check_certificate,
     reference_run_simplex,
@@ -161,8 +163,10 @@ def _edited(edit) -> lpmod.LinearProgram:
     (lambda: lpmod.solve_lp(_edited(lambda p: p.rows.append({0: Fraction(1)}))), "row bookkeeping out of sync"),
     (lambda: lpmod.solve_lp(_edited(lambda p: p.senses.append(lpmod.EQUAL))), "row bookkeeping out of sync"),
     (lambda: lpmod.solve_lp(_edited(lambda p: p.rhs.pop())), "row bookkeeping out of sync"),
+    (lambda: lpmod.solve_lp(_edited(lambda p: p.dens.pop())), "row bookkeeping out of sync"),
     (lambda: lpmod.solve_lp(_edited(lambda p: p.free.add(2))), "column bookkeeping out of sync"),
-], ids=["negative_count", "short_objective", "extra_row", "extra_sense", "missing_rhs", "free_out_of_range"])
+], ids=["negative_count", "short_objective", "extra_row", "extra_sense", "missing_rhs", "missing_den",
+        "free_out_of_range"])
 def test_malformed_program_is_rejected(call, message):
     with pytest.raises(lpmod.LPError, match=message):
         call()
@@ -171,8 +175,61 @@ def test_malformed_program_is_rejected(call, message):
 def test_add_constraint_coerces_and_drops_zeros():
     p = lpmod.LinearProgram(3)
     assert p.add_constraint({0: 0, 1: 2, 2: Fraction(1, 3)}, lpmod.EQUAL, 1) == 0
-    assert p.rows == [{1: Fraction(2), 2: Fraction(1, 3)}]
-    assert all(type(v) is Fraction for v in p.rows[0].values())
+    assert (p.rows, p.rhs, p.dens) == ([{1: 6, 2: 1}], [3], [3])
+    assert all(type(v) is int for v in [*p.rows[0].values(), *p.rhs, *p.dens])
+
+
+def test_zero_entry_out_of_range_is_rejected():
+    p = lpmod.LinearProgram(2)
+    with pytest.raises(lpmod.LPError, match="column 5 out of range"):
+        p.add_constraint({5: 0}, lpmod.LESS_EQUAL, 0)
+
+
+@pytest.mark.parametrize("den", [0, -2, Fraction(1, 2)])
+def test_row_denominator_must_be_a_positive_int(den):
+    p = lpmod.LinearProgram(2)
+    with pytest.raises(lpmod.LPError, match="row denominator"):
+        p.add_constraint({0: 1}, lpmod.LESS_EQUAL, 1, den)
+    assert p.rows == p.rhs == p.dens == p.senses == []
+
+
+_ints = st.integers(-30, 30)
+_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@given(data=st.data())
+def test_rows_are_stored_fraction_free_in_lowest_terms(data):
+    entries = data.draw(st.sampled_from([_ints, _fractions, st.one_of(_ints, _fractions)]))
+    coeffs = data.draw(st.dictionaries(st.integers(0, 3), entries, max_size=4))
+    rhs = data.draw(entries)
+    den = data.draw(st.one_of(st.none(), st.integers(1, 60)))
+    p = lpmod.LinearProgram(4)
+    if den is None:
+        p.add_constraint(coeffs, lpmod.LESS_EQUAL, rhs)
+        den = 1
+    else:
+        p.add_constraint(coeffs, lpmod.LESS_EQUAL, rhs, den)
+    (row,), (b,), (stored,) = p.rows, p.rhs, p.dens
+    assert {j: Fraction(v, stored) for j, v in row.items()} == {j: Fraction(c) / den for j, c in coeffs.items() if c}
+    assert Fraction(b, stored) == Fraction(rhs) / den
+    assert all(row.values())
+    assert stored > 0
+    assert gcd(stored, b, *row.values()) == 1
+
+
+@pytest.mark.parametrize("num_rows", [4, 45])
+def test_solve_leaves_the_stored_program_as_it_was(num_rows):
+    # A negative right-hand side, which the form flips, then a >= row, an
+    # = row, and caps; 45 rows run in the revised form, 4 in the tableau.
+    p = lpmod.LinearProgram(3, [1, 1, 1])
+    p.add_constraint({0: -1, 2: 2}, lpmod.LESS_EQUAL, -1)
+    p.add_constraint({0: 1, 1: 1}, lpmod.GREATER_EQUAL, 1)
+    p.add_constraint({1: 1, 2: -1}, lpmod.EQUAL, 0)
+    for i in range(num_rows - 3):
+        p.add_constraint({0: 1, 1: 1 + i % 3, 2: Fraction(1, 2)}, lpmod.LESS_EQUAL, 10 + i)
+    before = deepcopy((p.rows, p.rhs, p.dens, p.senses))
+    assert lpmod.solve_lp(p).status == lpmod.OPTIMAL
+    assert (p.rows, p.rhs, p.dens, p.senses) == before
 
 
 def test_row_scaling_keeps_objective():
@@ -181,9 +238,9 @@ def test_row_scaling_keeps_objective():
         p = random_bounded_lp(rng)
         base = lpmod.solve_lp(p)
         scaled = lpmod.LinearProgram(p.num_vars, p.objective)
-        for i, row in enumerate(p.rows):
+        for (row, b), sense in zip(fraction_rows(p), p.senses):
             c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-            scaled.add_constraint({j: c * v for j, v in row.items()}, p.senses[i], c * p.rhs[i])
+            scaled.add_constraint({j: c * v for j, v in row.items()}, sense, c * b)
         again = lpmod.solve_lp(scaled)
         assert again.status == base.status == lpmod.OPTIMAL
         assert again.objective_value == base.objective_value
@@ -392,8 +449,9 @@ def _farkas_holds(p, sol):
         if (sense == lpmod.LESS_EQUAL and y[i] < 0) or (sense == lpmod.GREATER_EQUAL and y[i] > 0):
             return False
     g = [Fraction(0)] * p.num_vars
-    value = sum(y[i] * p.rhs[i] for i in range(len(p.rows)))
-    for i, row in enumerate(p.rows):
+    rows = fraction_rows(p)
+    value = sum(y[i] * b for i, (_, b) in enumerate(rows))
+    for i, (row, _) in enumerate(rows):
         for j, v in row.items():
             g[j] += y[i] * v
     for j in range(p.num_vars):
@@ -403,12 +461,13 @@ def _farkas_holds(p, sol):
 
 
 def _with_rows(p, objective, rhs):
-    """``p``'s rows and free variables under a new objective and right-hand sides."""
+    """``p``'s rows and free variables under a new objective and right-hand
+    sides, each read over its row's stored denominator."""
     q = lpmod.LinearProgram(p.num_vars, objective)
     for j in p.free:
         q.set_free(j)
-    for row, sense, b in zip(p.rows, p.senses, rhs):
-        q.add_constraint(row, sense, b)
+    for row, sense, b, den in zip(p.rows, p.senses, rhs, p.dens):
+        q.add_constraint(row, sense, b, den)
     return q
 
 

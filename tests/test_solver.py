@@ -51,7 +51,7 @@ from cachegame.strategies import (
     least_treasures_rule,
     node,
 )
-from helpers import reference_pattern_values, sequence_lp_cached, solve_cached
+from helpers import fraction_rows, reference_pattern_values, sequence_lp_cached, solve_cached
 
 ADV, RAN = Variant.ADVERSARY, Variant.RANDOM
 
@@ -456,6 +456,88 @@ class TestSolveStats:
         assert (stats["iterations"], stats["pivots"]) == expected
 
 
+def _captured_programs(monkeypatch) -> list:
+    """The programs ``solver`` hands to ``solve_lp`` from now on, each with
+    its solution, in call order."""
+    calls = []
+    real = lpmod.solve_lp
+
+    def captured(program):
+        sol = real(program)
+        calls.append((program, sol))
+        return sol
+
+    monkeypatch.setattr(solver.lpmod, "solve_lp", captured)
+    return calls
+
+
+class TestProgramRows:
+    """The integer rows the solver writes read as the Fraction rows
+    ``{q: 1, q': -1, s: -w/D}`` and ``{v: 1, i: -col[h]/den}``, and sums to
+    one, that an assembly in Fractions writes."""
+
+    def test_sequence_form_rows(self, monkeypatch):
+        calls = _captured_programs(monkeypatch)
+        tree = build_tree(GameSpec(5, 3, 3, ADV))
+        solve_tree(tree)
+        ((program, _),) = calls
+        sf = tree.sf
+        n_sseq = len(sf.seq_list[SEARCHER])
+        q_col = {info.id: col for col, info in enumerate(sf.infosets[HIDER].values(), n_sseq + 1)}
+        expected = [({0: Fraction(1)}, lpmod.EQUAL, Fraction(1))]
+        for info in sf.infosets[SEARCHER].values():
+            expected.append(({**dict.fromkeys(info.sids, Fraction(1)), info.parent: Fraction(-1)},
+                             lpmod.EQUAL, Fraction(0)))
+        for h_seq, seq in enumerate(sf.seq_list[HIDER]):
+            row = {q_col[seq[-1][0]] if seq else n_sseq: Fraction(1)}
+            for info in sf.after[HIDER].get(h_seq, ()):
+                row[q_col[info.id]] = Fraction(-1)
+            for s_seq, w in sf.payoff.get(h_seq, {}).items():
+                if w:
+                    row[s_seq] = Fraction(-w, sf.denominator)
+            expected.append((row, lpmod.LESS_EQUAL, Fraction(0)))
+        assert [(row, sense, b) for (row, b), sense in zip(fraction_rows(program), program.senses)] == expected
+
+    def test_master_rows(self, monkeypatch):
+        calls = _captured_programs(monkeypatch)
+        plans = []
+        real = solver._best_response
+
+        def recorded(sf, y):
+            value, plan = real(sf, y)
+            plans.append(plan)
+            return value, plan
+
+        monkeypatch.setattr(solver, "_best_response", recorded)
+        tree = build_tree(GameSpec(4, 4, 2, RAN))
+        solve_tree(tree)
+        sf = tree.sf
+        den = sf.denominator
+        hider = range(1, len(sf.seq_list[HIDER]))
+        columns = [{h: sum(sf.payoff.get(h, {}).get(s, 0) for s in plan) for h in hider} for plan in plans]
+        assert len(calls) == 11
+        for v, (program, _) in enumerate(calls, 1):
+            expected = [({v: Fraction(1), **{i: Fraction(-col[h], den) for i, col in enumerate(columns[:v])
+                                               if col[h]}}, lpmod.LESS_EQUAL, Fraction(0)) for h in hider]
+            expected.append((dict.fromkeys(range(v), Fraction(1)), lpmod.EQUAL, Fraction(1)))
+            assert [(row, sense, b) for (row, b), sense in zip(fraction_rows(program), program.senses)] == expected
+
+    def test_only_the_objective_goes_over_an_lcm(self, monkeypatch):
+        # Integer rows are stored without a Fraction, and the form and the
+        # certificate read them as stored: one lcm per solve, the objective's.
+        objectives = []
+        real = lpmod._Row.over_lcm
+
+        def counted(row, rhs):
+            objectives.append(row)
+            return real(row, rhs)
+
+        monkeypatch.setattr(lpmod._Row, "over_lcm", staticmethod(counted))
+        solve(GameSpec(5, 3, 3, ADV))
+        assert len(objectives) == 1
+        assert solve(GameSpec(4, 4, 2, RAN)).stats["iterations"] == len(objectives) - 1 == 11
+
+
 class TestSolveKnownValues:
     def test_332_adversary(self):
         assert solve_cached(3, 3, 2, ADV).value == Fraction(3, 5)
@@ -688,15 +770,7 @@ class TestColumnGeneration:
         assert 0 in plan
 
     def test_stats_total_the_master_solves(self, monkeypatch):
-        calls = []
-        real = lpmod.solve_lp
-
-        def counted(program):
-            sol = real(program)
-            calls.append((program, sol))
-            return sol
-
-        monkeypatch.setattr(lpmod, "solve_lp", counted)
+        calls = _captured_programs(monkeypatch)
         stats = solve(GameSpec(4, 4, 2, RAN)).stats
         sols = [sol for _, sol in calls]
         assert stats["iterations"] == len(calls) > 1
