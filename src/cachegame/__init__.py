@@ -4,7 +4,7 @@ Everything numeric is a ``fractions.Fraction``: game values, plan weights,
 bounds, and probabilities are computed and compared exactly.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .core import (
     GameSpec,

@@ -83,7 +83,7 @@ def enumerate_allocations(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Rules of play: every tree builder and strategy evaluator applies them
+# Rules of play: the tree builder and every strategy evaluator apply them
 # through ``outcomes``, which lists a query's reveals and the state after
 # each, and ``fresh_draws``.  A state is a count vector.  Over concrete boxes
 # it holds the treasures left per box.  In first-touch canonical labels the

@@ -161,8 +161,9 @@ class LinearProgram:
             raise LPError(f"unknown sense {sense!r}")
         if type(den) is not int or den < 1:
             raise LPError(f"row denominator {den!r} is not a positive int")
-        for j in coeffs:
-            self._column(j)
+        if coeffs:  # a column out of range is the least or the greatest
+            self._column(min(coeffs))
+            self._column(max(coeffs))
         if type(rhs) is not int or any(type(v) is not int for v in coeffs.values()):
             row = _Row.over_lcm({j: _rational(v) for j, v in coeffs.items()}, _rational(rhs))
             coeffs, rhs, den = row.nums, row.rhs, row.den * den

@@ -1,17 +1,19 @@
 """Exact game solving: sequence-form construction, realization-plan linear
 programs, and best-response evaluation.
 
-Two builders exist, and each writes the sequence form (Koller, Megiddo and
-von Stengel) of its game with no node tree.  The full builder plays over
-concrete box labels.  The reduced builder exploits the box symmetry: the
-searcher plays over first-touch canonical labels (boxes are numbered in the
-order her queries first touch them, and a reveal from a never-touched box
-takes the lowest fresh label), the hider picks a count *pattern* instead of
-a labeled placement, and chance assigns pattern entries to freshly touched
-labels by uniform draws without replacement.  Both games have the same
-value; the reduced one is exponentially smaller.
+One builder writes the sequence form (Koller, Megiddo and von Stengel) of
+either game with no node tree, in first-touch canonical labels: boxes are
+numbered in the order the searcher's queries first touch them, a reveal
+from a never-touched box takes the lowest fresh label, and a searcher's
+action label is her query.  The reduced game exploits the box symmetry: the
+hider picks a count *pattern* instead of a labeled placement, every box
+starts untouched, and chance assigns pattern entries to freshly touched
+labels by uniform draws without replacement.  The full game starts each
+labeled placement with every box touched, so its labels are the boxes and
+chance never draws.  Both games have the same value; the reduced one is
+exponentially smaller.
 
-Both builders hand their rules to one walk (``_walk``), which lists each
+The builder hands its rules to one walk (``_walk``), which lists each
 state's moves once and follows every path but a forced reveal into a won
 state, registering sequences and wins as it goes; the listing adds up an
 action's forced wins, and the walk pays them in one sum.  A reveal is forced
@@ -106,8 +108,7 @@ def build_tree(
     if budget < 1:
         raise ValueError("node budget must be positive")
     sf = _SequenceForm(factorial(spec.n) * _reveal_lcm(spec) ** spec.d)
-    build = _build_reduced if symmetry else _build_full
-    nodes = build(spec, relaxed, budget, sf)
+    nodes = _build(spec, symmetry, relaxed, budget, sf)
     return GameTree(spec, symmetry, relaxed, nodes, sf)
 
 
@@ -128,7 +129,7 @@ class _Infoset(NamedTuple):
 
 
 class _SequenceForm:
-    """Realization-plan bookkeeping for both players, filled in by a
+    """Realization-plan bookkeeping for both players, filled in by the
     builder.
 
     A walk passes ``at = (searcher sequence id, hider sequence id, chance
@@ -193,7 +194,7 @@ def _reveal_lcm(spec: GameSpec) -> int:
     return lcm(*range(1, spec.d + 1)) if spec.variant == Variant.RANDOM else 1
 
 
-def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget: int) -> int:
+def _walk(spec: GameSpec, moves, roots, sf: _SequenceForm, budget: int) -> int:
     """Write the game below the hider's root choice into ``sf`` and return
     its extensive-form node count, the hider's root node included.
 
@@ -219,8 +220,8 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
     into one per (label, next state) of weight ``sum(ways c L // t)`` over
     ``total L`` (``c`` of the draw's ``t`` treasures in the box, ``L`` from
     ``_reveal_lcm``).  Any other draw with reveals is the hider's decision,
-    named by ``hider_infoset(root state, observations, action)``, of weight
-    ``ways L``, in its draw's place; a merged reveal takes its first draw's.
+    keyed ``(root state, observations, action, serial)``, of weight ``ways
+    L``, in its draw's place; a merged reveal takes its first draw's.
     An option is listed as ``(action, total L, won, won_gcd, walked)``:
     ``walked`` holds ``(weight, reveals)`` per decision or merged reveal,
     save one into a won state, whose weight adds to ``won`` and ``won_gcd``.
@@ -234,6 +235,7 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
     chance = spec.variant == Variant.RANDOM
     L = _reveal_lcm(spec)
     memo: dict = {}
+    serial = count(1)
     off_denominator = f"path probability is not a multiple of 1/{sf.denominator}"
 
     def listing(state):
@@ -289,8 +291,11 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
                 p, rest = divmod(prob * weight, total)
                 if rest:
                     raise SolverError(off_denominator)
+                # Every reveal decision is its own information set: the hider knows his
+                # placement and sees every query.  The serial keeps apart draws whose
+                # states differ only by the searcher's private relabeling.
                 picks = [(None, h_seq)] if len(outs) == 1 else sf.decide(
-                    HIDER, hider_infoset(root, obs, action), h_seq, [box for _, box, _, _ in outs])
+                    HIDER, (root, obs, action, next(serial)), h_seq, [box for _, box, _, _ in outs])
                 for (_, _, label, after), (_, h) in zip(outs, picks):
                     node(root, after, obs + ((action, label),), (sid, h, p))
 
@@ -305,61 +310,36 @@ def _walk(spec: GameSpec, moves, roots, hider_infoset, sf: _SequenceForm, budget
 
 
 # ---------------------------------------------------------------------------
-# Full (labeled-box) game.
-# ---------------------------------------------------------------------------
-
-
-def _query_sizes(k: int, relaxed: bool) -> range:
-    return range(1, k + 1) if relaxed else range(k, k + 1)
-
-
-def _build_full(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm) -> int:
-    """States are ``(remaining counts, treasures found)``; a hider reveal
-    decision is keyed by the placement, the observations and the query.
-    Returns the node count."""
-    n, d, k = spec.n, spec.d, spec.k
-    placements = comb(n + d - 1, d)
-    num_queries = sum(comb(n, size) for size in _query_sizes(k, relaxed))
-    if placements > budget or num_queries > budget:
-        raise BudgetExceededError(budget, max(placements, num_queries))
-    queries = [q for size in _query_sizes(k, relaxed) for q in combinations(range(n), size)]
-
-    def moves(state):
-        remaining, found = state
-        if found == d:
-            return None
-        return queries, (
-            (q, 0, 1, [(1, [(c, b, b, (after, found + 1)) for b, c, _, after in outcomes(remaining, q, n)])])
-            for q in queries
-        )
-
-    roots = (((counts, 0), h_seq)
-             for counts, h_seq in sf.decide(HIDER, ("root",), 0, enumerate_allocations(n, d)))
-    return _walk(spec, moves, roots, lambda root, obs, q: (root[0], obs, q), sf, budget)
-
-
-# ---------------------------------------------------------------------------
-# Reduced (first-touch canonical) game.
+# The game in first-touch canonical labels.
 # ---------------------------------------------------------------------------
 
 
 def _canonical_actions(touched: int, untouched: int, k: int, relaxed: bool):
-    """Searcher moves in canonical labels: (known-box subset, fresh count).
+    """Searcher moves in canonical labels, as ``(query, fresh count)``: known
+    labels below ``touched``, then the fresh labels from ``touched`` on.
     Lazy: the action space can be enormous for out-of-budget games."""
-    for size in _query_sizes(k, relaxed):
-        max_known = min(size, touched)
-        for j in range(max_known + 1):
-            f = size - j
-            if f > untouched:
-                continue
+    for size in range(1 if relaxed else k, k + 1):
+        for j in range(max(0, size - untouched), min(size, touched) + 1):
+            fresh = tuple(range(touched, touched + size - j))
             for known in combinations(range(touched), j):
-                yield (known, f)
+                yield known + fresh, size - j
 
 
-def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm) -> int:
-    """States are ``(touched counts, untouched pool, treasures found)``.
-    Returns the node count."""
+def _build(spec: GameSpec, symmetry: bool, relaxed: bool, budget: int, sf: _SequenceForm) -> int:
+    """States are ``(touched counts, untouched pool, treasures found)``.  The
+    reduced game starts each count pattern untouched; the full game starts
+    each placement with every box touched, so that chance never draws and a
+    label is a box.  Returns the node count."""
     n, d, k = spec.n, spec.d, spec.k
+    if symmetry:
+        choices = patterns(d, n)
+        starts = [((), pat, 0) for pat in choices]
+    else:
+        # The walk bounds what it reads, but not the hider's root labels.
+        if comb(n + d - 1, d) > budget:
+            raise BudgetExceededError(budget, comb(n + d - 1, d))
+        choices = enumerate_allocations(n, d)
+        starts = [(counts, (), 0) for counts in choices]
     actions_at: dict = {}
 
     def moves(state):
@@ -369,31 +349,25 @@ def _build_reduced(spec: GameSpec, relaxed: bool, budget: int, sf: _SequenceForm
         t0 = len(touched)
         if t0 not in actions_at:
             # Each action needs a node, so budget + 1 of them overflow it.
-            actions_at[t0] = list(islice(_canonical_actions(t0, n - t0, k, relaxed), budget + 1))
-        return actions_at[t0], options(touched, untouched, found, actions_at[t0])
+            actions = list(islice(_canonical_actions(t0, n - t0, k, relaxed), budget + 1))
+            actions_at[t0] = [q for q, _ in actions], actions
+        labels, actions = actions_at[t0]
+        return labels, options(touched, untouched, found, actions)
 
     def options(touched, untouched, found, actions):
         t0 = len(touched)
-        for action in actions:
-            known, f = action
-            q = known + tuple(range(t0, t0 + f))
+        for q, f in actions:
             draws = []
             for draw, ways, rest in fresh_draws(untouched, f):
                 outs = outcomes(touched + draw, q, t0)
                 if outs:  # most draws of a wide game find nothing, and need no rewrite
                     outs = [(c, b, l, (after, rest, found + 1)) for b, c, l, after in outs]
                 draws.append((ways, outs))
-            yield action, int(f > 0), perm(len(untouched), f), draws
+            yield q, int(f > 0), perm(len(untouched), f), draws
 
-    # Reveal decisions are singleton information sets: the hider knows his
-    # placement and sees every query, so each decision point on a path is
-    # distinguishable to him.  Draws that reach post-reveal states differing
-    # only by the searcher's private relabeling keep their own keys (sharing
-    # one would break perfect recall), but the walk makes the decisions below
-    # a forced reveal merged across draws once.
-    serial = count(1)
-    roots = ((((), pat, 0), h_seq) for pat, h_seq in sf.decide(HIDER, ("root",), 0, patterns(d, n)))
-    return _walk(spec, moves, roots, lambda *_: ("reveal", next(serial)), sf, budget)
+    # The hider's root ids are handed out as each start is walked: depth first.
+    roots = zip(starts, (h_seq for _, h_seq in sf.decide(HIDER, ("root",), 0, choices)))
+    return _walk(spec, moves, roots, sf, budget)
 
 
 @dataclass
@@ -432,16 +406,9 @@ class SolveResult:
 
 
 def _seq_json(seq) -> list:
-    return [[infoset_id, _label_json(label)] for infoset_id, label in seq]
-
-
-def _label_json(label):
-    if isinstance(label, tuple) and len(label) == 2 and isinstance(label[0], tuple):
-        known, f = label
-        return {"known": list(known), "fresh": f}
-    if isinstance(label, tuple):
-        return list(label)
-    return label
+    """A sequence as ``[infoset id, label]`` pairs, a tuple label (a query or
+    a placement) as a list."""
+    return [[infoset_id, list(label) if isinstance(label, tuple) else label] for infoset_id, label in seq]
 
 
 def solve_tree(tree: GameTree) -> SolveResult:
@@ -1019,8 +986,8 @@ def optimal_hider_332(
 def searcher_plan_value(spec: GameSpec, behavior: dict) -> Fraction:
     """Hider's best reply to a labeled-box behavioral searcher strategy.
 
-    ``behavior`` maps observation histories (as produced by the full tree
-    builder) to lists of (query, probability).  Unreachable or missing
+    ``behavior`` maps observation histories (as the full game's walk
+    writes them) to lists of (query, probability).  Unreachable or missing
     information sets count as resignation.
     """
     if spec.variant == Variant.COOPERATIVE:

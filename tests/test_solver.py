@@ -1,10 +1,11 @@
 import gc
+import hashlib
 import json
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import count, repeat
-from math import factorial, lcm
+from itertools import repeat
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -111,7 +112,7 @@ class TestBuildTree:
         # With denominator 2 every path probability is a multiple of 1/2.
         game = {"root": (["a"], [("a", 1, 3, [(1, [(1, 0, 0, "won")])])]), "won": None}
         with pytest.raises(SolverError, match="not a multiple of 1/2"):
-            solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], None, _SequenceForm(2), 100)
+            solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], _SequenceForm(2), 100)
 
     @pytest.mark.parametrize("variant", [ADV, RAN])
     def test_first_infoset_reduction(self, variant):
@@ -192,19 +193,32 @@ class TestBuildTree:
         assert err.value.estimate > 50
 
     @pytest.mark.parametrize("variant", [ADV, RAN])
-    def test_budget_bounds_a_state_with_many_actions(self, variant):
-        # After the first reveal of (36,2,18) the searcher has 2^18
-        # canonical actions; listing them all would take seconds and
-        # hundreds of MB before a node below that state is counted.
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_budget_bounds_a_state_with_many_actions(self, symmetry, variant):
+        # After the first reveal of the reduced (36,2,18) the searcher has
+        # 2^18 canonical actions, and in the full game C(36, 18) at the
+        # root; listing them all would take seconds to hours and hundreds
+        # of MB before a node below that state is counted.
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError) as err:
-                build_tree(GameSpec(36, 2, 18, variant), budget=1000)
+                build_tree(GameSpec(36, 2, 18, variant), symmetry=symmetry, budget=1000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert err.value.estimate > 1000
         assert peak < 5_000_000
+
+    def test_budget_bounds_the_placements_before_they_are_listed(self, monkeypatch):
+        # (30,10,2) has C(39, 10), about 6.4e8, placements: the hider's
+        # root labels, which the walk cannot bound as it reads them.
+        def listed(n, d):
+            raise AssertionError("placements listed")
+
+        monkeypatch.setattr(solver, "enumerate_allocations", listed)
+        with pytest.raises(BudgetExceededError) as err:
+            build_tree(GameSpec(30, 10, 2, ADV), symmetry=False, budget=1000)
+        assert err.value.estimate == comb(39, 10)
 
     @pytest.mark.parametrize("variant", [ADV, RAN])
     @pytest.mark.parametrize("relaxed", [False, True])
@@ -226,7 +240,7 @@ class TestWalk:
 
     @staticmethod
     def walk(game):
-        return solver._walk(GameSpec(2, 1, 1, RAN), game.get, [("root", 0)], None, _SequenceForm(2), 100)
+        return solver._walk(GameSpec(2, 1, 1, RAN), game.get, [("root", 0)], _SequenceForm(2), 100)
 
     def test_infoset_with_two_label_lists_rejected(self):
         # Both outcomes of "a" are observed as label 0, so "x" and "y" are one
@@ -265,17 +279,18 @@ class TestWalk:
         # 1, though together they make 1.
         game = {"root": (["a"], [("a", 1, 3, [(1, [(1, 0, 0, "x")]), (2, [(1, 1, 1, "y")])])])}
         with pytest.raises(SolverError, match="not a multiple of 1/1"):
-            solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], None, _SequenceForm(1), 100)
+            solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], _SequenceForm(1), 100)
 
     def test_hider_decision_between_two_wins(self):
         # One draw with two reveals, both into won states: the hider's
         # choice, each of his sequences paid by the searcher's action.
         game = {"root": (["a"], [("a", 0, 1, [(1, [(1, 0, 0, "x"), (1, 1, 1, "y")])])])}
         sf = _SequenceForm(1)
-        nodes = solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], lambda *_: "reveal", sf, 100)
+        nodes = solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], sf, 100)
         assert nodes == 5  # the hider's root, the searcher, the reveal and two wins
         a = _sequence(sf, SEARCHER, (), "a")
-        x, y = (_sequence(sf, HIDER, "reveal", box) for box in (0, 1))
+        reveal = ("root", (), "a", 1)  # (root state, observations, action, serial)
+        x, y = (_sequence(sf, HIDER, reveal, box) for box in (0, 1))
         assert sf.seq_list[HIDER] == [(), ((1, 0),), ((1, 1),)]
         assert sf.payoff == {x: {a: 1}, y: {a: 1}}
 
@@ -289,20 +304,19 @@ class TestWalk:
             "x": (["b"], [("b", 0, 1, [(1, [(1, 0, 0, "won"), (1, 1, 1, "won")])])]),
         }
         sf = _SequenceForm(2)
-        serial = count(1)
-        nodes = solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)],
-                             lambda *_: ("reveal", next(serial)), sf, 100)
+        nodes = solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], sf, 100)
         assert nodes == 11  # the hider's root, root, its chance node, and x's 4 nodes under each draw
-        assert list(sf.infosets[HIDER]) == [("reveal", 1)]
+        reveal = ("root", (("a", 0),), "b", 1)  # (root state, observations, action, serial)
+        assert list(sf.infosets[HIDER]) == [reveal]
         b = _sequence(sf, SEARCHER, (("a", 0),), "b")
-        assert sf.payoff == {_sequence(sf, HIDER, ("reveal", 1), box): {b: 2} for box in (0, 1)}
+        assert sf.payoff == {_sequence(sf, HIDER, reveal, box): {b: 2} for box in (0, 1)}
 
     def test_adversary_forced_box_of_two_treasures_credits_its_ways(self):
         # The only reveal of the first draw comes from a box holding 2
         # treasures and wins: a weight of ways c L // t = 1, not ways (L // t) = 0.
         game = {"root": (["a"], [("a", 1, 2, [(1, [(2, 0, 0, "won")]), (1, [])])])}
         sf = _SequenceForm(2)
-        solver._walk(GameSpec(2, 2, 1, ADV), game.get, [("root", 0)], None, sf, 100)
+        solver._walk(GameSpec(2, 2, 1, ADV), game.get, [("root", 0)], sf, 100)
         assert sf.payoff == {0: {_sequence(sf, SEARCHER, (), "a"): 1}}
 
 
@@ -668,8 +682,8 @@ class TestSelfDuality:
 
         root_dist = result.hider_behavior[("root",)]
         weights = dict(root_dist)
-        table = {
-            key: dist for key, dist in result.hider_behavior.items() if key != ("root",)
+        table = {  # a reveal's key is (root state, observations, query, serial)
+            (key[0][0], key[1], key[2]): dist for key, dist in result.hider_behavior.items() if key != ("root",)
         }
 
         def policy(remaining, history, query):
@@ -1079,6 +1093,29 @@ class TestResultSerialization:
             Fraction(entry["weight"]) for entry in payload["hider_plan"] if not entry["sequence"]
         ]
         assert root_weights == [Fraction(1)]  # the empty hider sequence has weight one
+
+    def test_searcher_labels_are_queries(self):
+        # A reduced game's searcher label is its query in first-touch labels.
+        payload = solve_cached(5, 3, 3, ADV).to_json_dict()
+        labels = [label for entry in payload["searcher_plan"] for _, label in entry["sequence"]]
+        assert labels
+        for label in labels:
+            assert type(label) is list and len(label) == 3 and all(type(box) is int for box in label)
+            assert label == sorted(set(label))
+        hider_labels = [label for entry in payload["hider_plan"] for _, label in entry["sequence"]]
+        assert not any(isinstance(label, dict) for label in labels + hider_labels)
+
+    @pytest.mark.parametrize("variant,digest", [
+        (ADV, "744dbb6c7406af45c8ef8dddaeb516f46cc52a3b2c47eafaf1858fd01b838259"),
+        (RAN, "c8e3f2734d7c2ef583a0e266be00ba32c41bd32850b0b9decbb9747b65b6539c"),
+    ])
+    def test_full_game_payload_is_pinned(self, variant, digest):
+        # The full game's payload, wall times aside, is pinned: its labels
+        # are boxes, queries of boxes and placements, however the builder
+        # states its positions.
+        payload = solve_cached(3, 3, 2, variant, symmetry=False).to_json_dict()
+        payload["stats"] = {key: v for key, v in payload["stats"].items() if not key.endswith("_seconds")}
+        assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
 
     def test_rationals_always_slashed(self):
         payload = solve_cached(2, 1, 2, ADV).to_json_dict()
