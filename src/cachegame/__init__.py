@@ -4,7 +4,7 @@ Everything numeric is a ``fractions.Fraction``: game values, plan weights,
 bounds, and probabilities are computed and compared exactly.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .core import (
     GameSpec,

@@ -68,6 +68,23 @@ structural entries that no later pivot reads; on tiny dense programs the
 on-demand reads cost more than they save.  So ``_form`` picks the form from
 the number of rows alone.
 
+``solve_lp(lp, fold=True)`` first folds the program by its symmetry
+(Grohe, Kersting, Mladenov and Selman, ESA 2014; the orbit case is Bödi,
+Herr and Joswig, Math. Prog. 2013).  Colour refinement (``_refine``) finds
+the coarsest equitable partition of the rows and columns: every row of a
+class has the same sum over each column class, every column of a class the
+same sum over each row class, and the senses, right-hand sides, costs and
+free flags are constant on classes.  The quotient has one column per column
+class, its mass ``w_P``, and one row per row class, that class's first row
+read at ``x_j = w_P / |P|``.  Averaging over the classes maps feasible
+points to feasible points and keeps the objective, so the quotient has the
+program's optimum; and a quotient solution lifts to ``x_j = w_P / |P|``,
+``y_i = y_Q / |Q|``, where ``y·A_j`` is the quotient's ``y·A_P`` because
+``|Q|`` times a row sum over ``P`` is ``|P|`` times a column sum over ``Q``.
+The lifted pair is checked like any other, on the caller's rows, so a
+partition that was not equitable fails the check instead of reporting a
+value.
+
 Before ``solve_lp`` returns, ``check_certificate`` verifies the answer
 against the caller's own rows as the program stores them, so the mapping
 back from the form's flipped rows and dropped rows is checked too:
@@ -85,7 +102,8 @@ An unbounded objective has no certificate here: ``solve_lp`` raises
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -206,6 +224,11 @@ class LPSolution:
     ``certificate_seconds`` are the wall times of the two phases and of
     ``check_certificate``.  They are left out of equality: two solutions
     with the same answer and counters are equal.
+
+    ``folded_rows`` and ``folded_cols`` are the size of the program the
+    simplex ran: the quotient when ``solve_lp`` folded, else the caller's;
+    every other counter is that program's too.  ``fold_seconds`` is the wall
+    time of the colour refinement, the quotient's rows and the lift.
     """
 
     status: str
@@ -219,6 +242,9 @@ class LPSolution:
     bland_fallback: bool = False
     max_denominator_bits: int = 0
     dropped_rows: int = 0
+    folded_rows: int = 0
+    folded_cols: int = 0
+    fold_seconds: float = field(default=0.0, compare=False)
     phase1_seconds: float = field(default=0.0, compare=False)
     phase2_seconds: float = field(default=0.0, compare=False)
     certificate_seconds: float = field(default=0.0, compare=False)
@@ -385,6 +411,8 @@ class _Tableau:
             "bland_fallback": self.bland_fallback,
             "max_denominator_bits": self.max_den_bits,
             "dropped_rows": len(self.dropped),
+            "folded_rows": len(self.rows),
+            "folded_cols": self.num_vars,
         }
 
     # -- the two reads the driver makes of a form --------------------------
@@ -691,8 +719,9 @@ class _Revised(_Tableau):
         return _Row({c: v for c, v in full.items() if v}, row.rhs, row.den)
 
 
-def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Maximize exactly; every returned solution has passed ``check_certificate``.
+def solve_lp(lp: LinearProgram, fold: bool = False) -> LPSolution:
+    """Maximize exactly; every returned solution has passed ``check_certificate``
+    on ``lp`` itself.
 
     Both phases price by Devex and switch to Bland's rule if zero-step
     pivots persist (``bland_fallback``): the game programs are heavily
@@ -701,9 +730,15 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     first brings each free variable the objective does not price into the
     basis by the ratio test, and counts those pivots and their time as its
     own.  Raises LPError if the objective is unbounded.
+
+    With ``fold`` the simplex runs on the quotient of ``lp`` by the coarsest
+    equitable partition of its rows and columns, and the answer is lifted
+    back (``_fold``).  Refinement costs a few passes over the rows, so fold
+    where the caller knows the program has symmetry to remove; a program
+    whose partition is all singletons is solved as it is.
     """
     _validate(lp)
-    sol = _simplex(lp)
+    sol = _fold(lp) if fold else _simplex(lp)
     start = time.perf_counter()
     check_certificate(lp, sol)
     sol.certificate_seconds = time.perf_counter() - start
@@ -762,6 +797,95 @@ def _simplex(lp: LinearProgram) -> LPSolution:
         phase1_seconds=phase2 - start,
         phase2_seconds=time.perf_counter() - phase2,
     )
+
+
+def _fold(lp: LinearProgram) -> LPSolution:
+    """Solve the quotient of ``lp`` by ``_refine``'s partition and lift its
+    answer.  Column class ``P`` becomes one column, the class's mass ``w_P``,
+    so ``x_j = w_P / |P|``; row class ``Q`` becomes its first row, reading
+    ``sum_{j in P} a_ij / |P|`` in column ``P``; and a quotient multiplier
+    lifts as ``y_i = y_Q / |Q|``, Farkas multipliers alike."""
+    start = time.perf_counter()
+    row_ids, col_ids = _refine(lp)
+    row_size, col_size = Counter(row_ids), Counter(col_ids)
+    if len(row_size) == len(lp.rows) and len(col_size) == lp.num_vars:
+        fold_seconds = time.perf_counter() - start
+        return replace(_simplex(lp), fold_seconds=fold_seconds)
+    first_col: dict[int, int] = {}
+    for j, c in enumerate(col_ids):
+        first_col.setdefault(c, j)
+    quotient = LinearProgram(len(col_size), [lp.objective[j] for j in first_col.values()])
+    quotient.free = {col_ids[j] for j in lp.free}
+    for i, r in enumerate(row_ids):
+        if r < len(quotient.rows):
+            continue  # classes are numbered in order, so row i is not its class's first
+        sums: dict[int, int] = {}
+        for j, v in lp.rows[i].items():
+            sums[col_ids[j]] = sums.get(col_ids[j], 0) + v
+        m = lcm(*(col_size[c] for c in sums))
+        quotient.add_constraint({c: v * (m // col_size[c]) for c, v in sums.items()},
+                                lp.senses[i], lp.rhs[i] * m, lp.dens[i] * m)
+    fold_seconds = time.perf_counter() - start
+    sol = _simplex(quotient)
+    start = time.perf_counter()
+    primal = None if sol.primal is None else _lifted(sol.primal, col_size, col_ids)
+    dual = _lifted(sol.dual, row_size, row_ids)
+    return replace(sol, primal=primal, dual=dual, fold_seconds=fold_seconds + time.perf_counter() - start)
+
+
+def _lifted(values, size: Counter, ids: list[int]) -> tuple[Fraction, ...]:
+    """Each class's value spread evenly over its members."""
+    each = [v / size[c] if v else ZERO for c, v in enumerate(values)]
+    return tuple(each[c] for c in ids)
+
+
+def _refine(lp: LinearProgram) -> tuple[list[int], list[int]]:
+    """The coarsest equitable partition of ``lp``'s rows and columns (colour
+    refinement), as a class id per row and per column, each numbered in
+    first-occurrence order.  Rows start split by ``(sense, rhs)`` and columns
+    by ``(objective, free)``.  Then the sides take turns, columns first: a
+    turn splits each class of one side by its members' sums over each class
+    of the other.  Once a turn after the first splits nothing, both sides
+    are stable.  The rows are read scaled to the lcm of their denominators,
+    so every sum is an exact int."""
+    scale = lcm(*lp.dens)
+    rows = [[(j, v * (scale // den)) for j, v in row.items()] for row, den in zip(lp.rows, lp.dens)]
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(lp.num_vars)]
+    for i, row in enumerate(rows):
+        for j, v in row:
+            cols[j].append((i, v))
+    row_ids = _numbered(zip(lp.senses, (b * (scale // den) for b, den in zip(lp.rhs, lp.dens))))
+    col_ids = _split(_numbered((c, j in lp.free) for j, c in enumerate(lp.objective)), cols, row_ids)
+    while True:
+        classes = max(row_ids, default=0)
+        row_ids = _split(row_ids, rows, col_ids)
+        if max(row_ids, default=0) == classes:
+            return row_ids, col_ids
+        classes = max(col_ids, default=0)
+        col_ids = _split(col_ids, cols, row_ids)
+        if max(col_ids, default=0) == classes:
+            return row_ids, col_ids
+
+
+def _numbered(keys) -> list[int]:
+    """Each key's class id, classes numbered by their first key."""
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+def _split(ids: list[int], entries: list, other: list[int]) -> list[int]:
+    """``ids`` split by each member's nonzero sums over the classes ``other``
+    numbers; ``entries[m]`` lists member ``m``'s ``(index, value)`` pairs."""
+    keys = []
+    for own, pairs in zip(ids, entries):
+        sums: dict[int, int] = {}
+        for k, v in pairs:
+            c = other[k]
+            sums[c] = sums[c] + v if c in sums else v
+        if 0 in sums.values():
+            sums = {c: v for c, v in sums.items() if v}
+        keys.append((own, frozenset(sums.items())))
+    return _numbered(keys)
 
 
 def _validate(lp: LinearProgram) -> None:

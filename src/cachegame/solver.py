@@ -30,7 +30,13 @@ and per player the records after each sequence.  Both solve paths read
 sequence ids; a sequence becomes a tuple of ``(infoset id, label)`` pairs
 only as a key of the result's plans.
 
-Under the adversary revealer one sequence-form LP solves the game.  Under
+Under the adversary revealer one sequence-form LP solves the game.  In the
+reduced game with ``k >= 3`` the LP is folded by colour refinement
+(``lp.solve_lp(fold=True)``): a query can open two boxes that do not pay,
+which keep distinct labels the searcher cannot tell apart, so mirror-image
+sequences repeat each other's rows and columns.  At ``k = 2`` no such pair
+exists, and folding measured slower on ``(5,4,2)``; the full game, the
+reduced game's cross-check, is never folded.  Under
 the random revealer the hider moves only at the root, and column
 generation solves it: a master LP over the searcher's pure plans found so
 far, grown by an exact integer best response to the hider's mixture until
@@ -201,8 +207,8 @@ def _walk(spec: GameSpec, moves, roots, sf: _SequenceForm, budget: int) -> int:
     ``roots`` yields ``(state, hider sequence)`` per root choice.
     ``moves(state)`` is None where the searcher has won.  Otherwise it is
     ``(labels, options)``: the searcher's action labels at ``state`` and an
-    iterable, read one action at a time, of ``(action, chance_nodes, total,
-    draws)`` per action in the same order.
+    iterable, read one action at a time, of ``(chance_nodes, total, draws)``
+    per label in the same order.
     ``chance_nodes`` is 1 if chance draws before the reveal, else 0.  Each
     draw is ``(ways, reveals)``, the draw's probability being the integer
     ``ways`` over the integer ``total``, and each reveal ``(treasures, box,
@@ -222,7 +228,7 @@ def _walk(spec: GameSpec, moves, roots, sf: _SequenceForm, budget: int) -> int:
     ``_reveal_lcm``).  Any other draw with reveals is the hider's decision,
     keyed ``(root state, observations, action, serial)``, of weight ``ways
     L``, in its draw's place; a merged reveal takes its first draw's.
-    An option is listed as ``(action, total L, won, won_gcd, walked)``:
+    An option is listed as ``(total L, won, won_gcd, walked)``:
     ``walked`` holds ``(weight, reveals)`` per decision or merged reveal,
     save one into a won state, whose weight adds to ``won`` and ``won_gcd``.
 
@@ -248,7 +254,7 @@ def _walk(spec: GameSpec, moves, roots, sf: _SequenceForm, budget: int) -> int:
             return listed
         labels, options = game
         nodes, kept = 1, []
-        for action, chance_nodes, total, draws in options:
+        for chance_nodes, total, draws in options:
             nodes += chance_nodes
             won, walked = {}, {}  # (label, next state) of a forced reveal, or a decision's draw -> weight
             for i, (ways, outs) in enumerate(draws):
@@ -268,7 +274,7 @@ def _walk(spec: GameSpec, moves, roots, sf: _SequenceForm, budget: int) -> int:
                 raise BudgetExceededError(budget, nodes)
             won = list(won.values())
             walked = [(w, draws[key][1] if type(key) is int else [(None, None, *key)]) for key, w in walked.items()]
-            kept.append((action, total * L, sum(won), gcd(*won), walked))
+            kept.append((total * L, sum(won), gcd(*won), walked))
         listed = memo[state] = (nodes, labels, kept)
         return listed
 
@@ -282,7 +288,7 @@ def _walk(spec: GameSpec, moves, roots, sf: _SequenceForm, budget: int) -> int:
         if labels is None:
             credit(h_seq, s_seq, prob)
             return
-        for (action, total, won, won_gcd, draws), (_, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, labels)):
+        for (total, won, won_gcd, draws), (action, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, labels)):
             if won:
                 if prob * won_gcd % total:
                     raise SolverError(off_denominator)
@@ -315,14 +321,14 @@ def _walk(spec: GameSpec, moves, roots, sf: _SequenceForm, budget: int) -> int:
 
 
 def _canonical_actions(touched: int, untouched: int, k: int, relaxed: bool):
-    """Searcher moves in canonical labels, as ``(query, fresh count)``: known
-    labels below ``touched``, then the fresh labels from ``touched`` on.
-    Lazy: the action space can be enormous for out-of-budget games."""
+    """Searcher queries in canonical labels: known labels below ``touched``,
+    then the fresh labels from ``touched`` on.  Lazy: the action space can
+    be enormous for out-of-budget games."""
     for size in range(1 if relaxed else k, k + 1):
         for j in range(max(0, size - untouched), min(size, touched) + 1):
             fresh = tuple(range(touched, touched + size - j))
             for known in combinations(range(touched), j):
-                yield known + fresh, size - j
+                yield known + fresh
 
 
 def _build(spec: GameSpec, symmetry: bool, relaxed: bool, budget: int, sf: _SequenceForm) -> int:
@@ -349,21 +355,20 @@ def _build(spec: GameSpec, symmetry: bool, relaxed: bool, budget: int, sf: _Sequ
         t0 = len(touched)
         if t0 not in actions_at:
             # Each action needs a node, so budget + 1 of them overflow it.
-            actions = list(islice(_canonical_actions(t0, n - t0, k, relaxed), budget + 1))
-            actions_at[t0] = [q for q, _ in actions], actions
-        labels, actions = actions_at[t0]
-        return labels, options(touched, untouched, found, actions)
+            actions_at[t0] = list(islice(_canonical_actions(t0, n - t0, k, relaxed), budget + 1))
+        return actions_at[t0], options(touched, untouched, found, actions_at[t0])
 
-    def options(touched, untouched, found, actions):
+    def options(touched, untouched, found, queries):
         t0 = len(touched)
-        for q, f in actions:
+        for q in queries:
+            f = max(0, q[-1] + 1 - t0)  # the fresh labels end the query
             draws = []
             for draw, ways, rest in fresh_draws(untouched, f):
                 outs = outcomes(touched + draw, q, t0)
                 if outs:  # most draws of a wide game find nothing, and need no rewrite
                     outs = [(c, b, l, (after, rest, found + 1)) for b, c, l, after in outs]
                 draws.append((ways, outs))
-            yield q, int(f > 0), perm(len(untouched), f), draws
+            yield int(f > 0), perm(len(untouched), f), draws
 
     # The hider's root ids are handed out as each start is walked: depth first.
     roots = zip(starts, (h_seq for _, h_seq in sf.decide(HIDER, ("root",), 0, choices)))
@@ -452,14 +457,17 @@ def _solve_sequence_lp(tree: GameTree) -> SolveResult:
         rows.append(program.add_constraint(row, lpmod.LESS_EQUAL, 0, den))
 
     assembly_seconds = time.perf_counter() - start
-    sol = lpmod.solve_lp(program)
+    fold = tree.symmetry and tree.spec.k >= 3
+    sol = lpmod.solve_lp(program, fold=fold)
     if sol.status != lpmod.OPTIMAL:
         raise SolverError(f"sequence-form program came back {sol.status}")
 
     searcher_plan = {s: sol.primal[s] for s in range(n_sseq) if sol.primal[s]}
     hider_plan = {h: sol.dual[row] for h, row in enumerate(rows) if sol.dual[row]}
-    return _result(tree, start, sol.objective_value, searcher_plan, hider_plan,
-                   _lp_stats([(program, sol)], assembly_seconds))
+    stats = _lp_stats([(program, sol)], assembly_seconds)
+    if fold:
+        stats.update(folded_rows=sol.folded_rows, folded_cols=sol.folded_cols, fold_seconds=sol.fold_seconds)
+    return _result(tree, start, sol.objective_value, searcher_plan, hider_plan, stats)
 
 
 def _solve_column_generation(tree: GameTree) -> SolveResult:

@@ -734,9 +734,9 @@ def _sequence_form_program(n, d, k, variant=Variant.ADVERSARY):
     programs = []
     real = lpmod.solve_lp
 
-    def recording(p):
+    def recording(p, **options):
         programs.append(p)
-        return real(p)
+        return real(p, **options)
 
     with mock.patch.object(lpmod, "solve_lp", recording):
         solver._solve_sequence_lp(build_tree(GameSpec(n, d, k, variant)))
@@ -778,7 +778,8 @@ def test_size_rule_keeps_the_tiny_programs_on_the_tableau():
     assert {form for _, form in picked} == {lpmod._Tableau}
 
 
-@pytest.mark.parametrize("n,d,k,rows", [(5, 3, 3, 144), (5, 4, 2, 320)])
+# ``(5,3,3)``'s program of 144 rows folds to 40, the rows the simplex runs.
+@pytest.mark.parametrize("n,d,k,rows", [(5, 3, 3, 40), (5, 4, 2, 320)])
 def test_size_rule_sends_the_large_game_programs_to_the_revised_form(n, d, k, rows):
     picked = _forms_picked(lambda: solver.solve(GameSpec(n, d, k, Variant.ADVERSARY)))
     assert picked == [(rows, lpmod._Revised)]
@@ -1011,9 +1012,9 @@ def test_no_free_column_leaves_on_accumulation_programs():
     programs = []
     real = lpmod.solve_lp
 
-    def recording(p):
+    def recording(p, **options):
         programs.append(p)
-        return real(p)
+        return real(p, **options)
 
     with mock.patch.object(lpmod, "solve_lp", recording):
         for n, k, d in [(5, 3, 2), (6, 3, 2)]:
@@ -1179,3 +1180,108 @@ def test_drops_change_no_answer(p):
         assert lpmod.check_certificate(p, sol)
         if pivots == plain_pivots:
             assert replace(sol, dropped_rows=0, max_denominator_bits=0) == replace(plain, max_denominator_bits=0)
+
+
+# ---------------------------------------------------------------------------
+# The fold: solve the quotient by the coarsest equitable partition, lift it.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _planted_programs(draw):
+    """A program that a column permutation ``sigma`` maps onto itself, with
+    ``sigma``: each drawn row comes with all its images under ``sigma``, the
+    objective and the free columns are constant on ``sigma``'s cycles, and
+    every column is boxed (free ones from below too), so the objective is
+    bounded.  Right-hand sides of either sign, so some are infeasible."""
+    n = draw(st.integers(2, 6))
+    sigma = draw(st.permutations(range(n)))
+    cycle = list(range(n))  # each column's cycle, named by its least column
+    for j in range(n):
+        k = sigma[j]
+        while k != j:
+            cycle[k] = min(cycle[k], j)
+            k = sigma[k]
+    costs = draw(st.lists(_coef, min_size=n, max_size=n))
+    p = lpmod.LinearProgram(n, [costs[cycle[j]] for j in range(n)])
+    free = draw(st.sets(st.integers(0, n - 1)))
+    for j in range(n):
+        if cycle[j] in free:
+            p.set_free(j)
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.dictionaries(st.integers(0, n - 1), _coef, min_size=1, max_size=n))
+        sense, b = draw(st.sampled_from(lpmod._SENSES)), draw(_coef)
+        image = row
+        while True:
+            p.add_constraint(image, sense, b)
+            image = {sigma[j]: v for j, v in image.items()}
+            if image == row:
+                break
+    for j in range(n):
+        p.add_constraint({j: 1}, lpmod.LESS_EQUAL, 4)
+    for j in sorted(p.free):
+        p.add_constraint({j: 1}, lpmod.GREATER_EQUAL, -4)
+    return p, sigma
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_programs())
+def test_fold_agrees_on_programs_with_a_planted_symmetry(planted):
+    p, sigma = planted
+    plain, folded = lpmod.solve_lp(p), lpmod.solve_lp(p, fold=True)
+    assert (folded.status, folded.objective_value) == (plain.status, plain.objective_value)
+    assert lpmod.check_certificate(p, plain) and lpmod.check_certificate(p, folded)
+    assert reference_check_certificate(p, folded)
+    row_ids, col_ids = lpmod._refine(p)
+    # sigma's cycles partition the columns equitably, so the coarsest
+    # equitable partition puts each cycle in one class.
+    assert all(col_ids[j] == col_ids[sigma[j]] for j in range(len(sigma)))
+    assert (folded.folded_rows, folded.folded_cols) == (len(set(row_ids)), len(set(col_ids)))
+    for ids, values in ((col_ids, folded.primal), (row_ids, folded.dual)):
+        for i, c in enumerate(ids if values else ()):
+            assert values[i] == values[ids.index(c)]  # constant on each class
+
+
+def test_fold_lifts_a_farkas_certificate():
+    # x0 <= 1 and x1 <= 1, a mirror pair, leave no room for x0 + x1 >= 3.
+    p = lpmod.LinearProgram(2, [1, 1])
+    p.add_constraint({0: 1}, lpmod.LESS_EQUAL, 1)
+    p.add_constraint({1: 1}, lpmod.LESS_EQUAL, 1)
+    p.add_constraint({0: 1, 1: 1}, lpmod.GREATER_EQUAL, 3)
+    sol = lpmod.solve_lp(p, fold=True)
+    assert (sol.status, sol.folded_rows, sol.folded_cols) == (lpmod.INFEASIBLE, 2, 1)
+    assert sol.dual[0] == sol.dual[1] > 0 > sol.dual[2]
+    assert lpmod.check_certificate(p, sol) and _farkas_holds(p, sol)
+
+
+def test_fold_of_a_program_with_no_symmetry_changes_nothing():
+    p = lpmod.LinearProgram(3, [3, 2, 1])
+    p.add_constraint({0: 1, 1: 1}, lpmod.LESS_EQUAL, 4)
+    p.add_constraint({1: 2, 2: 1}, lpmod.LESS_EQUAL, 5)
+    p.add_constraint({0: 1, 2: 3}, lpmod.LESS_EQUAL, 6)
+    assert lpmod._refine(p) == ([0, 1, 2], [0, 1, 2])
+    sol = lpmod.solve_lp(p, fold=True)
+    assert sol == lpmod.solve_lp(p)
+    assert (sol.folded_rows, sol.folded_cols) == (3, 3)
+
+
+def test_a_partition_that_is_not_equitable_fails_the_certificate(monkeypatch):
+    # One class of rows and one of columns, though x0 <= 1 and x0 + x1 <= 1
+    # sum to 1 and 2 over it: the quotient's optimum 2 lifts to a point that
+    # breaks the second row, so the check refuses it, where the optimum is 1.
+    p = lpmod.LinearProgram(2, [1, 1])
+    p.add_constraint({0: 1}, lpmod.LESS_EQUAL, 1)
+    p.add_constraint({0: 1, 1: 1}, lpmod.LESS_EQUAL, 1)
+    assert lpmod.solve_lp(p, fold=True).objective_value == 1
+    monkeypatch.setattr(lpmod, "_refine", lambda lp: ([0, 0], [0, 0]))
+    with pytest.raises(lpmod.CertificateError, match="violates row 1"):
+        lpmod.solve_lp(p, fold=True)
+
+
+@pytest.mark.parametrize("n,d,k,rows,cols", [(5, 3, 3, 40, 106), (4, 3, 3, 30, 42)])
+def test_fold_of_a_game_program(n, d, k, rows, cols):
+    # The same value as the program itself, on fewer rows and columns.
+    p = _sequence_form_program(n, d, k)
+    sol = lpmod.solve_lp(p, fold=True)
+    assert sol.objective_value == lpmod.solve_lp(p).objective_value
+    assert (sol.folded_rows, sol.folded_cols) == (rows, cols)

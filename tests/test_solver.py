@@ -110,7 +110,7 @@ class TestBuildTree:
 
     def test_walk_rejects_a_path_probability_off_the_denominator(self):
         # With denominator 2 every path probability is a multiple of 1/2.
-        game = {"root": (["a"], [("a", 1, 3, [(1, [(1, 0, 0, "won")])])]), "won": None}
+        game = {"root": (["a"], [(1, 3, [(1, [(1, 0, 0, "won")])])]), "won": None}
         with pytest.raises(SolverError, match="not a multiple of 1/2"):
             solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], _SequenceForm(2), 100)
 
@@ -246,22 +246,22 @@ class TestWalk:
         # Both outcomes of "a" are observed as label 0, so "x" and "y" are one
         # information set of the searcher, offering her different actions.
         game = {
-            "root": (["a"], [("a", 1, 2, [(1, [(1, 0, 0, "x")]), (1, [(1, 1, 0, "y")])])]),
-            "x": (["p"], [("p", 0, 1, [(1, [])])]),
-            "y": (["q"], [("q", 0, 1, [(1, [])])]),
+            "root": (["a"], [(1, 2, [(1, [(1, 0, 0, "x")]), (1, [(1, 1, 0, "y")])])]),
+            "x": (["p"], [(0, 1, [(1, [])])]),
+            "y": (["q"], [(0, 1, [(1, [])])]),
         }
         with pytest.raises(SolverError, match="differing action sets"):
             self.walk(game)
 
     def test_merged_path_off_the_denominator_rejected(self):
         # With denominator 2 every path probability is a multiple of 1/2.
-        game = {"root": (["a"], [("a", 1, 3, [(1, [(1, 0, 0, "won")])])])}
+        game = {"root": (["a"], [(1, 3, [(1, [(1, 0, 0, "won")])])])}
         with pytest.raises(SolverError, match="not a multiple of 1/2"):
             self.walk(game)
 
     def test_budget_checked_inside_a_state(self):
         # The searcher node, the chance node and 200 losing draws.
-        game = {"root": (["a"], [("a", 1, 200, [(1, [])] * 200)])}
+        game = {"root": (["a"], [(1, 200, [(1, [])] * 200)])}
         with pytest.raises(BudgetExceededError) as err:
             self.walk(game)
         assert err.value.estimate == 202
@@ -269,7 +269,7 @@ class TestWalk:
     def test_budget_stops_an_endless_listing(self):
         # Options are read one at a time, and each adds a chance node and a
         # losing draw, so the walk stops an endless listing by its count.
-        game = {"root": (["a"], repeat(("a", 1, 1, [(1, [])])))}
+        game = {"root": (["a"], repeat((1, 1, [(1, [])])))}
         with pytest.raises(BudgetExceededError) as err:
             self.walk(game)
         assert err.value.estimate > 100
@@ -277,14 +277,14 @@ class TestWalk:
     def test_each_forced_win_stays_on_the_denominator(self):
         # Each draw's reveal wins, at 1/3 and 2/3: both off the denominator
         # 1, though together they make 1.
-        game = {"root": (["a"], [("a", 1, 3, [(1, [(1, 0, 0, "x")]), (2, [(1, 1, 1, "y")])])])}
+        game = {"root": (["a"], [(1, 3, [(1, [(1, 0, 0, "x")]), (2, [(1, 1, 1, "y")])])])}
         with pytest.raises(SolverError, match="not a multiple of 1/1"):
             solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], _SequenceForm(1), 100)
 
     def test_hider_decision_between_two_wins(self):
         # One draw with two reveals, both into won states: the hider's
         # choice, each of his sequences paid by the searcher's action.
-        game = {"root": (["a"], [("a", 0, 1, [(1, [(1, 0, 0, "x"), (1, 1, 1, "y")])])])}
+        game = {"root": (["a"], [(0, 1, [(1, [(1, 0, 0, "x"), (1, 1, 1, "y")])])])}
         sf = _SequenceForm(1)
         nodes = solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], sf, 100)
         assert nodes == 5  # the hider's root, the searcher, the reveal and two wins
@@ -300,8 +300,8 @@ class TestWalk:
         # decision below it, not one per draw.  The node count is still the
         # extensive form's, with "x" counted under each draw.
         game = {
-            "root": (["a"], [("a", 1, 2, [(1, [(1, 0, 0, "x")]), (1, [(1, 1, 0, "x")])])]),
-            "x": (["b"], [("b", 0, 1, [(1, [(1, 0, 0, "won"), (1, 1, 1, "won")])])]),
+            "root": (["a"], [(1, 2, [(1, [(1, 0, 0, "x")]), (1, [(1, 1, 0, "x")])])]),
+            "x": (["b"], [(0, 1, [(1, [(1, 0, 0, "won"), (1, 1, 1, "won")])])]),
         }
         sf = _SequenceForm(2)
         nodes = solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], sf, 100)
@@ -314,7 +314,7 @@ class TestWalk:
     def test_adversary_forced_box_of_two_treasures_credits_its_ways(self):
         # The only reveal of the first draw comes from a box holding 2
         # treasures and wins: a weight of ways c L // t = 1, not ways (L // t) = 0.
-        game = {"root": (["a"], [("a", 1, 2, [(1, [(2, 0, 0, "won")]), (1, [])])])}
+        game = {"root": (["a"], [(1, 2, [(1, [(2, 0, 0, "won")]), (1, [])])])}
         sf = _SequenceForm(2)
         solver._walk(GameSpec(2, 2, 1, ADV), game.get, [("root", 0)], sf, 100)
         assert sf.payoff == {0: {_sequence(sf, SEARCHER, (), "a"): 1}}
@@ -378,7 +378,8 @@ class TestSequenceForm:
 # Sizes of the solved trees and programs: (nodes, lp_rows, lp_cols, pivots,
 # searcher_sequences, hider_sequences, searcher_infosets, hider_infosets).
 # The sizes change only if a builder changes the shape of a tree; the pivots
-# also change with the pricing rule.
+# also change with the pricing rule and with the fold, which a reduced game
+# with k >= 3 gets.
 STATS_KEYS = (
     "nodes",
     "lp_rows",
@@ -402,30 +403,32 @@ SOLVE_STATS = [
     ((3, 2, 2, RAN, True, True), (120, 7, 15, 10, 13, 3, 3, 1)),
     ((3, 2, 2, RAN, False, True), (313, 18, 63, 35, 61, 7, 10, 1)),
     ((5, 3, 2, RAN, True, False), (1217, 14, 54, 21, 52, 4, 9, 1)),
-    ((6, 3, 3, RAN, True, False), (14711, 26, 302, 37, 300, 4, 21, 1)),
-    ((4, 3, 3, RAN, True, True), (14522, 62, 742, 160, 740, 4, 57, 1)),
+    ((6, 3, 3, RAN, True, False), (14711, 26, 302, 27, 300, 4, 21, 1)),  # folded: 19 x 126
+    ((4, 3, 3, RAN, True, True), (14522, 62, 742, 132, 740, 4, 57, 1)),  # folded: 51 x 478
     ((5, 2, 2, RAN, False, False), (1666, 38, 213, 67, 211, 16, 21, 1)),
 ]
 
 
-# The benchmark's ``wide`` ladder: counts that also pin its pivot sequences.
-# ``max_denominator_bits`` measures the rows of the form ``lp._form`` picks:
-# whole tableau rows at 6 and 26 rows, basis-inverse rows at 54.  There the
-# revised form restarts from the expanded rows once the hider's values are
-# in.  Its initial rows are integer vectors with no denominator, so each
-# basis-inverse part carries its expanded row's own denominator, and the
-# later pivots reach 14 bits.
+# The benchmark's ``wide`` ladder, solved as one sequence-form LP: counts
+# that also pin its pivot sequences.  Each of these reduced games has
+# ``k >= 3``, so the solver folds its program, and the pivots and
+# ``max_denominator_bits`` are the quotient's (``folded_rows`` x
+# ``folded_cols``: 6 x 16, 19 x 154 and 24 x 362).  ``max_denominator_bits``
+# measures the rows of the form ``lp._form`` picks, whole tableau rows for
+# all three quotients.
 LADDER_KEYS = ("nodes", "lp_rows", "lp_cols", "pivots", "degenerate_pivots", "max_denominator_bits")
 LADDER_STATS = [
     ((12, 2, 6, RAN), (8860, 6, 68, 6, 4, 5)),
-    ((9, 3, 3, RAN), (22160, 26, 369, 35, 31, 14)),
-    ((10, 3, 4, RAN), (295776, 54, 2544, 70, 65, 14)),
+    ((9, 3, 3, RAN), (22160, 26, 369, 22, 20, 12)),
+    ((10, 3, 4, RAN), (295776, 54, 2544, 30, 25, 14)),
 ]
 
 # The benchmark's ``solve`` workload's adversary programs, in the same keys:
 # their pivot counts are Devex pricing's after the hider's values enter.
+# ``(5,3,3)`` is folded to 40 x 106 and its pivots are the quotient's;
+# ``(5,4,2)``, with ``k = 2``, is solved as it is.
 SOLVE_WORKLOAD_STATS = [
-    ((5, 3, 3, ADV), (4711, 144, 241, 135, 121, 14)),
+    ((5, 3, 3, ADV), (4711, 144, 241, 51, 43, 14)),
     ((5, 4, 2, ADV), (15764, 320, 903, 295, 283, 10)),
 ]
 
@@ -464,6 +467,19 @@ class TestSolveStats:
         stats = _program_stats(*case)
         assert tuple(stats[key] for key in LADDER_KEYS) == expected
 
+    @pytest.mark.parametrize("case,folded", [((5, 3, 3, ADV), (40, 106)), ((4, 4, 2, RAN), None),
+                                             ((5, 4, 2, ADV), None), ((3, 3, 3, ADV, False), None)])
+    def test_fold_stats_name_the_quotient(self, case, folded):
+        # Only a reduced game with k >= 3 folds; its lp_rows and lp_cols stay
+        # its own program's.  A k = 2, random-revealer or full game's stats
+        # have no fold keys, so their payloads are as before.
+        stats = solve_cached(*case).stats
+        if folded:
+            assert (stats["folded_rows"], stats["folded_cols"]) == folded
+            assert stats["fold_seconds"] > 0
+        else:
+            assert not {"folded_rows", "folded_cols", "fold_seconds"} & stats.keys()
+
     @pytest.mark.parametrize("case,expected", COLUMN_GENERATION_STATS)
     def test_column_generation_counts(self, case, expected):
         stats = solve_cached(*case).stats
@@ -476,8 +492,8 @@ def _captured_programs(monkeypatch) -> list:
     calls = []
     real = lpmod.solve_lp
 
-    def captured(program):
-        sol = real(program)
+    def captured(program, **options):
+        sol = real(program, **options)
         calls.append((program, sol))
         return sol
 
@@ -603,6 +619,20 @@ SMALL_SPECS = [
 ]
 
 
+# The k = 3 games of the 264-combination ladder (n 2-5, d 1-3, both
+# revealers, relaxed queries or not) whose full game solves in well under a
+# second: all but (4,3,3) (relaxed, over the ladder's budget, or not, about
+# 10 s under the adversary) and (5,3,3) (over the ladder's budget).
+FOLD_LADDER = [
+    (n, d, variant, relaxed)
+    for n in (3, 4, 5)
+    for d in (1, 2, 3)
+    for variant in (ADV, RAN)
+    for relaxed in (False, True)
+    if (n, d) not in ((4, 3), (5, 3))
+]
+
+
 class TestSolverInvariants:
     @pytest.mark.parametrize("n,d,k", SMALL_SPECS)
     def test_values_below_both_bounds(self, n, d, k):
@@ -638,6 +668,20 @@ class TestSolverInvariants:
         reduced = solve_cached(n, d, k, variant, symmetry=True).value
         full = solve_cached(n, d, k, variant, symmetry=False).value
         assert reduced == full
+
+    @pytest.mark.parametrize("n,d,variant,relaxed", FOLD_LADDER)
+    def test_folded_reduced_game_keeps_the_full_game_value(self, n, d, variant, relaxed):
+        # The reduced game's one program, folded (under the random revealer
+        # only tests solve it whole), against the full game, never folded.
+        reduced = sequence_lp_cached(n, d, 3, variant, True, relaxed)
+        full = solve_cached(n, d, 3, variant, symmetry=False, relaxed=relaxed)
+        assert "folded_rows" in reduced.stats and "folded_rows" not in full.stats
+        assert reduced.value == full.value
+
+    def test_folded_433_adversary_keeps_the_full_game_value(self):
+        # The full (4,3,3) A game takes about 10 s; CI solves it from the
+        # console and pins its value, 18/25.
+        assert solve_cached(4, 3, 3, ADV).value == Fraction(18, 25)
 
     @pytest.mark.parametrize("n,d,k", [(2, 2, 2), (3, 2, 2), (3, 3, 2), (3, 2, 3), (4, 2, 2)])
     def test_relaxed_queries_do_not_help(self, n, d, k):
