@@ -114,6 +114,9 @@ LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
 _SENSES = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+# The sign a row's slack ``b - a.x`` and its multiplier must have: 0 means
+# the slack is 0 and the multiplier free.
+_SLACK_SIGN = {LESS_EQUAL: 1, EQUAL: 0, GREATER_EQUAL: -1}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -366,35 +369,25 @@ class _Tableau:
         self.dropped: list[int] = []  # rows of basic unpriced free columns, in drop order
 
         for i, (row, b, den, sense) in enumerate(zip(lp.rows, lp.rhs, lp.dens, lp.senses)):
-            flip = 1
-            if b < 0:
-                flip = -1
-                sense = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[sense]
+            flip = -1 if b < 0 else 1
             self.flip.append(flip)
             nums = {j: -v for j, v in row.items()} if b < 0 else dict(row)  # copied: pivots update rows in place
-            row = _Row(nums, flip * b, den)
-            # A slack or artificial coefficient of 1 is ``den`` over ``den``.
-            if sense == LESS_EQUAL:
-                slack = self._new_col()
-                nums[slack] = den
-                self.basis[i] = slack
-                self.unit_col[i], self.unit_sign[i] = slack, 1
-            elif sense == GREATER_EQUAL:
-                surplus = self._new_col()
-                nums[surplus] = -den
-                self.unit_col[i], self.unit_sign[i] = surplus, -1
-                art = self._new_col()
-                nums[art] = den
-                self.artificial.add(art)
-                self.basis[i] = art
-            else:
-                art = self._new_col()
-                nums[art] = den
-                self.artificial.add(art)
-                self.basis[i] = art
-                self.unit_col[i], self.unit_sign[i] = art, 1
-            self.rows.append(row)
+            self.rows.append(_Row(nums, flip * b, den))
+            # The flipped row's slack sign picks a slack (1), a surplus then
+            # an artificial (-1), or an artificial alone (0); an entry of ±1
+            # is ``±den`` over ``den``, and the last column is basic.
+            sign = flip * _SLACK_SIGN[sense]
+            col = self.unit_col[i] = self._new_col()
+            self.unit_sign[i] = sign or 1
+            nums[col] = self.unit_sign[i] * den
+            if sign < 0:
+                col = self._new_col()
+                nums[col] = den
+            if sign < 1:
+                self.artificial.add(col)
+            self.basis[i] = col
         self.max_den_bits = max((row.den.bit_length() for row in self.rows), default=0)
+        self.restart(self.rows)
 
     def _new_col(self) -> int:
         col = self.num_cols
@@ -506,8 +499,8 @@ class _Tableau:
         them, as it drops out); the tableau keeps no column index."""
 
     def restart(self, rows: list[_Row]) -> None:
-        """Start every row afresh from ``rows``, row ``i`` over every column;
-        the tableau keeps them already."""
+        """Start every row afresh from ``rows``, row ``i`` over every column,
+        as the constructor does last; the tableau keeps them already."""
 
     def run_simplex(self, cost: _Row, barred: set[int]) -> _Row:
         """Maximize, returning the optimal reduced-cost row; raise LPError
@@ -655,10 +648,6 @@ class _Revised(_Tableau):
     have dropped, the driver restarts it from the expanded rows, so each
     row's part is again its basic column alone."""
 
-    def __init__(self, lp: LinearProgram):
-        super().__init__(lp)
-        self.restart(self.rows)
-
     def restart(self, rows: list[_Row]) -> None:
         """Start every row afresh from ``rows``, where ``rows[i]`` is row
         ``i`` over every column.  Its numerators divided by their gcd ``g``
@@ -733,9 +722,10 @@ def solve_lp(lp: LinearProgram, fold: bool = False) -> LPSolution:
 
     With ``fold`` the simplex runs on the quotient of ``lp`` by the coarsest
     equitable partition of its rows and columns, and the answer is lifted
-    back (``_fold``).  Refinement costs a few passes over the rows, so fold
-    where the caller knows the program has symmetry to remove; a program
-    whose partition is all singletons is solved as it is.
+    back (``_fold``).  Refinement costs a few passes over the rows, and a
+    quotient that keeps most of them can cost more than it saves, so fold
+    where the caller has measured a gain.  A program whose partition is all
+    singletons is its own quotient and makes the same pivots unfolded.
     """
     _validate(lp)
     sol = _fold(lp) if fold else _simplex(lp)
@@ -804,13 +794,12 @@ def _fold(lp: LinearProgram) -> LPSolution:
     answer.  Column class ``P`` becomes one column, the class's mass ``w_P``,
     so ``x_j = w_P / |P|``; row class ``Q`` becomes its first row, reading
     ``sum_{j in P} a_ij / |P|`` in column ``P``; and a quotient multiplier
-    lifts as ``y_i = y_Q / |Q|``, Farkas multipliers alike."""
+    lifts as ``y_i = y_Q / |Q|``, Farkas multipliers alike.  A partition of
+    singletons gives the program itself, its rows and columns in order, and
+    a lift that divides by 1."""
     start = time.perf_counter()
     row_ids, col_ids = _refine(lp)
     row_size, col_size = Counter(row_ids), Counter(col_ids)
-    if len(row_size) == len(lp.rows) and len(col_size) == lp.num_vars:
-        fold_seconds = time.perf_counter() - start
-        return replace(_simplex(lp), fold_seconds=fold_seconds)
     first_col: dict[int, int] = {}
     for j, c in enumerate(col_ids):
         first_col.setdefault(c, j)
@@ -854,17 +843,16 @@ def _refine(lp: LinearProgram) -> tuple[list[int], list[int]]:
     for i, row in enumerate(rows):
         for j, v in row:
             cols[j].append((i, v))
-    row_ids = _numbered(zip(lp.senses, (b * (scale // den) for b, den in zip(lp.rhs, lp.dens))))
-    col_ids = _split(_numbered((c, j in lp.free) for j, c in enumerate(lp.objective)), cols, row_ids)
+    ids = [_numbered(zip(lp.senses, (b * (scale // den) for b, den in zip(lp.rhs, lp.dens)))),
+           _numbered((c, j in lp.free) for j, c in enumerate(lp.objective))]
+    side, classes = 1, None  # columns first; no count before the first turn
     while True:
-        classes = max(row_ids, default=0)
-        row_ids = _split(row_ids, rows, col_ids)
-        if max(row_ids, default=0) == classes:
-            return row_ids, col_ids
-        classes = max(col_ids, default=0)
-        col_ids = _split(col_ids, cols, row_ids)
-        if max(col_ids, default=0) == classes:
-            return row_ids, col_ids
+        ids[side] = _split(ids[side], (rows, cols)[side], ids[1 - side])
+        # A split never merges, so a turn that splits nothing keeps the count.
+        before, classes = classes, max(ids[0], default=0) + max(ids[1], default=0)
+        if classes == before:
+            return ids[0], ids[1]
+        side = 1 - side
 
 
 def _numbered(keys) -> list[int]:
@@ -928,9 +916,9 @@ def check_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     """Verify ``sol`` from scratch in the original program's space.
 
     Row multipliers (``dual``) must have the signs their senses allow, in an
-    optimum and in a Farkas certificate alike: >= 0 on ``<=`` rows and <= 0
-    on ``>=`` rows.  They combine the rows into ``g.x <= value`` for every
-    feasible ``x``.
+    optimum and in a Farkas certificate alike, the slack signs of
+    ``_SLACK_SIGN``: >= 0 on ``<=`` rows and <= 0 on ``>=`` rows.  They
+    combine the rows into ``g.x <= value`` for every feasible ``x``.
 
     * OPTIMAL: ``primal`` is feasible; the reduced cost ``g - c`` is exactly
       0 on a free variable and >= 0 on any other; the primal objective,
@@ -969,8 +957,7 @@ def check_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
         num = y[i].numerator
         if not num:
             continue
-        s = lp.senses[i]
-        if (s == LESS_EQUAL and num < 0) or (s == GREATER_EQUAL and num > 0):
+        if num * _SLACK_SIGN[lp.senses[i]] < 0:
             raise CertificateError(f"dual sign on row {i}")
         zi = num * (z // (y[i].denominator * row.den))
         value += zi * row.rhs
@@ -1000,8 +987,9 @@ def _check_point(lp: LinearProgram, rows, x) -> None:
     d = _common_denominator((v.denominator for v in x), "point")
     xs = [v.numerator * (d // v.denominator) for v in x]
     for i, row in enumerate(rows):
-        gap = sum(v * xs[j] for j, v in row.nums.items()) - row.rhs * d
-        if (gap > 0) if lp.senses[i] == LESS_EQUAL else (gap < 0) if lp.senses[i] == GREATER_EQUAL else gap:
+        sign = _SLACK_SIGN[lp.senses[i]]
+        slack = row.rhs * d - sum(v * xs[j] for j, v in row.nums.items())
+        if (slack * sign < 0) if sign else slack:
             raise CertificateError(f"point violates row {i}")
     for j, v in enumerate(xs):
         if v < 0 and j not in lp.free:

@@ -34,9 +34,13 @@ Under the adversary revealer one sequence-form LP solves the game.  In the
 reduced game with ``k >= 3`` the LP is folded by colour refinement
 (``lp.solve_lp(fold=True)``): a query can open two boxes that do not pay,
 which keep distinct labels the searcher cannot tell apart, so mirror-image
-sequences repeat each other's rows and columns.  At ``k = 2`` no such pair
-exists, and folding measured slower on ``(5,4,2)``; the full game, the
-reduced game's cross-check, is never folded.  Under
+sequences repeat each other's rows and columns.  At ``k = 2`` refinement
+folds less, and the rule stands on cost (one in-process run each on a
+2-vCPU host): ``(5,4,2)`` A folds from 320×903 to 222×815 and ``(6,4,2)``
+A from 323×1,018 to 224×913, but refinement alone took 11.4 and 12.2 ms
+against 20.9 and 24.2 ms for the unfolded LP, and the fold with its LP
+33.1 and 32.1 ms; only ``(3,5,2)`` A (953×1,124 to 637×964) gained, 2.31 s
+to 1.18 s.  The full game, the reduced game's cross-check, is never folded.  Under
 the random revealer the hider moves only at the root, and column
 generation solves it: a master LP over the searcher's pure plans found so
 far, grown by an exact integer best response to the hider's mixture until

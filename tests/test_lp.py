@@ -1278,10 +1278,14 @@ def test_a_partition_that_is_not_equitable_fails_the_certificate(monkeypatch):
         lpmod.solve_lp(p, fold=True)
 
 
-@pytest.mark.parametrize("n,d,k,rows,cols", [(5, 3, 3, 40, 106), (4, 3, 3, 30, 42)])
+@pytest.mark.parametrize("n,d,k,rows,cols", [(5, 3, 3, 40, 106), (4, 3, 3, 30, 42), (4, 1, 3, 4, 4)])
 def test_fold_of_a_game_program(n, d, k, rows, cols):
-    # The same value as the program itself, on fewer rows and columns.
+    # The same value as the program itself, on fewer rows and columns; a
+    # program with no symmetry, (4,1,3)'s, is its own quotient and gives
+    # the same solution, counters included.
     p = _sequence_form_program(n, d, k)
-    sol = lpmod.solve_lp(p, fold=True)
-    assert sol.objective_value == lpmod.solve_lp(p).objective_value
+    sol, plain = lpmod.solve_lp(p, fold=True), lpmod.solve_lp(p)
+    assert sol.objective_value == plain.objective_value
     assert (sol.folded_rows, sol.folded_cols) == (rows, cols)
+    if (rows, cols) == (len(p.rows), p.num_vars):
+        assert sol == plain

@@ -1149,6 +1149,13 @@ class TestResultSerialization:
         hider_labels = [label for entry in payload["hider_plan"] for _, label in entry["sequence"]]
         assert not any(isinstance(label, dict) for label in labels + hider_labels)
 
+    @staticmethod
+    def _digest(result):
+        """sha256 of a result's payload, wall times aside."""
+        payload = result.to_json_dict()
+        payload["stats"] = {key: v for key, v in payload["stats"].items() if not key.endswith("_seconds")}
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
     @pytest.mark.parametrize("variant,digest", [
         (ADV, "744dbb6c7406af45c8ef8dddaeb516f46cc52a3b2c47eafaf1858fd01b838259"),
         (RAN, "c8e3f2734d7c2ef583a0e266be00ba32c41bd32850b0b9decbb9747b65b6539c"),
@@ -1157,9 +1164,22 @@ class TestResultSerialization:
         # The full game's payload, wall times aside, is pinned: its labels
         # are boxes, queries of boxes and placements, however the builder
         # states its positions.
-        payload = solve_cached(3, 3, 2, variant, symmetry=False).to_json_dict()
-        payload["stats"] = {key: v for key, v in payload["stats"].items() if not key.endswith("_seconds")}
-        assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
+        assert self._digest(solve_cached(3, 3, 2, variant, symmetry=False)) == digest
+
+    @pytest.mark.parametrize("n,d,k,variant,digest", [
+        # folded, in the revised form
+        (5, 3, 3, ADV, "177e40f9d6bb2959f10085ca8ca161ccb7a9c886094a4aa6ddb0d4d118c75f32"),
+        # not folded, in the revised form
+        (5, 4, 2, ADV, "72c450d886b66e8a200506442a54062e0ff33b5254b6c63fb7c99708c14a3eb2"),
+        # column-generation masters, in the tableau
+        (4, 4, 2, RAN, "71c0d5c7142d6fd26505b132100426752c721a42be0f13e2a5e43e71357999ae"),
+        # folded by a partition of singletons: the program is its own quotient
+        (4, 1, 3, ADV, "9825ebc091d522c48e08aac45a103e6f2d34d6cfcec990b634e93c66cce02d57"),
+    ])
+    def test_reduced_game_payload_is_pinned(self, n, d, k, variant, digest):
+        # The exact LP's counters, value and plans on each of its paths show
+        # in these payloads, wall times aside.
+        assert self._digest(solve_cached(n, d, k, variant)) == digest
 
     def test_rationals_always_slashed(self):
         payload = solve_cached(2, 1, 2, ADV).to_json_dict()
