@@ -13,13 +13,13 @@ labeled placement with every box touched, so its labels are the boxes and
 chance never draws.  Both games have the same value; the reduced one is
 exponentially smaller.
 
-The builder hands its rules to one walk (``_walk``), which lists each
-state's moves once and follows every path but a forced reveal into a won
-state, registering sequences and wins as it goes; the listing adds up an
-action's forced wins, and the walk pays them in one sum.  A reveal is forced
-when chance picks it or when it is the only one of its draw, and an action's
-forced reveals merge into one per (observed label, next state), walked once;
-the hider decides only at a draw with several reveals.  ``GameTree.num_nodes``
+The builder (``_build``) lists each state's queries, draws and reveals
+once and follows every path but a forced reveal into a won state,
+registering sequences and wins as it goes; the listing adds up a query's
+forced wins, and the walk pays them in one sum.  A reveal is forced when
+chance picks it or when it is the only one of its draw, and a query's forced
+reveals merge into one per (observed label, next state), walked once; the
+hider decides only at a draw with several reveals.  ``GameTree.num_nodes``
 is the extensive form's node count, summed once per state in the listing
 rather than counted node by node.  Payoffs are integers over one game
 denominator, and the LP rows are written in those integers.
@@ -52,6 +52,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, count, islice, repeat
 from math import comb, factorial, gcd, lcm, perm
 from typing import NamedTuple
@@ -142,8 +143,8 @@ class _SequenceForm:
     """Realization-plan bookkeeping for both players, filled in by the
     builder.
 
-    A walk passes ``at = (searcher sequence id, hider sequence id, chance
-    probability)`` down its recursion in place of tree nodes.
+    The builder passes ``at = (searcher sequence id, hider sequence id,
+    chance probability)`` down its recursion in place of tree nodes.
 
     ``infosets[player][key]`` is the ``_Infoset`` record of each of the
     player's information sets, in the order of first visit; ids count the
@@ -204,121 +205,6 @@ def _reveal_lcm(spec: GameSpec) -> int:
     return lcm(*range(1, spec.d + 1)) if spec.variant == Variant.RANDOM else 1
 
 
-def _walk(spec: GameSpec, moves, roots, sf: _SequenceForm, budget: int) -> int:
-    """Write the game below the hider's root choice into ``sf`` and return
-    its extensive-form node count, the hider's root node included.
-
-    ``roots`` yields ``(state, hider sequence)`` per root choice.
-    ``moves(state)`` is None where the searcher has won.  Otherwise it is
-    ``(labels, options)``: the searcher's action labels at ``state`` and an
-    iterable, read one action at a time, of ``(chance_nodes, total, draws)``
-    per label in the same order.
-    ``chance_nodes`` is 1 if chance draws before the reveal, else 0.  Each
-    draw is ``(ways, reveals)``, the draw's probability being the integer
-    ``ways`` over the integer ``total``, and each reveal ``(treasures, box,
-    label, next state)``: the box that surrenders and its treasure count
-    from ``core.outcomes``, the label the searcher observes, and the state
-    after.  A draw with no reveals is a loss.
-
-    A state is listed once, as ``(nodes, labels, options)``.  ``nodes``
-    counts its subgame: the state's node and, per action, its chance node,
-    its reveal nodes (every draw under ``RANDOM``, else each draw whose
-    reveal count is not 1) and the subgame after every reveal of every draw;
-    the budget is checked as it grows, and as every option adds a node, no
-    more than ``budget`` are read.  A reveal is forced when chance picks it
-    or when it is the only one of its draw; an action's forced reveals merge
-    into one per (label, next state) of weight ``sum(ways c L // t)`` over
-    ``total L`` (``c`` of the draw's ``t`` treasures in the box, ``L`` from
-    ``_reveal_lcm``).  Any other draw with reveals is the hider's decision,
-    keyed ``(root state, observations, action, serial)``, of weight ``ways
-    L``, in its draw's place; a merged reveal takes its first draw's.
-    An option is listed as ``(total L, won, won_gcd, walked)``:
-    ``walked`` holds ``(weight, reveals)`` per decision or merged reveal,
-    save one into a won state, whose weight adds to ``won`` and ``won_gcd``.
-
-    The walk then follows every path that does not end in a forced win,
-    registering in ``sf`` as it goes; a path's probability is an integer
-    over ``sf.denominator``.  An action's forced wins add to its payoff in
-    one sum, each still on the denominator: ``total`` divides every
-    ``prob weight`` exactly when it divides ``prob won_gcd``.
-    """
-    chance = spec.variant == Variant.RANDOM
-    L = _reveal_lcm(spec)
-    memo: dict = {}
-    serial = count(1)
-    off_denominator = f"path probability is not a multiple of 1/{sf.denominator}"
-
-    def listing(state):
-        listed = memo.get(state)
-        if listed is not None:
-            return listed
-        game = moves(state)
-        if game is None:
-            listed = memo[state] = (1, None, None)
-            return listed
-        labels, options = game
-        nodes, kept = 1, []
-        for chance_nodes, total, draws in options:
-            nodes += chance_nodes
-            won, walked = {}, {}  # (label, next state) of a forced reveal, or a decision's draw -> weight
-            for i, (ways, outs) in enumerate(draws):
-                nodes += chance or len(outs) != 1
-                for _, _, _, after in outs:
-                    if nodes > budget:
-                        raise BudgetExceededError(budget, nodes)
-                    nodes += listing(after)[0]
-                if not chance and len(outs) > 1:
-                    walked[i] = ways * L
-                elif outs:
-                    share, t = ways * L, sum(c for c, *_ in outs)
-                    for c, _, label, after in outs:
-                        into = won if memo[after][1] is None else walked
-                        into[label, after] = into.get((label, after), 0) + share * c // t
-            if nodes > budget:
-                raise BudgetExceededError(budget, nodes)
-            won = list(won.values())
-            walked = [(w, draws[key][1] if type(key) is int else [(None, None, *key)]) for key, w in walked.items()]
-            kept.append((total * L, sum(won), gcd(*won), walked))
-        listed = memo[state] = (nodes, labels, kept)
-        return listed
-
-    def credit(h_seq, s_seq, p):
-        row = sf.payoff.setdefault(h_seq, {})
-        row[s_seq] = row.get(s_seq, 0) + p
-
-    def node(root, state, obs, at):
-        _, labels, options = memo[state]
-        s_seq, h_seq, prob = at
-        if labels is None:
-            credit(h_seq, s_seq, prob)
-            return
-        for (total, won, won_gcd, draws), (action, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, labels)):
-            if won:
-                if prob * won_gcd % total:
-                    raise SolverError(off_denominator)
-                credit(h_seq, sid, prob * won // total)
-            for weight, outs in draws:
-                p, rest = divmod(prob * weight, total)
-                if rest:
-                    raise SolverError(off_denominator)
-                # Every reveal decision is its own information set: the hider knows his
-                # placement and sees every query.  The serial keeps apart draws whose
-                # states differ only by the searcher's private relabeling.
-                picks = [(None, h_seq)] if len(outs) == 1 else sf.decide(
-                    HIDER, (root, obs, action, next(serial)), h_seq, [box for _, box, _, _ in outs])
-                for (_, _, label, after), (_, h) in zip(outs, picks):
-                    node(root, after, obs + ((action, label),), (sid, h, p))
-
-    nodes = 1
-    for root, h_seq in roots:
-        nodes += listing(root)[0]
-        if nodes > budget:
-            raise BudgetExceededError(budget, nodes)
-        node(root, root, (), (0, h_seq, sf.denominator))
-    del listing, node  # each refers to itself, so only the cycle collector would free them and ``sf``
-    return nodes
-
-
 # ---------------------------------------------------------------------------
 # The game in first-touch canonical labels.
 # ---------------------------------------------------------------------------
@@ -336,47 +222,123 @@ def _canonical_actions(touched: int, untouched: int, k: int, relaxed: bool):
 
 
 def _build(spec: GameSpec, symmetry: bool, relaxed: bool, budget: int, sf: _SequenceForm) -> int:
-    """States are ``(touched counts, untouched pool, treasures found)``.  The
+    """Write the game into ``sf`` and return its extensive-form node count.
+    States are ``(touched counts, untouched pool, treasures found)``.  The
     reduced game starts each count pattern untouched; the full game starts
     each placement with every box touched, so that chance never draws and a
-    label is a box.  Returns the node count."""
+    label is a box.
+
+    A state is listed once.  Its node count takes, per query, a chance node,
+    a reveal node per draw (under ``RANDOM``, else per draw whose reveal
+    count is not 1) and each reveal's subgame, and the budget is checked as
+    it grows.  A query's forced reveals, chance's or the only one of their
+    draw, merge into one per (label, next state) of weight ``sum(ways c L //
+    t)`` (``c`` of the draw's ``t`` treasures in the box, ``L`` from
+    ``_reveal_lcm``); any other draw with reveals is the hider's decision, of
+    weight ``ways L``.  Decisions and merged reveals keep the order in which
+    their draws come, which numbers the sequences, and a forced reveal into a
+    won state adds to the query's ``won`` instead.  A path's probability
+    must stay an integer over ``sf.denominator``: the query's ``total L``
+    must divide every ``prob weight``, and it divides each forced win's
+    ``prob w`` exactly when it divides ``prob won_gcd``, so they are paid in
+    one sum.
+    """
     n, d, k = spec.n, spec.d, spec.k
+    chance = spec.variant == Variant.RANDOM
+    L = _reveal_lcm(spec)
     if symmetry:
         choices = patterns(d, n)
         starts = [((), pat, 0) for pat in choices]
     else:
-        # The walk bounds what it reads, but not the hider's root labels.
+        # The listing bounds what it reads, but not the hider's root labels.
         if comb(n + d - 1, d) > budget:
             raise BudgetExceededError(budget, comb(n + d - 1, d))
         choices = enumerate_allocations(n, d)
         starts = [(counts, (), 0) for counts in choices]
     actions_at: dict = {}
+    memo: dict = {}
+    serial = count(1)
+    off_denominator = f"path probability is not a multiple of 1/{sf.denominator}"
 
-    def moves(state):
+    def listing(state):
+        listed = memo.get(state)
+        if listed is not None:
+            return listed
         touched, untouched, found = state
         if found == d:
-            return None
+            listed = memo[state] = (1, None, None)
+            return listed
         t0 = len(touched)
         if t0 not in actions_at:
-            # Each action needs a node, so budget + 1 of them overflow it.
+            # Each query needs a node, so budget + 1 of them overflow it.
             actions_at[t0] = list(islice(_canonical_actions(t0, n - t0, k, relaxed), budget + 1))
-        return actions_at[t0], options(touched, untouched, found, actions_at[t0])
-
-    def options(touched, untouched, found, queries):
-        t0 = len(touched)
-        for q in queries:
+        nodes, kept = 1, []
+        for q in actions_at[t0]:
             f = max(0, q[-1] + 1 - t0)  # the fresh labels end the query
-            draws = []
-            for draw, ways, rest in fresh_draws(untouched, f):
+            nodes += f > 0
+            won, walked = {}, {}  # (label, next state) of a forced reveal, or a decision's draw index
+            for i, (draw, ways, rest) in enumerate(fresh_draws(untouched, f)):
                 outs = outcomes(touched + draw, q, t0)
-                if outs:  # most draws of a wide game find nothing, and need no rewrite
-                    outs = [(c, b, l, (after, rest, found + 1)) for b, c, l, after in outs]
-                draws.append((ways, outs))
-            yield int(f > 0), perm(len(untouched), f), draws
+                nodes += chance or len(outs) != 1
+                if not outs:  # most draws of a wide game find nothing, and list no reveals
+                    continue
+                reveals = [(label, (after, rest, found + 1)) for _, _, label, after in outs]
+                for _, after in reveals:
+                    if nodes > budget:
+                        raise BudgetExceededError(budget, nodes)
+                    nodes += listing(after)[0]
+                if not chance and len(outs) > 1:
+                    walked[i] = [ways * L, [b for b, *_ in outs], reveals]
+                    continue
+                share, t = ways * L, sum(c for _, c, _, _ in outs)
+                for (_, c, _, _), reveal in zip(outs, reveals):
+                    w = share * c // t
+                    if found + 1 == d:
+                        won[reveal] = won.get(reveal, 0) + w
+                    else:
+                        walked.setdefault(reveal, [0, None, [reveal]])[0] += w
+            if nodes > budget:
+                raise BudgetExceededError(budget, nodes)
+            won = list(won.values())
+            kept.append((perm(len(untouched), f) * L, sum(won), gcd(*won), list(walked.values())))
+        listed = memo[state] = (nodes, actions_at[t0], kept)
+        return listed
+
+    def credit(h_seq, s_seq, p):
+        row = sf.payoff.setdefault(h_seq, {})
+        row[s_seq] = row.get(s_seq, 0) + p
+
+    def node(root, state, obs, at):
+        _, queries, options = memo[state]
+        s_seq, h_seq, prob = at
+        if queries is None:
+            credit(h_seq, s_seq, prob)
+            return
+        for (total, won, won_gcd, walked), (q, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, queries)):
+            if won:
+                if prob * won_gcd % total:
+                    raise SolverError(off_denominator)
+                credit(h_seq, sid, prob * won // total)
+            for weight, boxes, reveals in walked:
+                p, rest = divmod(prob * weight, total)
+                if rest:
+                    raise SolverError(off_denominator)
+                # Every reveal decision is its own information set: the hider knows his
+                # placement and sees every query.  The serial keeps apart draws whose
+                # states differ only by the searcher's private relabeling.
+                picks = sf.decide(HIDER, (root, obs, q, next(serial)), h_seq, boxes) if boxes else [(None, h_seq)]
+                for (label, after), (_, h) in zip(reveals, picks):
+                    node(root, after, obs + ((q, label),), (sid, h, p))
 
     # The hider's root ids are handed out as each start is walked: depth first.
-    roots = zip(starts, (h_seq for _, h_seq in sf.decide(HIDER, ("root",), 0, choices)))
-    return _walk(spec, moves, roots, sf, budget)
+    nodes = 1
+    for root, (_, h_seq) in zip(starts, sf.decide(HIDER, ("root",), 0, choices)):
+        nodes += listing(root)[0]
+        if nodes > budget:
+            raise BudgetExceededError(budget, nodes)
+        node(root, root, (), (0, h_seq, sf.denominator))
+    del listing, node  # each refers to itself, so only the cycle collector would free them and ``sf``
+    return nodes
 
 
 @dataclass
@@ -780,7 +742,7 @@ def _pattern_values(spec: GameSpec, root, mix_lcm: int, reveal_rule=None) -> dic
     plans: dict = {}
     d, chance = spec.d, spec.variant == Variant.RANDOM
     L = _reveal_lcm(spec)
-    wins = [factorial(u) * L for u in range(spec.n + 1)]
+    win = cache(lambda u: factorial(u) * L)  # made only for the untouched counts a win reaches
 
     def value(node, touched, untouched, found, history):
         t0 = len(touched)
@@ -799,7 +761,7 @@ def _pattern_values(spec: GameSpec, root, mix_lcm: int, reveal_rule=None) -> dic
                 if reveal_rule is not None:
                     outs = [_rule_choice(reveal_rule, counts, q, outs, history)]
                 if found == d:
-                    entry_value += ways * wins[len(rest)]
+                    entry_value += ways * win(len(rest))
                     continue
                 num, weight, low = 0, 0, None
                 for _, c, l, after in outs:

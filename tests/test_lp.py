@@ -104,6 +104,24 @@ def test_negative_rhs_sign_handling():
     lpmod.check_certificate(p, sol)
 
 
+def test_standard_form_column_layout():
+    # After the caller's two columns, each row gains its columns in row
+    # order: a surplus then an artificial for a ">=" row and for a "<=" row
+    # whose negative right-hand side flips it, an artificial alone for an
+    # "=" row, and a slack for any other "<=" row.  The numbering sets the
+    # pricing's tie-breaks, and no pivot count of the accumulation programs
+    # tells a surplus from its artificial.
+    p = lpmod.LinearProgram(2, [1, 1])
+    p.add_constraint({0: 1}, lpmod.GREATER_EQUAL, 1)
+    p.add_constraint({1: 1}, lpmod.LESS_EQUAL, -1)
+    p.add_constraint({0: 1, 1: 1}, lpmod.EQUAL, 1)
+    p.add_constraint({0: 1}, lpmod.LESS_EQUAL, 1)
+    form = lpmod._Tableau(p)
+    assert form.unit_col == [2, 4, 6, 7]
+    assert form.basis == [3, 5, 6, 7]
+    assert form.artificial == {3, 5, 6}
+
+
 def test_textbook_corner():
     p = lpmod.LinearProgram(2, [5, 4])
     p.add_constraint({0: 6, 1: 4}, lpmod.LESS_EQUAL, 24)

@@ -4,7 +4,6 @@ import json
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import repeat
 from math import comb, factorial, lcm
 
 import pytest
@@ -107,12 +106,6 @@ class TestBuildTree:
         assert sf.denominator == factorial(n) * reveal_lcm**d
         entries = [w for row in sf.payoff.values() for w in row.values()]
         assert entries and all(type(w) is int and w > 0 for w in entries)
-
-    def test_walk_rejects_a_path_probability_off_the_denominator(self):
-        # With denominator 2 every path probability is a multiple of 1/2.
-        game = {"root": (["a"], [(1, 3, [(1, [(1, 0, 0, "won")])])]), "won": None}
-        with pytest.raises(SolverError, match="not a multiple of 1/2"):
-            solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], _SequenceForm(2), 100)
 
     @pytest.mark.parametrize("variant", [ADV, RAN])
     def test_first_infoset_reduction(self, variant):
@@ -232,92 +225,81 @@ class TestBuildTree:
             build_tree(spec, symmetry, relaxed, budget=nodes - 1)
 
 
-class TestWalk:
-    """Toy games in the ``moves`` format of ``solver._walk`` that reach its
-    own checks.  A reveal is forced when chance picks it or when it is the
-    only one of its draw, and each action's forced reveals merge into one
-    per (label, next state)."""
+class TestBuildChecks:
+    """Small games, some on a deliberately wrong denominator or a stand-in
+    listing, that reach the builder's own checks, budget counts, merges and
+    keys."""
 
-    @staticmethod
-    def walk(game):
-        return solver._walk(GameSpec(2, 1, 1, RAN), game.get, [("root", 0)], _SequenceForm(2), 100)
+    def test_forced_win_off_the_denominator_rejected(self):
+        # The query finds the treasure in 1 of 2 draws and wins: 1/2, not a multiple of 1/1.
+        with pytest.raises(SolverError, match="not a multiple of 1/1"):
+            solver._build(GameSpec(2, 1, 1, RAN), True, False, 100, _SequenceForm(1))
 
-    def test_infoset_with_two_label_lists_rejected(self):
-        # Both outcomes of "a" are observed as label 0, so "x" and "y" are one
-        # information set of the searcher, offering her different actions.
-        game = {
-            "root": (["a"], [(1, 2, [(1, [(1, 0, 0, "x")]), (1, [(1, 1, 0, "y")])])]),
-            "x": (["p"], [(0, 1, [(1, [])])]),
-            "y": (["q"], [(0, 1, [(1, [])])]),
-        }
-        with pytest.raises(SolverError, match="differing action sets"):
-            self.walk(game)
+    def test_merged_reveal_off_the_denominator_rejected(self):
+        # Pattern (2, 0): the first query's only reveal, at 1/2, leads on to a second find.
+        with pytest.raises(SolverError, match="not a multiple of 1/1"):
+            solver._build(GameSpec(2, 2, 1, RAN), True, False, 100, _SequenceForm(1))
 
-    def test_merged_path_off_the_denominator_rejected(self):
-        # With denominator 2 every path probability is a multiple of 1/2.
-        game = {"root": (["a"], [(1, 3, [(1, [(1, 0, 0, "won")])])])}
-        with pytest.raises(SolverError, match="not a multiple of 1/2"):
-            self.walk(game)
+    def test_each_forced_win_stays_on_the_denominator(self, monkeypatch):
+        # A stand-in draw listing: two draws, of 1 and 2 ordered picks out of
+        # 3, each win into its own state.  Together they make 1, but each is
+        # off the denominator 1.
+        def draws(untouched, f):
+            return [((1,), 1, (0, 0)), ((1,), 2, (1, 0))]
 
-    def test_budget_checked_inside_a_state(self):
-        # The searcher node, the chance node and 200 losing draws.
-        game = {"root": (["a"], [(1, 200, [(1, [])] * 200)])}
+        monkeypatch.setattr(solver, "fresh_draws", draws)
+        with pytest.raises(SolverError, match="not a multiple of 1/1"):
+            solver._build(GameSpec(3, 1, 1, ADV), True, False, 100, _SequenceForm(1))
+
+    def test_hider_decision_between_two_boxes(self):
+        # Pattern (1, 1): the first query finds both treasures, and the hider
+        # picks which box pays, keyed (root state, observations, query,
+        # serial).  Every line then wins at the second query.
+        sf = _SequenceForm(2)
+        assert solver._build(GameSpec(2, 2, 2, ADV), True, False, 100, sf) == 14
+        reveal = (((), (1, 1), 0), (), (0, 1), 1)
+        assert list(sf.infosets[HIDER]) == [("root",), reveal]
+        win = _sequence(sf, SEARCHER, (((0, 1), 0),), (0, 1))
+        together = _sequence(sf, HIDER, ("root",), (2, 0))
+        assert sf.payoff == {together: {win: 2}, **{_sequence(sf, HIDER, reveal, box): {win: 2} for box in (0, 1)}}
+
+    def test_forced_reveals_into_one_state_walk_it_once(self):
+        # Pattern (2, 1, 0), first query (0, 1): the draws (2, 0) and (0, 2)
+        # each reveal only their box of two treasures, into label 0 and the
+        # state ((1, 0), (1,), 1).  The two merge, so the hider's decision
+        # there, at query (0, 2), is one information set, not one per draw;
+        # its serial 3 puts it after the decision of draw (2, 1) and the one
+        # below that, and before the decision of draw (1, 2).
+        sf = build_tree(GameSpec(3, 3, 2, ADV), symmetry=True).sf
+        root = ((), (2, 1, 0), 0)
+        below = [key for key in sf.infosets[HIDER] if key[0] == root and key[2] == (0, 2)]
+        assert below == [(root, (((0, 1), 0),), (0, 2), 3)]
+
+    def test_budget_checked_inside_a_state(self, monkeypatch):
+        # A stand-in listing of 200 draws that find nothing: the searcher's
+        # node, the query's chance node and a node per draw overflow the
+        # budget within the start state, before its count is added to the
+        # hider's root.
+        monkeypatch.setattr(solver, "fresh_draws", lambda untouched, f: [((0,), 1, (1,))] * 200)
         with pytest.raises(BudgetExceededError) as err:
-            self.walk(game)
+            solver._build(GameSpec(2, 1, 1, RAN), True, False, 100, _SequenceForm(2))
         assert err.value.estimate == 202
 
-    def test_budget_stops_an_endless_listing(self):
-        # Options are read one at a time, and each adds a chance node and a
-        # losing draw, so the walk stops an endless listing by its count.
-        game = {"root": (["a"], repeat((1, 1, [(1, [])])))}
+    def test_budget_stops_an_endless_listing_of_queries(self, monkeypatch):
+        # A stand-in query listing far longer than the budget: each query
+        # needs a node, so no more than budget + 1 of them are read.
+        read = []
+
+        def actions(t0, fresh, k, relaxed):
+            for _ in range(10**6):
+                read.append(t0)
+                yield (0,)
+
+        monkeypatch.setattr(solver, "_canonical_actions", actions)
         with pytest.raises(BudgetExceededError) as err:
-            self.walk(game)
+            solver._build(GameSpec(2, 1, 1, RAN), True, False, 100, _SequenceForm(2))
         assert err.value.estimate > 100
-
-    def test_each_forced_win_stays_on_the_denominator(self):
-        # Each draw's reveal wins, at 1/3 and 2/3: both off the denominator
-        # 1, though together they make 1.
-        game = {"root": (["a"], [(1, 3, [(1, [(1, 0, 0, "x")]), (2, [(1, 1, 1, "y")])])])}
-        with pytest.raises(SolverError, match="not a multiple of 1/1"):
-            solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], _SequenceForm(1), 100)
-
-    def test_hider_decision_between_two_wins(self):
-        # One draw with two reveals, both into won states: the hider's
-        # choice, each of his sequences paid by the searcher's action.
-        game = {"root": (["a"], [(0, 1, [(1, [(1, 0, 0, "x"), (1, 1, 1, "y")])])])}
-        sf = _SequenceForm(1)
-        nodes = solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], sf, 100)
-        assert nodes == 5  # the hider's root, the searcher, the reveal and two wins
-        a = _sequence(sf, SEARCHER, (), "a")
-        reveal = ("root", (), "a", 1)  # (root state, observations, action, serial)
-        x, y = (_sequence(sf, HIDER, reveal, box) for box in (0, 1))
-        assert sf.seq_list[HIDER] == [(), ((1, 0),), ((1, 1),)]
-        assert sf.payoff == {x: {a: 1}, y: {a: 1}}
-
-    def test_adversary_forced_reveals_into_one_state_walk_it_once(self):
-        # Two draws whose only reveals both pay into label 0 and reach "x",
-        # where the hider chooses: "x" is walked once, so the hider has one
-        # decision below it, not one per draw.  The node count is still the
-        # extensive form's, with "x" counted under each draw.
-        game = {
-            "root": (["a"], [(1, 2, [(1, [(1, 0, 0, "x")]), (1, [(1, 1, 0, "x")])])]),
-            "x": (["b"], [(0, 1, [(1, [(1, 0, 0, "won"), (1, 1, 1, "won")])])]),
-        }
-        sf = _SequenceForm(2)
-        nodes = solver._walk(GameSpec(2, 1, 1, ADV), game.get, [("root", 0)], sf, 100)
-        assert nodes == 11  # the hider's root, root, its chance node, and x's 4 nodes under each draw
-        reveal = ("root", (("a", 0),), "b", 1)  # (root state, observations, action, serial)
-        assert list(sf.infosets[HIDER]) == [reveal]
-        b = _sequence(sf, SEARCHER, (("a", 0),), "b")
-        assert sf.payoff == {_sequence(sf, HIDER, reveal, box): {b: 2} for box in (0, 1)}
-
-    def test_adversary_forced_box_of_two_treasures_credits_its_ways(self):
-        # The only reveal of the first draw comes from a box holding 2
-        # treasures and wins: a weight of ways c L // t = 1, not ways (L // t) = 0.
-        game = {"root": (["a"], [(1, 2, [(1, [(2, 0, 0, "won")]), (1, [])])])}
-        sf = _SequenceForm(2)
-        solver._walk(GameSpec(2, 2, 1, ADV), game.get, [("root", 0)], sf, 100)
-        assert sf.payoff == {0: {_sequence(sf, SEARCHER, (), "a"): 1}}
+        assert len(read) <= 101
 
 
 # The sequence forms of the ``solve`` and ``wide`` games and of two full
@@ -901,6 +883,20 @@ class TestBestResponse:
         finally:
             tracemalloc.stop()
         assert held < 1_000_000
+
+    def test_evaluator_makes_only_the_factorials_a_win_reaches(self):
+        # A one-query plan at d = k = 1 wins only with n - 1 labels untouched.
+        # A table of u! for every u <= n would peak near 17 MB here, and grow
+        # as n^2.
+        spec, tree = GameSpec(5000, 1, 1, ADV), StrategyTree(5000, 1, 1, ask([0]))
+        tracemalloc.start()
+        try:
+            value = best_response_value(spec, tree).value
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == Fraction(1, 5000)
+        assert peak < 1_000_000
 
     def test_evaluation_leaves_no_cyclic_garbage(self):
         spec, tree = GameSpec(5, 8, 2, ADV), family_infinite_d(5, 8, 2)
