@@ -119,6 +119,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RecursionError:  # a strategy file, a plan or a game deeper than the interpreter's stack
+        print("error: the input is nested too deeply to process", file=sys.stderr)
+        return EXIT_INVALID
     except (lpmod.CertificateError, solver.SolverError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -149,6 +152,7 @@ def _emit(args, payload: dict, table_rows=None) -> None:
 
 
 GAME_FIELDS = ("n", "d", "k", "variant", "symmetry", "relaxed")
+SOLVE_STATS = ("nodes", "lp_rows", "lp_cols", "pivots")  # solve's table rows; ints in a current entry
 
 
 def _cache_key(*game) -> str:
@@ -199,7 +203,7 @@ def _read_entry(path: str) -> dict | None:
             "value": _is_rational(p.get("value")),
             "stats": isinstance(stats, dict),
             **{f"stats.{name}": isinstance(stats, dict) and type(stats.get(name)) is int
-               for name in ("nodes", "lp_rows", "lp_cols", "pivots")},
+               for name in SOLVE_STATS},
         })
     bad = next((name for name, ok in fields.items() if not ok), None)
     if bad:
@@ -238,11 +242,16 @@ def _solve_cached(args, n, d, k, variant) -> dict:
     entry = _read_entry(path) if path else None
     if entry is not None and _serves(entry, game):
         return entry["payload"]
-    payload = solver.solve(GameSpec(n, d, k, variant), symmetry=game["symmetry"],
-                           relaxed=game["relaxed"], budget=args.budget).to_json_dict()
+    payload = _solve(game, args.budget)
     if path:
         _write_entry(path, {"payload": payload, "tool_version": __version__})
     return payload
+
+
+def _solve(game: dict, budget: int) -> dict:
+    """The payload of a fresh solve of ``game``, keyed by ``GAME_FIELDS``."""
+    spec = GameSpec(game["n"], game["d"], game["k"], Variant(game["variant"]))
+    return solver.solve(spec, symmetry=game["symmetry"], relaxed=game["relaxed"], budget=budget).to_json_dict()
 
 
 def _comparable(payload: dict) -> dict:
@@ -265,9 +274,7 @@ def cmd_recheck(args) -> int:
         if not _serves(entry, p):  # it names its own game, so another version wrote it
             print(f"{where}  stale (tool_version {entry.get('tool_version')})")
             continue
-        result = solver.solve(GameSpec(p["n"], p["d"], p["k"], Variant(p["variant"])),
-                              symmetry=p["symmetry"], relaxed=p["relaxed"], budget=args.budget)
-        fresh = _comparable(result.to_json_dict())
+        fresh = _comparable(_solve(p, args.budget))
         served = _comparable(p)
         differs = [name for name in sorted(served.keys() | fresh.keys())
                    if served.get(name) != fresh.get(name)]
@@ -292,14 +299,8 @@ def cmd_recheck(args) -> int:
 def cmd_solve(args) -> int:
     variant = Variant(args.variant)
     payload = _solve_cached(args, args.n, args.d, args.k, variant)
-    rows = [
-        ("value", payload["value"], parse_rational(payload["value"])),
-        ("nodes", payload["stats"]["nodes"], None),
-        ("lp_rows", payload["stats"]["lp_rows"], None),
-        ("lp_cols", payload["stats"]["lp_cols"], None),
-        ("pivots", payload["stats"]["pivots"], None),
-    ]
-    _emit(args, payload, rows)
+    rows = [("value", payload["value"], parse_rational(payload["value"]))]
+    _emit(args, payload, rows + [(name, payload["stats"][name], None) for name in SOLVE_STATS])
     return EXIT_OK
 
 
@@ -309,10 +310,7 @@ def cmd_verify(args) -> int:
         tree = strategies.builtin_family(args.family, **params)
     else:
         with open(args.file) as fh:
-            try:
-                tree = strategies.from_json_dict(json.load(fh))
-            except RecursionError:
-                raise ValueError(f"strategy file {args.file} is nested too deeply to read") from None
+            tree = strategies.from_json_dict(json.load(fh))
     for name in ("n", "d", "k"):
         given, own = getattr(args, name), getattr(tree, name)
         if given is not None and given != own:
@@ -325,7 +323,7 @@ def cmd_verify(args) -> int:
     else:
         response = solver.best_response_value(spec, tree)
         value = response.value
-        worst = list(response.worst_allocation)
+        worst = [c for c in response.worst_allocation if c]  # the pattern without its zeros
     payload = {
         "n": tree.n, "d": tree.d, "k": tree.k, "variant": variant.value,
         "value": format_rational(value),
@@ -401,21 +399,11 @@ def cmd_accumulation(args) -> int:
         amounts = tuple(parse_rational(x) for x in args.dist.split(","))
         payload = accu.evaluate_distribution(spec, accu.GoldDistribution(amounts))
     elif args.mode == "ruckle":
-        r, wins, g = accu.best_ruckle_distribution(spec)
-        total = accu.comb(spec.n, spec.k)
-        payload = {
-            "r": r, "winning": wins, "total": total,
-            "probability": format_rational(Fraction(wins, total)),
-            "witness": g.to_json(),
-        }
+        r, _, g = accu.best_ruckle_distribution(spec)
+        payload = {"r": r, **accu.evaluate_distribution(spec, g)}
     else:
         losing, witness = accu.max_losing_subsets_exact(spec)
-        total = accu.comb(spec.n, spec.k)
-        payload = {
-            "losing": losing, "winning": total - losing, "total": total,
-            "probability": format_rational(Fraction(total - losing, total)),
-            "witness": witness.to_json(),
-        }
+        payload = {"losing": losing, **accu.evaluate_distribution(spec, witness)}
     _emit(args, payload, [
         (key, ",".join(value) if key == "witness" else value,
          parse_rational(value) if key == "probability" else None)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 
 class Variant(str, Enum):
@@ -68,18 +69,10 @@ def enumerate_allocations(n: int, d: int) -> list[tuple[int, ...]]:
         raise ValueError(f"need at least one box, got n={n}")
     if d < 0:
         raise ValueError(f"negative treasure count d={d}")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], left: int) -> None:
-        if len(prefix) == n - 1:
-            out.append(prefix + (left,))
-            return
-        for c in range(left + 1):
-            rec(prefix + (c,), left - c)
-
-    rec((), d)
-    del rec  # it refers to itself, so only the cycle collector would free it and ``out``
-    return out
+    # Stars and bars: the n - 1 bars among n + d - 1 slots, in lexicographic
+    # order, give the counts between them in lexicographic order.
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (n + d - 1,)))
+            for bars in combinations(range(n + d - 1), n - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,10 @@ def _build(spec: GameSpec, symmetry: bool, relaxed: bool, budget: int, sf: _Sequ
     ``_reveal_lcm``); any other draw with reveals is the hider's decision, of
     weight ``ways L``.  Decisions and merged reveals keep the order in which
     their draws come, which numbers the sequences, and a forced reveal into a
-    won state adds to the query's ``won`` instead.  A path's probability
+    won state adds to the query's ``won`` instead.  So a won state is never
+    listed or walked, and counts as one node where its reveal is listed: a
+    decision needs two boxes that hold treasures, so it never makes the
+    ``d``-th find.  A path's probability
     must stay an integer over ``sf.denominator``: the query's ``total L``
     must divide every ``prob weight``, and it divides each forced win's
     ``prob w`` exactly when it divides ``prob won_gcd``, so they are paid in
@@ -258,16 +261,13 @@ def _build(spec: GameSpec, symmetry: bool, relaxed: bool, budget: int, sf: _Sequ
     actions_at: dict = {}
     memo: dict = {}
     serial = count(1)
-    off_denominator = f"path probability is not a multiple of 1/{sf.denominator}"
+    off_denominator = "path probability is not a multiple of 1/{}"  # formatted on failure: D can pass str's digit limit
 
     def listing(state):
         listed = memo.get(state)
         if listed is not None:
             return listed
         touched, untouched, found = state
-        if found == d:
-            listed = memo[state] = (1, None, None)
-            return listed
         t0 = len(touched)
         if t0 not in actions_at:
             # Each query needs a node, so budget + 1 of them overflow it.
@@ -286,7 +286,7 @@ def _build(spec: GameSpec, symmetry: bool, relaxed: bool, budget: int, sf: _Sequ
                 for _, after in reveals:
                     if nodes > budget:
                         raise BudgetExceededError(budget, nodes)
-                    nodes += listing(after)[0]
+                    nodes += 1 if found + 1 == d else listing(after)[0]
                 if not chance and len(outs) > 1:
                     walked[i] = [ways * L, [b for b, *_ in outs], reveals]
                     continue
@@ -304,25 +304,19 @@ def _build(spec: GameSpec, symmetry: bool, relaxed: bool, budget: int, sf: _Sequ
         listed = memo[state] = (nodes, actions_at[t0], kept)
         return listed
 
-    def credit(h_seq, s_seq, p):
-        row = sf.payoff.setdefault(h_seq, {})
-        row[s_seq] = row.get(s_seq, 0) + p
-
     def node(root, state, obs, at):
         _, queries, options = memo[state]
         s_seq, h_seq, prob = at
-        if queries is None:
-            credit(h_seq, s_seq, prob)
-            return
         for (total, won, won_gcd, walked), (q, sid) in zip(options, sf.decide(SEARCHER, obs, s_seq, queries)):
             if won:
                 if prob * won_gcd % total:
-                    raise SolverError(off_denominator)
-                credit(h_seq, sid, prob * won // total)
+                    raise SolverError(off_denominator.format(sf.denominator))
+                row = sf.payoff.setdefault(h_seq, {})
+                row[sid] = row.get(sid, 0) + prob * won // total
             for weight, boxes, reveals in walked:
                 p, rest = divmod(prob * weight, total)
                 if rest:
-                    raise SolverError(off_denominator)
+                    raise SolverError(off_denominator.format(sf.denominator))
                 # Every reveal decision is its own information set: the hider knows his
                 # placement and sees every query.  The serial keeps apart draws whose
                 # states differ only by the searcher's private relabeling.

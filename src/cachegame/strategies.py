@@ -122,8 +122,6 @@ def family_d2(k: int) -> StrategyTree:
     if k < 1:
         raise ValueError("k must be positive")
     n = 2 * k - 1
-    if k == 1:
-        return StrategyTree(1, 2, 1, ask((0,), {0: ask((0,))}))
     second = ask((0,) + tuple(range(k, 2 * k - 1)))
     root = ask(tuple(range(k)), {0: second})
     return StrategyTree(n, 2, k, root)

@@ -160,6 +160,27 @@ class TestVerifyCommand:
         assert code == 2
         assert "nested too deeply" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", "1", "--d", "1500", "--k", "1"),
+        ("verify", "--family", "infinite-d", "--n", "3", "--d", "1500", "--k", "2"),
+    ])
+    def test_a_game_deeper_than_the_stack_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "nested too deeply" in err and "Traceback" not in err
+
+    def test_worst_allocation_is_the_patterns_nonzero_counts(self, capsys):
+        data = run_json(capsys, "verify", "--family", "fig542")
+        assert (data["n"], data["worst_allocation"]) == (5, [1, 1, 1, 1])
+
+    def test_one_query_plan_over_many_boxes_prints_a_few_lines(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text('{"n": 5000, "d": 1, "k": 1, "root": {"mix": [{"p": "1", "query": [0]}]}}')
+        code, out, _ = run(capsys, "verify", "--file", str(path))
+        assert code == 0
+        assert json.loads(out)["value"] == "1/5000"
+        assert len(out.splitlines()) < 20
+
     @pytest.mark.parametrize("source,sizes,message", [
         (("--family", "d2"), ("--n", "5", "--d", "7", "--k", "2"), "--n 5 does not match the strategy's n=3"),
         (("--family", "fig432"), ("--n", "9"), "--n 9 does not match the strategy's n=4"),
@@ -305,6 +326,17 @@ class TestAccumulationCommand:
         assert code == 0
         lines = [line for line in out.splitlines() if "approximate" in line]
         assert lines == ["probability  3/10   (~0.300000, approximate)"]
+
+    @pytest.mark.parametrize("argv,payload", [
+        (("--n", "5", "--k", "3", "--d", "2", "--mode", "exact"),
+         {"losing": 4, "probability": "3/5", "total": 10, "winning": 6,
+          "witness": ["2/1", "0/1", "0/1", "0/1", "0/1"]}),
+        (("--n", "6", "--k", "3", "--d", "3/2", "--mode", "ruckle"),
+         {"probability": "0/1", "r": 5, "total": 20, "winning": 0,
+          "witness": ["3/10", "3/10", "3/10", "3/10", "3/10", "0/1"]}),
+    ])
+    def test_whole_payload(self, capsys, argv, payload):
+        assert run_json(capsys, "accumulation", *argv) == payload
 
     def test_evaluate_requires_dist(self, capsys):
         code, _, _ = run(capsys, "accumulation", "--n", "5", "--k", "3", "--d", "1",

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -38,10 +38,11 @@ class TestEnumerateAllocations:
     def test_zero_treasures(self):
         assert enumerate_allocations(3, 0) == [(0, 0, 0)]
 
-    def test_lexicographic_and_unique(self):
-        allocs = enumerate_allocations(4, 3)
-        assert allocs == sorted(allocs)
-        assert len(set(allocs)) == len(allocs)
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("d", range(0, 6))
+    def test_lexicographic_and_unique(self, n, d):
+        # The order numbers the full game's hider root sequences.
+        assert enumerate_allocations(n, d) == [c for c in product(range(d + 1), repeat=n) if sum(c) == d]
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("d", range(0, 6))

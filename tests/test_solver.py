@@ -571,6 +571,12 @@ class TestSolveKnownValues:
     def test_532_meets_bound(self):
         assert solve_cached(5, 3, 2, ADV).value == Fraction(8, 35)
 
+    def test_denominator_past_the_digits_str_allows(self):
+        # The denominator 1! lcm(1..120)^120 has more than 4,300 digits, the
+        # most ``str`` of an int gives, so a build that formats it cannot start.
+        assert len(str(lcm(*range(1, 121)))) * 120 > 4300
+        assert solve(GameSpec(1, 120, 1, RAN)).value == 1
+
 
 class TestCheckAccuracy:
     def test_432_accurate(self):

@@ -56,6 +56,7 @@ class TestVerifyKnownValues:
         assert verify(GameSpec(n, 3, k, ADV), family_d3(k)) == Fraction(k**3, comb(3 * k, 3))
 
     def test_degenerate_one_box_families(self):
+        assert family_d2(1) == st.StrategyTree(1, 2, 1, st.ask((0,), {0: st.ask((0,))}))
         assert verify(GameSpec(1, 2, 1, ADV), family_d2(1)) == 1
         assert verify(GameSpec(1, 3, 1, ADV), family_d3(1)) == 1
 
